@@ -16,14 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, evalkit
-from .detector import (
-    DetectorHp,
-    fit_traditional,
-    load_detector,
-    predict,
-    save_detector,
-    train_dl_detector,
-)
+from .detector import DetectorHp, fit_detector, load_detector, predict, save_detector
 from .errors import DataError, JavaLexError, SatdForgeError, TrainingError
 from .generator import (
     GeneratorHp,
@@ -96,36 +89,10 @@ def _safe_predict(model, sequence) -> bool:
 def make_detector_recipe(task: str, hp_dict: dict, seed: int):
     """A run_cv/cross-project recipe: fit on the training side, score
     precision/recall/F1 on the held-out side."""
-    model_type = hp_dict.get("model", "dl")
     kind = _vocab_kind(task)
 
     def recipe(train_items, train_labels, test_items, test_labels, fold_index):
-        fold_seed = seed + 1000 * fold_index
-        if model_type == "dl":
-            hp = DetectorHp.from_dict(hp_dict)
-            usable = [(s, y) for s, y in zip(train_items, train_labels) if s]
-            model = train_dl_detector(
-                [s for s, _ in usable],
-                [y for _, y in usable],
-                hp,
-                fold_seed,
-                vocab_kind=kind,
-            )
-        elif model_type in ("mnb", "svm"):
-            model = fit_traditional(
-                train_items,
-                train_labels,
-                kind=model_type,
-                hp=DetectorHp.from_dict(hp_dict),
-                features=hp_dict.get("features", "bow"),
-                alpha=hp_dict.get("alpha", 1.0),
-                lam=hp_dict.get("lam", 1e-2),
-                epochs=hp_dict.get("epochs", 20),
-                seed=fold_seed,
-                vocab_kind=kind,
-            )
-        else:
-            raise DataError(f"unknown model type: {model_type!r}")
+        model = fit_detector(hp_dict, train_items, train_labels, seed + 1000 * fold_index, kind)
         preds = [_safe_predict(model, s) for s in test_items]
         return evalkit.prf1(preds, test_labels).as_dict()
 
@@ -345,62 +312,16 @@ def cmd_train(args) -> int:
     hp_dict = _read_json(args.hp) if args.hp else {}
     mode = args.mode.replace("-", "_")
     if args.task == "generate":
+        if args.init:
+            raise DataError("a pre-trained language model cannot initialize the generator")
         pairs = _generation_pairs(records)
         model = train_generator(pairs, GeneratorHp.from_dict(hp_dict), args.seed)
         save_generator(model, args.out)
         print(f"generator trained on {len(pairs)} pairs, loss {model.final_loss:.4f} -> {args.out}")
         return 0
     items, labels = _task_sequences(records, args.task)
-    model_type = hp_dict.get("model", "dl")
-    kind = _vocab_kind(args.task)
-    if model_type == "dl":
-        hp = DetectorHp.from_dict(hp_dict)
-        usable = [(s, y) for s, y in zip(items, labels) if s]
-        init_blocks = None
-        vocab = None
-        if args.init:
-            lm = load_lm(args.init)
-            init_blocks = lm.blocks()
-            vocab = lm.vocab  # indices must match the pre-trained embedding
-        model = train_dl_detector(
-            [s for s, _ in usable],
-            [y for _, y in usable],
-            hp,
-            args.seed,
-            vocab=vocab,
-            vocab_kind=kind,
-            init_blocks=init_blocks,
-            init_mode=mode,
-        )
-    elif model_type in ("mnb", "svm"):
-        if args.init and mode == "embedding_only" and model_type == "svm":
-            lm = load_lm(args.init)
-            model = fit_traditional(
-                items,
-                labels,
-                kind="pretrained_embed_svm",
-                hp=DetectorHp.from_dict(hp_dict),
-                lam=hp_dict.get("lam", 1e-2),
-                epochs=hp_dict.get("epochs", 20),
-                seed=args.seed,
-                vocab=lm.vocab,
-                embedding=lm.network.embedding.p["M"],
-            )
-        else:
-            model = fit_traditional(
-                items,
-                labels,
-                kind=model_type,
-                hp=DetectorHp.from_dict(hp_dict),
-                features=hp_dict.get("features", "bow"),
-                alpha=hp_dict.get("alpha", 1.0),
-                lam=hp_dict.get("lam", 1e-2),
-                epochs=hp_dict.get("epochs", 20),
-                seed=args.seed,
-                vocab_kind=kind,
-            )
-    else:
-        raise DataError(f"unknown model type: {model_type!r}")
+    lm = load_lm(args.init) if args.init else None
+    model = fit_detector(hp_dict, items, labels, args.seed, _vocab_kind(args.task), lm=lm, mode=mode)
     save_detector(model, args.out)
     print(f"{model.kind} detector trained on {len(items)} sequences -> {args.out}")
     return 0

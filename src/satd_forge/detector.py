@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor_core as tc
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_blocks, load_checkpoint, save_checkpoint, save_network
 from .errors import CheckpointError, DataError, TrainingError
 from .textpipe import Vocabulary, build_vocabulary, pad_batch
 from .vsm import TfIdfModel, bow_counts, fit_tfidf, transform
@@ -38,67 +38,28 @@ class DetectorHp:
         return cls(**{k: v for k, v in obj.items() if k in known})
 
 
-class DetectorNetwork:
+class DetectorNetwork(tc.Network):
     """Embedding -> stacked LSTM -> pooling -> dense + sigmoid."""
 
     def __init__(self, vocab_size: int, latent: int, n_layers: int, pooling: str, seed: int):
         rng = np.random.default_rng(seed)
-        sizes = tc.detector_layer_sizes(latent, n_layers)
         self.pooling = pooling
-        self.embedding = tc.Embedding(vocab_size, latent, rng)
-        self.lstms = []
-        prev = latent
-        for size in sizes:
-            self.lstms.append(tc.LstmLayer(prev, size, rng))
-            prev = size
-        self.dense = tc.Dense(prev, 1, rng)
+        self.stack = tc.LstmStack(vocab_size, latent, tc.detector_layer_sizes(latent, n_layers), rng)
+        self.dense = tc.Dense(self.stack.layers[-1].state_size, 1, rng)
 
     def named_params(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        named = {"embedding.M": (self.embedding.p["M"], self.embedding.g["M"])}
-        for k, lstm in enumerate(self.lstms):
-            for key in ("Wx", "Wh", "b"):
-                named[f"lstm{k}.{key}"] = (lstm.p[key], lstm.g[key])
-        for key in ("W", "b"):
-            named[f"dense.{key}"] = (self.dense.p[key], self.dense.g[key])
-        return named
-
-    def zero_grads(self):
-        for _, grad in self.named_params().values():
-            grad[...] = 0.0
+        return {**self.stack.named_params(), **tc.block_params("dense", self.dense)}
 
     def forward(self, idx: np.ndarray, mask: np.ndarray, drop_rng=None, drop_rate: float = 0.0):
-        caches: dict = {"idx": idx, "mask": mask, "drops": []}
-        X = self.embedding.forward(idx)
-        if drop_rng is not None and drop_rate > 0.0:
-            dmask = tc.dropout_mask(X.shape, drop_rate, drop_rng)
-            X = X * dmask
-            caches["drops"].append(dmask)
-        caches["lstm"] = []
-        for lstm in self.lstms:
-            X, _, cache = lstm.forward(X, mask)
-            caches["lstm"].append(cache)
-            if drop_rng is not None and drop_rate > 0.0:
-                dmask = tc.dropout_mask(X.shape, drop_rate, drop_rng)
-                X = X * dmask
-                caches["drops"].append(dmask)
-        pooled, pool_cache = tc.pool_forward(X, mask, self.pooling)
-        caches["pool"] = pool_cache
+        states, _, stack_cache = self.stack.forward(idx, mask, drop_rng, drop_rate)
+        pooled, pool_cache = tc.pool_forward(states, mask, self.pooling)
         logits, dense_cache = self.dense.forward(pooled)
-        caches["dense"] = dense_cache
         probs = tc.sigmoid(logits[:, 0])
-        return probs, caches
+        return probs, {"stack": stack_cache, "pool": pool_cache, "dense": dense_cache}
 
     def backward(self, dlogits: np.ndarray, caches: dict):
-        drops = list(caches["drops"])
         dpooled = self.dense.backward(dlogits[:, None], caches["dense"])
-        dstates = tc.pool_backward(dpooled, caches["pool"])
-        for k in range(len(self.lstms) - 1, -1, -1):
-            if drops:
-                dstates = dstates * drops.pop()
-            dstates, _, _ = self.lstms[k].backward(dstates, None, None, caches["lstm"][k])
-        if drops:
-            dstates = dstates * drops.pop()
-        self.embedding.backward(dstates, caches["idx"])
+        self.stack.backward(tc.pool_backward(dpooled, caches["pool"]), caches["stack"])
 
     def loss_and_grads(self, idx, mask, labels, drop_rng=None, drop_rate=0.0) -> float:
         """Mean binary log-loss over the batch; fills parameter gradients."""
@@ -140,14 +101,6 @@ def _encode_for_training(sequences, vocab, cap: int) -> list[list[int]]:
     return encoded
 
 
-def _iter_batches(encoded, y, batch_size: int, cap: int, rng):
-    order = rng.permutation(len(encoded))
-    for start in range(0, len(encoded), batch_size):
-        chunk = order[start : start + batch_size]
-        matrix, mask = pad_batch([encoded[j] for j in chunk], cap)
-        yield matrix, mask, y[chunk]
-
-
 def train_dl_detector(
     sequences,
     labels,
@@ -161,7 +114,9 @@ def train_dl_detector(
     """Train the LSTM classifier with Adam on binary log-loss.
 
     The vocabulary is built from the training sequences unless one is
-    passed in; pre-trained blocks may seed the embedding/LSTM weights.
+    passed in. Pre-trained blocks, named as in `LstmStack.named_params`,
+    replace the embedding (`embedding_only`) or the whole stack
+    (`end2end`) before training.
     """
     labels = [int(v) for v in labels]
     if len(sequences) != len(labels):
@@ -174,24 +129,20 @@ def train_dl_detector(
         vocab = build_vocabulary(sequences, vocab_kind)
     network = DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, seed)
     if init_blocks is not None:
-        from .pretrainer import transplant_blocks
-
-        transplant_blocks(network, init_blocks, init_mode)
-    optimizer = tc.Adam(lr=hp.learning_rate)
-    rng = np.random.default_rng(seed + 1)
-    drop_rng = np.random.default_rng(seed + 2)
+        if init_mode not in ("end2end", "embedding_only"):
+            raise DataError(f"unknown pre-training mode: {init_mode!r}")
+        wanted = network.stack.named_params()
+        if init_mode == "embedding_only":
+            wanted = {"embedding.M": wanted["embedding.M"]}
+        load_blocks(wanted, init_blocks, "pre-trained language model")
     encoded = _encode_for_training(sequences, vocab, hp.seq_cap)
     y_all = np.asarray(labels, dtype=np.float64)
-    final_loss = 0.0
-    for _ in range(hp.epochs):
-        epoch_losses = []
-        for matrix, mask, y in _iter_batches(encoded, y_all, hp.batch_size, hp.seq_cap, rng):
-            loss = network.loss_and_grads(matrix, mask, y, drop_rng, hp.dropout)
-            if not np.isfinite(loss):
-                raise TrainingError("divergent loss")
-            optimizer.step(network.named_params())
-            epoch_losses.append(loss)
-        final_loss = float(np.mean(epoch_losses))
+
+    def make_batch(chunk):
+        matrix, mask = pad_batch([encoded[j] for j in chunk], hp.seq_cap)
+        return matrix, mask, y_all[chunk]
+
+    final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(encoded), hp, seed)
     return DetectorModel(
         kind="dl",
         vocab=vocab,
@@ -378,6 +329,69 @@ def fit_traditional(
     return model
 
 
+def fit_detector(hp_dict: dict, items, labels, seed: int, vocab_kind: str, lm=None,
+                 mode: str = "end2end") -> DetectorModel:
+    """Train the detector a hyper-parameter dict names: `model` is dl
+    (the default), mnb or svm.
+
+    A pre-trained language model `lm` brings its vocabulary and
+    initializes the dl detector's embedding (`embedding_only`) or whole
+    stack (`end2end`); with `embedding_only` it turns the svm into
+    `pretrained_embed_svm` over averaged embeddings. Empty sequences are
+    dropped for dl only.
+    """
+    model_type = hp_dict.get("model", "dl")
+    hp = DetectorHp.from_dict(hp_dict)
+    if model_type == "dl":
+        usable = [(s, y) for s, y in zip(items, labels) if s]
+        init_blocks = None
+        if lm is not None:
+            init_blocks = {name: param for name, (param, _) in lm.network.stack.named_params().items()}
+        return train_dl_detector(
+            [s for s, _ in usable],
+            [y for _, y in usable],
+            hp,
+            seed,
+            vocab=lm.vocab if lm is not None else None,
+            vocab_kind=vocab_kind,
+            init_blocks=init_blocks,
+            init_mode=mode,
+        )
+    if model_type not in ("mnb", "svm"):
+        raise DataError(f"unknown model type: {model_type!r}")
+    lam = hp_dict.get("lam", 1e-2)
+    epochs = hp_dict.get("epochs", 20)
+    if lm is None:
+        return fit_traditional(
+            items,
+            labels,
+            kind=model_type,
+            hp=hp,
+            features=hp_dict.get("features", "bow"),
+            alpha=hp_dict.get("alpha", 1.0),
+            lam=lam,
+            epochs=epochs,
+            seed=seed,
+            vocab_kind=vocab_kind,
+        )
+    if model_type != "svm" or mode != "embedding_only":
+        raise DataError(
+            f"a pre-trained language model cannot initialize model {model_type!r} in mode {mode!r}: "
+            "it serves dl in either mode and svm in embedding_only"
+        )
+    return fit_traditional(
+        items,
+        labels,
+        kind="pretrained_embed_svm",
+        hp=hp,
+        lam=lam,
+        epochs=epochs,
+        seed=seed,
+        vocab=lm.vocab,
+        embedding=lm.network.stack.embedding.p["M"],
+    )
+
+
 def save_detector(model: DetectorModel, path):
     header = {
         "hp": model.hp.to_dict(),
@@ -388,16 +402,11 @@ def save_detector(model: DetectorModel, path):
         "alpha": model.alpha,
         "seed": model.seed,
     }
-    blocks: list[tuple[str, np.ndarray]] = []
     if model.kind == "dl":
-        net = model.network
-        blocks.append(("embedding.M", net.embedding.p["M"]))
-        for k, lstm in enumerate(net.lstms):
-            for key in ("Wx", "Wh", "b"):
-                blocks.append((f"lstm{k}.{key}", lstm.p[key]))
-        blocks.append(("dense.W", net.dense.p["W"]))
-        blocks.append(("dense.b", net.dense.p["b"]))
-    elif model.kind == "mnb":
+        save_network(path, "dl", header, model.network)
+        return
+    blocks: list[tuple[str, np.ndarray]] = []
+    if model.kind == "mnb":
         blocks.append(("class_log_prior", model.class_log_prior))
         blocks.append(("feature_log_prob", model.feature_log_prob))
     elif model.kind in ("svm", "pretrained_embed_svm"):
@@ -431,14 +440,8 @@ def load_detector(path) -> DetectorModel:
         seed=header.get("seed", 0),
     )
     if kind == "dl":
-        network = DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, model.seed)
-        network.embedding.p["M"][...] = blocks["embedding.M"]
-        for k, lstm in enumerate(network.lstms):
-            for key in ("Wx", "Wh", "b"):
-                lstm.p[key][...] = blocks[f"lstm{k}.{key}"]
-        network.dense.p["W"][...] = blocks["dense.W"]
-        network.dense.p["b"][...] = blocks["dense.b"]
-        model.network = network
+        model.network = DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, model.seed)
+        load_blocks(model.network.named_params(), blocks, path)
     elif kind == "mnb":
         model.class_log_prior = blocks["class_log_prior"]
         model.feature_log_prob = blocks["feature_log_prob"]

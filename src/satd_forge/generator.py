@@ -13,8 +13,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor_core as tc
-from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import DataError, TrainingError
+from .checkpoint import load_blocks, load_checkpoint, save_network
+from .errors import DataError
 from .textpipe import EOS, SOS, Vocabulary, build_vocabulary, pad_batch
 
 
@@ -87,148 +87,55 @@ class Attention:
         return dS, dH
 
 
-def attention_context(state: np.ndarray, enc_states: np.ndarray, mask: np.ndarray, attention: Attention):
-    """Single-step view: context vector, weights, and attended vector for
-    one decoder state against one encoded sequence."""
-    S = np.asarray(state, dtype=np.float64)[None, None, :]
-    H = np.asarray(enc_states, dtype=np.float64)[None, :, :]
-    m = np.asarray(mask, dtype=np.float64)[None, :]
-    attended, weights, _ = attention.forward(S, H, m)
-    context = (weights[0, 0][:, None] * enc_states).sum(axis=0)
-    return context, weights[0, 0], attended[0, 0]
-
-
-class Seq2SeqNetwork:
+class Seq2SeqNetwork(tc.Network):
     def __init__(self, code_vocab_size: int, comment_vocab_size: int, latent: int, n_layers: int, seed: int):
         rng = np.random.default_rng(seed)
         sizes = tc.generator_layer_sizes(latent, n_layers)
-        self.latent = latent
-        self.n_layers = n_layers
-        self.enc_embedding = tc.Embedding(code_vocab_size, latent, rng)
-        self.enc_lstms = []
-        prev = latent
-        for size in sizes:
-            self.enc_lstms.append(tc.LstmLayer(prev, size, rng))
-            prev = size
-        self.dec_embedding = tc.Embedding(comment_vocab_size, latent, rng)
-        self.dec_lstms = []
-        prev = latent
-        for size in sizes:
-            self.dec_lstms.append(tc.LstmLayer(prev, size, rng))
-            prev = size
+        self.encoder = tc.LstmStack(code_vocab_size, latent, sizes, rng)
+        self.decoder = tc.LstmStack(comment_vocab_size, latent, sizes, rng)
         self.attention = Attention(latent, rng)
         self.out = tc.Dense(latent, comment_vocab_size, rng)
 
     def named_params(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        named = {
-            "enc_embedding.M": (self.enc_embedding.p["M"], self.enc_embedding.g["M"]),
-            "dec_embedding.M": (self.dec_embedding.p["M"], self.dec_embedding.g["M"]),
+        enc = self.encoder.named_params("enc_")
+        dec = self.decoder.named_params("dec_")
+        # checkpoints list both embeddings before both stacks' layers
+        return {
+            "enc_embedding.M": enc.pop("enc_embedding.M"),
+            "dec_embedding.M": dec.pop("dec_embedding.M"),
+            **enc,
+            **dec,
+            **tc.block_params("attention", self.attention),
+            **tc.block_params("out", self.out),
         }
-        for prefix, stack in (("enc_lstm", self.enc_lstms), ("dec_lstm", self.dec_lstms)):
-            for k, lstm in enumerate(stack):
-                for key in ("Wx", "Wh", "b"):
-                    named[f"{prefix}{k}.{key}"] = (lstm.p[key], lstm.g[key])
-        for key in ("Wc", "bc"):
-            named[f"attention.{key}"] = (self.attention.p[key], self.attention.g[key])
-        for key in ("W", "b"):
-            named[f"out.{key}"] = (self.out.p[key], self.out.g[key])
-        return named
-
-    def zero_grads(self):
-        for _, grad in self.named_params().values():
-            grad[...] = 0.0
-
-    def _encode(self, enc_idx, enc_mask, drop_rng=None, drop_rate=0.0, caches=None):
-        X = self.enc_embedding.forward(enc_idx)
-        if caches is not None:
-            caches["enc_drops"] = []
-        if drop_rng is not None and drop_rate > 0.0:
-            dmask = tc.dropout_mask(X.shape, drop_rate, drop_rng)
-            X = X * dmask
-            if caches is not None:
-                caches["enc_drops"].append(dmask)
-        finals = []
-        for lstm in self.enc_lstms:
-            X, final, cache = lstm.forward(X, enc_mask)
-            finals.append(final)
-            if caches is not None:
-                caches.setdefault("enc_lstm", []).append(cache)
-            if drop_rng is not None and drop_rate > 0.0:
-                dmask = tc.dropout_mask(X.shape, drop_rate, drop_rng)
-                X = X * dmask
-                if caches is not None:
-                    caches["enc_drops"].append(dmask)
-        return X, finals
 
     def forward_train(
         self, enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng=None, drop_rate=0.0
     ):
         """Teacher-forced loss: decoder inputs are the target sequence
         shifted right by one position."""
-        caches: dict = {
-            "enc_idx": enc_idx,
-            "enc_mask": enc_mask,
-            "dec_idx": dec_idx,
-            "dec_mask": dec_mask,
-        }
-        Henc, enc_finals = self._encode(enc_idx, enc_mask, drop_rng, drop_rate, caches)
-        caches["Henc"] = Henc
-
-        X = self.dec_embedding.forward(dec_idx)
-        caches["dec_drops"] = []
-        if drop_rng is not None and drop_rate > 0.0:
-            dmask = tc.dropout_mask(X.shape, drop_rate, drop_rng)
-            X = X * dmask
-            caches["dec_drops"].append(dmask)
-        caches["dec_lstm"] = []
-        h0, c0 = enc_finals[-1]
-        for k, lstm in enumerate(self.dec_lstms):
-            if k == 0:
-                X, _, cache = lstm.forward(X, dec_mask, h0=h0, c0=c0)
-            else:
-                X, _, cache = lstm.forward(X, dec_mask)
-            caches["dec_lstm"].append(cache)
-            if drop_rng is not None and drop_rate > 0.0:
-                dmask = tc.dropout_mask(X.shape, drop_rate, drop_rng)
-                X = X * dmask
-                caches["dec_drops"].append(dmask)
-        attended, _, att_cache = self.attention.forward(X, Henc, enc_mask)
-        caches["attention"] = att_cache
+        Henc, enc_finals, enc_cache = self.encoder.forward(enc_idx, enc_mask, drop_rng, drop_rate)
+        states, _, dec_cache = self.decoder.forward(
+            dec_idx, dec_mask, drop_rng, drop_rate, initial=enc_finals[-1:]
+        )
+        attended, _, att_cache = self.attention.forward(states, Henc, enc_mask)
         logits, dense_cache = self.out.forward(attended)
-        caches["out"] = dense_cache
         loss, dlogits, _ = tc.masked_cross_entropy(logits, targets, dec_mask)
-        caches["dlogits"] = dlogits
+        caches = {
+            "encoder": enc_cache,
+            "decoder": dec_cache,
+            "attention": att_cache,
+            "out": dense_cache,
+            "dlogits": dlogits,
+        }
         return loss, caches
 
     def backward(self, caches):
         dattended = self.out.backward(caches["dlogits"], caches["out"])
         dstates, dHenc = self.attention.backward(dattended, caches["attention"])
-        dec_drops = list(caches["dec_drops"])
-        dh0 = dc0 = None
-        for k in range(len(self.dec_lstms) - 1, -1, -1):
-            if dec_drops:
-                dstates = dstates * dec_drops.pop()
-            dstates, dh, dc = self.dec_lstms[k].backward(dstates, None, None, caches["dec_lstm"][k])
-            if k == 0:
-                dh0, dc0 = dh, dc
-        if dec_drops:
-            dstates = dstates * dec_drops.pop()
-        self.dec_embedding.backward(dstates, caches["dec_idx"])
-
+        handoff = self.decoder.backward(dstates, caches["decoder"])
         # encoder: attention gradient on every state, handoff on the final one
-        enc_drops = list(caches["enc_drops"])
-        dstates = dHenc
-        dh_final, dc_final = dh0, dc0
-        for k in range(len(self.enc_lstms) - 1, -1, -1):
-            if enc_drops:
-                dstates = dstates * enc_drops.pop()
-            dstates, _, _ = self.enc_lstms[k].backward(
-                dstates, dh_final, dc_final, caches["enc_lstm"][k]
-            )
-            dh_final = dc_final = None
-        if enc_drops:
-            dstates = dstates * enc_drops.pop()
-        self.enc_embedding.backward(dstates, caches["enc_idx"])
+        self.encoder.backward(dHenc, caches["encoder"], dfinal=handoff)
 
     def loss_and_grads(self, enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng=None, drop_rate=0.0):
         self.zero_grads()
@@ -241,23 +148,13 @@ class Seq2SeqNetwork:
     def decode_greedy(self, enc_indices: list[int], sos: int, eos: int, max_words: int) -> list[int]:
         """Argmax decoding; emits until `eos` or the word cap."""
         enc_idx, enc_mask = pad_batch([enc_indices], len(enc_indices))
-        Henc, enc_finals = self._encode(enc_idx, enc_mask)
-        states: list[tuple[np.ndarray, np.ndarray]] = []
-        for k, lstm in enumerate(self.dec_lstms):
-            if k == 0:
-                states.append(enc_finals[-1])
-            else:
-                size = lstm.state_size
-                states.append((np.zeros((1, size)), np.zeros((1, size))))
+        Henc, enc_finals, _ = self.encoder.forward(enc_idx, enc_mask)
+        states = enc_finals[-1:]
         step_mask = np.ones((1, 1))
         word = sos
         out: list[int] = []
         for _ in range(max_words):
-            X = self.dec_embedding.forward(np.array([[word]]))
-            for k, lstm in enumerate(self.dec_lstms):
-                h0, c0 = states[k]
-                X, final, _ = lstm.forward(X, step_mask, h0=h0, c0=c0)
-                states[k] = final
+            X, states, _ = self.decoder.forward(np.array([[word]]), step_mask, initial=states)
             attended, _, _ = self.attention.forward(X, Henc, enc_mask)
             logits, _ = self.out.forward(attended)
             word = int(np.argmax(logits[0, 0]))
@@ -306,30 +203,16 @@ def train_generator(
     if comment_vocab is None:
         comment_vocab = build_vocabulary([f for _, f in pairs], "comment")
     network = Seq2SeqNetwork(code_vocab.size, comment_vocab.size, hp.latent, hp.layers, seed)
-    optimizer = tc.RmsProp(lr=hp.learning_rate)
-    rng = np.random.default_rng(seed + 1)
-    drop_rng = np.random.default_rng(seed + 2)
     enc_seqs = [code_vocab.encode(c) for c, _ in pairs]
     framed_seqs = [comment_vocab.encode(f) for _, f in pairs]
-    final_loss = 0.0
-    for _ in range(hp.epochs):
-        order = rng.permutation(len(pairs))
-        epoch_losses = []
-        for start in range(0, len(pairs), hp.batch_size):
-            chunk = order[start : start + hp.batch_size]
-            enc_idx, enc_mask = pad_batch([enc_seqs[j] for j in chunk], hp.code_cap)
-            dec_in = [framed_seqs[j][:-1] for j in chunk]
-            targets = [framed_seqs[j][1:] for j in chunk]
-            dec_idx, dec_mask = pad_batch(dec_in, hp.comment_cap + 2)
-            tgt_idx, _ = pad_batch(targets, hp.comment_cap + 2)
-            loss = network.loss_and_grads(
-                enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx, drop_rng, hp.dropout
-            )
-            if not np.isfinite(loss):
-                raise TrainingError(f"divergent loss in batch starting at {start}")
-            optimizer.step(network.named_params())
-            epoch_losses.append(loss)
-        final_loss = float(np.mean(epoch_losses))
+
+    def make_batch(chunk):
+        enc_idx, enc_mask = pad_batch([enc_seqs[j] for j in chunk], hp.code_cap)
+        dec_idx, dec_mask = pad_batch([framed_seqs[j][:-1] for j in chunk], hp.comment_cap + 2)
+        tgt_idx, _ = pad_batch([framed_seqs[j][1:] for j in chunk], hp.comment_cap + 2)
+        return enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx
+
+    final_loss = tc.fit(network, tc.RmsProp(lr=hp.learning_rate), make_batch, len(pairs), hp, seed)
     return GeneratorModel(
         code_vocab=code_vocab,
         comment_vocab=comment_vocab,
@@ -360,20 +243,7 @@ def save_generator(model: GeneratorModel, path):
         "comment_vocab_words": model.comment_vocab.words,
         "seed": model.seed,
     }
-    net = model.network
-    blocks: list[tuple[str, np.ndarray]] = [
-        ("enc_embedding.M", net.enc_embedding.p["M"]),
-        ("dec_embedding.M", net.dec_embedding.p["M"]),
-    ]
-    for prefix, stack in (("enc_lstm", net.enc_lstms), ("dec_lstm", net.dec_lstms)):
-        for k, lstm in enumerate(stack):
-            for key in ("Wx", "Wh", "b"):
-                blocks.append((f"{prefix}{k}.{key}", lstm.p[key]))
-    blocks.append(("attention.Wc", net.attention.p["Wc"]))
-    blocks.append(("attention.bc", net.attention.p["bc"]))
-    blocks.append(("out.W", net.out.p["W"]))
-    blocks.append(("out.b", net.out.p["b"]))
-    save_checkpoint(path, "generator", header, blocks)
+    save_network(path, "generator", header, model.network)
 
 
 def load_generator(path) -> GeneratorModel:
@@ -382,8 +252,7 @@ def load_generator(path) -> GeneratorModel:
     code_vocab = Vocabulary(words=list(header["code_vocab_words"]), kind="code")
     comment_vocab = Vocabulary(words=list(header["comment_vocab_words"]), kind="comment")
     network = Seq2SeqNetwork(code_vocab.size, comment_vocab.size, hp.latent, hp.layers, header.get("seed", 0))
-    for name, (param, _) in network.named_params().items():
-        param[...] = blocks[name]
+    load_blocks(network.named_params(), blocks, path)
     return GeneratorModel(
         code_vocab=code_vocab,
         comment_vocab=comment_vocab,

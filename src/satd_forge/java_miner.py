@@ -594,16 +594,25 @@ def write_jsonl(path, records: list[PairRecord], meta: dict | None = None):
 
 
 def read_jsonl(path) -> tuple[list[PairRecord], dict]:
+    """Records and the `_meta` line; a malformed row raises DataError
+    naming `path:line`."""
     records = []
     meta: dict = {}
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if "_meta" in obj:
-                meta = obj["_meta"]
-                continue
-            records.append(PairRecord.from_dict(obj))
+            try:
+                obj = json.loads(line)
+                if "_meta" in obj:
+                    meta = obj["_meta"]
+                    continue
+                records.append(PairRecord.from_dict(obj))
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except KeyError as exc:
+                raise DataError(f"{path}:{lineno}: row lacks field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
     return records, meta

@@ -1,5 +1,5 @@
-"""Next-token language-model pre-training over code sequences, and
-transplantation of the learned blocks into a classifier skeleton."""
+"""Next-token language-model pre-training over code sequences. Its LSTM
+stack later initializes a detector (`detector.fit_detector`)."""
 
 from __future__ import annotations
 
@@ -8,75 +8,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .checkpoint import load_checkpoint, save_checkpoint
-from .detector import DetectorHp, DetectorModel, DetectorNetwork
-from .errors import DataError, TrainingError
+from .checkpoint import load_blocks, load_checkpoint, save_network
+from .detector import DetectorHp
+from .errors import DataError
 from .textpipe import Vocabulary, build_vocabulary, pad_batch
 
 
-class LmNetwork:
+class LmNetwork(tc.Network):
     """Embedding -> stacked LSTM (classifier layer plan) -> dense softmax."""
 
     def __init__(self, vocab_size: int, latent: int, n_layers: int, seed: int):
         rng = np.random.default_rng(seed)
-        sizes = tc.detector_layer_sizes(latent, n_layers)
-        self.embedding = tc.Embedding(vocab_size, latent, rng)
-        self.lstms = []
-        prev = latent
-        for size in sizes:
-            self.lstms.append(tc.LstmLayer(prev, size, rng))
-            prev = size
-        self.out = tc.Dense(prev, vocab_size, rng)
+        self.stack = tc.LstmStack(vocab_size, latent, tc.detector_layer_sizes(latent, n_layers), rng)
+        self.out = tc.Dense(self.stack.layers[-1].state_size, vocab_size, rng)
 
     def named_params(self):
-        named = {"embedding.M": (self.embedding.p["M"], self.embedding.g["M"])}
-        for k, lstm in enumerate(self.lstms):
-            for key in ("Wx", "Wh", "b"):
-                named[f"lstm{k}.{key}"] = (lstm.p[key], lstm.g[key])
-        for key in ("W", "b"):
-            named[f"out.{key}"] = (self.out.p[key], self.out.g[key])
-        return named
-
-    def zero_grads(self):
-        for _, grad in self.named_params().values():
-            grad[...] = 0.0
+        return {**self.stack.named_params(), **tc.block_params("out", self.out)}
 
     def loss_and_grads(self, idx, mask, targets, drop_rng=None, drop_rate=0.0):
         self.zero_grads()
-        drops = []
-        X = self.embedding.forward(idx)
-        if drop_rng is not None and drop_rate > 0.0:
-            dmask = tc.dropout_mask(X.shape, drop_rate, drop_rng)
-            X = X * dmask
-            drops.append(dmask)
-        lstm_caches = []
-        for lstm in self.lstms:
-            X, _, cache = lstm.forward(X, mask)
-            lstm_caches.append(cache)
-            if drop_rng is not None and drop_rate > 0.0:
-                dmask = tc.dropout_mask(X.shape, drop_rate, drop_rng)
-                X = X * dmask
-                drops.append(dmask)
-        logits, dense_cache = self.out.forward(X)
+        states, _, stack_cache = self.stack.forward(idx, mask, drop_rng, drop_rate)
+        logits, dense_cache = self.out.forward(states)
         loss, dlogits, _ = tc.masked_cross_entropy(logits, targets, mask)
-        dstates = self.out.backward(dlogits, dense_cache)
-        for k in range(len(self.lstms) - 1, -1, -1):
-            if drops:
-                dstates = dstates * drops.pop()
-            dstates, _, _ = self.lstms[k].backward(dstates, None, None, lstm_caches[k])
-        if drops:
-            dstates = dstates * drops.pop()
-        self.embedding.backward(dstates, idx)
+        self.stack.backward(self.out.backward(dlogits, dense_cache), stack_cache)
         return loss
-
-    def next_token_accuracy(self, idx, mask, targets) -> float:
-        X = self.embedding.forward(idx)
-        for lstm in self.lstms:
-            X, _, _ = lstm.forward(X, mask)
-        logits, _ = self.out.forward(X)
-        predicted = logits.argmax(axis=-1)
-        hits = ((predicted == targets) * mask).sum()
-        return float(hits / mask.sum())
 
 
 @dataclass
@@ -86,13 +41,6 @@ class LmModel:
     network: LmNetwork
     final_loss: float | None = None
     seed: int = 0
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        out = {"embedding.M": self.network.embedding.p["M"]}
-        for k, lstm in enumerate(self.network.lstms):
-            for key in ("Wx", "Wh", "b"):
-                out[f"lstm{k}.{key}"] = lstm.p[key]
-        return out
 
 
 def train_next_token_lm(
@@ -116,58 +64,14 @@ def train_next_token_lm(
         vocab = build_vocabulary(usable, vocab_kind)
     encoded = [vocab.encode(s) for s in usable]
     network = LmNetwork(vocab.size, hp.latent, hp.layers, seed)
-    optimizer = tc.Adam(lr=hp.learning_rate)
-    rng = np.random.default_rng(seed + 1)
-    drop_rng = np.random.default_rng(seed + 2)
-    final_loss = 0.0
-    for _ in range(hp.epochs):
-        order = rng.permutation(len(encoded))
-        epoch_losses = []
-        for start in range(0, len(encoded), hp.batch_size):
-            chunk = order[start : start + hp.batch_size]
-            inputs = [encoded[j][:-1] for j in chunk]
-            targets = [encoded[j][1:] for j in chunk]
-            idx, mask = pad_batch(inputs, hp.seq_cap)
-            tgt, _ = pad_batch(targets, hp.seq_cap)
-            loss = network.loss_and_grads(idx, mask, tgt, drop_rng, hp.dropout)
-            if not np.isfinite(loss):
-                raise TrainingError("divergent language-model loss")
-            optimizer.step(network.named_params())
-            epoch_losses.append(loss)
-        final_loss = float(np.mean(epoch_losses))
+
+    def make_batch(chunk):
+        idx, mask = pad_batch([encoded[j][:-1] for j in chunk], hp.seq_cap)
+        tgt, _ = pad_batch([encoded[j][1:] for j in chunk], hp.seq_cap)
+        return idx, mask, tgt
+
+    final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(encoded), hp, seed)
     return LmModel(vocab=vocab, hp=hp, network=network, final_loss=final_loss, seed=seed)
-
-
-def transplant_blocks(network: DetectorNetwork, blocks: dict[str, np.ndarray], mode: str):
-    """Copy pre-trained embedding (and for end2end, LSTM) weights in place.
-
-    Raises on any shape mismatch, listing the offending blocks.
-    """
-    if mode not in ("end2end", "embedding_only"):
-        raise DataError(f"unknown pre-training mode: {mode!r}")
-    wanted = {"embedding.M": network.embedding.p["M"]}
-    if mode == "end2end":
-        for k, lstm in enumerate(network.lstms):
-            for key in ("Wx", "Wh", "b"):
-                wanted[f"lstm{k}.{key}"] = lstm.p[key]
-    mismatches = []
-    for name, target in wanted.items():
-        source = blocks.get(name)
-        if source is None:
-            mismatches.append(f"{name}: missing from pre-trained weights")
-        elif source.shape != target.shape:
-            mismatches.append(f"{name}: {source.shape} != {target.shape}")
-    if mismatches:
-        raise DataError("incompatible pre-trained blocks: " + "; ".join(mismatches))
-    for name, target in wanted.items():
-        target[...] = blocks[name]
-
-
-def init_from_pretrained(skeleton: DetectorModel, lm: LmModel, mode: str) -> DetectorModel:
-    """end2end copies embedding + LSTM stacks; embedding_only copies just
-    the embedding matrix."""
-    transplant_blocks(skeleton.network, lm.blocks(), mode)
-    return skeleton
 
 
 def save_lm(model: LmModel, path):
@@ -177,11 +81,7 @@ def save_lm(model: LmModel, path):
         "vocab_kind": model.vocab.kind,
         "seed": model.seed,
     }
-    blocks = [(name, arr) for name, arr in model.blocks().items()]
-    net = model.network
-    blocks.append(("out.W", net.out.p["W"]))
-    blocks.append(("out.b", net.out.p["b"]))
-    save_checkpoint(path, "lm", header, blocks)
+    save_network(path, "lm", header, model.network)
 
 
 def load_lm(path) -> LmModel:
@@ -189,6 +89,5 @@ def load_lm(path) -> LmModel:
     hp = DetectorHp.from_dict(header["hp"])
     vocab = Vocabulary(words=list(header["vocab_words"]), kind=header.get("vocab_kind", "code"))
     network = LmNetwork(vocab.size, hp.latent, hp.layers, header.get("seed", 0))
-    for name, (param, _) in network.named_params().items():
-        param[...] = blocks[name]
+    load_blocks(network.named_params(), blocks, path)
     return LmModel(vocab=vocab, hp=hp, network=network, seed=header.get("seed", 0))

@@ -1,7 +1,8 @@
 """Minimal neural toolkit with explicit forward and backward passes:
-embedding lookup, stacked LSTM layers with sequence masking, pooling,
-dense heads, the binary and multi-class log-losses, inverted dropout,
-Adam/RMSprop, and a central-finite-difference gradient checker.
+embedding lookup, LSTM layers with sequence masking, the embedding ->
+LSTM stack every network is built on, pooling, dense heads, the binary
+and multi-class log-losses, inverted dropout, Adam/RMSprop, the one
+training loop, and a central-finite-difference gradient checker.
 
 Everything runs in float64 on numpy; checkpoints store float32.
 """
@@ -52,11 +53,6 @@ def softmax(x, axis: int = -1):
     shifted = x - x.max(axis=axis, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=axis, keepdims=True)
-
-
-def dense_sigmoid(x, weights, bias) -> np.ndarray:
-    """Probability from a single dense unit: sigmoid(w.x + b)."""
-    return sigmoid(np.dot(x, weights) + bias)
 
 
 def bce_loss(y, p):
@@ -216,6 +212,84 @@ class LstmLayer:
         return dX, dh, dc
 
 
+def block_params(name: str, layer) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(param, grad) of each of a layer's blocks, keyed `name.key`."""
+    return {f"{name}.{key}": (layer.p[key], layer.g[key]) for key in layer.p}
+
+
+class Network:
+    """Base of the trainable networks. `named_params()` maps every block
+    name to (param, grad) in checkpoint order."""
+
+    def zero_grads(self):
+        for _, grad in self.named_params().values():
+            grad[...] = 0.0
+
+
+class LstmStack:
+    """Embedding -> dropout -> LSTM layers, each followed by dropout.
+
+    Dropout applies only when a generator and a positive rate are given;
+    the masks are drawn after the embedding and after each layer, in
+    that order.
+    """
+
+    def __init__(self, vocab_size: int, dim: int, sizes: list[int], rng: np.random.Generator):
+        self.embedding = Embedding(vocab_size, dim, rng)
+        self.layers = []
+        prev = dim
+        for size in sizes:
+            self.layers.append(LstmLayer(prev, size, rng))
+            prev = size
+
+    def named_params(self, prefix: str = "") -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        named = block_params(f"{prefix}embedding", self.embedding)
+        for k, layer in enumerate(self.layers):
+            named.update(block_params(f"{prefix}lstm{k}", layer))
+        return named
+
+    def forward(self, idx, mask, drop_rng=None, drop_rate: float = 0.0, initial=()):
+        """`initial` holds (h, c) for the bottom layers; the rest start at zero.
+
+        Returns (top-layer states, final (h, c) of every layer, cache).
+        """
+        dropping = drop_rng is not None and drop_rate > 0.0
+        drops, caches, finals = [], [], []
+
+        def drop(X):
+            if not dropping:
+                return X
+            dmask = dropout_mask(X.shape, drop_rate, drop_rng)
+            drops.append(dmask)
+            return X * dmask
+
+        X = drop(self.embedding.forward(idx))
+        for k, layer in enumerate(self.layers):
+            h0, c0 = initial[k] if k < len(initial) else (None, None)
+            X, final, cache = layer.forward(X, mask, h0=h0, c0=c0)
+            caches.append(cache)
+            finals.append(final)
+            X = drop(X)
+        return X, finals, {"idx": idx, "drops": drops, "layers": caches}
+
+    def backward(self, dstates, cache, dfinal=(None, None)):
+        """`dfinal` is the gradient on the top layer's final (h, c).
+
+        Returns the gradient on the bottom layer's initial (h, c).
+        """
+        drops = list(cache["drops"])
+        dh_final, dc_final = dfinal
+        for k in range(len(self.layers) - 1, -1, -1):
+            if drops:
+                dstates = dstates * drops.pop()
+            dstates, dh0, dc0 = self.layers[k].backward(dstates, dh_final, dc_final, cache["layers"][k])
+            dh_final = dc_final = None  # lower layers' final states feed nothing else
+        if drops:
+            dstates = dstates * drops.pop()
+        self.embedding.backward(dstates, cache["idx"])
+        return dh0, dc0
+
+
 def pool_forward(states: np.ndarray, mask: np.ndarray, mode: str):
     """Reduce per-timestep states to one vector per sequence.
 
@@ -347,6 +421,32 @@ class RmsProp:
             cache *= self.rho
             cache += (1.0 - self.rho) * grad**2
             param -= self.lr * grad / (np.sqrt(cache) + self.eps)
+
+
+def fit(network: Network, optimizer, make_batch, n_items: int, hp, seed: int) -> float:
+    """The epoch/batch/step loop shared by every trainer.
+
+    Each epoch shuffles the item order with a generator seeded `seed+1`,
+    cuts it into `hp.batch_size` chunks, and `make_batch(chunk)` turns a
+    chunk into the arguments of `network.loss_and_grads` ahead of the
+    dropout generator (seeded `seed+2`) and `hp.dropout`. Returns the
+    mean batch loss of the last epoch (0.0 without epochs).
+    """
+    rng = np.random.default_rng(seed + 1)
+    drop_rng = np.random.default_rng(seed + 2)
+    final_loss = 0.0
+    for epoch in range(hp.epochs):
+        order = rng.permutation(n_items)
+        epoch_losses = []
+        for batch, start in enumerate(range(0, n_items, hp.batch_size)):
+            args = make_batch(order[start : start + hp.batch_size])
+            loss = network.loss_and_grads(*args, drop_rng, hp.dropout)
+            if not np.isfinite(loss):
+                raise TrainingError(f"divergent loss in epoch {epoch + 1}, batch {batch + 1}")
+            optimizer.step(network.named_params())
+            epoch_losses.append(loss)
+        final_loss = float(np.mean(epoch_losses))
+    return final_loss
 
 
 def check_gradients(

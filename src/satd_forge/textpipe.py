@@ -3,7 +3,6 @@ index encoding/decoding, and batch padding."""
 
 from __future__ import annotations
 
-import json
 import string
 import warnings
 from dataclasses import dataclass, field
@@ -89,18 +88,6 @@ class Vocabulary:
                 raise DataError(f"index {i} out of range for vocabulary of size {len(self.words)}")
             out.append(self.words[i])
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.words)
-
-    @classmethod
-    def from_words(cls, words: list[str]) -> "Vocabulary":
-        kind = "comment" if list(words[:3]) == list(COMMENT_RESERVED) else "code"
-        return cls(words=list(words), kind=kind)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        return cls.from_words(json.loads(text))
 
 
 def build_vocabulary(corpus, kind: str) -> Vocabulary:

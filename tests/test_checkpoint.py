@@ -1,0 +1,133 @@
+"""Damaged checkpoints raise CheckpointError naming the file and the block,
+for the low-level reader and for each model loader."""
+
+import re
+import struct
+
+import numpy as np
+import pytest
+
+from satd_forge.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from satd_forge.cli import main
+from satd_forge.detector import DetectorHp, load_detector, save_detector, train_dl_detector
+from satd_forge.errors import CheckpointError
+from satd_forge.generator import GeneratorHp, load_generator, save_generator, train_generator
+from satd_forge.pretrainer import load_lm, save_lm, train_next_token_lm
+from satd_forge.textpipe import frame_comment
+
+
+def rewrite(path, edit):
+    """Write the checkpoint back with its (name, array) blocks passed through `edit`."""
+    header, blocks = load_checkpoint(path)
+    kept = {k: v for k, v in header.items() if k not in ("kind", "format_version", "blocks")}
+    save_checkpoint(path, header["kind"], kept, edit(list(blocks.items())))
+
+
+def drop(name):
+    return lambda blocks: [(n, a) for n, a in blocks if n != name]
+
+
+def reshape(name):
+    return lambda blocks: [(n, a[:-1] if n == name else a) for n, a in blocks]
+
+
+def detector_ckpt(path):
+    seqs = [["a", "b"], ["c"], ["a", "c", "b"], ["b"]]
+    hp = DetectorHp(latent=4, layers=2, batch_size=2, epochs=1)
+    save_detector(train_dl_detector(seqs, [1, 0, 1, 0], hp, seed=0), path)
+    return load_detector
+
+
+def lm_ckpt(path):
+    hp = DetectorHp(latent=4, layers=2, batch_size=2, epochs=1)
+    save_lm(train_next_token_lm([["a", "b", "c"], ["c", "b"]], hp, seed=0), path)
+    return load_lm
+
+
+def generator_ckpt(path):
+    pairs = [(["a", "b"], frame_comment(["todo"])), (["c"], frame_comment(["hack", "it"]))]
+    hp = GeneratorHp(latent=4, layers=2, batch_size=2, epochs=1)
+    save_generator(train_generator(pairs, hp, seed=0), path)
+    return load_generator
+
+
+LOADERS = {"detector": detector_ckpt, "lm": lm_ckpt, "generator": generator_ckpt}
+SAVERS = {"detector": save_detector, "lm": save_lm, "generator": save_generator}
+BLOCK = {"detector": "lstm1.Wh", "lm": "out.W", "generator": "enc_lstm0.Wx"}
+
+
+def named(path, block):
+    return re.escape(str(path)) + ".*" + re.escape(repr(block))
+
+
+class TestReader:
+    def test_shorter_than_header_length(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", 100) + b"{}")
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*header"):
+            load_checkpoint(path)
+
+    def test_no_header_length(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_block_cut_short_is_named(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, "dl", {}, [("w", np.ones((2, 2))), ("v", np.ones(3))])
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(CheckpointError, match=named(path, "v")):
+            load_checkpoint(path)
+
+    def test_missing_header_field_is_named(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, "dl", {}, [])
+        with pytest.raises(CheckpointError, match=named(path, "vocab_words")):
+            load_detector(path)
+
+
+@pytest.mark.parametrize("model", sorted(LOADERS))
+def test_missing_block(tmp_path, model):
+    path = tmp_path / "m.ckpt"
+    loader = LOADERS[model](path)
+    rewrite(path, drop(BLOCK[model]))
+    with pytest.raises(CheckpointError, match=named(path, BLOCK[model]) + ".*missing"):
+        loader(path)
+
+
+@pytest.mark.parametrize("model", sorted(LOADERS))
+def test_reshaped_block(tmp_path, model):
+    path = tmp_path / "m.ckpt"
+    loader = LOADERS[model](path)
+    rewrite(path, reshape(BLOCK[model]))
+    with pytest.raises(CheckpointError, match=named(path, BLOCK[model]) + ".*shape"):
+        loader(path)
+
+
+def test_loaded_models_round_trip(tmp_path):
+    for model, make in LOADERS.items():
+        path = tmp_path / f"{model}.ckpt"
+        loader = make(path)
+        again = tmp_path / f"{model}-again.ckpt"
+        SAVERS[model](loader(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def test_cli_detect_short_checkpoint_exits_2(tmp_path, capsys):
+    model = tmp_path / "short.ckpt"
+    model.write_bytes(MAGIC)
+    lines = tmp_path / "lines.txt"
+    lines.write_text("// todo fix\n")
+    assert main(["detect", "--model", str(model), "--input", str(lines)]) == 2
+    assert str(model) in capsys.readouterr().err
+
+
+def test_cli_generate_missing_block_exits_2(tmp_path, capsys):
+    model = tmp_path / "g.ckpt"
+    generator_ckpt(model)
+    rewrite(model, drop("attention.Wc"))
+    lines = tmp_path / "lines.txt"
+    lines.write_text("if (a) { f(); }\n")
+    assert main(["generate", "--model", str(model), "--input", str(lines)]) == 2
+    assert "'attention.Wc'" in capsys.readouterr().err

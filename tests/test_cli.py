@@ -337,3 +337,48 @@ class TestExitCodes:
         corpus.write_text(json.dumps(row) + "\n")
         assert run("dataset", str(corpus), "--seed", "1",
                    "--out", str(tmp_path / "d.jsonl")) == 2
+
+
+class TestBadInputs:
+    def test_label_row_without_path(self, tmp_path, capsys):
+        row = {"project": "p", "span": [0, 1], "column": 1, "code_text": "", "sbt_tokens": ["a"],
+               "comment_raw": "// x", "comment_words": ["x"], "label": "Unlabeled"}
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps(row) + "\n")
+        assert run("label", str(corpus)) == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}:1" in err and "path" in err
+
+    def test_truncated_row_names_its_line(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"_meta": {}}) + "\n" + '{"project": "p", "pa\n')
+        assert run("label", str(corpus)) == 2
+        assert f"{corpus}:2" in capsys.readouterr().err
+
+    @pytest.fixture()
+    def lm_and_data(self, tmp_path):
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
+        hp = tmp_path / "lm.json"
+        hp.write_text(json.dumps({"latent": 4, "layers": 1, "batch_size": 8, "epochs": 1}))
+        lm = tmp_path / "lm.ckpt"
+        assert run("pretrain", str(data), "--hp", str(hp), "--seed", "1", "--out", str(lm)) == 0
+        return lm, data
+
+    @pytest.mark.parametrize("model,mode", [("mnb", "end2end"), ("mnb", "embedding-only"), ("svm", "end2end")])
+    def test_init_with_model_that_cannot_use_it(self, tmp_path, capsys, lm_and_data, model, mode):
+        lm, data = lm_and_data
+        hp = tmp_path / "hp.json"
+        hp.write_text(json.dumps({"model": model}))
+        out = tmp_path / "m.ckpt"
+        assert run("train", str(data), "--task", "detect-code", "--hp", str(hp), "--seed", "2",
+                   "--out", str(out), "--init", str(lm), "--mode", mode) == 2
+        assert not out.exists()
+        assert model in capsys.readouterr().err
+
+    def test_init_with_generator(self, tmp_path, capsys, lm_and_data):
+        lm, data = lm_and_data
+        out = tmp_path / "g.ckpt"
+        assert run("train", str(data), "--task", "generate", "--seed", "2", "--out", str(out),
+                   "--init", str(lm)) == 2
+        assert not out.exists()
+        assert "generator" in capsys.readouterr().err

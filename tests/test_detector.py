@@ -120,6 +120,27 @@ class TestDlDetector:
         )
         assert max(report.values()) < 1e-4, report
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("pooling", ["last", "mean", "max"])
+    def test_network_gradients_every_depth_and_pooling(self, n_layers, pooling):
+        from satd_forge import tensor_core as tc
+        from satd_forge.detector import DetectorNetwork
+
+        net = DetectorNetwork(vocab_size=7, latent=4, n_layers=n_layers, pooling=pooling, seed=n_layers)
+        idx, mask = pad_batch([[1, 2, 3], [4, 5]], 10)
+        y = np.array([1.0, 0.0])
+
+        def loss_fn():
+            probs, _ = net.forward(idx, mask)
+            return float(tc.bce_loss(y, probs)[0].mean())
+
+        net.loss_and_grads(idx, mask, y)
+        named = net.named_params()
+        report = tc.check_gradients(
+            loss_fn, {k: v[0] for k, v in named.items()}, {k: v[1] for k, v in named.items()}
+        )
+        assert max(report.values()) < 1e-4, report
+
     def test_last_pool_single_layer_equals_final_state(self):
         seqs, labels = synthetic_corpus(8, seed=6)
         hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="last", epochs=2)
@@ -128,8 +149,8 @@ class TestDlDetector:
         idx, mask = pad_batch([model.vocab.encode(seqs[0])], 1500)
         from satd_forge import tensor_core as tc
 
-        X = net.embedding.forward(idx)
-        states, (h_final, _), _ = net.lstms[0].forward(X, mask)
+        X = net.stack.embedding.forward(idx)
+        states, (h_final, _), _ = net.stack.layers[0].forward(X, mask)
         pooled, _ = tc.pool_forward(states, mask, "last")
         np.testing.assert_array_equal(pooled, h_final)
 

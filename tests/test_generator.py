@@ -8,7 +8,6 @@ from satd_forge.generator import (
     Attention,
     GeneratorHp,
     Seq2SeqNetwork,
-    attention_context,
     generate_comment,
     load_generator,
     save_generator,
@@ -35,13 +34,23 @@ def tiny_pairs(n=6):
     return pairs
 
 
+def one_step(att, state, enc_states, mask):
+    """Context, weights and attended vector of one decoder step over one
+    encoded sequence, through the batched Attention.forward."""
+    S = np.asarray(state, dtype=np.float64)[None, None, :]
+    H = np.asarray(enc_states, dtype=np.float64)[None, :, :]
+    attended, weights, _ = att.forward(S, H, np.asarray(mask, dtype=np.float64)[None, :])
+    context = (weights[0, 0][:, None] * H[0]).sum(axis=0)
+    return context, weights[0, 0], attended[0, 0]
+
+
 class TestAttention:
     def test_identical_states_give_uniform_weights(self):
         rng = np.random.default_rng(0)
         att = Attention(4, rng)
         state = rng.normal(size=4)
         enc = np.tile(rng.normal(size=4), (5, 1))
-        context, weights, _ = attention_context(state, enc, np.ones(5), att)
+        context, weights, _ = one_step(att, state, enc, np.ones(5))
         np.testing.assert_allclose(weights, 0.2, atol=1e-12)
         np.testing.assert_allclose(context, enc[0], atol=1e-12)
 
@@ -50,7 +59,7 @@ class TestAttention:
         att = Attention(3, rng)
         state = np.array([10.0, 0.0, 0.0])
         enc = np.array([[10.0, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
-        _, weights, _ = attention_context(state, enc, np.ones(3), att)
+        _, weights, _ = one_step(att, state, enc, np.ones(3))
         assert weights[0] > 0.999999
 
     def test_weights_sum_to_one_and_ignore_masked(self):
@@ -59,7 +68,7 @@ class TestAttention:
         state = rng.normal(size=4)
         enc = rng.normal(size=(6, 4))
         mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-        _, weights, _ = attention_context(state, enc, mask, att)
+        _, weights, _ = one_step(att, state, enc, mask)
         assert weights.sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_array_equal(weights[3:], 0.0)
 
@@ -67,7 +76,7 @@ class TestAttention:
         rng = np.random.default_rng(3)
         att = Attention(2, rng)
         with pytest.raises(DataError):
-            attention_context(np.zeros(2), np.zeros((3, 2)), np.zeros(3), att)
+            one_step(att, np.zeros(2), np.zeros((3, 2)), np.zeros(3))
 
 
 class TestTraining:
@@ -128,6 +137,29 @@ class TestTraining:
         out_a = generate_comment(a, pairs[0][0])
         out_b = generate_comment(b, pairs[0][0])
         assert out_a == out_b
+
+
+class TestGradients:
+    def test_two_layer_handoff_with_dropout(self):
+        # the encoder's top layer hands its final state to the decoder's bottom layer
+        from satd_forge import tensor_core as tc
+
+        net = Seq2SeqNetwork(code_vocab_size=6, comment_vocab_size=7, latent=3, n_layers=2, seed=8)
+        enc_idx, enc_mask = pad_batch([[1, 2, 3], [4, 5]], 10)
+        dec_idx, dec_mask = pad_batch([[1, 3, 4], [1, 5]], 10)
+        tgt_idx, _ = pad_batch([[3, 4, 2], [5, 2]], 10)
+
+        def loss_fn():
+            loss, _ = net.forward_train(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx,
+                                        np.random.default_rng(3), 0.2)
+            return float(loss)
+
+        net.loss_and_grads(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx, np.random.default_rng(3), 0.2)
+        named = net.named_params()
+        report = tc.check_gradients(
+            loss_fn, {k: v[0] for k, v in named.items()}, {k: v[1] for k, v in named.items()}
+        )
+        assert max(report.values()) < 1e-4, report
 
 
 class TestDecoding:

@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from satd_forge.detector import DetectorHp, train_dl_detector
+from satd_forge.detector import DetectorHp, DetectorNetwork, fit_detector
 from satd_forge.errors import DataError
-from satd_forge.pretrainer import (
-    init_from_pretrained,
-    load_lm,
-    save_lm,
-    train_next_token_lm,
-    transplant_blocks,
-)
+from satd_forge.pretrainer import load_lm, save_lm, train_next_token_lm
 from satd_forge.textpipe import pad_batch
 
 
@@ -27,7 +21,10 @@ class TestLm:
         encoded = [model.vocab.encode(s) for s in seqs[:4]]
         idx, mask = pad_batch([s[:-1] for s in encoded], 100)
         tgt, _ = pad_batch([s[1:] for s in encoded], 100)
-        assert model.network.next_token_accuracy(idx, mask, tgt) == 1.0
+        states, _, _ = model.network.stack.forward(idx, mask)
+        logits, _ = model.network.out.forward(states)
+        hits = ((logits.argmax(axis=-1) == tgt) * mask).sum()
+        assert hits / mask.sum() == 1.0
 
     def test_initial_loss_log_vocab(self):
         seqs = alternating_corpus()
@@ -75,66 +72,60 @@ class TestLm:
         assert max(report.values()) < 1e-4, report
 
 
-def lm_and_skeleton(tmp_seed=0, latent=8, layers=2):
-    seqs = alternating_corpus()
-    hp = DetectorHp(latent=latent, layers=layers, batch_size=4, epochs=3)
-    lm = train_next_token_lm(seqs, hp, seed=tmp_seed)
-    skeleton = train_dl_detector(
-        [["a", "b", "a"], ["b", "a", "b"]] * 3,
-        [1, 0] * 3,
-        DetectorHp(latent=latent, layers=layers, batch_size=2, epochs=0),
-        seed=tmp_seed + 1,
-        vocab=lm.vocab,
-    )
-    return lm, skeleton
+DETECTOR_ITEMS = [["a", "b", "a"], ["b", "a", "b"]] * 3
+DETECTOR_LABELS = [1, 0] * 3
+
+
+def lm_and_detector(tmp_seed=0, latent=8, layers=2, mode="end2end", lm=None):
+    """An LM and a detector initialized from it; zero epochs leave the
+    detector's weights as initialized."""
+    if lm is None:
+        hp = DetectorHp(latent=latent, layers=layers, batch_size=4, epochs=3)
+        lm = train_next_token_lm(alternating_corpus(), hp, seed=tmp_seed)
+    hp_dict = {"model": "dl", "latent": latent, "layers": layers, "batch_size": 2, "epochs": 0}
+    detector = fit_detector(hp_dict, DETECTOR_ITEMS, DETECTOR_LABELS, tmp_seed + 1, "code", lm=lm, mode=mode)
+    return lm, detector
 
 
 class TestTransplant:
     def test_end2end_copies_embedding_and_lstms(self):
-        lm, skeleton = lm_and_skeleton()
-        init_from_pretrained(skeleton, lm, "end2end")
-        np.testing.assert_array_equal(
-            skeleton.network.embedding.p["M"], lm.network.embedding.p["M"]
-        )
-        for k, lstm in enumerate(skeleton.network.lstms):
+        lm, detector = lm_and_detector()
+        target, source = detector.network.stack, lm.network.stack
+        np.testing.assert_array_equal(target.embedding.p["M"], source.embedding.p["M"])
+        for k, lstm in enumerate(target.layers):
             for key in ("Wx", "Wh", "b"):
-                np.testing.assert_array_equal(lstm.p[key], lm.network.lstms[k].p[key])
+                np.testing.assert_array_equal(lstm.p[key], source.layers[k].p[key])
 
     def test_embedding_only_leaves_lstms_fresh(self):
-        lm, skeleton = lm_and_skeleton(tmp_seed=10)
-        before = [
-            {key: lstm.p[key].copy() for key in ("Wx", "Wh", "b")}
-            for lstm in skeleton.network.lstms
-        ]
-        init_from_pretrained(skeleton, lm, "embedding_only")
+        lm, detector = lm_and_detector(tmp_seed=10, mode="embedding_only")
+        fresh = DetectorNetwork(lm.vocab.size, 8, 2, "mean", seed=11).stack
         np.testing.assert_array_equal(
-            skeleton.network.embedding.p["M"], lm.network.embedding.p["M"]
+            detector.network.stack.embedding.p["M"], lm.network.stack.embedding.p["M"]
         )
-        for k, lstm in enumerate(skeleton.network.lstms):
+        for k, lstm in enumerate(detector.network.stack.layers):
             for key in ("Wx", "Wh", "b"):
-                np.testing.assert_array_equal(lstm.p[key], before[k][key])
+                np.testing.assert_array_equal(lstm.p[key], fresh.layers[k].p[key])
 
     def test_mismatched_latent_rejected_listing_blocks(self):
-        lm, _ = lm_and_skeleton(tmp_seed=20, latent=8)
-        _, fat_skeleton = lm_and_skeleton(tmp_seed=30, latent=16)
+        lm, _ = lm_and_detector(tmp_seed=20, latent=8)
         with pytest.raises(DataError, match="embedding.M"):
-            init_from_pretrained(fat_skeleton, lm, "end2end")
+            lm_and_detector(tmp_seed=30, latent=16, lm=lm)
 
     def test_unknown_mode_rejected(self):
-        lm, skeleton = lm_and_skeleton(tmp_seed=40)
+        lm, _ = lm_and_detector(tmp_seed=40)
         with pytest.raises(DataError):
-            transplant_blocks(skeleton.network, lm.blocks(), "frankenstein")
+            lm_and_detector(tmp_seed=40, mode="frankenstein", lm=lm)
 
     def test_transplanted_blocks_round_trip_bitwise(self, tmp_path):
         from satd_forge.checkpoint import load_checkpoint
         from satd_forge.detector import save_detector
 
-        lm, skeleton = lm_and_skeleton(tmp_seed=50)
+        lm, _ = lm_and_detector(tmp_seed=50)
         lm_path = tmp_path / "lm.ckpt"
         save_lm(lm, lm_path)
-        init_from_pretrained(skeleton, load_lm(lm_path), "end2end")
+        _, detector = lm_and_detector(tmp_seed=50, lm=load_lm(lm_path))
         det_path = tmp_path / "det.ckpt"
-        save_detector(skeleton, det_path)
+        save_detector(detector, det_path)
         _, lm_blocks = load_checkpoint(lm_path)
         _, det_blocks = load_checkpoint(det_path)
         np.testing.assert_array_equal(lm_blocks["embedding.M"], det_blocks["embedding.M"])

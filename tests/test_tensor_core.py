@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ class TestPooling:
 
 class TestSigmoidAndBce:
     def test_zero_preactivation(self):
-        assert tc.dense_sigmoid(np.zeros(3), np.zeros(3), 0.0) == pytest.approx(0.5)
+        assert tc.sigmoid(0.0) == pytest.approx(0.5)
 
     def test_saturation(self):
         assert tc.sigmoid(20.0) > 0.999999
@@ -361,6 +362,72 @@ class TestGradientChecks:
         dense.backward(2.0 * (out - y) / out.size, cache)
         worst = gradcheck(loss_fn, {"dense": dense}, tol=1e-8)
         assert worst < 1e-8
+
+
+class TestLstmStack:
+    def test_handoff_gradients(self):
+        # initial (h, c) in, gradient on the top layer's final (h, c) in,
+        # gradient on the bottom layer's initial (h, c) out
+        rng = np.random.default_rng(21)
+        stack = tc.LstmStack(6, 3, [4, 4], rng)
+        idx = np.array([[1, 2, 3], [4, 5, 0]])
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        w_states, w_h, w_c = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+
+        def run():
+            states, finals, cache = stack.forward(idx, mask, np.random.default_rng(5), 0.3, initial=[(h0, c0)])
+            h, c = finals[-1]
+            loss = float((states * w_states).sum() + (h * w_h).sum() + (c * w_c).sum())
+            return loss, cache
+
+        def loss_fn():
+            return run()[0]
+
+        named = stack.named_params()
+        for _, grad in named.values():
+            grad[...] = 0.0
+        _, cache = run()
+        dh0, dc0 = stack.backward(w_states, cache, dfinal=(w_h, w_c))
+        params = {k: v[0] for k, v in named.items()}
+        analytic = {k: v[1] for k, v in named.items()}
+        params.update(h0=h0, c0=c0)
+        analytic.update(h0=dh0, c0=dc0)
+        report = tc.check_gradients(loss_fn, params, analytic)
+        assert max(report.values()) < 1e-4, report
+
+    def test_upper_layers_start_at_zero(self):
+        rng = np.random.default_rng(22)
+        stack = tc.LstmStack(5, 3, [3, 3], rng)
+        idx, mask = np.array([[1, 2]]), np.ones((1, 2))
+        zeros = (np.zeros((1, 3)), np.zeros((1, 3)))
+        a, finals_a, _ = stack.forward(idx, mask)
+        b, finals_b, _ = stack.forward(idx, mask, initial=[zeros, zeros])
+        np.testing.assert_array_equal(a, b)
+        for (ha, ca), (hb, cb) in zip(finals_a, finals_b):
+            np.testing.assert_array_equal(ha, hb)
+            np.testing.assert_array_equal(ca, cb)
+
+
+class TestFit:
+    class Diverging(tc.Network):
+        def __init__(self):
+            self.w = np.zeros(1)
+
+        def named_params(self):
+            return {"w": (self.w, np.zeros(1))}
+
+        def loss_and_grads(self, chunk, drop_rng, drop_rate):
+            return float("nan") if 5 in chunk else 1.0
+
+    def test_divergence_names_epoch_and_batch(self):
+        hp = SimpleNamespace(epochs=2, batch_size=3, dropout=0.0)
+        with pytest.raises(TrainingError, match=r"epoch 1, batch \d"):
+            tc.fit(self.Diverging(), tc.Adam(), lambda chunk: (list(chunk),), 9, hp, seed=0)
+
+    def test_zero_epochs_reports_zero_loss(self):
+        hp = SimpleNamespace(epochs=0, batch_size=3, dropout=0.0)
+        assert tc.fit(self.Diverging(), tc.Adam(), lambda chunk: (list(chunk),), 9, hp, seed=0) == 0.0
 
 
 class TestCheckpoint:

@@ -7,7 +7,6 @@ from satd_forge.textpipe import (
     EOS,
     SOS,
     UNKN_PAD,
-    Vocabulary,
     build_vocabulary,
     frame_comment,
     normalize_comment,
@@ -94,9 +93,16 @@ class TestVocabulary:
             vocab = build_vocabulary([], "code")
         assert vocab.words == [UNKN_PAD]
 
-    def test_json_round_trip(self):
-        vocab = build_vocabulary([["a", "b"]], "comment")
-        loaded = Vocabulary.from_json(vocab.to_json())
+    def test_json_round_trip(self, tmp_path):
+        # the vocabulary travels in the JSON header of a detector checkpoint
+        from satd_forge.detector import DetectorHp, fit_traditional, load_detector, save_detector
+
+
+        model = fit_traditional([["a", "b"], ["b"]], [1, 0], kind="mnb", hp=DetectorHp(), vocab_kind="comment")
+        vocab = model.vocab
+        path = tmp_path / "m.ckpt"
+        save_detector(model, path)
+        loaded = load_detector(path).vocab
         assert loaded.words == vocab.words
         assert loaded.kind == "comment"
 
