@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DataError
-from .java_miner import JToken, _SKIP_KINDS
+from .java_miner import _CLOSE, _OPEN, _SKIP_KINDS, JToken, StatementError, skip_labels, statement_end
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,15 @@ _BINARY_LEVELS = (
     ("*", "/", "%"),
 )
 
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
 _UNARY_OPS = {"!", "~", "+", "-", "++", "--"}
 
-_OPEN = {"(": ")", "{": "}", "[": "]"}
-_CLOSE = (")", "}", "]")
+# Statements and expressions nested deeper than this are not descended
+# into: such a statement becomes a Stmt leaf and such a condition
+# ParExpr(Stmt). One level costs at most 7 Python frames, so a parse stays
+# well under the default recursion limit whatever the input and the caller.
+_MAX_NESTING = 50
 
 
 class _Unparsable(Exception):
@@ -79,6 +84,8 @@ class _Parser:
     def __init__(self, tokens: list[JToken]):
         self.toks = [t for t in tokens if t.kind not in _SKIP_KINDS]
         self.i = 0
+        self.depth = 0  # statements and expressions being parsed
+        self.capped = False  # whether some part lay past _MAX_NESTING
 
     def peek(self) -> JToken | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -107,20 +114,25 @@ class _Parser:
     # -- statements ------------------------------------------------------
 
     def parse_if(self) -> AstNode:
+        """An if/else-if/else chain; each `else if` nests as the last child
+        of the `if` before it."""
         t = self.peek()
         if t is None or not (t.kind == "keyword" and t.lexeme == "if"):
             raise DataError("fragment does not start with `if`")
-        self.advance()
-        cond = self.parse_par_expr()
-        then = self.parse_statement()
-        children = [cond, then]
-        if self.at_kw("else"):
+        links = []  # (condition, then-branch) of each `if` in the chain
+        tail: tuple[AstNode, ...] = ()
+        while True:
             self.advance()
-            if self.at_kw("if"):
-                children.append(self.parse_if())
-            else:
-                children.append(self.parse_statement())
-        return AstNode("IfStatement", tuple(children))
+            links.append((self.parse_par_expr(), self.parse_statement()))
+            if not self.at_kw("else"):
+                break
+            self.advance()
+            if not self.at_kw("if"):
+                tail = (self.parse_statement(),)
+                break
+        for cond, then in reversed(links):
+            tail = (AstNode("IfStatement", (cond, then) + tail),)
+        return tail[0]
 
     def parse_par_expr(self) -> AstNode:
         self.expect("(")
@@ -135,31 +147,26 @@ class _Parser:
             return AstNode("ParExpr", (AstNode("Stmt"),))
 
     def parse_statement(self) -> AstNode:
-        """Total over balanced fragments: anything unrecognized becomes Stmt."""
+        """Total over balanced fragments: anything unrecognized, or nested
+        past _MAX_NESTING, becomes Stmt."""
         mark = self.i
+        self.depth += 1
         try:
+            if self.depth > _MAX_NESTING:
+                self.capped = True
+                self.i = statement_end(self.toks, self.i)
+                return AstNode("Stmt")
             return self._parse_statement_strict()
-        except _Unparsable:
+        except (_Unparsable, StatementError):
             self.i = mark
             self._recover_statement()
             return AstNode("Stmt")
-
-    def _strip_labels(self):
-        while True:
-            t = self.peek()
-            nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
-            if (
-                t is not None
-                and t.kind == "identifier"
-                and nxt is not None
-                and nxt.lexeme == ":"
-            ):
-                self.i += 2
-                continue
-            return t
+        finally:
+            self.depth -= 1
 
     def _parse_statement_strict(self) -> AstNode:
-        t = self._strip_labels()
+        self.i = skip_labels(self.toks, self.i)
+        t = self.peek()
         if t is None:
             raise _Unparsable("statement expected")
         if t.lexeme == "{":
@@ -178,7 +185,7 @@ class _Parser:
                 expr = self.parse_expression()
                 self.expect(";")
                 return AstNode("Return", (expr,))
-            self._skip_keyword_statement()
+            self.i = statement_end(self.toks, self.i)
             return AstNode("Stmt")
         expr = self.parse_expression()
         self.expect(";")
@@ -197,99 +204,7 @@ class _Parser:
         self.expect("}")
         return AstNode("Block", tuple(children))
 
-    # -- structural skipping ----------------------------------------------
-
-    def _skip_keyword_statement(self):
-        word = self.advance().lexeme
-        if word in ("for", "while", "switch", "synchronized"):
-            if self.at("("):
-                self._skip_bracketed()
-            self._skip_any_statement()
-        elif word == "do":
-            self._skip_any_statement()
-            if self.at_kw("while"):
-                self.advance()
-            if self.at("("):
-                self._skip_bracketed()
-            if self.at(";"):
-                self.advance()
-        elif word == "try":
-            if self.at("("):
-                self._skip_bracketed()
-            if self.at("{"):
-                self._skip_bracketed()
-            while self.at_kw("catch"):
-                self.advance()
-                if self.at("("):
-                    self._skip_bracketed()
-                if self.at("{"):
-                    self._skip_bracketed()
-            if self.at_kw("finally"):
-                self.advance()
-                if self.at("{"):
-                    self._skip_bracketed()
-        else:
-            # throw, break, continue, assert, typed declarations, ...
-            self._skip_simple()
-
-    def _skip_any_statement(self):
-        t = self._strip_labels()
-        if t is None:
-            raise _Unparsable("statement expected")
-        if t.lexeme == "{":
-            self._skip_bracketed()
-            return
-        if t.lexeme == ";":
-            self.advance()
-            return
-        if t.kind == "keyword":
-            if t.lexeme == "if":
-                self.advance()
-                if self.at("("):
-                    self._skip_bracketed()
-                self._skip_any_statement()
-                if self.at_kw("else"):
-                    self.advance()
-                    self._skip_any_statement()
-                return
-            if t.lexeme == "return":
-                self._skip_simple()
-                return
-            self._skip_keyword_statement()
-            return
-        self._skip_simple()
-
-    def _skip_simple(self):
-        stack: list[str] = []
-        while True:
-            t = self.peek()
-            if t is None:
-                raise _Unparsable("unterminated statement")
-            if not stack:
-                if t.lexeme == ";":
-                    self.advance()
-                    return
-                if t.lexeme == "}":
-                    raise _Unparsable("statement runs into enclosing block")
-            if t.lexeme in _OPEN:
-                stack.append(_OPEN[t.lexeme])
-            elif t.lexeme in _CLOSE:
-                if not stack or t.lexeme != stack.pop():
-                    raise _Unparsable("mismatched bracket")
-            self.advance()
-
-    def _skip_bracketed(self):
-        opener = self.advance()
-        if opener.lexeme not in _OPEN:
-            raise _Unparsable(f"expected bracket, found {opener.lexeme!r}")
-        stack = [_OPEN[opener.lexeme]]
-        while stack:
-            t = self.advance()
-            if t.lexeme in _OPEN:
-                stack.append(_OPEN[t.lexeme])
-            elif t.lexeme in _CLOSE:
-                if t.lexeme != stack.pop():
-                    raise _Unparsable("mismatched bracket")
+    # -- tolerance ---------------------------------------------------------
 
     def _skip_until_closer(self, closer: str):
         stack: list[str] = []
@@ -327,16 +242,22 @@ class _Parser:
     # -- expressions -----------------------------------------------------
 
     def parse_expression(self) -> AstNode:
-        lhs = self.parse_ternary()
-        t = self.peek()
-        if t is not None and t.lexeme in _ASSIGN_OPS:
-            self.advance()
-            rhs = self.parse_expression()
-            return AstNode("Assign", (lhs, rhs))
-        return lhs
+        self.depth += 1
+        try:
+            if self.depth > _MAX_NESTING:
+                self.capped = True
+                raise _Unparsable("expression nested too deep")
+            lhs = self.parse_ternary()
+            t = self.peek()
+            if t is not None and t.lexeme in _ASSIGN_OPS:
+                self.advance()
+                return AstNode("Assign", (lhs, self.parse_expression()))
+            return lhs
+        finally:
+            self.depth -= 1
 
     def parse_ternary(self) -> AstNode:
-        cond = self.parse_binary(0)
+        cond = self.parse_binary()
         if self.at("?"):
             self.advance()
             then = self.parse_expression()
@@ -345,25 +266,35 @@ class _Parser:
             return AstNode("Cond", (cond, then, other))
         return cond
 
-    def parse_binary(self, level: int) -> AstNode:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        node = self.parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
+    def parse_binary(self) -> AstNode:
+        """Left-associative operators by _BINARY_LEVELS, reduced on an
+        operator stack rather than one call per level."""
+        operands = [self.parse_unary()]
+        ops: list[tuple[int, str]] = []  # (level, operator) awaiting a right operand
         while True:
             t = self.peek()
-            if t is None or t.lexeme not in ops:
-                return node
+            level = _BINARY_LEVEL.get(t.lexeme) if t is not None else None
+            while ops and (level is None or ops[-1][0] >= level):
+                op = ops.pop()[1]
+                rhs = operands.pop()
+                operands[-1] = AstNode(f"BinaryOp:{op}", (operands[-1], rhs))
+            if level is None:
+                return operands[0]
             self.advance()
-            rhs = self.parse_binary(level + 1)
-            node = AstNode(f"BinaryOp:{t.lexeme}", (node, rhs))
+            ops.append((level, t.lexeme))
+            operands.append(self.parse_unary())
 
     def parse_unary(self) -> AstNode:
+        ops = []
         t = self.peek()
-        if t is not None and t.kind == "operator" and t.lexeme in _UNARY_OPS:
+        while t is not None and t.kind == "operator" and t.lexeme in _UNARY_OPS:
+            ops.append(t.lexeme)
             self.advance()
-            return AstNode(f"UnaryOp:{t.lexeme}", (self.parse_unary(),))
-        return self.parse_postfix()
+            t = self.peek()
+        node = self.parse_postfix()
+        for op in reversed(ops):
+            node = AstNode(f"UnaryOp:{op}", (node,))
+        return node
 
     def parse_postfix(self) -> AstNode:
         node = self.parse_primary()
@@ -442,6 +373,14 @@ class _Parser:
         raise _Unparsable(f"unexpected token {t.lexeme!r}")
 
 
-def parse_if_statement(tokens: list[JToken]) -> AstNode:
-    """Build the simplified tree for one extracted if-fragment."""
-    return _Parser(tokens).parse_if()
+def parse_if_statement(tokens: list[JToken], diagnostics: list[str] | None = None) -> AstNode:
+    """Build the simplified tree for one extracted if-fragment; a fragment
+    nested past _MAX_NESTING is reported in `diagnostics`."""
+    parser = _Parser(tokens)
+    tree = parser.parse_if()
+    if parser.capped and diagnostics is not None:
+        t = parser.toks[0]
+        diagnostics.append(
+            f"truncated if-statement at line {t.line}, column {t.column}: nested deeper than {_MAX_NESTING} levels"
+        )
+    return tree

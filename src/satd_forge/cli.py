@@ -146,8 +146,10 @@ def _mine_one(args_tuple):
     try:
         records = mine_file(path, root=root, project=project, diagnostics=diagnostics)
     except JavaLexError as exc:
-        # one unlexable file must not abort a corpus-scale run
+        # one unlexable or undecodable file must not abort a corpus-scale run
         return [], [f"skipped {rel}: {exc}"]
+    except UnicodeDecodeError as exc:
+        return [], [f"skipped {rel}: not UTF-8 ({exc.reason} at byte {exc.start})"]
     return records, [f"{rel}: {d}" for d in diagnostics]
 
 

@@ -442,18 +442,31 @@ def load_detector(path) -> DetectorModel:
     if kind == "dl":
         model.network = DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, model.seed)
         load_blocks(model.network.named_params(), blocks, path)
-    elif kind == "mnb":
-        model.class_log_prior = blocks["class_log_prior"]
-        model.feature_log_prob = blocks["feature_log_prob"]
-    elif kind in ("svm", "pretrained_embed_svm"):
-        model.weights = blocks["svm.w"]
-        model.bias = float(blocks["svm.b"][0])
-        if kind == "pretrained_embed_svm":
-            model.embedding = blocks["embedding.M"]
+        return model
+    # the linear models' blocks at the shapes the vocabulary implies; a
+    # pre-trained embedding is as wide as its language model's latent size
+    if kind == "mnb":
+        expected = {"class_log_prior": (2,), "feature_log_prob": (2, vocab.size)}
+    elif kind == "svm":
+        expected = {"svm.w": (vocab.size,), "svm.b": (1,)}
+    elif kind == "pretrained_embed_svm":
+        width = blocks["embedding.M"].shape[-1:]
+        expected = {"embedding.M": (vocab.size, *width), "svm.w": width, "svm.b": (1,)}
     else:
         raise CheckpointError(f"unknown detector kind in checkpoint: {kind!r}")
     if "tfidf.df" in blocks:
-        df = {i: int(v) for i, v in enumerate(blocks["tfidf.df"]) if v > 0}
+        expected["tfidf.df"] = (vocab.size,)
+    arrays = {name: np.zeros(shape) for name, shape in expected.items()}
+    load_blocks({name: (a, None) for name, a in arrays.items()}, blocks, path)
+    if kind == "mnb":
+        model.class_log_prior = arrays["class_log_prior"]
+        model.feature_log_prob = arrays["feature_log_prob"]
+    else:
+        model.weights = arrays["svm.w"]
+        model.bias = float(arrays["svm.b"][0])
+        model.embedding = arrays.get("embedding.M")
+    if "tfidf.df" in arrays:
+        df = {i: int(v) for i, v in enumerate(arrays["tfidf.df"]) if v > 0}
         model.tfidf = TfIdfModel(
             vocab_size=vocab.size, n_documents=int(header["tfidf_n_documents"]), df=df
         )

@@ -3,8 +3,8 @@ extraction, comment linking, SATD keyword labeling, and deterministic
 dataset assembly.
 
 Extraction does not parse full Java; it recognizes if/else-if/else chains
-with a bracket-balanced statement consumer, which is all the pipeline
-consumes downstream.
+with one iterative statement grammar (`statement_end`), which the SBT
+parser in `ast_sbt` shares.
 """
 
 from __future__ import annotations
@@ -184,141 +184,125 @@ class IfFragment:
     token_span: tuple[int, int] = (-1, -1)  # inclusive start, exclusive end
 
 
-class _ExtractError(Exception):
-    pass
+class StatementError(Exception):
+    """A candidate the statement grammar rejects; the message says where."""
 
 
-class _Walker:
-    """Cursor over the significant (non-whitespace, non-comment) tokens."""
+_OPEN = {"(": ")", "{": "}", "[": "]"}
+_CLOSE = (")", "}", "]")
+_LOOP_KEYWORDS = ("for", "while", "switch", "synchronized")
 
-    def __init__(self, tokens: list[JToken], sig: list[int], pos: int):
-        self.tokens = tokens
-        self.sig = sig
-        self.pos = pos
 
-    def peek(self, offset: int = 0) -> JToken | None:
-        if self.pos + offset >= len(self.sig):
-            return None
-        return self.tokens[self.sig[self.pos + offset]]
+def _is_kw(toks: list[JToken], i: int, word: str) -> bool:
+    return i < len(toks) and toks[i].kind == "keyword" and toks[i].lexeme == word
 
-    def is_kw(self, word: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "keyword" and t.lexeme == word
 
-    def is_lex(self, lexeme: str) -> bool:
-        t = self.peek()
-        return t is not None and t.lexeme == lexeme
+def skip_labels(toks: list[JToken], i: int) -> int:
+    """Index past the `label:` prefixes that start at `toks[i]`."""
+    while i + 1 < len(toks) and toks[i].kind == "identifier" and toks[i + 1].lexeme == ":":
+        i += 2
+    return i
 
-    def advance(self) -> JToken:
-        t = self.peek()
-        if t is None:
-            raise _ExtractError("unexpected end of token stream")
-        self.pos += 1
-        return t
 
-    def consume_bracketed(self, open_lex: str):
-        t = self.advance()
-        if t.lexeme != open_lex:
-            raise _ExtractError(f"expected {open_lex!r}, found {t.lexeme!r} at line {t.line}")
-        close_of = {"(": ")", "{": "}", "[": "]"}
-        stack = [close_of[open_lex]]
-        while stack:
-            t = self.advance()
-            if t.lexeme in close_of:
-                stack.append(close_of[t.lexeme])
-            elif t.lexeme in (")", "}", "]"):
-                if t.lexeme != stack.pop():
-                    raise _ExtractError(f"mismatched {t.lexeme!r} at line {t.line}")
+def bracket_end(toks: list[JToken], i: int, opener: str) -> int:
+    """Index past the `opener` at `toks[i]` and its balanced contents."""
+    if i >= len(toks):
+        raise StatementError("unexpected end of token stream")
+    if toks[i].lexeme != opener:
+        raise StatementError(f"expected {opener!r}, found {toks[i].lexeme!r} at line {toks[i].line}")
+    stack = [_OPEN[opener]]
+    while stack:
+        i += 1
+        if i >= len(toks):
+            raise StatementError("unexpected end of token stream")
+        t = toks[i]
+        if t.lexeme in _OPEN:
+            stack.append(_OPEN[t.lexeme])
+        elif t.lexeme in _CLOSE and t.lexeme != stack.pop():
+            raise StatementError(f"mismatched {t.lexeme!r} at line {t.line}")
+    return i + 1
 
-    def consume_statement(self):
-        # strip `label:` prefixes so the labeled statement ends correctly
-        while True:
-            t = self.peek()
-            nxt = self.peek(1)
-            if (
-                t is not None
-                and t.kind == "identifier"
-                and nxt is not None
-                and nxt.lexeme == ":"
-            ):
-                self.advance()
-                self.advance()
-                continue
-            break
-        if t is None:
-            raise _ExtractError("statement expected, found end of stream")
+
+def _simple_end(toks: list[JToken], i: int) -> int:
+    """Index past the `;` that ends a statement at bracket depth zero."""
+    stack: list[str] = []
+    while i < len(toks):
+        t = toks[i]
+        if not stack and t.lexeme == ";":
+            return i + 1
+        if not stack and t.lexeme == "}":
+            raise StatementError(f"statement runs into enclosing block at line {t.line}")
+        if t.lexeme in _OPEN:
+            stack.append(_OPEN[t.lexeme])
+        elif t.lexeme in _CLOSE and (not stack or t.lexeme != stack.pop()):
+            raise StatementError(f"mismatched {t.lexeme!r} at line {t.line}")
+        i += 1
+    raise StatementError("unterminated statement")
+
+
+def _try_end(toks: list[JToken], i: int) -> int:
+    """Index past the try statement whose `try` is `toks[i]`."""
+    i += 1
+    if i < len(toks) and toks[i].lexeme == "(":
+        i = bracket_end(toks, i, "(")
+    i = bracket_end(toks, i, "{")
+    while _is_kw(toks, i, "catch"):
+        i = bracket_end(toks, bracket_end(toks, i + 1, "("), "{")
+    if _is_kw(toks, i, "finally"):
+        i = bracket_end(toks, i + 1, "{")
+    return i
+
+
+def statement_end(toks: list[JToken], i: int) -> int:
+    """Index past the statement that starts at `toks[i]`.
+
+    The one statement grammar, shared by extraction and parsing, over
+    significant tokens: if/else chains, loops, do/while, try and labels
+    are followed; blocks and simple statements are bracket-balanced
+    spans. Iterative: `pending` holds the `if` and `do` statements whose
+    body is being scanned, innermost last, so a dangling `else` binds to
+    the nearest `if`. Raises StatementError at the first violation.
+    """
+    pending: list[str] = []
+    while True:
+        i = skip_labels(toks, i)
+        if i >= len(toks):
+            raise StatementError("statement expected, found end of stream")
+        t = toks[i]
+        word = t.lexeme if t.kind == "keyword" else None
+        if word == "if":
+            i = bracket_end(toks, i + 1, "(")
+            pending.append("if")
+            continue
+        if word in _LOOP_KEYWORDS:
+            i += 1
+            if i < len(toks) and toks[i].lexeme == "(":
+                i = bracket_end(toks, i, "(")
+            continue
+        if word == "do":
+            pending.append("do")
+            i += 1
+            continue
         if t.lexeme == "{":
-            self.consume_bracketed("{")
-            return
-        if t.kind == "keyword":
-            word = t.lexeme
-            if word == "if":
-                self.consume_if_chain()
-                return
-            if word in ("for", "while", "switch", "synchronized"):
-                self.advance()
-                if self.is_lex("("):
-                    self.consume_bracketed("(")
-                self.consume_statement()
-                return
-            if word == "do":
-                self.advance()
-                self.consume_statement()
-                if not self.is_kw("while"):
-                    raise _ExtractError("do without while")
-                self.advance()
-                self.consume_bracketed("(")
-                if not self.is_lex(";"):
-                    raise _ExtractError("do-while missing semicolon")
-                self.advance()
-                return
-            if word == "try":
-                self.advance()
-                if self.is_lex("("):
-                    self.consume_bracketed("(")
-                self.consume_bracketed("{")
-                while self.is_kw("catch"):
-                    self.advance()
-                    self.consume_bracketed("(")
-                    self.consume_bracketed("{")
-                if self.is_kw("finally"):
-                    self.advance()
-                    self.consume_bracketed("{")
-                return
-        # simple statement: scan to a `;` at bracket depth zero
-        close_of = {"(": ")", "{": "}", "[": "]"}
-        stack: list[str] = []
-        while True:
-            t = self.peek()
-            if t is None:
-                raise _ExtractError("unterminated statement")
-            if not stack and t.lexeme == ";":
-                self.advance()
-                return
-            if not stack and t.lexeme == "}":
-                raise _ExtractError(f"statement runs into enclosing block at line {t.line}")
-            if t.lexeme in close_of:
-                stack.append(close_of[t.lexeme])
-            elif t.lexeme in (")", "}", "]"):
-                if not stack or t.lexeme != stack.pop():
-                    raise _ExtractError(f"mismatched {t.lexeme!r} at line {t.line}")
-            self.advance()
-
-    def consume_if_chain(self):
-        t = self.advance()
-        if not (t.kind == "keyword" and t.lexeme == "if"):
-            raise _ExtractError("expected `if`")
-        self.consume_bracketed("(")
-        self.consume_statement()
-        while self.is_kw("else"):
-            self.advance()
-            if self.is_kw("if"):
-                self.advance()
-                self.consume_bracketed("(")
-                self.consume_statement()
-            else:
-                self.consume_statement()
-                break
+            i = bracket_end(toks, i, "{")
+        elif word == "try":
+            i = _try_end(toks, i)
+        else:
+            i = _simple_end(toks, i)
+        # the innermost statement is complete; so are the pending ones it ends
+        while pending:
+            if pending.pop() == "do":
+                if not _is_kw(toks, i, "while"):
+                    raise StatementError("do without while")
+                i = bracket_end(toks, i + 1, "(")
+                if not (i < len(toks) and toks[i].lexeme == ";"):
+                    raise StatementError("do-while missing semicolon")
+                i += 1
+            elif _is_kw(toks, i, "else"):
+                i += 1
+                break  # scan the else branch; an `else if` pends its own `if`
+        else:
+            return i
 
 
 def extract_outermost_ifs(
@@ -328,47 +312,42 @@ def extract_outermost_ifs(
 ) -> list[IfFragment]:
     """Maximal if/else-if/else chains not nested in another if-statement.
 
-    Candidates with unbalanced brackets are skipped with a diagnostic; the
-    rest of the file is still mined.
+    Candidates the statement grammar rejects are skipped with a
+    diagnostic; the rest of the file is still mined.
     """
     sig = [k for k, t in enumerate(tokens) if t.kind not in _SKIP_KINDS]
-    # cumulative char/byte offsets of every token start
-    char_offsets = [0] * (len(tokens) + 1)
+    toks = [tokens[k] for k in sig]
+    # cumulative byte offsets of every token start
     byte_offsets = [0] * (len(tokens) + 1)
     for k, t in enumerate(tokens):
-        char_offsets[k + 1] = char_offsets[k] + len(t.lexeme)
         byte_offsets[k + 1] = byte_offsets[k] + len(t.lexeme.encode("utf-8"))
 
     fragments: list[IfFragment] = []
     pos = 0
-    while pos < len(sig):
-        tok = tokens[sig[pos]]
-        if tok.kind == "keyword" and tok.lexeme == "if":
-            walker = _Walker(tokens, sig, pos)
-            try:
-                walker.consume_if_chain()
-            except _ExtractError as exc:
-                if diagnostics is not None:
-                    diagnostics.append(
-                        f"skipped if-statement at line {tok.line}, column {tok.column}: {exc}"
-                    )
-                pos += 1
-                continue
-            first = sig[pos]
-            last = sig[walker.pos - 1]
-            fragments.append(
-                IfFragment(
-                    source_span=(byte_offsets[first], byte_offsets[last + 1]),
-                    column=tok.column,
-                    text="".join(t.lexeme for t in tokens[first : last + 1]),
-                    project_id=project_id,
-                    if_token_index=first,
-                    token_span=(first, last + 1),
-                )
-            )
-            pos = walker.pos
-        else:
+    while pos < len(toks):
+        tok = toks[pos]
+        if not (tok.kind == "keyword" and tok.lexeme == "if"):
             pos += 1
+            continue
+        try:
+            end = statement_end(toks, pos)
+        except StatementError as exc:
+            if diagnostics is not None:
+                diagnostics.append(f"skipped if-statement at line {tok.line}, column {tok.column}: {exc}")
+            pos += 1
+            continue
+        first, last = sig[pos], sig[end - 1]
+        fragments.append(
+            IfFragment(
+                source_span=(byte_offsets[first], byte_offsets[last + 1]),
+                column=tok.column,
+                text="".join(t.lexeme for t in tokens[first : last + 1]),
+                project_id=project_id,
+                if_token_index=first,
+                token_span=(first, last + 1),
+            )
+        )
+        pos = end
     return fragments
 
 
@@ -486,7 +465,7 @@ def mine_source(
     for pair in pairs:
         frag = pair.fragment
         start, end = frag.token_span
-        tree = parse_if_statement(tokens[start:end])
+        tree = parse_if_statement(tokens[start:end], diagnostics)
         label = UNLABELED
         if apply_labels and pair.comment is not None:
             label = label_comment(pair.comment)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satd_forge.ast_sbt import AstNode, parse_if_statement, sbt_serialize
+from satd_forge.ast_sbt import _MAX_NESTING, AstNode, parse_if_statement, sbt_serialize
 from satd_forge.errors import DataError
 from satd_forge.java_miner import lex_java
 
@@ -68,6 +68,51 @@ class TestParse:
         assert cond == AstNode("UnaryOp:!", (AstNode("Name:done"),))
         ternary = tree.children[1].children[0].children[1]
         assert ternary.label == "Cond"
+
+
+def parens(n):
+    return "(" * n + "a" + ")" * n
+
+
+def then_chain(tree):
+    """The IfStatements reached through then-branches, and the leaf below."""
+    levels = 0
+    while tree.label == "IfStatement":
+        levels += 1
+        tree = tree.children[1]
+    return levels, tree
+
+
+class TestNestingCap:
+    def test_condition_at_cap_is_parsed(self):
+        tree = parse(f"if ({parens(_MAX_NESTING - 1)}) f();")
+        assert tree.children[0] == AstNode("ParExpr", (AstNode("Name:a"),))
+
+    def test_condition_past_cap_becomes_stmt(self):
+        tree = parse(f"if ({parens(_MAX_NESTING)}) f();")
+        assert tree == AstNode("IfStatement", (AstNode("ParExpr", (AstNode("Stmt"),)), AstNode("Call:f")))
+
+    def test_statement_past_cap_becomes_stmt_leaf(self):
+        assert then_chain(parse("if (a) " * 400 + "f();")) == (_MAX_NESTING + 1, AstNode("Stmt"))
+        assert then_chain(parse("if (a) " * (_MAX_NESTING - 1) + "f();")) == (_MAX_NESTING - 1, AstNode("Call:f"))
+
+    def test_result_does_not_depend_on_caller_stack_depth(self):
+        source = f"if ({parens(100)}) " + "if (a) " * 400 + "f();"
+
+        def nested(k):
+            return parse(source) if k == 0 else nested(k - 1)
+
+        assert nested(300) == parse(source)
+
+    def test_chains_are_not_nesting(self):
+        tree = parse("if (a) f(); " + "else if (a) f(); " * 2000)
+        depth = 0
+        while len(tree.children) == 3:
+            depth += 1
+            tree = tree.children[2]
+        assert depth == 2000
+        cond = parse("if (" + "!" * 3000 + "a + a" + " + a" * 3000 + ") f();").children[0].children[0]
+        assert cond.label == "BinaryOp:+"
 
 
 def all_trees(max_nodes, labels):

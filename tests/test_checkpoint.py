@@ -9,11 +9,11 @@ import pytest
 
 from satd_forge.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from satd_forge.cli import main
-from satd_forge.detector import DetectorHp, load_detector, save_detector, train_dl_detector
+from satd_forge.detector import DetectorHp, fit_traditional, load_detector, save_detector, train_dl_detector
 from satd_forge.errors import CheckpointError
 from satd_forge.generator import GeneratorHp, load_generator, save_generator, train_generator
 from satd_forge.pretrainer import load_lm, save_lm, train_next_token_lm
-from satd_forge.textpipe import frame_comment
+from satd_forge.textpipe import build_vocabulary, frame_comment
 
 
 def rewrite(path, edit):
@@ -29,6 +29,10 @@ def drop(name):
 
 def reshape(name):
     return lambda blocks: [(n, a[:-1] if n == name else a) for n, a in blocks]
+
+
+def cut_columns(name):
+    return lambda blocks: [(n, a[..., :-1] if n == name else a) for n, a in blocks]
 
 
 def detector_ckpt(path):
@@ -49,6 +53,16 @@ def generator_ckpt(path):
     hp = GeneratorHp(latent=4, layers=2, batch_size=2, epochs=1)
     save_generator(train_generator(pairs, hp, seed=0), path)
     return load_generator
+
+
+def linear_ckpt(path, kind, features):
+    """An mnb, svm or pretrained_embed_svm detector over a 4-word vocabulary."""
+    seqs = [["a", "b"], ["c"], ["a", "c", "b"], ["b"]]
+    vocab = build_vocabulary(seqs, "code")
+    embedding = np.arange(vocab.size * 3.0).reshape(vocab.size, 3) if kind == "pretrained_embed_svm" else None
+    model = fit_traditional(seqs, [1, 0, 1, 0], kind=kind, hp=DetectorHp(), features=features, epochs=2,
+                            vocab=vocab, embedding=embedding)
+    save_detector(model, path)
 
 
 LOADERS = {"detector": detector_ckpt, "lm": lm_ckpt, "generator": generator_ckpt}
@@ -131,3 +145,38 @@ def test_cli_generate_missing_block_exits_2(tmp_path, capsys):
     lines.write_text("if (a) { f(); }\n")
     assert main(["generate", "--model", str(model), "--input", str(lines)]) == 2
     assert "'attention.Wc'" in capsys.readouterr().err
+
+
+LINEAR = {"mnb": ("mnb", "bow"), "svm-tfidf": ("svm", "tfidf"), "embed-svm": ("pretrained_embed_svm", "bow")}
+
+
+# the embedding loses a row: its width is what svm.w is checked against
+@pytest.mark.parametrize("model, block, cut", [
+    ("mnb", "feature_log_prob", cut_columns), ("mnb", "class_log_prior", cut_columns),
+    ("svm-tfidf", "svm.w", cut_columns), ("svm-tfidf", "tfidf.df", cut_columns),
+    ("embed-svm", "embedding.M", reshape), ("embed-svm", "svm.w", cut_columns), ("embed-svm", "svm.b", cut_columns),
+])
+def test_linear_block_cut_short(tmp_path, model, block, cut):
+    path = tmp_path / "m.ckpt"
+    linear_ckpt(path, *LINEAR[model])
+    rewrite(path, cut(block))
+    with pytest.raises(CheckpointError, match=named(path, block) + ".*shape"):
+        load_detector(path)
+
+
+@pytest.mark.parametrize("model", sorted(LINEAR))
+def test_linear_round_trip(tmp_path, model):
+    path, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
+    linear_ckpt(path, *LINEAR[model])
+    save_detector(load_detector(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_cli_detect_cut_mnb_block_exits_2(tmp_path, capsys):
+    model = tmp_path / "mnb.ckpt"
+    linear_ckpt(model, "mnb", "bow")
+    rewrite(model, lambda blocks: [(n, a[:, :3] if n == "feature_log_prob" else a) for n, a in blocks])
+    lines = tmp_path / "lines.txt"
+    lines.write_text("// c b c\n")
+    assert main(["detect", "--model", str(model), "--input", str(lines), "--kind", "comment"]) == 2
+    assert "'feature_log_prob'" in capsys.readouterr().err

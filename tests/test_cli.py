@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from satd_forge.ast_sbt import _MAX_NESTING
 from satd_forge.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "java"
@@ -64,6 +65,50 @@ class TestMineAndLabel:
         monkeypatch.setenv("SATD_THREADS", "2")
         assert run("mine", str(FIXTURES), "--out", str(parallel)) == 0
         assert read_rows(serial) == read_rows(parallel)
+
+
+def well_formed_sbt(tokens):
+    """One tree: `( label` opens and `) label` closes the same label."""
+    stack, roots = [], 0
+    for bracket, label in zip(tokens[::2], tokens[1::2]):
+        if bracket == "(":
+            roots += not stack
+            stack.append(label)
+        elif not stack or stack.pop() != label:
+            return False
+    return len(tokens) % 4 == 0 and not stack and roots == 1
+
+
+class TestMiningIsolation:
+    @pytest.mark.parametrize(
+        "body",
+        ["if (" + "(" * 100 + "a" + ")" * 100 + ") { f(); }", "if (a) " * 400 + "f();"],
+        ids=["deep-parens", "deep-if"],
+    )
+    def test_deep_nesting_mines_one_pair(self, tmp_path, body):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "Deep.java").write_text("class D { void m() { " + body + " } }\n")
+        out = tmp_path / "c.jsonl"
+        assert run("mine", str(src), "--out", str(out)) == 0
+        rows = read_rows(out)
+        assert [r["code_text"] for r in rows] == [body]
+        assert well_formed_sbt(rows[0]["sbt_tokens"])
+        meta = json.loads(out.read_text().splitlines()[0])["_meta"]
+        assert meta["diagnostics"] == [
+            f"Deep.java: truncated if-statement at line 1, column 22: nested deeper than {_MAX_NESTING} levels"
+        ]
+
+    def test_undecodable_file_skipped_with_diagnostic(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "Good.java").write_text("class G { void m() { if (a) { f(); } } }\n")
+        (src / "Cafe.java").write_bytes("class L { void m() { // caf\xe9\n if (a) { f(); } } }\n".encode("latin-1"))
+        out = tmp_path / "c.jsonl"
+        assert run("mine", str(src), "--out", str(out)) == 0
+        assert [r["path"] for r in read_rows(out)] == ["Good.java"]
+        meta = json.loads(out.read_text().splitlines()[0])["_meta"]
+        assert meta["diagnostics"] == ["skipped Cafe.java: not UTF-8 (invalid continuation byte at byte 27)"]
 
 
 class TestDatasetCommand:

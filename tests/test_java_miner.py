@@ -115,6 +115,13 @@ class TestExtraction:
                 s2, e2 = f2.source_span
                 assert not (s1 < s2 and e2 < e1)
 
+    def test_deep_chain_extracts_without_recursion(self):
+        chain = "if (a) " * 5000 + "do f(); while (b); else g();"
+        diags = []
+        frags = extract_outermost_ifs(lex_java(f"class D {{ void m() {{ {chain} }} }}"), diagnostics=diags)
+        assert diags == []
+        assert [f.text for f in frags] == [chain]
+
     def test_unbraced_branches(self):
         frags = extract_outermost_ifs(lex_java("if (a) x(); else if (b) y(); else z();"))
         assert len(frags) == 1
