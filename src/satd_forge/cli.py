@@ -16,11 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, evalkit
-from .detector import DetectorHp, fit_detector, load_detector, predict, save_detector
+from .detector import DetectorHp, fit_detector, load_detector, predict_many, save_detector
 from .errors import DataError, JavaLexError, SatdForgeError, TrainingError
 from .generator import (
     GeneratorHp,
-    generate_comment,
+    generate_comments,
     load_generator,
     save_generator,
     train_generator,
@@ -80,10 +80,14 @@ def _vocab_kind(task: str) -> str:
     return "code" if task == "detect-code" else "comment"
 
 
-def _safe_predict(model, sequence) -> bool:
-    if not sequence:
-        return False  # no tokens carry no admission
-    return predict(model, sequence)[1]
+def _predict_all(model, sequences) -> list[tuple[float, bool]]:
+    """`predict_many` over the non-empty sequences; an empty one scores
+    (0.0, False): no tokens carry no admission."""
+    results = [(0.0, False)] * len(sequences)
+    kept = [j for j, seq in enumerate(sequences) if seq]
+    for j, result in zip(kept, predict_many(model, [sequences[j] for j in kept])):
+        results[j] = result
+    return results
 
 
 def make_detector_recipe(task: str, hp_dict: dict, seed: int):
@@ -93,7 +97,7 @@ def make_detector_recipe(task: str, hp_dict: dict, seed: int):
 
     def recipe(train_items, train_labels, test_items, test_labels, fold_index):
         model = fit_detector(hp_dict, train_items, train_labels, seed + 1000 * fold_index, kind)
-        preds = [_safe_predict(model, s) for s in test_items]
+        preds = [positive for _, positive in _predict_all(model, test_items)]
         return evalkit.prf1(preds, test_labels).as_dict()
 
     return recipe
@@ -103,11 +107,9 @@ def make_generator_recipe(hp_dict: dict, seed: int):
     def recipe(train_items, _train_labels, test_items, _test_labels, fold_index):
         hp = GeneratorHp.from_dict(hp_dict)
         model = train_generator(train_items, hp, seed + 1000 * fold_index)
-        scored = []
-        for code, framed in test_items:
-            hyp = generate_comment(model, code)
-            scored.append((hyp, framed[1:-1]))
-        return evalkit.mean_bleu(scored)
+        hyps = generate_comments(model, [code for code, _ in test_items])
+        references = [framed[1:-1] for _, framed in test_items]
+        return evalkit.mean_bleu(zip(hyps, references))
 
     return recipe
 
@@ -150,6 +152,8 @@ def _mine_one(args_tuple):
         return [], [f"skipped {rel}: {exc}"]
     except UnicodeDecodeError as exc:
         return [], [f"skipped {rel}: not UTF-8 ({exc.reason} at byte {exc.start})"]
+    except OSError as exc:  # a dangling link, a directory named *.java, no read permission
+        return [], [f"skipped {rel}: unreadable ({exc.strerror or exc})"]
     return records, [f"{rel}: {d}" for d in diagnostics]
 
 
@@ -349,12 +353,9 @@ def _line_to_sequence(line: str, kind: str) -> list[str]:
 def cmd_detect(args) -> int:
     model = load_detector(args.model)
     kind = args.kind or model.vocab.kind
-    for line in _input_lines(args.input):
-        seq = _line_to_sequence(line, kind)
-        if not seq:
-            print(f"0.000000\tNonSATD\t{line}")
-            continue
-        prob, positive = predict(model, seq)
+    lines = _input_lines(args.input)
+    results = _predict_all(model, [_line_to_sequence(line, kind) for line in lines])
+    for line, (prob, positive) in zip(lines, results):
         verdict = "SATD" if positive else "NonSATD"
         print(f"{prob:.6f}\t{verdict}\t{line}")
     return 0
@@ -362,9 +363,8 @@ def cmd_detect(args) -> int:
 
 def cmd_generate(args) -> int:
     model = load_generator(args.model)
-    for line in _input_lines(args.input):
-        seq = _line_to_sequence(line, "code")
-        words = generate_comment(model, seq)
+    sequences = [_line_to_sequence(line, "code") for line in _input_lines(args.input)]
+    for words in generate_comments(model, sequences):
         print("// " + " ".join(words))
     return 0
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor_core as tc
 from .checkpoint import load_blocks, load_checkpoint, save_checkpoint, save_network
 from .errors import CheckpointError, DataError, TrainingError
-from .textpipe import Vocabulary, build_vocabulary, pad_batch
+from .textpipe import Vocabulary, build_vocabulary, length_sorted_chunks, pad_batch
 from .vsm import TfIdfModel, bow_counts, fit_tfidf, transform
 
 
@@ -167,20 +167,39 @@ def _sparse_dot(weights: np.ndarray, vec: dict[int, float]) -> float:
 
 
 def predict(model: DetectorModel, sequence) -> tuple[float, bool]:
-    """Probability and label for one token sequence.
+    """Probability and label for one token sequence: `predict_many` of one."""
+    return predict_many(model, [sequence])[0]
 
-    The DL detector calls ties at the threshold positive; the SVM calls a
-    zero margin negative.
+
+def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
+    """Probability and label for each token sequence, in input order.
+
+    The DL detector sorts the sequences by length, longest first, pads
+    them in chunks of `hp.batch_size` and runs one forward pass per chunk;
+    it calls ties at the threshold positive. The linear models score one
+    sequence at a time; the SVM calls a zero margin negative.
     """
-    if not sequence:
+    sequences = list(sequences)
+    if not all(sequences):
         raise DataError("cannot classify an empty sequence")
-    if model.kind == "dl":
-        if len(sequence) > model.hp.seq_cap:
-            raise DataError(f"sequence of length {len(sequence)} exceeds cap {model.hp.seq_cap}")
-        matrix, mask = pad_batch([model.vocab.encode(sequence)], model.hp.seq_cap)
-        probs, _ = model.network.forward(matrix, mask)
-        p = float(probs[0])
-        return p, p >= model.threshold
+    if model.kind in ("mnb", "svm", "pretrained_embed_svm"):
+        return [_predict_linear(model, s) for s in sequences]
+    if model.kind != "dl":
+        raise DataError(f"unknown detector kind: {model.kind!r}")
+    cap = model.hp.seq_cap
+    for seq in sequences:
+        if len(seq) > cap:
+            raise DataError(f"sequence of length {len(seq)} exceeds cap {cap}")
+    encoded = [model.vocab.encode(s) for s in sequences]
+    probs = np.empty(len(encoded))
+    for chunk in length_sorted_chunks(encoded, model.hp.batch_size):
+        matrix, mask = pad_batch([encoded[j] for j in chunk], cap)
+        chunk_probs, _ = model.network.forward(matrix, mask)
+        probs[chunk] = chunk_probs
+    return [(float(p), bool(p >= model.threshold)) for p in probs]
+
+
+def _predict_linear(model: DetectorModel, sequence) -> tuple[float, bool]:
     if model.kind == "mnb":
         vec = _featurize(model, sequence)
         scores = model.class_log_prior.copy()
@@ -189,14 +208,12 @@ def predict(model: DetectorModel, sequence) -> tuple[float, bool]:
         shifted = scores - scores.max()
         probs = np.exp(shifted) / np.exp(shifted).sum()
         return float(probs[1]), bool(scores[1] > scores[0])
-    if model.kind in ("svm", "pretrained_embed_svm"):
-        if model.kind == "pretrained_embed_svm":
-            feats = embed_average(sequence, model.vocab, model.embedding)
-            margin = float(model.weights @ feats + model.bias)
-        else:
-            margin = _sparse_dot(model.weights, _featurize(model, sequence)) + model.bias
-        return float(tc.sigmoid(margin)), margin > 0
-    raise DataError(f"unknown detector kind: {model.kind!r}")
+    if model.kind == "pretrained_embed_svm":
+        feats = embed_average(sequence, model.vocab, model.embedding)
+        margin = float(model.weights @ feats + model.bias)
+    else:
+        margin = _sparse_dot(model.weights, _featurize(model, sequence)) + model.bias
+    return float(tc.sigmoid(margin)), margin > 0
 
 
 def train_mnb(vectors, labels, alpha: float = 1.0, vocab_size: int = 0) -> tuple[np.ndarray, np.ndarray]:

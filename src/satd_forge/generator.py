@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor_core as tc
 from .checkpoint import load_blocks, load_checkpoint, save_network
 from .errors import DataError
-from .textpipe import EOS, SOS, Vocabulary, build_vocabulary, pad_batch
+from .textpipe import EOS, SOS, Vocabulary, build_vocabulary, length_sorted_chunks, pad_batch
 
 
 @dataclass
@@ -146,21 +146,34 @@ class Seq2SeqNetwork(tc.Network):
         return loss
 
     def decode_greedy(self, enc_indices: list[int], sos: int, eos: int, max_words: int) -> list[int]:
-        """Argmax decoding; emits until `eos` or the word cap."""
-        enc_idx, enc_mask = pad_batch([enc_indices], len(enc_indices))
+        """Argmax decoding of one input: `decode_greedy_many` of one."""
+        return self.decode_greedy_many([enc_indices], sos, eos, max_words)[0]
+
+    def decode_greedy_many(
+        self, enc_lists: list[list[int]], sos: int, eos: int, max_words: int
+    ) -> list[list[int]]:
+        """Argmax decoding of a batch of inputs, one decoder step for all
+        rows at a time. Each row emits until `eos` or the word cap, and
+        leaves the batch at its `eos`."""
+        enc_idx, enc_mask = pad_batch(enc_lists, max(map(len, enc_lists)))
         Henc, enc_finals, _ = self.encoder.forward(enc_idx, enc_mask)
         states = enc_finals[-1:]
-        step_mask = np.ones((1, 1))
-        word = sos
-        out: list[int] = []
+        rows = np.arange(len(enc_lists))  # input index of each live row
+        words = np.full(len(rows), sos)
+        out: list[list[int]] = [[] for _ in enc_lists]
         for _ in range(max_words):
-            X, states, _ = self.decoder.forward(np.array([[word]]), step_mask, initial=states)
+            X, states, _ = self.decoder.forward(words[:, None], np.ones((len(rows), 1)), initial=states)
             attended, _, _ = self.attention.forward(X, Henc, enc_mask)
             logits, _ = self.out.forward(attended)
-            word = int(np.argmax(logits[0, 0]))
-            if word == eos:
-                break
-            out.append(word)
+            words = np.argmax(logits[:, 0], axis=1)
+            live = words != eos
+            for row, word in zip(rows[live].tolist(), words[live].tolist()):
+                out[row].append(word)
+            if not live.all():
+                rows, words, Henc, enc_mask = rows[live], words[live], Henc[live], enc_mask[live]
+                states = [(h[live], c[live]) for h, c in states]
+                if not len(rows):
+                    break
         return out
 
 
@@ -224,16 +237,31 @@ def train_generator(
 
 
 def generate_comment(model: GeneratorModel, sbt_tokens) -> list[str]:
-    """Greedy decode one code sequence into comment words (markers excluded)."""
-    if not sbt_tokens:
-        raise DataError("cannot generate a comment for an empty input")
-    if len(sbt_tokens) > model.hp.code_cap:
-        raise DataError(f"input of length {len(sbt_tokens)} exceeds cap {model.hp.code_cap}")
-    enc = model.code_vocab.encode(sbt_tokens)
+    """Greedy decode one code sequence: `generate_comments` of one."""
+    return generate_comments(model, [sbt_tokens])[0]
+
+
+def generate_comments(model: GeneratorModel, sequences) -> list[list[str]]:
+    """Greedy decode code sequences into comment words (markers
+    excluded), in input order. The inputs are sorted by length, longest
+    first, and decoded in chunks of `hp.batch_size`."""
+    sequences = list(sequences)
+    for seq in sequences:
+        if not seq:
+            raise DataError("cannot generate a comment for an empty input")
+        if len(seq) > model.hp.code_cap:
+            raise DataError(f"input of length {len(seq)} exceeds cap {model.hp.code_cap}")
+    encoded = [model.code_vocab.encode(s) for s in sequences]
     sos = model.comment_vocab.index_of[SOS]
     eos = model.comment_vocab.index_of[EOS]
-    indices = model.network.decode_greedy(enc, sos, eos, model.hp.comment_cap)
-    return model.comment_vocab.decode(indices)
+    comments: list[list[str]] = [[] for _ in encoded]
+    for chunk in length_sorted_chunks(encoded, model.hp.batch_size):
+        decoded = model.network.decode_greedy_many(
+            [encoded[j] for j in chunk], sos, eos, model.hp.comment_cap
+        )
+        for j, indices in zip(chunk, decoded):
+            comments[j] = model.comment_vocab.decode(indices)
+    return comments
 
 
 def save_generator(model: GeneratorModel, path):

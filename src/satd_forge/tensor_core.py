@@ -106,11 +106,42 @@ class Embedding:
         np.add.at(self.g["M"], np.asarray(indices), dout)
 
 
+def row_lengths(mask) -> np.ndarray:
+    """Lengths of the rows of a right-padded 0/1 mask (B, T).
+
+    A mask with a hole, or with any value but 0 and 1, raises DataError.
+    """
+    mask = np.asarray(mask)
+    lengths = np.count_nonzero(mask, axis=1)
+    if not np.array_equal(mask, np.arange(mask.shape[1]) < lengths[:, None]):
+        raise DataError("sequence mask is not right-padded with 0/1 values")
+    return lengths
+
+
+def longest_first(lengths: np.ndarray):
+    """Stable row order by decreasing length; None when already in that order."""
+    if np.all(lengths[:-1] >= lengths[1:]):
+        return None
+    return np.argsort(-lengths, kind="stable")
+
+
+def _rows(a, order):
+    """`a` (or None) with its rows taken in `order` (None keeps them)."""
+    return a if a is None or order is None else np.asarray(a)[order]
+
+
 class LstmLayer:
-    """Single LSTM layer over (batch, time, input) sequences.
+    """Single LSTM layer over right-padded (batch, time, input) sequences.
 
     Gate order in the fused weight matrices is input, forget, output,
-    candidate. Masked timesteps copy state and cell forward unchanged.
+    candidate. Past its length a row's state and cell stay unchanged.
+
+    Rows run sorted longest first and step t updates only the rows still
+    active, a leading slice; a finished row's last state is carried to
+    the end once. The input projection of every step is one matrix
+    product, and so are the weight and input gradients. Storage is
+    time-major: rows already sorted and time-major (as `LstmStack`
+    passes them) are used as they are, anything else is copied once.
     """
 
     def __init__(self, input_size: int, state_size: int, rng: np.random.Generator):
@@ -126,90 +157,110 @@ class LstmLayer:
         self.g = {k: np.zeros_like(v) for k, v in self.p.items()}
 
     def forward(self, X: np.ndarray, mask: np.ndarray, h0=None, c0=None):
-        B, T, _ = X.shape
+        """Returns (states (B, T, H), final (h, c), cache)."""
+        B, T, D = X.shape
         H = self.state_size
-        Wx, Wh, b = self.p["Wx"], self.p["Wh"], self.p["b"]
-        h = np.zeros((B, H)) if h0 is None else np.array(h0, dtype=np.float64)
-        c = np.zeros((B, H)) if c0 is None else np.array(c0, dtype=np.float64)
-        states = np.empty((B, T, H))
-        cache = {
-            "X": X,
-            "mask": mask,
-            "i": np.empty((B, T, H)),
-            "f": np.empty((B, T, H)),
-            "o": np.empty((B, T, H)),
-            "g": np.empty((B, T, H)),
-            "c_prev": np.empty((B, T, H)),
-            "h_prev": np.empty((B, T, H)),
-            "tanh_c": np.empty((B, T, H)),
-        }
-        for t in range(T):
-            z = X[:, t] @ Wx + h @ Wh + b
-            i_g = sigmoid(z[:, :H])
-            f_g = sigmoid(z[:, H : 2 * H])
-            o_g = sigmoid(z[:, 2 * H : 3 * H])
-            g_g = np.tanh(z[:, 3 * H :])
-            cache["c_prev"][:, t] = c
-            cache["h_prev"][:, t] = h
-            c_new = f_g * c + i_g * g_g
-            tanh_c = np.tanh(c_new)
-            h_new = o_g * tanh_c
-            if not np.isfinite(h_new).all():
-                raise TrainingError(f"non-finite LSTM state at timestep {t}")
-            m = mask[:, t : t + 1]
-            h = m * h_new + (1.0 - m) * h
-            c = m * c_new + (1.0 - m) * c
-            states[:, t] = h
-            cache["i"][:, t] = i_g
-            cache["f"][:, t] = f_g
-            cache["o"][:, t] = o_g
-            cache["g"][:, t] = g_g
-            cache["tanh_c"][:, t] = tanh_c
-        return states, (h, c), cache
+        Wh, b = self.p["Wh"], self.p["b"]
+        lengths = row_lengths(mask)
+        order = longest_first(lengths)
+        Xt = X.transpose(1, 0, 2)
+        if order is not None:
+            lengths, Xt = lengths[order], Xt[:, order]
+        Xt = np.ascontiguousarray(Xt)
+        gates = np.empty((T, B, 4 * H))  # pre-activations, then gate values
+        np.matmul(Xt.reshape(T * B, D), self.p["Wx"], out=gates.reshape(T * B, 4 * H))
+        hs, cs = np.empty((T + 1, B, H)), np.empty((T + 1, B, H))
+        hs[0] = 0.0 if h0 is None else _rows(h0, order)
+        cs[0] = 0.0 if c0 is None else _rows(c0, order)
+        active = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1).tolist()
+        for t, n in enumerate(active):
+            if n == 0:
+                break
+            z = gates[t, :n]
+            z += hs[t, :n] @ Wh
+            z += b
+            z[:, : 3 * H] = sigmoid(z[:, : 3 * H])
+            np.tanh(z[:, 3 * H :], out=z[:, 3 * H :])
+            c = cs[t + 1, :n]
+            np.multiply(z[:, H : 2 * H], cs[t, :n], out=c)
+            c += z[:, :H] * z[:, 3 * H :]
+            h = hs[t + 1, :n]
+            np.tanh(c, out=h)
+            h *= z[:, 2 * H : 3 * H]
+        groups = _finished_groups(lengths, T)
+        for length, lo, hi in groups:
+            hs[length + 1 :, lo:hi] = hs[length, lo:hi]
+            cs[length + 1 :, lo:hi] = cs[length, lo:hi]
+        finite = np.isfinite(hs[1:]).all(axis=(1, 2))
+        if not finite.all():
+            raise TrainingError(f"non-finite LSTM state at timestep {int(np.argmin(finite))}")
+        states = hs[1:].transpose(1, 0, 2)
+        final = (hs[T], cs[T])
+        if order is not None:
+            inv = np.argsort(order)
+            states, final = states[inv], (final[0][inv], final[1][inv])
+        cache = {"X": Xt, "gates": gates, "h": hs, "c": cs, "active": active, "groups": groups,
+                 "order": order}
+        return states, final, cache
 
     def backward(self, dstates, dh_final, dc_final, cache):
-        X, mask = cache["X"], cache["mask"]
-        B, T, _ = X.shape
+        """Returns (dX, dh0, dc0). The gradients of the gate pre-activations
+        overwrite the gate values, so a cache serves one backward pass."""
+        Xt, gates, hs, cs, order = cache["X"], cache["gates"], cache["h"], cache["c"], cache["order"]
+        T, B, D = Xt.shape
         H = self.state_size
         Wx, Wh = self.p["Wx"], self.p["Wh"]
-        gWx, gWh, gb = self.g["Wx"], self.g["Wh"], self.g["b"]
-        dX = np.zeros_like(X)
-        dh = np.zeros((B, H)) if dh_final is None else np.array(dh_final, dtype=np.float64)
-        dc = np.zeros((B, H)) if dc_final is None else np.array(dc_final, dtype=np.float64)
+        dh = np.zeros((B, H)) if dh_final is None else np.array(_rows(dh_final, order), dtype=np.float64)
+        dc = np.zeros((B, H)) if dc_final is None else np.array(_rows(dc_final, order), dtype=np.float64)
+        dS = None if dstates is None else _rows(dstates, order).transpose(1, 0, 2)
+        for length, lo, hi in cache["groups"]:
+            gates[length:, lo:hi] = 0.0  # no gradient past a row's length
+            if dS is not None:  # the carried state received every later step's gradient
+                dh[lo:hi] += dS[length:, lo:hi].sum(axis=0)
+        dsig = np.empty((B, 3 * H))  # input, forget and output gate gradients
         for t in range(T - 1, -1, -1):
-            dh_t = dh if dstates is None else dh + dstates[:, t]
-            m = mask[:, t : t + 1]
-            dh_new = m * dh_t
-            dh_skip = (1.0 - m) * dh_t
-            dc_new = m * dc
-            dc_skip = (1.0 - m) * dc
-            i_g = cache["i"][:, t]
-            f_g = cache["f"][:, t]
-            o_g = cache["o"][:, t]
-            g_g = cache["g"][:, t]
-            tanh_c = cache["tanh_c"][:, t]
-            c_prev = cache["c_prev"][:, t]
-            do = dh_new * tanh_c
-            dc_new = dc_new + dh_new * o_g * (1.0 - tanh_c**2)
-            df = dc_new * c_prev
-            di = dc_new * g_g
-            dg = dc_new * i_g
-            dz = np.concatenate(
-                [
-                    di * i_g * (1.0 - i_g),
-                    df * f_g * (1.0 - f_g),
-                    do * o_g * (1.0 - o_g),
-                    dg * (1.0 - g_g**2),
-                ],
-                axis=1,
-            )
-            gWx += X[:, t].T @ dz
-            gWh += cache["h_prev"][:, t].T @ dz
-            gb += dz.sum(axis=0)
-            dX[:, t] = dz @ Wx.T
-            dh = dz @ Wh.T + dh_skip
-            dc = dc_new * f_g + dc_skip
+            n = cache["active"][t]
+            if n == 0:
+                continue
+            z = gates[t, :n]
+            sig, g_g = z[:, : 3 * H], z[:, 3 * H :]
+            d = dsig[:n]
+            dh_t = dh[:n]
+            if dS is not None:
+                dh_t += dS[t, :n]
+            tanh_c = np.tanh(cs[t + 1, :n])
+            np.multiply(dh_t, tanh_c, out=d[:, 2 * H :])
+            dc_t = dc[:n] + dh_t * z[:, 2 * H : 3 * H] * (1.0 - tanh_c**2)
+            np.multiply(dc_t, g_g, out=d[:, :H])
+            np.multiply(dc_t, cs[t, :n], out=d[:, H : 2 * H])
+            dg = dc_t * z[:, :H]
+            np.multiply(dc_t, z[:, H : 2 * H], out=dc[:n])
+            sig[...] = d * sig * (1.0 - sig)
+            g_g[...] = dg * (1.0 - g_g**2)
+            np.matmul(z, Wh.T, out=dh[:n])
+        dZ = gates.reshape(T * B, 4 * H)
+        self.g["Wx"] += Xt.reshape(T * B, D).T @ dZ
+        self.g["Wh"] += hs[:T].reshape(T * B, H).T @ dZ
+        self.g["b"] += dZ.sum(axis=0)
+        dX = (dZ @ Wx.T).reshape(T, B, D).transpose(1, 0, 2)
+        if order is not None:
+            inv = np.argsort(order)
+            dX, dh, dc = dX[inv], dh[inv], dc[inv]
         return dX, dh, dc
+
+
+def _finished_groups(lengths: np.ndarray, T: int) -> list[tuple[int, int, int]]:
+    """(length, first row, end row) of each run of equal lengths below T
+    in rows sorted longest first."""
+    groups: list[list[int]] = []
+    for row, length in enumerate(lengths.tolist()):
+        if length >= T:
+            continue
+        if groups and groups[-1][0] == length:
+            groups[-1][2] = row + 1
+        else:
+            groups.append([length, row, row + 1])
+    return [tuple(g) for g in groups]
 
 
 def block_params(name: str, layer) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -252,33 +303,44 @@ class LstmStack:
         """`initial` holds (h, c) for the bottom layers; the rest start at zero.
 
         Returns (top-layer states, final (h, c) of every layer, cache).
+        The rows are sorted longest first once, for all layers, and the
+        top states and the finals are put back in the caller's order.
         """
         dropping = drop_rng is not None and drop_rate > 0.0
+        order = longest_first(row_lengths(mask))
+        idx, mask = _rows(idx, order), _rows(mask, order)
         drops, caches, finals = [], [], []
 
         def drop(X):
             if not dropping:
                 return X
-            dmask = dropout_mask(X.shape, drop_rate, drop_rng)
+            # drawn in the caller's row order, so sorting changes no draw
+            dmask = _rows(dropout_mask(X.shape, drop_rate, drop_rng), order)
             drops.append(dmask)
-            return X * dmask
+            B, T, D = X.shape  # the product keeps the layers' time-major storage
+            return np.multiply(X, dmask, out=np.empty((T, B, D)).transpose(1, 0, 2))
 
-        X = drop(self.embedding.forward(idx))
+        X = drop(self.embedding.forward(idx.T).transpose(1, 0, 2))
         for k, layer in enumerate(self.layers):
             h0, c0 = initial[k] if k < len(initial) else (None, None)
-            X, final, cache = layer.forward(X, mask, h0=h0, c0=c0)
+            X, final, cache = layer.forward(X, mask, h0=_rows(h0, order), c0=_rows(c0, order))
             caches.append(cache)
             finals.append(final)
             X = drop(X)
-        return X, finals, {"idx": idx, "drops": drops, "layers": caches}
+        if order is not None:
+            inv = np.argsort(order)
+            X = X[inv]
+            finals = [(h[inv], c[inv]) for h, c in finals]
+        return X, finals, {"idx": idx, "order": order, "drops": drops, "layers": caches}
 
     def backward(self, dstates, cache, dfinal=(None, None)):
         """`dfinal` is the gradient on the top layer's final (h, c).
 
         Returns the gradient on the bottom layer's initial (h, c).
         """
-        drops = list(cache["drops"])
-        dh_final, dc_final = dfinal
+        drops, order = list(cache["drops"]), cache["order"]
+        dstates = _rows(dstates, order)
+        dh_final, dc_final = (_rows(d, order) for d in dfinal)
         for k in range(len(self.layers) - 1, -1, -1):
             if drops:
                 dstates = dstates * drops.pop()
@@ -287,6 +349,9 @@ class LstmStack:
         if drops:
             dstates = dstates * drops.pop()
         self.embedding.backward(dstates, cache["idx"])
+        if order is not None:
+            inv = np.argsort(order)
+            dh0, dc0 = dh0[inv], dc0[inv]
         return dh0, dc0
 
 

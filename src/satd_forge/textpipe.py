@@ -131,3 +131,10 @@ def pad_batch(index_lists, cap: int):
         matrix[r, : len(seq)] = seq
         mask[r, : len(seq)] = 1.0
     return matrix, mask
+
+
+def length_sorted_chunks(sequences, size: int) -> list[list[int]]:
+    """Indices of `sequences`, longest first (ties keep their order), cut
+    into chunks of `size`: batches that need little padding."""
+    order = sorted(range(len(sequences)), key=lambda j: -len(sequences[j]))
+    return [order[k : k + size] for k in range(0, len(order), size)]

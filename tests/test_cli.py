@@ -110,6 +110,18 @@ class TestMiningIsolation:
         meta = json.loads(out.read_text().splitlines()[0])["_meta"]
         assert meta["diagnostics"] == ["skipped Cafe.java: not UTF-8 (invalid continuation byte at byte 27)"]
 
+    def test_unreadable_path_skipped_with_diagnostic(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "Good.java").write_text("class G { void m() { if (a) { f(); } } }\n")
+        (src / "Broken.java").symlink_to(src / "Missing.java")
+        out = tmp_path / "c.jsonl"
+        assert run("mine", str(src), "--out", str(out)) == 0
+        assert [r["path"] for r in read_rows(out)] == ["Good.java"]
+        meta = json.loads(out.read_text().splitlines()[0])["_meta"]
+        assert meta["files"] == 2
+        assert meta["diagnostics"] == ["skipped Broken.java: unreadable (No such file or directory)"]
+
 
 class TestDatasetCommand:
     def test_dataset_and_rerun_byte_identical(self, corpus, tmp_path):
