@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import CheckpointError
 
 MAGIC = b"SATDF1"
@@ -37,7 +38,7 @@ def save_checkpoint(path, kind: str, header: dict, blocks: list[tuple[str, np.nd
     header["format_version"] = 1
     header["blocks"] = [{"name": name, "shape": list(arr.shape)} for name, arr in blocks]
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(payload)))
         f.write(payload)

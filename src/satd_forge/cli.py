@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, evalkit
+from .atomic import atomic_write
 from .detector import DetectorHp, fit_detector, load_detector, predict_many, save_detector
 from .errors import DataError, JavaLexError, SatdForgeError, TrainingError
 from .generator import (
@@ -268,7 +269,8 @@ def cmd_tune(args) -> int:
         rows = evalkit.sort_result_rows(rows, primary="bleu_4", tiebreak="bleu_1")
         nominated = rows[:1]
     payload = {"config": config, "rows": rows, "nominated": nominated}
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    with atomic_write(args.out) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True))
     print(f"tuned {len(settings)} settings -> {args.out}")
     return 0
 

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import DataError
 
 
@@ -287,14 +288,15 @@ def write_report(directory, rows: list[dict], folds: FoldPlan | None = None, con
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     payload = {"config": config or {}, "rows": rows}
-    (directory / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    files = {"metrics.json": json.dumps(payload, indent=2, sort_keys=True)}
     if folds is not None:
-        (directory / "folds.json").write_text(
-            json.dumps(
-                {"k": folds.k, "stratified": folds.stratified, "seed": folds.seed, "folds": folds.folds},
-                indent=2,
-            )
+        files["folds.json"] = json.dumps(
+            {"k": folds.k, "stratified": folds.stratified, "seed": folds.seed, "folds": folds.folds},
+            indent=2,
         )
     if columns is None:
         columns = sorted({k for r in rows for k in r}) if rows else []
-    (directory / "table.txt").write_text(format_table(rows, columns, title))
+    files["table.txt"] = format_table(rows, columns, title)
+    for name, text in files.items():
+        with atomic_write(directory / name) as f:
+            f.write(text)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import DataError, JavaLexError
 from .textpipe import normalize_comment, strip_comment_delimiters
 
@@ -47,7 +49,7 @@ JAVA_KEYWORDS = frozenset(
 _COMMENT_KINDS = ("line_comment", "block_comment")
 _SKIP_KINDS = ("whitespace",) + _COMMENT_KINDS
 
-# longest first so greedy matching picks up compound operators
+# longest first so the alternation picks up compound operators
 _OPERATORS = sorted(
     [
         ">>>=", ">>>", ">>=", "<<=", "...", "->", "::", "==", "!=", "<=",
@@ -61,6 +63,51 @@ _OPERATORS = sorted(
 
 _PUNCTUATION = "(){}[];,.@:"
 
+# what follows a number's or an identifier's first character; `\w` is
+# exactly str.isalnum() plus "_"
+_NUMBER_REST = re.compile(r"(?:[\w.]|(?<=[eEpP])[+-])*")
+_IDENT_REST = re.compile(r"[\w$]*")
+
+# One alternative per token kind, tried in order. The unterminated `/*`
+# and `"""` come before the string and operator alternatives that would
+# take their first characters. ASCII starts are matched here; a non-ASCII
+# start (or a `.` before one) is `other`, which `lex_java` classifies with
+# str.isdigit/str.isalpha.
+_MASTER = re.compile(
+    "|".join(
+        f"(?P<{group}>{pattern})"
+        for group, pattern in (
+            ("whitespace", r"[ \t\r\n\f\v]+"),
+            ("line_comment", r"//[^\n]*"),
+            ("block_comment", r"/\*.*?\*/"),
+            ("text_block", r'""".*?"""'),
+            ("unterminated", r'/\*|"""'),
+            ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"|' + r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"),
+            ("unterminated_quote", r"[\"']"),
+            ("number", r"(?:[0-9]|\.[0-9])" + _NUMBER_REST.pattern),
+            ("word", r"[A-Za-z_$]" + _IDENT_REST.pattern),
+            ("operator", "|".join(map(re.escape, _OPERATORS))),
+            ("punctuation", r"[(){}\[\];,@:]|\.(?![^\x00-\x7f])"),
+            ("other", r"."),
+        )
+    ),
+    re.DOTALL,
+)
+
+_GROUP_KINDS = {
+    "whitespace": "whitespace", "line_comment": "line_comment", "block_comment": "block_comment",
+    "text_block": "literal", "string": "literal", "number": "literal",
+    "operator": "operator", "punctuation": "punctuation",
+}
+_MULTILINE_GROUPS = frozenset(("whitespace", "block_comment", "text_block", "string"))
+_WORD_KINDS = dict.fromkeys(JAVA_KEYWORDS, "keyword") | dict.fromkeys(("true", "false", "null"), "literal")
+_UNTERMINATED = {
+    "/*": "unterminated block comment",
+    '"""': "unterminated text block",
+    '"': "unterminated string literal",
+    "'": "unterminated character literal",
+}
+
 
 @dataclass
 class JToken:
@@ -70,106 +117,38 @@ class JToken:
     column: int  # 1-based character position in line
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_$"
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
-
-
 def lex_java(source: str) -> list[JToken]:
     """Lossless tokenization: concatenating lexemes reproduces the input."""
     tokens: list[JToken] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def emit(kind: str, end: int, start_line: int, start_col: int):
-        nonlocal i, line, col
-        lexeme = source[i:end]
-        tokens.append(JToken(kind, lexeme, start_line, start_col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line = start_line + newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col = start_col + len(lexeme)
-        i = end
-
-    while i < n:
-        ch = source[i]
-        sl, sc = line, col
-        if ch in " \t\r\n\f\v":
-            j = i + 1
-            while j < n and source[j] in " \t\r\n\f\v":
-                j += 1
-            emit("whitespace", j, sl, sc)
-        elif source.startswith("//", i):
-            j = source.find("\n", i)
-            emit("line_comment", n if j < 0 else j, sl, sc)
-        elif source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise JavaLexError("unterminated block comment", sl, sc)
-            emit("block_comment", j + 2, sl, sc)
-        elif source.startswith('"""', i):
-            j = source.find('"""', i + 3)
-            if j < 0:
-                raise JavaLexError("unterminated text block", sl, sc)
-            emit("literal", j + 3, sl, sc)
-        elif ch == '"' or ch == "'":
-            j = i + 1
-            while j < n:
-                c = source[j]
-                if c == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if c == ch:
-                    j += 1
-                    break
-                if c == "\n":
-                    j = -1
-                    break
-                j += 1
-            else:
-                j = -1
-            if j < 0:
-                what = "string literal" if ch == '"' else "character literal"
-                raise JavaLexError(f"unterminated {what}", sl, sc)
-            emit("literal", j, sl, sc)
-        elif ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n:
-                c = source[j]
-                if c.isalnum() or c in "._":
-                    j += 1
-                elif c in "+-" and source[j - 1] in "eEpP":
-                    j += 1
+    append = tokens.append
+    match = _MASTER.match
+    pos, n = 0, len(source)
+    line, line_start = 1, 0  # line_start: index of the current line's first character
+    while pos < n:
+        m = match(source, pos)
+        group = m.lastgroup
+        end = m.end()
+        kind = _GROUP_KINDS.get(group)
+        if kind is None:
+            if group == "word":
+                kind = _WORD_KINDS.get(m.group(), "identifier")
+            elif group == "other":
+                ch = source[pos]
+                if ch.isdigit() or (ch == "." and source[end].isdigit()):
+                    kind, end = "literal", _NUMBER_REST.match(source, end).end()
+                elif ch.isalpha():
+                    kind, end = "identifier", _IDENT_REST.match(source, end).end()
                 else:
-                    break
-            emit("literal", j, sl, sc)
-        elif _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_part(source[j]):
-                j += 1
-            word = source[i:j]
-            if word in JAVA_KEYWORDS:
-                kind = "keyword"
-            elif word in ("true", "false", "null"):
-                kind = "literal"
+                    kind = "punctuation" if ch in _PUNCTUATION else "operator"
             else:
-                kind = "identifier"
-            emit(kind, j, sl, sc)
-        else:
-            for op in _OPERATORS:
-                if source.startswith(op, i):
-                    emit("operator", i + len(op), sl, sc)
-                    break
-            else:
-                kind = "punctuation" if ch in _PUNCTUATION else "operator"
-                emit(kind, i + 1, sl, sc)
+                raise JavaLexError(_UNTERMINATED[m.group()], line, pos - line_start + 1)
+        append(JToken(kind, source[pos:end], line, pos - line_start + 1))
+        if group in _MULTILINE_GROUPS:
+            newlines = source.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, end) + 1
+        pos = end
     return tokens
 
 
@@ -317,12 +296,8 @@ def extract_outermost_ifs(
     """
     sig = [k for k, t in enumerate(tokens) if t.kind not in _SKIP_KINDS]
     toks = [tokens[k] for k in sig]
-    # cumulative byte offsets of every token start
-    byte_offsets = [0] * (len(tokens) + 1)
-    for k, t in enumerate(tokens):
-        byte_offsets[k + 1] = byte_offsets[k] + len(t.lexeme.encode("utf-8"))
-
     fragments: list[IfFragment] = []
+    done, done_bytes = 0, 0  # tokens[:done] encode to done_bytes UTF-8 bytes
     pos = 0
     while pos < len(toks):
         tok = toks[pos]
@@ -337,11 +312,14 @@ def extract_outermost_ifs(
             pos += 1
             continue
         first, last = sig[pos], sig[end - 1]
+        text = "".join([t.lexeme for t in tokens[first : last + 1]])
+        start = done_bytes + len("".join([t.lexeme for t in tokens[done:first]]).encode("utf-8"))
+        done, done_bytes = last + 1, start + len(text.encode("utf-8"))
         fragments.append(
             IfFragment(
-                source_span=(byte_offsets[first], byte_offsets[last + 1]),
+                source_span=(start, done_bytes),
                 column=tok.column,
-                text="".join(t.lexeme for t in tokens[first : last + 1]),
+                text=text,
                 project_id=project_id,
                 if_token_index=first,
                 token_span=(first, last + 1),
@@ -565,7 +543,7 @@ def build_dataset(
 
 
 def write_jsonl(path, records: list[PairRecord], meta: dict | None = None):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         if meta is not None:
             f.write(json.dumps({"_meta": meta}) + "\n")
         for r in records:

@@ -3,6 +3,7 @@ index encoding/decoding, and batch padding."""
 
 from __future__ import annotations
 
+import functools
 import string
 import warnings
 from dataclasses import dataclass, field
@@ -35,8 +36,10 @@ def strip_comment_delimiters(raw: str) -> str:
     return s
 
 
+@functools.cache
 def stem_word(word: str) -> str:
-    # iterated to a fixed point so that normalizing normalized text is a no-op
+    # iterated to a fixed point so that normalizing normalized text is a no-op;
+    # cached because comments repeat a small vocabulary
     for _ in range(10):
         stemmed = porter_stem(word)
         if stemmed == word:

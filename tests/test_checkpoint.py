@@ -180,3 +180,14 @@ def test_cli_detect_cut_mnb_block_exits_2(tmp_path, capsys):
     lines.write_text("// c b c\n")
     assert main(["detect", "--model", str(model), "--input", str(lines), "--kind", "comment"]) == 2
     assert "'feature_log_prob'" in capsys.readouterr().err
+
+
+def test_failed_save_keeps_old_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, "detector", {"n": 1}, [("a", np.ones(3))])
+    before = path.read_bytes()
+    # the second block cannot be converted to float32, after the header and first block are written
+    with pytest.raises(ValueError):
+        save_checkpoint(path, "detector", {"n": 2}, [("a", np.zeros(3)), ("b", np.array(["x"]))])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

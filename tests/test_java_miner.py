@@ -19,6 +19,8 @@ from satd_forge.java_miner import (
     link_comments,
     mine_file,
     PairRecord,
+    read_jsonl,
+    write_jsonl,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "java"
@@ -138,6 +140,21 @@ class TestExtraction:
         frags = extract_outermost_ifs(lex_java(source))
         assert len(frags) == 1
         assert frags[0].text == "if (a) label: { jump(); }"
+
+    def test_spans_are_utf8_byte_offsets_past_non_ascii_text(self):
+        source = (
+            '// café λ\nclass C { String s = "é"; void m() {\n'
+            '  if (a) { f("λλ"); }\n  /* naïve */ g(\'λ\');\n'
+            '  if (b) { h("é"); } else { k(); }\n}}\n'
+        )
+        tokens = lex_java(source)
+        frags = extract_outermost_ifs(tokens)
+        assert [f.text for f in frags] == ['if (a) { f("λλ"); }', 'if (b) { h("é"); } else { k(); }']
+        for frag in frags:
+            a = sum(len(t.lexeme) for t in tokens[: frag.token_span[0]])
+            b = a + len(frag.text)
+            assert source[a:b] == frag.text
+            assert frag.source_span == (len(source[:a].encode()), len(source[:b].encode()))
 
 
 class TestLinking:
@@ -272,3 +289,25 @@ class TestGoldenFixtures:
                     }
                 )
         assert rows == golden
+
+
+class TestWriteJsonl:
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        rows = [PairRecord("p", f"F{k}.java", (0, 1), 1, "if(a){}", ["if"], None, [], "Unlabeled") for k in range(3)]
+        write_jsonl(path, rows, meta={"n": 3})
+        before = path.read_bytes()
+        real_to_json = PairRecord.to_json
+
+        def fail_on_third_row(self):
+            if self.path == "F2.java":
+                raise RuntimeError("disk full")
+            return real_to_json(self)
+
+        monkeypatch.setattr(PairRecord, "to_json", fail_on_third_row)
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_jsonl(path, rows, meta={"n": 3})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+        monkeypatch.undo()
+        assert [r.path for r in read_jsonl(path)[0]] == ["F0.java", "F1.java", "F2.java"]

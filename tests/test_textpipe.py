@@ -11,6 +11,7 @@ from satd_forge.textpipe import (
     frame_comment,
     normalize_comment,
     pad_batch,
+    stem_word,
 )
 
 
@@ -43,6 +44,14 @@ class TestNormalizeComment:
         once = normalize_comment(raw)
         again = normalize_comment(" ".join(once))
         assert once == again
+
+    def test_stems_are_cached(self):
+        words = ["hacking", "workarounds", "generalizations", "hacking"]
+        stem_word.cache_clear()
+        assert [stem_word(w) for w in words] == [stem_word.__wrapped__(w) for w in words]
+        assert stem_word.cache_info().hits == 1
+        assert normalize_comment("// hacking the workarounds") == ["hack", "the", "workaround"]
+        assert stem_word.cache_info().hits == 3
 
     @given(st.text(max_size=120))
     def test_output_is_lowercase_ascii_alpha(self, raw):
