@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DataError
-from .java_miner import _CLOSE, _OPEN, _SKIP_KINDS, JToken, StatementError, skip_labels, statement_end
+from .java_miner import _CLOSE, _OPEN, _SKIP_KINDS, JToken, StatementError, bracket_end, skip_labels, statement_end
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,14 @@ class _Parser:
         return tail[0]
 
     def parse_par_expr(self) -> AstNode:
+        opener = self.i
         self.expect("(")
-        mark = self.i
         try:
             expr = self.parse_expression()
             self.expect(")")
             return AstNode("ParExpr", (expr,))
         except _Unparsable:
-            self.i = mark
-            self._skip_until_closer(")")
+            self.i = bracket_end(self.toks, opener, "(")
             return AstNode("ParExpr", (AstNode("Stmt"),))
 
     def parse_statement(self) -> AstNode:
@@ -205,18 +204,6 @@ class _Parser:
         return AstNode("Block", tuple(children))
 
     # -- tolerance ---------------------------------------------------------
-
-    def _skip_until_closer(self, closer: str):
-        stack: list[str] = []
-        while True:
-            t = self.advance()
-            if not stack and t.lexeme == closer:
-                return
-            if t.lexeme in _OPEN:
-                stack.append(_OPEN[t.lexeme])
-            elif t.lexeme in _CLOSE:
-                if not stack or t.lexeme != stack.pop():
-                    raise _Unparsable("mismatched bracket")
 
     def _recover_statement(self):
         """Last-resort consumption up to `;` at depth zero or the closing
@@ -375,9 +362,13 @@ class _Parser:
 
 def parse_if_statement(tokens: list[JToken], diagnostics: list[str] | None = None) -> AstNode:
     """Build the simplified tree for one extracted if-fragment; a fragment
-    nested past _MAX_NESTING is reported in `diagnostics`."""
+    nested past _MAX_NESTING is reported in `diagnostics`. A fragment whose
+    condition or brackets do not close raises DataError."""
     parser = _Parser(tokens)
-    tree = parser.parse_if()
+    try:
+        tree = parser.parse_if()
+    except (_Unparsable, StatementError) as exc:
+        raise DataError(f"unparsable if-statement: {exc}") from exc
     if parser.capped and diagnostics is not None:
         t = parser.toks[0]
         diagnostics.append(

@@ -53,28 +53,22 @@ class _Parser(argparse.ArgumentParser):
 # -- dataset plumbing ------------------------------------------------------
 
 
-def _task_sequences(records, task: str):
-    """(items, labels) for a detector task over corpus records."""
-    if task == "detect-code":
-        items = [r.sbt_tokens for r in records]
-    elif task == "detect-comment":
-        items = [r.comment_words for r in records]
-    else:
-        raise DataError(f"unknown detector task: {task!r}")
-    labels = [1 if r.label == SATD else 0 for r in records]
-    return items, labels
-
-
-def _generation_pairs(records):
-    """(sbt_tokens, framed comment) for every SATD record."""
-    pairs = [
-        (r.sbt_tokens, frame_comment(r.comment_words))
-        for r in records
-        if r.label == SATD and r.comment_words
-    ]
-    if not pairs:
-        raise DataError("no SATD pairs available for generation")
-    return pairs
+def _task_data(records, task: str):
+    """(items, labels, stratified) for a task over corpus records. A detector
+    task labels every record SATD (1) or not (0); generation pairs each
+    commented SATD record's SBT with its framed comment, all labelled 0, and
+    splits them unstratified."""
+    if task == "generate":
+        pairs = [
+            (r.sbt_tokens, frame_comment(r.comment_words))
+            for r in records
+            if r.label == SATD and r.comment_words
+        ]
+        if not pairs:
+            raise DataError("no SATD pairs available for generation")
+        return pairs, [0] * len(pairs), False
+    items = [r.sbt_tokens if task == "detect-code" else r.comment_words for r in records]
+    return items, [1 if r.label == SATD else 0 for r in records], True
 
 
 def _vocab_kind(task: str) -> str:
@@ -92,12 +86,12 @@ def _predict_all(model, sequences) -> list[tuple[float, bool]]:
 
 
 def make_detector_recipe(task: str, hp_dict: dict, seed: int):
-    """A run_cv/cross-project recipe: fit on the training side, score
+    """An evalkit.run_trials recipe: fit on the training side, score
     precision/recall/F1 on the held-out side."""
     kind = _vocab_kind(task)
 
-    def recipe(train_items, train_labels, test_items, test_labels, fold_index):
-        model = fit_detector(hp_dict, train_items, train_labels, seed + 1000 * fold_index, kind)
+    def recipe(train_items, train_labels, test_items, test_labels, index):
+        model = fit_detector(hp_dict, train_items, train_labels, seed + 1000 * index, kind)
         preds = [positive for _, positive in _predict_all(model, test_items)]
         return evalkit.prf1(preds, test_labels).as_dict()
 
@@ -105,14 +99,20 @@ def make_detector_recipe(task: str, hp_dict: dict, seed: int):
 
 
 def make_generator_recipe(hp_dict: dict, seed: int):
-    def recipe(train_items, _train_labels, test_items, _test_labels, fold_index):
+    def recipe(train_items, _train_labels, test_items, _test_labels, index):
         hp = GeneratorHp.from_dict(hp_dict)
-        model = train_generator(train_items, hp, seed + 1000 * fold_index)
+        model = train_generator(train_items, hp, seed + 1000 * index)
         hyps = generate_comments(model, [code for code, _ in test_items])
         references = [framed[1:-1] for _, framed in test_items]
         return evalkit.mean_bleu(zip(hyps, references))
 
     return recipe
+
+
+def _make_recipe(task: str, hp_dict: dict, seed: int):
+    if task == "generate":
+        return make_generator_recipe(hp_dict, seed)
+    return make_detector_recipe(task, hp_dict, seed)
 
 
 def _expand_grid(grid: dict) -> list[dict]:
@@ -131,11 +131,12 @@ def _expand_grid(grid: dict) -> list[dict]:
 
 def _read_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"missing file: {path}") from exc
+        value = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: expected a JSON object, found {type(value).__name__}")
+    return value
 
 
 # -- subcommands -----------------------------------------------------------
@@ -235,39 +236,22 @@ def cmd_tune(args) -> int:
         "fraction": args.fraction,
         "grid": grid,
     }
-    rows = []
-    if args.task in DETECT_TASKS:
-        items, labels = _task_sequences(records, args.task)
-        tuning_ids, rest_ids = evalkit.tuning_split(
-            labels, fraction=args.fraction, stratified=True, seed=args.seed
-        )
-        train_items = [items[i] for i in rest_ids]
-        train_labels = [labels[i] for i in rest_ids]
-        test_items = [items[i] for i in tuning_ids]
-        test_labels = [labels[i] for i in tuning_ids]
-        for setting in settings:
-            recipe = make_detector_recipe(args.task, setting, args.seed)
-            scores = recipe(train_items, train_labels, test_items, test_labels, 0)
-            rows.append({**setting, **scores})
+    items, labels, stratified = _task_data(records, args.task)
+    tuning_ids, _ = evalkit.tuning_split(
+        labels, fraction=args.fraction, stratified=stratified, seed=args.seed
+    )
+    trials = [(_make_recipe(args.task, setting, args.seed), 0, tuning_ids) for setting in settings]
+    scores = evalkit.run_trials(items, labels, trials)
+    rows = [{**setting, **row} for setting, row in zip(settings, scores)]
+    if args.task == "generate":
+        rows = evalkit.sort_result_rows(rows, primary="bleu_4", tiebreak="bleu_1")
+        nominated = rows[:1]
+    else:
         rows = evalkit.sort_result_rows(rows)
         by_pool: dict[str, list[dict]] = {}
         for row in rows:
             by_pool.setdefault(str(row.get("pooling", "-")), []).append(row)
-        nominated = [row for pod in by_pool.values() for row in pod[:3]]
-        nominated = evalkit.sort_result_rows(nominated)
-    else:
-        pairs = _generation_pairs(records)
-        tuning_ids, rest_ids = evalkit.tuning_split(
-            [0] * len(pairs), fraction=args.fraction, stratified=False, seed=args.seed
-        )
-        train_pairs = [pairs[i] for i in rest_ids]
-        test_pairs = [pairs[i] for i in tuning_ids]
-        for setting in settings:
-            recipe = make_generator_recipe(setting, args.seed)
-            scores = recipe(train_pairs, None, test_pairs, None, 0)
-            rows.append({**setting, **scores})
-        rows = evalkit.sort_result_rows(rows, primary="bleu_4", tiebreak="bleu_1")
-        nominated = rows[:1]
+        nominated = evalkit.sort_result_rows([row for pod in by_pool.values() for row in pod[:3]])
     payload = {"config": config, "rows": rows, "nominated": nominated}
     with atomic_write(args.out) as f:
         f.write(json.dumps(payload, indent=2, sort_keys=True))
@@ -285,21 +269,15 @@ def cmd_cv(args) -> int:
         "k": args.k,
         "hp": hp_dict,
     }
-    if args.task in DETECT_TASKS:
-        items, labels = _task_sequences(records, args.task)
-        plan = evalkit.stratified_folds(labels, k=args.k, stratified=True, seed=args.seed)
-        recipe = make_detector_recipe(args.task, hp_dict, args.seed)
-        result = evalkit.run_cv(items, labels, recipe, plan)
-        columns = ["fold", "test_size", "precision", "recall", "f1"]
+    items, labels, stratified = _task_data(records, args.task)
+    plan = evalkit.stratified_folds(labels, k=args.k, stratified=stratified, seed=args.seed)
+    result = evalkit.run_cv(items, labels, _make_recipe(args.task, hp_dict, args.seed), plan)
+    if args.task == "generate":
+        scores = ["bleu_1", "bleu_2", "bleu_3", "bleu_4"]
     else:
-        pairs = _generation_pairs(records)
-        labels = [0] * len(pairs)
-        plan = evalkit.stratified_folds(labels, k=args.k, stratified=False, seed=args.seed)
-        recipe = make_generator_recipe(hp_dict, args.seed)
-        result = evalkit.run_cv(pairs, labels, recipe, plan)
-        columns = ["fold", "test_size", "bleu_1", "bleu_2", "bleu_3", "bleu_4"]
+        scores = ["precision", "recall", "f1"]
     rows = list(result.per_fold) + [{**result.mean, "fold": "mean"}]
-    evalkit.write_report(args.report, rows, folds=plan, config=config, columns=columns,
+    evalkit.write_report(args.report, rows, folds=plan, config=config, columns=["fold", "test_size", *scores],
                          title=f"{args.task} {args.k}-fold cross validation")
     print(f"cv mean: {json.dumps(result.mean, sort_keys=True)} -> {args.report}")
     return 0
@@ -318,17 +296,16 @@ def cmd_pretrain(args) -> int:
 def cmd_train(args) -> int:
     records, _ = read_jsonl(args.data)
     hp_dict = _read_json(args.hp) if args.hp else {}
-    mode = args.mode.replace("-", "_")
+    if args.task == "generate" and args.init:
+        raise DataError("a pre-trained language model cannot initialize the generator")
+    items, labels, _ = _task_data(records, args.task)
     if args.task == "generate":
-        if args.init:
-            raise DataError("a pre-trained language model cannot initialize the generator")
-        pairs = _generation_pairs(records)
-        model = train_generator(pairs, GeneratorHp.from_dict(hp_dict), args.seed)
+        model = train_generator(items, GeneratorHp.from_dict(hp_dict), args.seed)
         save_generator(model, args.out)
-        print(f"generator trained on {len(pairs)} pairs, loss {model.final_loss:.4f} -> {args.out}")
+        print(f"generator trained on {len(items)} pairs, loss {model.final_loss:.4f} -> {args.out}")
         return 0
-    items, labels = _task_sequences(records, args.task)
     lm = load_lm(args.init) if args.init else None
+    mode = args.mode.replace("-", "_")
     model = fit_detector(hp_dict, items, labels, args.seed, _vocab_kind(args.task), lm=lm, mode=mode)
     save_detector(model, args.out)
     print(f"{model.kind} detector trained on {len(items)} sequences -> {args.out}")
@@ -336,11 +313,7 @@ def cmd_train(args) -> int:
 
 
 def _input_lines(path) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise DataError(f"missing file: {path}") from exc
-    return [line for line in text.splitlines() if line.strip()]
+    return [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
 
 
 def _line_to_sequence(line: str, kind: str) -> list[str]:
@@ -374,7 +347,7 @@ def cmd_generate(args) -> int:
 def cmd_xproject(args) -> int:
     records, _ = read_jsonl(args.data)
     hp_dict = _read_json(args.hp) if args.hp else {}
-    items, labels = _task_sequences(records, args.task)
+    items, labels, _ = _task_data(records, args.task)
     projects = [r.project for r in records]
     recipe = make_detector_recipe(args.task, hp_dict, args.seed)
     rows, mean = evalkit.cross_project_rounds(items, labels, projects, recipe)
@@ -489,10 +462,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, SatdForgeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SatdForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,7 @@
 """Evaluation protocol: precision/recall/F1, sentence BLEU, the stratified
-tuning split, k-fold plans, cross-validation runs, leave-one-project-out
-rounds, and report emission."""
+tuning split, k-fold plans, the one train-and-score loop behind
+cross-validation runs, leave-one-project-out rounds and tuning, and report
+emission."""
 
 from __future__ import annotations
 
@@ -187,13 +188,34 @@ def stratified_folds(labels, k: int = 10, stratified: bool = True, seed: int = 0
     return FoldPlan(folds=[sorted(f) for f in folds], stratified=stratified, seed=seed)
 
 
+def run_trials(items, labels, trials) -> list[dict]:
+    """The evaluation loop behind cross validation, cross-project rounds and
+    tuning. Each trial `(recipe, index, test_ids)` trains on the complement
+    of `test_ids`, in increasing index order, and scores `test_ids`.
+
+    `recipe(train_items, train_labels, test_items, test_labels, index)` must
+    return a dict of numeric scores; the dicts come back in trial order.
+    """
+    results = []
+    for recipe, index, test_ids in trials:
+        held_out = set(test_ids)
+        train_ids = [i for i in range(len(items)) if i not in held_out]
+        results.append(
+            recipe(
+                [items[i] for i in train_ids],
+                [labels[i] for i in train_ids],
+                [items[i] for i in test_ids],
+                [labels[i] for i in test_ids],
+                index,
+            )
+        )
+    return results
+
+
 @dataclass
 class CvResult:
     per_fold: list[dict]
     mean: dict
-
-    def as_dict(self) -> dict:
-        return {"per_fold": self.per_fold, "mean": self.mean}
 
 
 def _mean_of(dicts: list[dict]) -> dict:
@@ -204,26 +226,12 @@ def _mean_of(dicts: list[dict]) -> dict:
 
 
 def run_cv(items, labels, recipe, plan: FoldPlan) -> CvResult:
-    """Train on k-1 folds and score the held-out fold, for every fold.
-
-    `recipe(train_items, train_labels, test_items, test_labels, fold)` must
-    return a dict of numeric scores.
-    """
-    per_fold = []
-    all_ids = set(range(len(items)))
-    for fold_index, fold in enumerate(plan.folds):
-        test_ids = list(fold)
-        train_ids = sorted(all_ids.difference(test_ids))
-        scores = recipe(
-            [items[i] for i in train_ids],
-            [labels[i] for i in train_ids],
-            [items[i] for i in test_ids],
-            [labels[i] for i in test_ids],
-            fold_index,
-        )
-        row = {"fold": fold_index, "test_size": len(test_ids)}
-        row.update(scores)
-        per_fold.append(row)
+    """Train on k-1 folds and score the held-out fold, for every fold."""
+    scores = run_trials(items, labels, [(recipe, j, fold) for j, fold in enumerate(plan.folds)])
+    per_fold = [
+        {"fold": j, "test_size": len(fold), **row}
+        for j, (fold, row) in enumerate(zip(plan.folds, scores))
+    ]
     return CvResult(per_fold=per_fold, mean=_mean_of(per_fold))
 
 
@@ -243,23 +251,18 @@ def cross_project_rounds(items, labels, projects, recipe, tags=None) -> tuple[li
         tags = sorted(set(projects))
     if len(tags) < 2:
         raise DataError("cross-project validation needs at least two projects")
-    rows = []
-    for round_index, tag in enumerate(tags):
+    rounds = []  # (index, project, test_ids) of each project with examples
+    for index, tag in enumerate(tags):
         test_ids = [i for i, p in enumerate(projects) if p == tag]
-        train_ids = [i for i, p in enumerate(projects) if p != tag]
         if not test_ids:
             warnings.warn(f"project {tag!r} has no examples; skipped", stacklevel=2)
             continue
-        scores = recipe(
-            [items[i] for i in train_ids],
-            [labels[i] for i in train_ids],
-            [items[i] for i in test_ids],
-            [labels[i] for i in test_ids],
-            round_index,
-        )
-        row = {"project": tag, "test_size": len(test_ids)}
-        row.update(scores)
-        rows.append(row)
+        rounds.append((index, tag, test_ids))
+    scores = run_trials(items, labels, [(recipe, index, test_ids) for index, _, test_ids in rounds])
+    rows = [
+        {"project": tag, "test_size": len(test_ids), **row}
+        for (_, tag, test_ids), row in zip(rounds, scores)
+    ]
     return rows, _mean_of(rows)
 
 

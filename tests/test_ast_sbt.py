@@ -44,6 +44,18 @@ class TestParse:
         with pytest.raises(DataError):
             parse("while(a){}")
 
+    @pytest.mark.parametrize("source", ["if (a b", "if (a", "if", "if (a ]) {}", "if ((a) {}"])
+    def test_unclosed_condition_is_data_error(self, source):
+        with pytest.raises(DataError, match="unparsable if-statement"):
+            parse(source)
+
+    def test_condition_parse_failure_skips_to_its_closer(self):
+        # `a b` is no expression: the condition becomes ParExpr(Stmt) and
+        # parsing resumes after the closing parenthesis
+        tree = parse("if (a b (c)) { f(); }")
+        assert tree.children[0] == AstNode("ParExpr", (AstNode("Stmt"),))
+        assert tree.children[1].children[0].label == "Call:f"
+
     def test_call_and_assignment(self):
         tree = parse("if(a){ x = o.f(1, y); }")
         block = tree.children[1]

@@ -439,3 +439,59 @@ class TestBadInputs:
                    "--init", str(lm)) == 2
         assert not out.exists()
         assert "generator" in capsys.readouterr().err
+
+
+class TestMalformedInputLines:
+    """A line that is not a whole if-statement is a data error (exit 2), and
+    no verdict or comment is printed for the lines before it."""
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("models")
+        data = synthetic_corpus_file(tmp / "data.jsonl", n=16)
+        mnb_hp, gen_hp = tmp / "mnb.json", tmp / "gen.json"
+        mnb_hp.write_text(json.dumps({"model": "mnb"}))
+        gen_hp.write_text(json.dumps({"latent": 4, "layers": 1, "batch_size": 8, "epochs": 1}))
+        models = {"detect": tmp / "mnb.ckpt", "generate": tmp / "gen.ckpt"}
+        assert run("train", str(data), "--task", "detect-code", "--hp", str(mnb_hp),
+                   "--out", str(models["detect"])) == 0
+        assert run("train", str(data), "--task", "generate", "--hp", str(gen_hp),
+                   "--out", str(models["generate"])) == 0
+        return models
+
+    @pytest.mark.parametrize("line", ["if (a b", "if (a", "if"])
+    @pytest.mark.parametrize("command", ["detect", "generate"])
+    def test_exit_2_without_output(self, tmp_path, capsys, models, command, line):
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("if (x > 0) { f(); }\n" + line + "\n")
+        capsys.readouterr()
+        assert run(command, "--model", str(models[command]), "--input", str(inputs)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unparsable if-statement")
+
+
+class TestBadOptionFiles:
+    @pytest.mark.parametrize("command,flag,extra", [
+        ("tune", "--grid", ["--task", "detect-comment", "--out", "t.json"]),
+        ("cv", "--hp", ["--task", "detect-comment", "--report", "rep"]),
+        ("train", "--hp", ["--task", "detect-comment", "--out", "m.ckpt"]),
+    ])
+    def test_json_that_is_not_an_object(self, tmp_path, capsys, monkeypatch, command, flag, extra):
+        monkeypatch.chdir(tmp_path)
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
+        (tmp_path / "hp.json").write_text("[1, 2]")
+        assert run(command, str(data), flag, "hp.json", *extra) == 2
+        assert "hp.json: expected a JSON object, found list" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]
+
+    def test_report_path_that_is_a_file(self, tmp_path, capsys):
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
+        hp = tmp_path / "hp.json"
+        hp.write_text(json.dumps({"model": "mnb"}))
+        report = tmp_path / "report"
+        report.write_text("taken")
+        assert run("cv", str(data), "--task", "detect-comment", "--hp", str(hp), "--k", "2",
+                   "--report", str(report)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert report.read_text() == "taken"
