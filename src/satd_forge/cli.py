@@ -129,9 +129,16 @@ def _expand_grid(grid: dict) -> list[dict]:
     return combos
 
 
+def _read_utf8(path) -> str:
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def _read_json(path) -> dict:
     try:
-        value = json.loads(Path(path).read_text())
+        value = json.loads(_read_utf8(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(value, dict):
@@ -313,7 +320,7 @@ def cmd_train(args) -> int:
 
 
 def _input_lines(path) -> list[str]:
-    return [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
+    return [line for line in _read_utf8(path).splitlines() if line.strip()]
 
 
 def _line_to_sequence(line: str, kind: str) -> list[str]:

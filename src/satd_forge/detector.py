@@ -14,7 +14,7 @@ from . import tensor_core as tc
 from .checkpoint import load_blocks, load_checkpoint, save_checkpoint, save_network
 from .errors import CheckpointError, DataError, TrainingError
 from .textpipe import Vocabulary, build_vocabulary, length_sorted_chunks, pad_batch
-from .vsm import TfIdfModel, bow_counts, fit_tfidf, transform
+from .vsm import Csr, TfIdfModel, as_csr, bow_counts, fit_tfidf, transform
 
 
 @dataclass
@@ -154,16 +154,14 @@ def train_dl_detector(
     )
 
 
-def _featurize(model: DetectorModel, sequence) -> dict[int, float]:
-    if model.features == "tfidf":
-        if model.tfidf is None:
-            raise DataError("model has no fitted TF-IDF state")
-        return transform(sequence, model.vocab, model.tfidf)
-    return bow_counts(sequence, model.vocab)
-
-
-def _sparse_dot(weights: np.ndarray, vec: dict[int, float]) -> float:
-    return float(sum(weights[i] * v for i, v in vec.items()))
+def _featurize(model: DetectorModel, sequences):
+    """The linear model's features: a Csr of counts or TF-IDF weights, or
+    the dense averaged embeddings of `pretrained_embed_svm`."""
+    if model.kind == "pretrained_embed_svm":
+        averages = [embed_average(s, model.vocab, model.embedding) for s in sequences]
+        return np.array(averages).reshape(-1, model.embedding.shape[1])
+    counts = bow_counts(sequences, model.vocab)
+    return transform(counts, model.tfidf) if model.features == "tfidf" else counts
 
 
 def predict(model: DetectorModel, sequence) -> tuple[float, bool]:
@@ -176,14 +174,15 @@ def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
 
     The DL detector sorts the sequences by length, longest first, pads
     them in chunks of `hp.batch_size` and runs one forward pass per chunk;
-    it calls ties at the threshold positive. The linear models score one
-    sequence at a time; the SVM calls a zero margin negative.
+    it calls ties at the threshold positive. The linear models featurize
+    all sequences at once and score them with one product; naive Bayes
+    calls a tie negative and the SVM a zero margin.
     """
     sequences = list(sequences)
     if not all(sequences):
         raise DataError("cannot classify an empty sequence")
     if model.kind in ("mnb", "svm", "pretrained_embed_svm"):
-        return [_predict_linear(model, s) for s in sequences]
+        return _predict_linear(model, sequences)
     if model.kind != "dl":
         raise DataError(f"unknown detector kind: {model.kind!r}")
     cap = model.hp.seq_cap
@@ -199,40 +198,36 @@ def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
     return [(float(p), bool(p >= model.threshold)) for p in probs]
 
 
-def _predict_linear(model: DetectorModel, sequence) -> tuple[float, bool]:
+def _predict_linear(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
+    features = _featurize(model, sequences)
     if model.kind == "mnb":
-        vec = _featurize(model, sequence)
-        scores = model.class_log_prior.copy()
-        for c in range(2):
-            scores[c] += sum(model.feature_log_prob[c, i] * v for i, v in vec.items())
-        shifted = scores - scores.max()
-        probs = np.exp(shifted) / np.exp(shifted).sum()
-        return float(probs[1]), bool(scores[1] > scores[0])
-    if model.kind == "pretrained_embed_svm":
-        feats = embed_average(sequence, model.vocab, model.embedding)
-        margin = float(model.weights @ feats + model.bias)
+        scores = np.stack([features.dot(log_prob) for log_prob in model.feature_log_prob], axis=1)
+        scores += model.class_log_prior
+        shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs, positive = shifted[:, 1] / shifted.sum(axis=1), scores[:, 1] > scores[:, 0]
     else:
-        margin = _sparse_dot(model.weights, _featurize(model, sequence)) + model.bias
-    return float(tc.sigmoid(margin)), margin > 0
+        margins = features.dot(model.weights) + model.bias
+        probs, positive = tc.sigmoid(margins), margins > 0
+    return [(float(p), bool(y)) for p, y in zip(probs, positive)]
 
 
 def train_mnb(vectors, labels, alpha: float = 1.0, vocab_size: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Laplace-smoothed multinomial naive Bayes over sparse count vectors.
+    """Laplace-smoothed multinomial naive Bayes over count rows: a Csr, or
+    {term_index: count} maps.
 
     Returns (class_log_prior, feature_log_prob) for classes (0, 1).
     """
     if alpha <= 0:
         raise DataError(f"smoothing parameter must be positive, got {alpha}")
-    labels = [int(v) for v in labels]
-    if not vectors or len(vectors) != len(labels):
+    vectors = as_csr(vectors, vocab_size)
+    labels = np.asarray([int(v) for v in labels], dtype=np.int64)
+    if not len(vectors) or len(vectors) != len(labels):
         raise DataError("empty or mismatched training vectors")
-    n_class = np.array([labels.count(0), labels.count(1)], dtype=np.float64)
+    n_class = np.bincount(labels, minlength=2).astype(np.float64)
     if (n_class == 0).any():
         raise DataError("both classes must be present to fit naive Bayes")
-    counts = np.zeros((2, vocab_size))
-    for vec, y in zip(vectors, labels):
-        for idx, value in vec.items():
-            counts[y, idx] += value
+    cells = labels[vectors.row_ids()] * vocab_size + vectors.indices  # (class, term) of each entry
+    counts = np.bincount(cells, weights=vectors.data, minlength=2 * vocab_size).reshape(2, vocab_size)
     totals = counts.sum(axis=1, keepdims=True)
     feature_log_prob = np.log(counts + alpha) - np.log(totals + alpha * vocab_size)
     class_log_prior = np.log(n_class / n_class.sum())
@@ -247,39 +242,46 @@ def train_linear_svm(
     seed: int = 0,
     dim: int = 0,
 ) -> tuple[np.ndarray, float, list[float]]:
-    """Stochastic sub-gradient descent on the L2-regularized hinge loss.
+    """Pegasos: stochastic sub-gradient descent on the L2-regularized
+    hinge loss over a Csr, or `dim`-wide {index: value} maps, with one
+    seeded permutation of the rows per epoch.
 
     Labels are -1/+1; the unregularized bias moves only on margin
-    violations. Returns (weights, bias, per-epoch objective values).
+    violations. The weights are kept as w = s * v, so the decay at each
+    step scales s alone. Returns (weights, bias, per-epoch objective values).
     """
     labels = [int(v) for v in labels]
     if any(y not in (-1, 1) for y in labels):
         raise DataError("SVM labels must be -1 or +1")
-    w = np.zeros(dim)
+    vectors = as_csr(vectors, dim)
+    if not labels or len(vectors) != len(labels):
+        raise DataError("empty or mismatched training vectors")
+    bounds = zip(vectors.indptr[:-1], vectors.indptr[1:])
+    rows = [(vectors.indices[lo:hi], vectors.data[lo:hi]) for lo, hi in bounds]
+    y_all = np.asarray(labels, dtype=np.float64)
+    v = np.zeros(vectors.n_cols)
+    s = 1.0
     b = 0.0
     rng = np.random.default_rng(seed)
     t = 0
     history: list[float] = []
-
-    def objective() -> float:
-        hinge = 0.0
-        for vec, y in zip(vectors, labels):
-            hinge += max(0.0, 1.0 - y * (_sparse_dot(w, vec) + b))
-        return 0.5 * lam * float(w @ w) + hinge / len(vectors)
-
     for _ in range(epochs):
-        for j in rng.permutation(len(vectors)):
+        for j in rng.permutation(len(rows)).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            vec, y = vectors[j], labels[j]
-            margin = y * (_sparse_dot(w, vec) + b)
-            w *= 1.0 - eta * lam
+            (idx, x), y = rows[j], labels[j]
+            margin = y * (s * v[idx].dot(x) + b)
+            s *= 1.0 - eta * lam
+            if s < 1e-9:  # fold s into v before dividing by it; the first step sets it to 0
+                v *= s
+                s = 1.0
             if margin < 1.0:
-                for idx, value in vec.items():
-                    w[idx] += eta * y * value
+                v[idx] += np.multiply(x, eta * y / s)
                 b += eta * y
-        history.append(objective())
-    return w, b, history
+        w = s * v
+        hinge = np.maximum(0.0, 1.0 - y_all * (vectors.dot(w) + b)).sum()
+        history.append(0.5 * lam * float(w @ w) + float(hinge) / len(labels))
+    return s * v, b, history
 
 
 def embed_average(sequence, vocab: Vocabulary, embedding: np.ndarray) -> np.ndarray:
@@ -315,32 +317,22 @@ def fit_traditional(
     if kind == "pretrained_embed_svm":
         if embedding is None:
             raise DataError("pretrained_embed_svm requires an embedding matrix")
-        model.embedding = embedding
-        feats = [embed_average(s, vocab, embedding) for s in sequences]
-        dense = [{i: float(v) for i, v in enumerate(f) if v != 0.0} for f in feats]
-        svm_labels = [1 if y == 1 else -1 for y in labels]
-        w, b, history = train_linear_svm(
-            dense, svm_labels, lam=lam, epochs=epochs, seed=seed, dim=embedding.shape[1]
-        )
-        model.weights, model.bias, model.objective_history = w, b, history
-        model.features = "embed_average"
-        return model
-
-    if features == "tfidf":
-        model.tfidf = fit_tfidf(sequences, vocab)
-        vectors = [transform(s, vocab, model.tfidf) for s in sequences]
+        model.embedding, model.features = embedding, "embed_average"
+        vectors = Csr.from_dense(_featurize(model, sequences))
     else:
-        vectors = [bow_counts(s, vocab) for s in sequences]
-
+        vectors = bow_counts(sequences, vocab)
+        if features == "tfidf":
+            model.tfidf = fit_tfidf(vectors)
+            vectors = transform(vectors, model.tfidf)
     if kind == "mnb":
-        prior, log_prob = train_mnb(vectors, labels, alpha=alpha, vocab_size=vocab.size)
-        model.class_log_prior, model.feature_log_prob = prior, log_prob
-    elif kind == "svm":
-        svm_labels = [1 if y == 1 else -1 for y in labels]
-        w, b, history = train_linear_svm(
-            vectors, svm_labels, lam=lam, epochs=epochs, seed=seed, dim=vocab.size
+        model.class_log_prior, model.feature_log_prob = train_mnb(
+            vectors, labels, alpha=alpha, vocab_size=vocab.size
         )
-        model.weights, model.bias, model.objective_history = w, b, history
+    elif kind in ("svm", "pretrained_embed_svm"):
+        svm_labels = [1 if y == 1 else -1 for y in labels]
+        model.weights, model.bias, model.objective_history = train_linear_svm(
+            vectors, svm_labels, lam=lam, epochs=epochs, seed=seed
+        )
     else:
         raise DataError(f"unknown traditional detector kind: {kind!r}")
     return model
@@ -376,36 +368,19 @@ def fit_detector(hp_dict: dict, items, labels, seed: int, vocab_kind: str, lm=No
         )
     if model_type not in ("mnb", "svm"):
         raise DataError(f"unknown model type: {model_type!r}")
-    lam = hp_dict.get("lam", 1e-2)
-    epochs = hp_dict.get("epochs", 20)
-    if lm is None:
-        return fit_traditional(
-            items,
-            labels,
-            kind=model_type,
-            hp=hp,
-            features=hp_dict.get("features", "bow"),
-            alpha=hp_dict.get("alpha", 1.0),
-            lam=lam,
-            epochs=epochs,
-            seed=seed,
-            vocab_kind=vocab_kind,
-        )
-    if model_type != "svm" or mode != "embedding_only":
-        raise DataError(
-            f"a pre-trained language model cannot initialize model {model_type!r} in mode {mode!r}: "
-            "it serves dl in either mode and svm in embedding_only"
-        )
+    # how the sequences become features: a language model brings its vocabulary and embedding
+    feature_args = {"features": hp_dict.get("features", "bow"), "alpha": hp_dict.get("alpha", 1.0)}
+    if lm is not None:
+        if model_type != "svm" or mode != "embedding_only":
+            raise DataError(
+                f"a pre-trained language model cannot initialize model {model_type!r} in mode {mode!r}: "
+                "it serves dl in either mode and svm in embedding_only"
+            )
+        model_type = "pretrained_embed_svm"
+        feature_args = {"vocab": lm.vocab, "embedding": lm.network.stack.embedding.p["M"]}
     return fit_traditional(
-        items,
-        labels,
-        kind="pretrained_embed_svm",
-        hp=hp,
-        lam=lam,
-        epochs=epochs,
-        seed=seed,
-        vocab=lm.vocab,
-        embedding=lm.network.stack.embedding.p["M"],
+        items, labels, kind=model_type, hp=hp, lam=hp_dict.get("lam", 1e-2), epochs=hp_dict.get("epochs", 20),
+        seed=seed, vocab_kind=vocab_kind, **feature_args
     )
 
 
@@ -435,10 +410,7 @@ def save_detector(model: DetectorModel, path):
         raise DataError(f"cannot save detector of kind {model.kind!r}")
     if model.tfidf is not None:
         header["tfidf_n_documents"] = model.tfidf.n_documents
-        df = np.zeros(model.vocab.size)
-        for idx, value in model.tfidf.df.items():
-            df[idx] = value
-        blocks.append(("tfidf.df", df))
+        blocks.append(("tfidf.df", model.tfidf.df))
     save_checkpoint(path, model.kind, header, blocks)
 
 
@@ -471,7 +443,7 @@ def load_detector(path) -> DetectorModel:
         expected = {"embedding.M": (vocab.size, *width), "svm.w": width, "svm.b": (1,)}
     else:
         raise CheckpointError(f"unknown detector kind in checkpoint: {kind!r}")
-    if "tfidf.df" in blocks:
+    if model.features == "tfidf":
         expected["tfidf.df"] = (vocab.size,)
     arrays = {name: np.zeros(shape) for name, shape in expected.items()}
     load_blocks({name: (a, None) for name, a in arrays.items()}, blocks, path)
@@ -482,9 +454,6 @@ def load_detector(path) -> DetectorModel:
         model.weights = arrays["svm.w"]
         model.bias = float(arrays["svm.b"][0])
         model.embedding = arrays.get("embedding.M")
-    if "tfidf.df" in arrays:
-        df = {i: int(v) for i, v in enumerate(arrays["tfidf.df"]) if v > 0}
-        model.tfidf = TfIdfModel(
-            vocab_size=vocab.size, n_documents=int(header["tfidf_n_documents"]), df=df
-        )
+    if model.features == "tfidf":
+        model.tfidf = TfIdfModel(n_documents=int(header["tfidf_n_documents"]), df=arrays["tfidf.df"])
     return model

@@ -258,6 +258,8 @@ def cross_project_rounds(items, labels, projects, recipe, tags=None) -> tuple[li
             warnings.warn(f"project {tag!r} has no examples; skipped", stacklevel=2)
             continue
         rounds.append((index, tag, test_ids))
+    if not rounds:
+        raise DataError(f"no examples belong to any of the projects {list(tags)}")
     scores = run_trials(items, labels, [(recipe, index, test_ids) for index, _, test_ids in rounds])
     rows = [
         {"project": tag, "test_size": len(test_ids), **row}

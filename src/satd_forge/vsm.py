@@ -1,59 +1,110 @@
 """Vector space model: bag-of-words counts and TF-IDF weighting for the
-traditional classifiers. Documents are sparse {term_index: weight} maps.
+traditional classifiers. A document set is one CSR matrix, a row per
+document and a column per vocabulary term.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DataError
 from .textpipe import Vocabulary
 
 
-def bow_counts(document, vocab: Vocabulary) -> dict[int, float]:
-    """Occurrence counts per vocabulary term; out-of-vocabulary tokens ignored."""
-    counts: dict[int, float] = {}
-    index_of = vocab.index_of
-    for tok in document:
-        idx = index_of.get(tok)
-        if idx is None:
-            continue
-        counts[idx] = counts.get(idx, 0.0) + 1.0
-    return counts
+@dataclass
+class Csr:
+    """Compressed sparse rows: row r holds `data[indptr[r]:indptr[r + 1]]`
+    at columns `indices[indptr[r]:indptr[r + 1]]`."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
+
+    @classmethod
+    def from_entries(cls, rows, cols, data, n_rows: int, n_cols: int) -> "Csr":
+        """Entries listed row by row; each row keeps their order."""
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return cls(indptr, np.asarray(cols, dtype=np.int64), np.asarray(data, dtype=np.float64), n_cols)
+
+    @classmethod
+    def from_dense(cls, matrix) -> "Csr":
+        """The nonzero entries of a 2-D array."""
+        rows, cols = np.nonzero(matrix)
+        return cls.from_entries(rows, cols, matrix[rows, cols], *matrix.shape)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __iter__(self):
+        """Each row as {column: value}; for oracles and tests."""
+        for a, b in zip(self.indptr[:-1], self.indptr[1:]):
+            yield dict(zip(self.indices[a:b].tolist(), self.data[a:b].tolist()))
+
+    def row_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def dot(self, w: np.ndarray) -> np.ndarray:
+        """The matrix times a vector. Each row adds its entries one by one,
+        in stored order."""
+        sums = np.bincount(self.row_ids(), weights=self.data * w[self.indices], minlength=len(self))
+        return sums.astype(np.float64)  # a bincount of no entries is integer
+
+
+def bow_counts(documents, vocab: Vocabulary) -> Csr:
+    """Occurrence counts per vocabulary term, one row per document;
+    out-of-vocabulary tokens ignored. A row lists its terms in order of
+    first occurrence."""
+    documents = list(documents)
+    tokens = itertools.chain.from_iterable(documents)
+    cols = np.fromiter(map(vocab.index_of.get, tokens, itertools.repeat(-1)), dtype=np.int64)
+    rows = np.repeat(np.arange(len(documents)), [len(doc) for doc in documents])
+    known = cols >= 0
+    keys, first, counts = np.unique(rows[known] * vocab.size + cols[known], return_index=True, return_counts=True)
+    order = np.argsort(first)
+    keys, counts = keys[order], counts[order]
+    return Csr.from_entries(keys // vocab.size, keys % vocab.size, counts, len(documents), vocab.size)
 
 
 @dataclass
 class TfIdfModel:
-    vocab_size: int
     n_documents: int
-    df: dict[int, int]
-    idf: dict[int, float] = field(default_factory=dict)
+    df: np.ndarray  # training documents containing each term
 
-    def __post_init__(self):
-        if not self.idf:
-            self.idf = {
-                t: math.log(self.n_documents / df_t) + 1.0 for t, df_t in self.df.items()
-            }
+    @property
+    def idf(self) -> np.ndarray:
+        """ln(|D|/df) + 1, and 0 for terms unseen at fit time."""
+        return (np.log(self.n_documents / np.maximum(self.df, 1)) + 1.0) * (self.df > 0)
 
 
-def fit_tfidf(documents, vocab: Vocabulary) -> TfIdfModel:
-    """Document frequencies over the training documents; idf = ln(|D|/df) + 1."""
-    documents = list(documents)
-    if not documents:
+def fit_tfidf(counts: Csr) -> TfIdfModel:
+    """Document frequencies over the training documents' counts;
+    idf = ln(|D|/df) + 1."""
+    if not len(counts):
         raise DataError("cannot fit TF-IDF on an empty document set")
-    df: dict[int, int] = {}
-    for doc in documents:
-        for idx in set(bow_counts(doc, vocab)):
-            df[idx] = df.get(idx, 0) + 1
-    return TfIdfModel(vocab_size=vocab.size, n_documents=len(documents), df=df)
+    df = np.bincount(counts.indices, minlength=counts.n_cols).astype(np.float64)
+    return TfIdfModel(n_documents=len(counts), df=df)
 
 
-def transform(document, vocab: Vocabulary, model: TfIdfModel) -> dict[int, float]:
-    """tf(t, d) * idf(t); terms unseen at fit time get weight zero."""
-    weighted: dict[int, float] = {}
-    for idx, tf in bow_counts(document, vocab).items():
-        idf = model.idf.get(idx)
-        if idf is not None:
-            weighted[idx] = tf * idf
-    return weighted
+def transform(counts: Csr, model: TfIdfModel) -> Csr:
+    """tf(t, d) * idf(t); terms unseen at fit time are dropped (weight zero)."""
+    seen = model.df[counts.indices] > 0
+    cols = counts.indices[seen]
+    return Csr.from_entries(
+        counts.row_ids()[seen], cols, counts.data[seen] * model.idf[cols], len(counts), counts.n_cols
+    )
+
+
+def as_csr(vectors, n_cols: int) -> Csr:
+    """A Csr as it is; {column: value} maps, each row in its own order, as
+    an `n_cols`-wide Csr."""
+    if isinstance(vectors, Csr):
+        return vectors
+    rows = list(vectors)
+    row_of = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    cols, data = [c for row in rows for c in row], [v for row in rows for v in row.values()]
+    return Csr.from_entries(row_of, cols, data, len(rows), n_cols)

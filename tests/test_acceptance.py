@@ -182,9 +182,9 @@ def test_criterion_03_tfidf_and_mnb_oracles():
         ["parser", "fix", "todo", "extra"],
     ]
     vocab = build_vocabulary(docs, "code")
-    model = fit_tfidf(docs, vocab)
-    for doc in docs:
-        got = transform(doc, vocab, model)
+    counts = bow_counts(docs, vocab)
+    model = fit_tfidf(counts)
+    for doc, got in zip(docs, transform(counts, model)):
         for term in set(doc):
             tf = doc.count(term)
             df = sum(1 for d in docs if term in d)
@@ -197,7 +197,7 @@ def test_criterion_03_tfidf_and_mnb_oracles():
     toy = [["todo", "hack"], ["good", "code"]]
     labels = [1, 0]
     tvocab = build_vocabulary(toy, "code")
-    vectors = [bow_counts(d, tvocab) for d in toy]
+    vectors = bow_counts(toy, tvocab)
     prior, log_prob = train_mnb(vectors, labels, alpha=1.0, vocab_size=tvocab.size)
     V = tvocab.size
     assert abs(prior[1] - math.log(0.5)) < 1e-12

@@ -3,6 +3,7 @@ for the low-level reader and for each model loader."""
 
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +165,14 @@ def test_linear_block_cut_short(tmp_path, model, block, cut):
         load_detector(path)
 
 
+def test_tfidf_checkpoint_without_df_block(tmp_path):
+    path = tmp_path / "m.ckpt"
+    linear_ckpt(path, "svm", "tfidf")
+    rewrite(path, drop("tfidf.df"))
+    with pytest.raises(CheckpointError, match=named(path, "tfidf.df") + ".*missing"):
+        load_detector(path)
+
+
 @pytest.mark.parametrize("model", sorted(LINEAR))
 def test_linear_round_trip(tmp_path, model):
     path, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
@@ -180,6 +189,24 @@ def test_cli_detect_cut_mnb_block_exits_2(tmp_path, capsys):
     lines.write_text("// c b c\n")
     assert main(["detect", "--model", str(model), "--input", str(lines), "--kind", "comment"]) == 2
     assert "'feature_log_prob'" in capsys.readouterr().err
+
+
+LINEAR_FIXTURES = Path(__file__).parent / "fixtures" / "linear"
+
+
+# written by the dict-based featurization; see fixtures/linear/README.md
+@pytest.mark.parametrize("name, kind", [("mnb_tfidf", "mnb"), ("svm_tfidf", "svm")])
+def test_older_linear_checkpoint_reads_and_detects_the_same(tmp_path, capsys, name, kind):
+    path = LINEAR_FIXTURES / f"{name}.ckpt"
+    header, _ = load_checkpoint(path)
+    assert header["format_version"] == 1
+    model = load_detector(path)
+    assert (model.kind, model.features) == (kind, "tfidf")
+    again = tmp_path / "again.ckpt"
+    save_detector(model, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert main(["detect", "--model", str(path), "--input", str(LINEAR_FIXTURES / "lines.txt")]) == 0
+    assert capsys.readouterr().out == (LINEAR_FIXTURES / f"{name}.out").read_text(encoding="utf-8")
 
 
 def test_failed_save_keeps_old_checkpoint(tmp_path):

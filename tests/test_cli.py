@@ -495,3 +495,32 @@ class TestBadOptionFiles:
                    "--report", str(report)) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert report.read_text() == "taken"
+
+
+class TestNonUtf8Files:
+    """A file that is not UTF-8 is a data error (exit 2) naming the path and
+    the first bad byte, and nothing is printed or written."""
+
+    def test_latin1_detect_input(self, tmp_path, capsys):
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
+        hp = tmp_path / "hp.json"
+        hp.write_text(json.dumps({"model": "mnb"}))
+        model = tmp_path / "m.ckpt"
+        assert run("train", str(data), "--task", "detect-comment", "--hp", str(hp), "--out", str(model)) == 0
+        inputs = tmp_path / "lines.txt"
+        raw = "// todo fix\n// caf\xe9 hack\n".encode("latin-1")
+        inputs.write_bytes(raw)
+        capsys.readouterr()
+        assert run("detect", "--model", str(model), "--input", str(inputs)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {inputs}: not UTF-8 (invalid continuation byte at byte {raw.index(0xE9)})\n"
+
+    def test_latin1_hp_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
+        raw = '{"model": "mnb", "note": "caf\xe9"}'.encode("latin-1")
+        (tmp_path / "hp.json").write_bytes(raw)
+        assert run("cv", str(data), "--task", "detect-comment", "--hp", "hp.json", "--report", "rep") == 2
+        assert capsys.readouterr().err == f"error: hp.json: not UTF-8 (invalid continuation byte at byte {raw.index(0xE9)})\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]

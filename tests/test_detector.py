@@ -161,7 +161,7 @@ class TestMnb:
         docs = [["todo", "hack"], ["good", "code"]]
         labels = [1, 0]
         vocab = build_vocabulary(docs, "code")
-        vectors = [bow_counts(d, vocab) for d in docs]
+        vectors = bow_counts(docs, vocab)
         prior, log_prob = train_mnb(vectors, labels, alpha=1.0, vocab_size=vocab.size)
         V = vocab.size  # 5 including the reserved token
         assert prior[0] == pytest.approx(math.log(0.5), abs=1e-12)
@@ -202,7 +202,7 @@ class TestMnb:
         labels = [1, 1, 1, 1, 0, 0, 0, 0]
         alpha = 1.0
         vocab = build_vocabulary(docs, "code")
-        vectors = [bow_counts(d, vocab) for d in docs]
+        vectors = bow_counts(docs, vocab)
         prior, log_prob = train_mnb(vectors, labels, alpha=alpha, vocab_size=vocab.size)
         for c in (0, 1):
             class_docs = [d for d, y in zip(docs, labels) if y == c]

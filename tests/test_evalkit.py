@@ -302,6 +302,11 @@ class TestCrossProject:
             )
         assert len(rows) == 2
 
+    def test_no_tagged_project_has_examples(self):
+        items, labels, projects = [0, 1, 2, 3], [1, 0, 1, 0], ["p1", "p1", "p2", "p2"]
+        with pytest.warns(UserWarning), pytest.raises(DataError, match=r"\['x', 'y'\]"):
+            cross_project_rounds(items, labels, projects, lambda *a: {"f1": 1.0}, tags=["x", "y"])
+
 
 class TestReport:
     def test_report_bundle(self, tmp_path):
