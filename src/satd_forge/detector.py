@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .checkpoint import load_blocks, load_checkpoint, save_checkpoint, save_network
-from .errors import CheckpointError, DataError, TrainingError
+from .errors import CheckpointError, DataError, TrainingError, check_positive, check_training_hp
 from .textpipe import Vocabulary, build_vocabulary, length_sorted_chunks, pad_batch
 from .vsm import Csr, TfIdfModel, as_csr, bow_counts, fit_tfidf, transform
 
@@ -35,7 +35,9 @@ class DetectorHp:
     @classmethod
     def from_dict(cls, obj: dict) -> "DetectorHp":
         known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
+        hp = cls(**{k: v for k, v in obj.items() if k in known})
+        check_training_hp(hp)
+        return hp
 
 
 class DetectorNetwork(tc.Network):
@@ -250,6 +252,7 @@ def train_linear_svm(
     violations. The weights are kept as w = s * v, so the decay at each
     step scales s alone. Returns (weights, bias, per-epoch objective values).
     """
+    check_positive("lam", lam)
     labels = [int(v) for v in labels]
     if any(y not in (-1, 1) for y in labels):
         raise DataError("SVM labels must be -1 or +1")

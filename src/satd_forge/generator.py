@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .checkpoint import load_blocks, load_checkpoint, save_network
-from .errors import DataError
+from .errors import DataError, check_training_hp
 from .textpipe import EOS, SOS, Vocabulary, build_vocabulary, length_sorted_chunks, pad_batch
 
 
@@ -35,7 +35,9 @@ class GeneratorHp:
     @classmethod
     def from_dict(cls, obj: dict) -> "GeneratorHp":
         known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
+        hp = cls(**{k: v for k, v in obj.items() if k in known})
+        check_training_hp(hp)
+        return hp
 
 
 class Attention:

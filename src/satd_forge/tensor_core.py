@@ -67,16 +67,6 @@ def bce_loss(y, p):
     return loss, dp
 
 
-def softmax_cross_entropy(logits, target: int):
-    """Distribution, loss -log p[target], and gradient at the logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    probs = softmax(logits)
-    loss = -math.log(max(probs[target], 1e-300))
-    grad = probs.copy()
-    grad[target] -= 1.0
-    return probs, loss, grad
-
-
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-scaling dropout mask: 0 with probability `rate`, else 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
@@ -136,12 +126,15 @@ class LstmLayer:
     Gate order in the fused weight matrices is input, forget, output,
     candidate. Past its length a row's state and cell stay unchanged.
 
-    Rows run sorted longest first and step t updates only the rows still
-    active, a leading slice; a finished row's last state is carried to
-    the end once. The input projection of every step is one matrix
-    product, and so are the weight and input gradients. Storage is
-    time-major: rows already sorted and time-major (as `LstmStack`
-    passes them) are used as they are, anything else is copied once.
+    Inside, the layer keeps only the real cells, packed as in PyTorch's
+    `PackedSequence`: time-major, rows sorted longest first, so step t is
+    rows `off[t]:off[t+1]` of an (N_real, ·) array. The input projection,
+    the gate-derivative factors and the weight and input gradients are one
+    vectorized operation each over the real cells. A step applies one tanh
+    to all four gates: the sigmoid columns of the weights are halved once
+    per call (exact, a power of two), and sigmoid(x) = (1 + tanh(x/2))/2.
+    The states at padding carry a row's last state, and they and the
+    finals are one gather each from the initial and the packed states.
     """
 
     def __init__(self, input_size: int, state_size: int, rng: np.random.Generator):
@@ -155,112 +148,115 @@ class LstmLayer:
         }
         self.p["b"][h : 2 * h] = 1.0  # forget-gate bias
         self.g = {k: np.zeros_like(v) for k, v in self.p.items()}
+        self.gate_scale = np.where(np.arange(4 * h) < 3 * h, 0.5, 1.0)
 
     def forward(self, X: np.ndarray, mask: np.ndarray, h0=None, c0=None):
         """Returns (states (B, T, H), final (h, c), cache)."""
         B, T, D = X.shape
         H = self.state_size
-        Wh, b = self.p["Wh"], self.p["b"]
         lengths = row_lengths(mask)
         order = longest_first(lengths)
-        Xt = X.transpose(1, 0, 2)
-        if order is not None:
-            lengths, Xt = lengths[order], Xt[:, order]
-        Xt = np.ascontiguousarray(Xt)
-        gates = np.empty((T, B, 4 * H))  # pre-activations, then gate values
-        np.matmul(Xt.reshape(T * B, D), self.p["Wx"], out=gates.reshape(T * B, 4 * H))
-        hs, cs = np.empty((T + 1, B, H)), np.empty((T + 1, B, H))
-        hs[0] = 0.0 if h0 is None else _rows(h0, order)
-        cs[0] = 0.0 if c0 is None else _rows(c0, order)
-        active = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1).tolist()
-        for t, n in enumerate(active):
-            if n == 0:
-                break
-            z = gates[t, :n]
-            z += hs[t, :n] @ Wh
-            z += b
-            z[:, : 3 * H] = sigmoid(z[:, : 3 * H])
-            np.tanh(z[:, 3 * H :], out=z[:, 3 * H :])
-            c = cs[t + 1, :n]
-            np.multiply(z[:, H : 2 * H], cs[t, :n], out=c)
-            c += z[:, :H] * z[:, 3 * H :]
-            h = hs[t + 1, :n]
-            np.tanh(c, out=h)
-            h *= z[:, 2 * H : 3 * H]
-        groups = _finished_groups(lengths, T)
-        for length, lo, hi in groups:
-            hs[length + 1 :, lo:hi] = hs[length, lo:hi]
-            cs[length + 1 :, lo:hi] = cs[length, lo:hi]
-        finite = np.isfinite(hs[1:]).all(axis=(1, 2))
-        if not finite.all():
-            raise TrainingError(f"non-finite LSTM state at timestep {int(np.argmin(finite))}")
-        states = hs[1:].transpose(1, 0, 2)
-        final = (hs[T], cs[T])
-        if order is not None:
-            inv = np.argsort(order)
-            states, final = states[inv], (final[0][inv], final[1][inv])
-        cache = {"X": Xt, "gates": gates, "h": hs, "c": cs, "active": active, "groups": groups,
-                 "order": order}
-        return states, final, cache
+        pos = np.arange(B) if order is None else np.argsort(order)  # each row's sorted position
+        live = _rows(lengths, order) > np.arange(lengths.max(initial=0))[:, None]
+        active = np.count_nonzero(live, axis=1)
+        off = np.concatenate(([0], np.cumsum(active)))
+        # the B initial states, then the packed ones; step t reads rows start[t]:start[t]+n
+        start = np.concatenate(([0], B + off[:-1]))
+        tt, packed_rows = np.nonzero(live)
+        rows = packed_rows if order is None else order[packed_rows]  # each cell's row in X
+        N = len(tt)
+        scale = self.gate_scale
+        Xp = X[rows, tt]
+        gates = Xp @ (self.p["Wx"] * scale)  # pre-activations, then gate values
+        gates += self.p["b"] * scale
+        Wh = self.p["Wh"] * scale
+        hs, cs = np.empty((B + N, H)), np.empty((B + N, H))
+        hs[:B] = 0.0 if h0 is None else _rows(h0, order)
+        cs[:B] = 0.0 if c0 is None else _rows(c0, order)
+        h_new, c_new, tanh_c = hs[B:], cs[B:], np.empty((N, H))
+        rec, ig = np.empty((B, 4 * H)), np.empty((B, H))
+        # a step's gates are one contiguous run: x*half + shift is (1 + tanh)/2 on the sigmoid
+        # gates and leaves the candidate's tanh as it is
+        flat, half, shift = gates.reshape(-1), np.tile(scale, B), np.tile(1.0 - scale, B)
+        for lo, hi, prev in zip(off[:-1].tolist(), off[1:].tolist(), start.tolist()):
+            n = hi - lo
+            z = gates[lo:hi]
+            np.matmul(hs[prev : prev + n], Wh, out=rec[:n])
+            z += rec[:n]
+            np.tanh(z, out=z)
+            zf = flat[4 * H * lo : 4 * H * hi]
+            zf *= half[: 4 * H * n]
+            zf += shift[: 4 * H * n]
+            c = c_new[lo:hi]
+            np.multiply(z[:, H : 2 * H], cs[prev : prev + n], out=c)
+            np.multiply(z[:, :H], z[:, 3 * H :], out=ig[:n])
+            c += ig[:n]
+            np.tanh(c, out=tanh_c[lo:hi])
+            np.multiply(tanh_c[lo:hi], z[:, 2 * H : 3 * H], out=h_new[lo:hi])
+        src = start[np.minimum(np.arange(1, T + 1), lengths[:, None])] + pos[:, None]
+        states = hs[src]
+        if not np.isfinite(hs).all():
+            finite = np.isfinite(states).all(axis=(0, 2))
+            if not finite.all():
+                raise TrainingError(f"non-finite LSTM state at timestep {int(np.argmin(finite))}")
+        last = start[lengths] + pos
+        cache = {"X": Xp, "gates": gates, "h": hs, "c": cs, "tanh_c": tanh_c, "off": off,
+                 "prev": start[tt] + packed_rows, "cells": (rows, tt), "lengths": lengths,
+                 "order": order, "pos": pos, "shape": X.shape}
+        return states, (hs[last], cs[last]), cache
 
     def backward(self, dstates, dh_final, dc_final, cache):
-        """Returns (dX, dh0, dc0). The gradients of the gate pre-activations
-        overwrite the gate values, so a cache serves one backward pass."""
-        Xt, gates, hs, cs, order = cache["X"], cache["gates"], cache["h"], cache["c"], cache["order"]
-        T, B, D = Xt.shape
+        """Returns (dX, dh0, dc0). The gate-derivative factors, then the
+        gradients of the gate pre-activations, overwrite the gate values, so
+        a cache serves one backward pass."""
+        Xp, gates, hs, tanh_c, off = cache["X"], cache["gates"], cache["h"], cache["tanh_c"], cache["off"]
+        (rows, tt), lengths, order, pos = cache["cells"], cache["lengths"], cache["order"], cache["pos"]
+        B, T, D = cache["shape"]
         H = self.state_size
-        Wx, Wh = self.p["Wx"], self.p["Wh"]
-        dh = np.zeros((B, H)) if dh_final is None else np.array(_rows(dh_final, order), dtype=np.float64)
-        dc = np.zeros((B, H)) if dc_final is None else np.array(_rows(dc_final, order), dtype=np.float64)
-        dS = None if dstates is None else _rows(dstates, order).transpose(1, 0, 2)
-        for length, lo, hi in cache["groups"]:
-            gates[length:, lo:hi] = 0.0  # no gradient past a row's length
-            if dS is not None:  # the carried state received every later step's gradient
-                dh[lo:hi] += dS[length:, lo:hi].sum(axis=0)
-        dsig = np.empty((B, 3 * H))  # input, forget and output gate gradients
-        for t in range(T - 1, -1, -1):
-            n = cache["active"][t]
-            if n == 0:
-                continue
-            z = gates[t, :n]
-            sig, g_g = z[:, : 3 * H], z[:, 3 * H :]
-            d = dsig[:n]
-            dh_t = dh[:n]
+        N = len(Xp)
+        i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
+        forget = f.copy()
+        f *= 1.0 - f
+        f *= cache["c"][cache["prev"]]  # c_prev f(1-f)
+        dc_dh = 1.0 - tanh_c * tanh_c
+        dc_dh *= o  # o(1 - tanh^2 c)
+        o *= 1.0 - o
+        o *= tanh_c  # tanh(c) o(1-o)
+        dg = 1.0 - g * g
+        dg *= i
+        i *= 1.0 - i
+        i *= g  # g i(1-i)
+        g[...] = dg  # i(1-g^2)
+        dh = np.zeros((B, H)) if dh_final is None else np.array(dh_final, dtype=np.float64)
+        dc = np.zeros((B, H)) if dc_final is None else np.array(dc_final, dtype=np.float64)
+        dS = None
+        if dstates is not None:
+            dS = dstates[rows, tt]
+            # a state at padding is the row's carried last state
+            pad = (np.arange(T) >= lengths[:, None]).astype(np.float64)
+            dh += (pad[:, None, :] @ dstates)[:, 0]
+        dh, dc = _rows(dh, order), _rows(dc, order)
+        dZ, dc3, WhT = gates.reshape(N, 4, H), dc[:, None, :], np.ascontiguousarray(self.p["Wh"].T)
+        for lo, hi in zip(off[-2::-1].tolist(), off[:0:-1].tolist()):
+            n = hi - lo
+            dh_t, dc_t = dh[:n], dc[:n]
             if dS is not None:
-                dh_t += dS[t, :n]
-            tanh_c = np.tanh(cs[t + 1, :n])
-            np.multiply(dh_t, tanh_c, out=d[:, 2 * H :])
-            dc_t = dc[:n] + dh_t * z[:, 2 * H : 3 * H] * (1.0 - tanh_c**2)
-            np.multiply(dc_t, g_g, out=d[:, :H])
-            np.multiply(dc_t, cs[t, :n], out=d[:, H : 2 * H])
-            dg = dc_t * z[:, :H]
-            np.multiply(dc_t, z[:, H : 2 * H], out=dc[:n])
-            sig[...] = d * sig * (1.0 - sig)
-            g_g[...] = dg * (1.0 - g_g**2)
-            np.matmul(z, Wh.T, out=dh[:n])
-        dZ = gates.reshape(T * B, 4 * H)
-        self.g["Wx"] += Xt.reshape(T * B, D).T @ dZ
-        self.g["Wh"] += hs[:T].reshape(T * B, H).T @ dZ
-        self.g["b"] += dZ.sum(axis=0)
-        dX = (dZ @ Wx.T).reshape(T, B, D).transpose(1, 0, 2)
+                dh_t += dS[lo:hi]
+            dc_t += dh_t * dc_dh[lo:hi]
+            z = dZ[lo:hi]
+            z[:, :2] *= dc3[:n]
+            z[:, 2] *= dh_t
+            z[:, 3] *= dc_t
+            dc_t *= forget[lo:hi]
+            np.matmul(gates[lo:hi], WhT, out=dh_t)
+        self.g["Wx"] += Xp.T @ gates
+        self.g["Wh"] += hs[cache["prev"]].T @ gates
+        self.g["b"] += gates.sum(axis=0)
+        dX = np.zeros((B, T, D))
+        dX[rows, tt] = gates @ self.p["Wx"].T
         if order is not None:
-            inv = np.argsort(order)
-            dX, dh, dc = dX[inv], dh[inv], dc[inv]
+            dh, dc = dh[pos], dc[pos]
         return dX, dh, dc
-
-
-def _finished_groups(lengths: np.ndarray, T: int) -> list[tuple[int, int, int]]:
-    """(length, first row, end row) of each run of equal lengths below T
-    in rows sorted longest first."""
-    groups: list[list[int]] = []
-    for row, length in enumerate(lengths.tolist()):
-        if length >= T:
-            continue
-        if groups and groups[-1][0] == length:
-            groups[-1][2] = row + 1
-        else:
-            groups.append([length, row, row + 1])
-    return [tuple(g) for g in groups]
 
 
 def block_params(name: str, layer) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -303,55 +299,43 @@ class LstmStack:
         """`initial` holds (h, c) for the bottom layers; the rest start at zero.
 
         Returns (top-layer states, final (h, c) of every layer, cache).
-        The rows are sorted longest first once, for all layers, and the
-        top states and the finals are put back in the caller's order.
         """
         dropping = drop_rng is not None and drop_rate > 0.0
-        order = longest_first(row_lengths(mask))
-        idx, mask = _rows(idx, order), _rows(mask, order)
         drops, caches, finals = [], [], []
 
         def drop(X):
             if not dropping:
                 return X
-            # drawn in the caller's row order, so sorting changes no draw
-            dmask = _rows(dropout_mask(X.shape, drop_rate, drop_rng), order)
-            drops.append(dmask)
-            B, T, D = X.shape  # the product keeps the layers' time-major storage
-            return np.multiply(X, dmask, out=np.empty((T, B, D)).transpose(1, 0, 2))
+            drops.append(dropout_mask(X.shape, drop_rate, drop_rng))
+            return X * drops[-1]
 
-        X = drop(self.embedding.forward(idx.T).transpose(1, 0, 2))
+        X = drop(self.embedding.forward(idx))
         for k, layer in enumerate(self.layers):
             h0, c0 = initial[k] if k < len(initial) else (None, None)
-            X, final, cache = layer.forward(X, mask, h0=_rows(h0, order), c0=_rows(c0, order))
+            X, final, cache = layer.forward(X, mask, h0=h0, c0=c0)
             caches.append(cache)
             finals.append(final)
             X = drop(X)
-        if order is not None:
-            inv = np.argsort(order)
-            X = X[inv]
-            finals = [(h[inv], c[inv]) for h, c in finals]
-        return X, finals, {"idx": idx, "order": order, "drops": drops, "layers": caches}
+        return X, finals, {"idx": idx, "mask": mask, "drops": drops, "layers": caches}
 
     def backward(self, dstates, cache, dfinal=(None, None)):
         """`dfinal` is the gradient on the top layer's final (h, c).
 
         Returns the gradient on the bottom layer's initial (h, c).
         """
-        drops, order = list(cache["drops"]), cache["order"]
-        dstates = _rows(dstates, order)
-        dh_final, dc_final = (_rows(d, order) for d in dfinal)
+        drops = list(cache["drops"])
+        dh_final, dc_final = dfinal
         for k in range(len(self.layers) - 1, -1, -1):
             if drops:
                 dstates = dstates * drops.pop()
             dstates, dh0, dc0 = self.layers[k].backward(dstates, dh_final, dc_final, cache["layers"][k])
             dh_final = dc_final = None  # lower layers' final states feed nothing else
+        # the input gradient is zero at padding, so only real tokens reach the table
+        real = np.nonzero(cache["mask"])
+        dtokens = dstates[real]
         if drops:
-            dstates = dstates * drops.pop()
-        self.embedding.backward(dstates, cache["idx"])
-        if order is not None:
-            inv = np.argsort(order)
-            dh0, dc0 = dh0[inv], dc0[inv]
+            dtokens *= drops.pop()[real]
+        self.embedding.backward(dtokens, np.asarray(cache["idx"])[real])
         return dh0, dc0
 
 

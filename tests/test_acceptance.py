@@ -135,17 +135,21 @@ def test_criterion_02_gradient_fidelity():
         worst_overall = max(worst_overall, max(rep.values()))
         assert max(rep.values()) < 1e-4, (n_layers, pooling, rep)
 
-    # softmax + multi-class log-loss at the single-prediction level
+    # softmax + multi-class log-loss at the single-prediction level: one real position
+    def single_ce(logits, target):
+        loss, dlogits, _ = tc.masked_cross_entropy(logits[None, None, :], np.array([[target]]), np.ones((1, 1)))
+        return loss, dlogits[0, 0]
+
     rng = np.random.default_rng(300)
     logits = rng.normal(size=7)
-    _, _, grad = tc.softmax_cross_entropy(logits, 3)
+    _, grad = single_ce(logits, 3)
     eps = 1e-6
     for k in range(7):
         bumped = logits.copy()
         bumped[k] += eps
-        _, lp, _ = tc.softmax_cross_entropy(bumped, 3)
+        lp, _ = single_ce(bumped, 3)
         bumped[k] -= 2 * eps
-        _, lm, _ = tc.softmax_cross_entropy(bumped, 3)
+        lm, _ = single_ce(bumped, 3)
         fd = (lp - lm) / (2 * eps)
         rel = abs(grad[k] - fd) / max(abs(grad[k]) + abs(fd), 1e-6)
         worst_overall = max(worst_overall, rel)

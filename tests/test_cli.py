@@ -524,3 +524,27 @@ class TestNonUtf8Files:
         assert run("cv", str(data), "--task", "detect-comment", "--hp", "hp.json", "--report", "rep") == 2
         assert capsys.readouterr().err == f"error: hp.json: not UTF-8 (invalid continuation byte at byte {raw.index(0xE9)})\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]
+
+
+class TestBadHyperParameters:
+    """A malformed network or SVM hyper-parameter is a data error (exit 2)
+    naming it, raised before any training, so nothing is written."""
+
+    @pytest.mark.parametrize("command,extra,hp,name", [
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "batch_size": 0}, "batch_size"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "latent": 0}, "latent"),
+        ("train", ["--task", "generate", "--out", "m.ckpt"], {"latent": 0}, "latent"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "latent": "4"}, "latent"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "batch_size": 8.5}, "batch_size"),
+        ("pretrain", ["--out", "lm.ckpt"], {"batch_size": 0}, "batch_size"),
+        ("cv", ["--task", "detect-code", "--report", "rep"], {"model": "svm", "lam": 0}, "lam"),
+        ("cv", ["--task", "detect-code", "--report", "rep"], {"model": "svm", "epochs": "3"}, "epochs"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "epochs": -1}, "epochs"),
+    ])
+    def test_exit_2_and_nothing_written(self, tmp_path, capsys, monkeypatch, command, extra, hp, name):
+        monkeypatch.chdir(tmp_path)
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
+        (tmp_path / "hp.json").write_text(json.dumps(hp))
+        assert run(command, str(data), "--hp", "hp.json", *extra) == 2
+        assert capsys.readouterr().err.startswith(f"error: hyper-parameter {name} must be ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]

@@ -317,3 +317,23 @@ class TestPersistence:
         for seq in seqs[:4]:
             # float32 storage rounds parameters; probabilities stay close
             assert predict(loaded, seq)[0] == pytest.approx(predict(model, seq)[0], abs=1e-4)
+
+
+class TestHyperParameterRules:
+    @pytest.mark.parametrize("bad", [
+        {"latent": True}, {"layers": 0}, {"batch_size": 2.0}, {"epochs": -1}, {"epochs": False},
+        {"learning_rate": 0}, {"learning_rate": -0.1}, {"learning_rate": math.nan},
+        {"learning_rate": math.inf}, {"learning_rate": "0.01"}, {"learning_rate": True},
+    ])
+    def test_rejected(self, bad):
+        with pytest.raises(DataError, match=f"hyper-parameter {next(iter(bad))} must be"):
+            DetectorHp.from_dict(bad)
+
+    def test_boundaries_accepted(self):
+        hp = DetectorHp.from_dict({"latent": 1, "layers": 1, "batch_size": 1, "epochs": 0, "learning_rate": 1})
+        assert (hp.epochs, hp.learning_rate) == (0, 1)
+
+    @pytest.mark.parametrize("lam", [0, -1.0, math.nan, math.inf, "0.1", None])
+    def test_svm_lam(self, lam):
+        with pytest.raises(DataError, match="hyper-parameter lam must be"):
+            train_linear_svm([{0: 1.0}, {1: 1.0}], [1, -1], lam=lam)
