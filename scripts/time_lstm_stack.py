@@ -3,7 +3,7 @@
 Builds the detector's 3-layer stack at latent 256 (widths 512, 256, 128)
 over 128 right-padded sequences with seeded lognormal lengths (T=322,
 28% real cells), with 20% dropout, and prints the median wall time of
-`--repeats` passes. It uses only the public `tensor_core` API, so it
+REPEATS passes. It uses only the public `tensor_core` API, so it
 runs unchanged on older commits:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/time_lstm_stack.py
@@ -12,7 +12,6 @@ The padded layout of older commits needs about 3 GB of memory here, the
 packed one about 1.6 GB.
 """
 
-import argparse
 import statistics
 import time
 
@@ -21,12 +20,10 @@ import numpy as np
 from satd_forge import tensor_core as tc
 
 BATCH, LATENT, LAYERS, VOCAB = 128, 256, 3, 2000
+REPEATS = 3
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeats", type=int, default=3)
-    args = ap.parse_args()
     rng = np.random.default_rng(0)
     lengths = np.clip(rng.lognormal(np.log(65), 0.8, BATCH).astype(int), 1, 1500)
     T = int(lengths.max())
@@ -35,7 +32,7 @@ def main():
     stack = tc.LstmStack(VOCAB, LATENT, tc.detector_layer_sizes(LATENT, LAYERS), rng)
     dtop = rng.normal(size=(BATCH, T, stack.layers[-1].state_size)) * mask[:, :, None]
     times = []
-    for _ in range(args.repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         _, _, cache = stack.forward(idx, mask, np.random.default_rng(1), 0.2)
         stack.backward(dtop, cache)

@@ -35,9 +35,7 @@ class DetectorHp:
     @classmethod
     def from_dict(cls, obj: dict) -> "DetectorHp":
         known = {f for f in cls.__dataclass_fields__}
-        hp = cls(**{k: v for k, v in obj.items() if k in known})
-        check_training_hp(hp)
-        return hp
+        return cls(**{k: v for k, v in obj.items() if k in known})
 
 
 class DetectorNetwork(tc.Network):
@@ -354,6 +352,7 @@ def fit_detector(hp_dict: dict, items, labels, seed: int, vocab_kind: str, lm=No
     """
     model_type = hp_dict.get("model", "dl")
     hp = DetectorHp.from_dict(hp_dict)
+    check_training_hp(hp)
     if model_type == "dl":
         usable = [(s, y) for s, y in zip(items, labels) if s]
         init_blocks = None

@@ -45,7 +45,10 @@ def check_positive(name: str, value) -> None:
 def check_training_hp(hp) -> None:
     """The rules every network's hyper-parameters share: `latent`, `layers`
     and `batch_size` are ints >= 1, `epochs` an int >= 0, and
-    `learning_rate` a finite number > 0."""
+    `learning_rate` a finite number > 0.
+
+    The training entry points call it; loading a checkpoint does not, so
+    a header whose `epochs` no longer passes still loads for inference."""
     for name in ("latent", "layers", "batch_size"):
         check_count(name, getattr(hp, name), 1)
     check_count("epochs", hp.epochs, 0)

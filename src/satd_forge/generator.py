@@ -35,9 +35,7 @@ class GeneratorHp:
     @classmethod
     def from_dict(cls, obj: dict) -> "GeneratorHp":
         known = {f for f in cls.__dataclass_fields__}
-        hp = cls(**{k: v for k, v in obj.items() if k in known})
-        check_training_hp(hp)
-        return hp
+        return cls(**{k: v for k, v in obj.items() if k in known})
 
 
 class Attention:
@@ -201,6 +199,7 @@ def train_generator(
     Framed comments must carry <sos>/<eos>; the decoder trains on the
     sequence offset by one position.
     """
+    check_training_hp(hp)
     pairs = list(pairs)
     if not pairs:
         raise DataError("empty training set")

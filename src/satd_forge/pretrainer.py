@@ -10,7 +10,7 @@ import numpy as np
 from . import tensor_core as tc
 from .checkpoint import load_blocks, load_checkpoint, save_network
 from .detector import DetectorHp
-from .errors import DataError
+from .errors import DataError, check_training_hp
 from .textpipe import Vocabulary, build_vocabulary, pad_batch
 
 
@@ -51,6 +51,7 @@ def train_next_token_lm(
     vocab_kind: str = "code",
 ) -> LmModel:
     """Teacher-forced next-token prediction over the full sequence, Adam."""
+    check_training_hp(hp)
     # sequences shorter than 2 tokens have no next token to predict
     usable = [s for s in sequences if len(s) >= 2]
     if len(usable) < hp.batch_size:

@@ -129,6 +129,22 @@ def test_loaded_models_round_trip(tmp_path):
         assert again.read_bytes() == path.read_bytes()
 
 
+# inference reads no training setting, so a header that no longer passes the training rules still loads
+@pytest.mark.parametrize("model", sorted(LOADERS))
+def test_header_with_negative_epochs_loads(tmp_path, model):
+    path = tmp_path / "m.ckpt"
+    loader = LOADERS[model](path)
+    header, blocks = load_checkpoint(path)
+    kept = {k: v for k, v in header.items() if k not in ("kind", "format_version", "blocks")}
+    save_checkpoint(path, header["kind"], {**kept, "hp": {**kept["hp"], "epochs": -1}}, list(blocks.items()))
+    assert loader(path).hp.epochs == -1
+    if model != "lm":
+        lines = tmp_path / "lines.txt"
+        lines.write_text("if (a) { f(); }\n")
+        assert main([{"detector": "detect", "generator": "generate"}[model], "--model", str(path),
+                     "--input", str(lines)]) == 0
+
+
 def test_cli_detect_short_checkpoint_exits_2(tmp_path, capsys):
     model = tmp_path / "short.ckpt"
     model.write_bytes(MAGIC)

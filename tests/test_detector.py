@@ -15,7 +15,7 @@ from satd_forge.detector import (
     train_linear_svm,
     train_mnb,
 )
-from satd_forge.errors import DataError, TrainingError
+from satd_forge.errors import DataError, TrainingError, check_training_hp
 from satd_forge.textpipe import build_vocabulary, pad_batch
 from satd_forge.vsm import bow_counts
 
@@ -327,11 +327,11 @@ class TestHyperParameterRules:
     ])
     def test_rejected(self, bad):
         with pytest.raises(DataError, match=f"hyper-parameter {next(iter(bad))} must be"):
-            DetectorHp.from_dict(bad)
+            check_training_hp(DetectorHp.from_dict(bad))
 
     def test_boundaries_accepted(self):
-        hp = DetectorHp.from_dict({"latent": 1, "layers": 1, "batch_size": 1, "epochs": 0, "learning_rate": 1})
-        assert (hp.epochs, hp.learning_rate) == (0, 1)
+        check_training_hp(DetectorHp.from_dict({"latent": 1, "layers": 1, "batch_size": 1, "epochs": 0,
+                                                "learning_rate": 1}))
 
     @pytest.mark.parametrize("lam", [0, -1.0, math.nan, math.inf, "0.1", None])
     def test_svm_lam(self, lam):
