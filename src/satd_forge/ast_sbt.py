@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DataError
-from .java_miner import _CLOSE, _OPEN, _SKIP_KINDS, JToken, StatementError, bracket_end, skip_labels, statement_end
+from .java_miner import _SKIP_KINDS, JToken, StatementError, bracket_end, simple_end, skip_labels, statement_end
 
 
 @dataclass(frozen=True)
@@ -206,25 +206,13 @@ class _Parser:
     # -- tolerance ---------------------------------------------------------
 
     def _recover_statement(self):
-        """Last-resort consumption up to `;` at depth zero or the closing
-        brace of the enclosing block (left unconsumed)."""
-        stack: list[str] = []
-        while True:
-            t = self.peek()
-            if t is None:
-                return
-            if not stack:
-                if t.lexeme == ";":
-                    self.advance()
-                    return
-                if t.lexeme == "}":
-                    return
-            if t.lexeme in _OPEN:
-                stack.append(_OPEN[t.lexeme])
-            elif t.lexeme in _CLOSE:
-                if not stack or t.lexeme != stack.pop():
-                    return
-            self.advance()
+        """Last-resort consumption up to `;` at depth zero, or up to where
+        the simple-statement scan stops: the closing brace of the enclosing
+        block or a mismatched closer (left unconsumed), or the end."""
+        try:
+            self.i = simple_end(self.toks, self.i)
+        except StatementError as exc:
+            self.i = exc.at
 
     # -- expressions -----------------------------------------------------
 

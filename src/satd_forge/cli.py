@@ -167,11 +167,15 @@ def _mine_one(args_tuple):
 
 
 def cmd_mine(args) -> int:
+    threads = os.environ.get("SATD_THREADS", "1") or "1"
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise DataError(f"SATD_THREADS must be an integer, got {threads!r}") from None
     root = Path(args.src_dir)
     if not root.is_dir():
         raise DataError(f"not a directory: {root}")
     files = sorted(root.rglob("*.java"))
-    workers = int(os.environ.get("SATD_THREADS", "1") or "1")
     all_records = []
     all_diagnostics = []
     if workers > 1 and len(files) > 1:

@@ -164,11 +164,6 @@ def _featurize(model: DetectorModel, sequences):
     return transform(counts, model.tfidf) if model.features == "tfidf" else counts
 
 
-def predict(model: DetectorModel, sequence) -> tuple[float, bool]:
-    """Probability and label for one token sequence: `predict_many` of one."""
-    return predict_many(model, [sequence])[0]
-
-
 def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
     """Probability and label for each token sequence, in input order.
 

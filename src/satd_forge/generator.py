@@ -145,10 +145,6 @@ class Seq2SeqNetwork(tc.Network):
         self.backward(caches)
         return loss
 
-    def decode_greedy(self, enc_indices: list[int], sos: int, eos: int, max_words: int) -> list[int]:
-        """Argmax decoding of one input: `decode_greedy_many` of one."""
-        return self.decode_greedy_many([enc_indices], sos, eos, max_words)[0]
-
     def decode_greedy_many(
         self, enc_lists: list[list[int]], sos: int, eos: int, max_words: int
     ) -> list[list[int]]:
@@ -235,11 +231,6 @@ def train_generator(
         final_loss=final_loss,
         seed=seed,
     )
-
-
-def generate_comment(model: GeneratorModel, sbt_tokens) -> list[str]:
-    """Greedy decode one code sequence: `generate_comments` of one."""
-    return generate_comments(model, [sbt_tokens])[0]
 
 
 def generate_comments(model: GeneratorModel, sequences) -> list[list[str]]:

@@ -164,7 +164,12 @@ class IfFragment:
 
 
 class StatementError(Exception):
-    """A candidate the statement grammar rejects; the message says where."""
+    """A candidate the statement grammar rejects; the message says where,
+    and `at` is the index of the token where the scan stopped."""
+
+    def __init__(self, message: str, at: int):
+        super().__init__(message)
+        self.at = at
 
 
 _OPEN = {"(": ")", "{": "}", "[": "]"}
@@ -186,37 +191,38 @@ def skip_labels(toks: list[JToken], i: int) -> int:
 def bracket_end(toks: list[JToken], i: int, opener: str) -> int:
     """Index past the `opener` at `toks[i]` and its balanced contents."""
     if i >= len(toks):
-        raise StatementError("unexpected end of token stream")
+        raise StatementError("unexpected end of token stream", i)
     if toks[i].lexeme != opener:
-        raise StatementError(f"expected {opener!r}, found {toks[i].lexeme!r} at line {toks[i].line}")
+        raise StatementError(f"expected {opener!r}, found {toks[i].lexeme!r} at line {toks[i].line}", i)
     stack = [_OPEN[opener]]
     while stack:
         i += 1
         if i >= len(toks):
-            raise StatementError("unexpected end of token stream")
+            raise StatementError("unexpected end of token stream", i)
         t = toks[i]
         if t.lexeme in _OPEN:
             stack.append(_OPEN[t.lexeme])
         elif t.lexeme in _CLOSE and t.lexeme != stack.pop():
-            raise StatementError(f"mismatched {t.lexeme!r} at line {t.line}")
+            raise StatementError(f"mismatched {t.lexeme!r} at line {t.line}", i)
     return i + 1
 
 
-def _simple_end(toks: list[JToken], i: int) -> int:
-    """Index past the `;` that ends a statement at bracket depth zero."""
+def simple_end(toks: list[JToken], i: int) -> int:
+    """Index past the `;` that ends a statement at bracket depth zero; a `}`
+    there, a mismatched closer or the end of `toks` raises at that index."""
     stack: list[str] = []
     while i < len(toks):
         t = toks[i]
         if not stack and t.lexeme == ";":
             return i + 1
         if not stack and t.lexeme == "}":
-            raise StatementError(f"statement runs into enclosing block at line {t.line}")
+            raise StatementError(f"statement runs into enclosing block at line {t.line}", i)
         if t.lexeme in _OPEN:
             stack.append(_OPEN[t.lexeme])
         elif t.lexeme in _CLOSE and (not stack or t.lexeme != stack.pop()):
-            raise StatementError(f"mismatched {t.lexeme!r} at line {t.line}")
+            raise StatementError(f"mismatched {t.lexeme!r} at line {t.line}", i)
         i += 1
-    raise StatementError("unterminated statement")
+    raise StatementError("unterminated statement", i)
 
 
 def _try_end(toks: list[JToken], i: int) -> int:
@@ -246,7 +252,7 @@ def statement_end(toks: list[JToken], i: int) -> int:
     while True:
         i = skip_labels(toks, i)
         if i >= len(toks):
-            raise StatementError("statement expected, found end of stream")
+            raise StatementError("statement expected, found end of stream", i)
         t = toks[i]
         word = t.lexeme if t.kind == "keyword" else None
         if word == "if":
@@ -267,15 +273,15 @@ def statement_end(toks: list[JToken], i: int) -> int:
         elif word == "try":
             i = _try_end(toks, i)
         else:
-            i = _simple_end(toks, i)
+            i = simple_end(toks, i)
         # the innermost statement is complete; so are the pending ones it ends
         while pending:
             if pending.pop() == "do":
                 if not _is_kw(toks, i, "while"):
-                    raise StatementError("do without while")
+                    raise StatementError("do without while", i)
                 i = bracket_end(toks, i + 1, "(")
                 if not (i < len(toks) and toks[i].lexeme == ";"):
-                    raise StatementError("do-while missing semicolon")
+                    raise StatementError("do-while missing semicolon", i)
                 i += 1
             elif _is_kw(toks, i, "else"):
                 i += 1

@@ -1,8 +1,8 @@
 """Minimal neural toolkit with explicit forward and backward passes:
 embedding lookup, LSTM layers with sequence masking, the embedding ->
 LSTM stack every network is built on, pooling, dense heads, the binary
-and multi-class log-losses, inverted dropout, Adam/RMSprop, the one
-training loop, and a central-finite-difference gradient checker.
+and multi-class log-losses, inverted dropout, Adam/RMSprop and the one
+training loop.
 
 Everything runs in float64 on numpy; checkpoints store float32.
 """
@@ -108,18 +108,6 @@ def row_lengths(mask) -> np.ndarray:
     return lengths
 
 
-def longest_first(lengths: np.ndarray):
-    """Stable row order by decreasing length; None when already in that order."""
-    if np.all(lengths[:-1] >= lengths[1:]):
-        return None
-    return np.argsort(-lengths, kind="stable")
-
-
-def _rows(a, order):
-    """`a` (or None) with its rows taken in `order` (None keeps them)."""
-    return a if a is None or order is None else np.asarray(a)[order]
-
-
 class LstmLayer:
     """Single LSTM layer over right-padded (batch, time, input) sequences.
 
@@ -155,15 +143,15 @@ class LstmLayer:
         B, T, D = X.shape
         H = self.state_size
         lengths = row_lengths(mask)
-        order = longest_first(lengths)
-        pos = np.arange(B) if order is None else np.argsort(order)  # each row's sorted position
-        live = _rows(lengths, order) > np.arange(lengths.max(initial=0))[:, None]
+        order = np.argsort(-lengths, kind="stable")  # rows longest first
+        pos = np.argsort(order)  # each row's sorted position
+        live = lengths[order] > np.arange(lengths.max(initial=0))[:, None]
         active = np.count_nonzero(live, axis=1)
         off = np.concatenate(([0], np.cumsum(active)))
         # the B initial states, then the packed ones; step t reads rows start[t]:start[t]+n
         start = np.concatenate(([0], B + off[:-1]))
         tt, packed_rows = np.nonzero(live)
-        rows = packed_rows if order is None else order[packed_rows]  # each cell's row in X
+        rows = order[packed_rows]  # each cell's row in X
         N = len(tt)
         scale = self.gate_scale
         Xp = X[rows, tt]
@@ -171,8 +159,8 @@ class LstmLayer:
         gates += self.p["b"] * scale
         Wh = self.p["Wh"] * scale
         hs, cs = np.empty((B + N, H)), np.empty((B + N, H))
-        hs[:B] = 0.0 if h0 is None else _rows(h0, order)
-        cs[:B] = 0.0 if c0 is None else _rows(c0, order)
+        hs[:B] = 0.0 if h0 is None else np.asarray(h0)[order]
+        cs[:B] = 0.0 if c0 is None else np.asarray(c0)[order]
         h_new, c_new, tanh_c = hs[B:], cs[B:], np.empty((N, H))
         rec, ig = np.empty((B, 4 * H)), np.empty((B, H))
         # a step's gates are one contiguous run: x*half + shift is (1 + tanh)/2 on the sigmoid
@@ -235,7 +223,7 @@ class LstmLayer:
             # a state at padding is the row's carried last state
             pad = (np.arange(T) >= lengths[:, None]).astype(np.float64)
             dh += (pad[:, None, :] @ dstates)[:, 0]
-        dh, dc = _rows(dh, order), _rows(dc, order)
+        dh, dc = dh[order], dc[order]
         dZ, dc3, WhT = gates.reshape(N, 4, H), dc[:, None, :], np.ascontiguousarray(self.p["Wh"].T)
         for lo, hi in zip(off[-2::-1].tolist(), off[:0:-1].tolist()):
             n = hi - lo
@@ -254,9 +242,7 @@ class LstmLayer:
         self.g["b"] += gates.sum(axis=0)
         dX = np.zeros((B, T, D))
         dX[rows, tt] = gates @ self.p["Wx"].T
-        if order is not None:
-            dh, dc = dh[pos], dc[pos]
-        return dX, dh, dc
+        return dX, dh[pos], dc[pos]
 
 
 def block_params(name: str, layer) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -496,35 +482,3 @@ def fit(network: Network, optimizer, make_batch, n_items: int, hp, seed: int) ->
             epoch_losses.append(loss)
         final_loss = float(np.mean(epoch_losses))
     return final_loss
-
-
-def check_gradients(
-    loss_fn,
-    params: dict[str, np.ndarray],
-    analytic: dict[str, np.ndarray],
-    eps: float = 1e-5,
-) -> dict[str, float]:
-    """Central finite differences against analytic gradients.
-
-    `loss_fn` must be a deterministic closure over the live parameter
-    arrays (dropout disabled). Returns max relative error per block.
-    """
-    report: dict[str, float] = {}
-    for name, param in params.items():
-        grad = analytic[name]
-        flat = param.ravel()
-        fd = np.zeros(flat.size)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + eps
-            lp = loss_fn()
-            flat[k] = orig - eps
-            lm = loss_fn()
-            flat[k] = orig
-            fd[k] = (lp - lm) / (2.0 * eps)
-        ga = grad.ravel()
-        # the floor keeps finite-difference noise on near-zero coordinates
-        # from registering as relative error
-        denom = np.maximum(np.abs(ga) + np.abs(fd), 1e-6)
-        report[name] = float(np.max(np.abs(ga - fd) / denom)) if flat.size else 0.0
-    return report

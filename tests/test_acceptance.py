@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
+from gradcheck import check_gradients
 from satd_forge import tensor_core as tc
-from satd_forge.detector import DetectorHp, fit_traditional, predict, train_dl_detector
+from satd_forge.detector import DetectorHp, fit_traditional, predict_many, train_dl_detector
 from satd_forge.evalkit import (
     bleu_n,
     cross_project_rounds,
@@ -21,7 +22,7 @@ from satd_forge.evalkit import (
     stratified_folds,
     tuning_split,
 )
-from satd_forge.generator import GeneratorHp, Seq2SeqNetwork, generate_comment, train_generator
+from satd_forge.generator import GeneratorHp, Seq2SeqNetwork, generate_comments, train_generator
 from satd_forge.java_miner import mine_file
 from satd_forge.textpipe import build_vocabulary, frame_comment, pad_batch
 from satd_forge.vsm import bow_counts, fit_tfidf, transform
@@ -81,7 +82,7 @@ def test_criterion_02_gradient_fidelity():
     dpool = dense.backward(((p - y) / 1)[:, None], cache)
     emb.backward(np.repeat(dpool[:, None, :], 4, axis=1) / 4, idx)
     params, grads = _collect({"emb": emb, "dense": dense})
-    rep = tc.check_gradients(emb_loss, params, grads)
+    rep = check_gradients(emb_loss, params, grads)
     worst_overall = max(worst_overall, max(rep.values()))
     assert max(rep.values()) < 1e-4
 
@@ -131,7 +132,7 @@ def test_criterion_02_gradient_fidelity():
             dstates, _, _ = lstms[k].backward(dstates, None, None, caches[k])
         emb.backward(dstates, idx)
         params, grads = _collect(layers)
-        rep = tc.check_gradients(stack_loss, params, grads)
+        rep = check_gradients(stack_loss, params, grads)
         worst_overall = max(worst_overall, max(rep.values()))
         assert max(rep.values()) < 1e-4, (n_layers, pooling, rep)
 
@@ -167,7 +168,7 @@ def test_criterion_02_gradient_fidelity():
 
     net.loss_and_grads(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx)
     named = net.named_params()
-    rep = tc.check_gradients(
+    rep = check_gradients(
         gen_loss, {k: v[0] for k, v in named.items()}, {k: v[1] for k, v in named.items()}
     )
     worst_overall = max(worst_overall, max(rep.values()))
@@ -244,7 +245,7 @@ def test_criterion_04_detector_capability_cv():
 
         def dl_recipe(train_x, train_y, test_x, test_y, fold):
             model = train_dl_detector(train_x, train_y, hp, seed=fold)
-            preds = [predict(model, s)[1] for s in test_x]
+            preds = [predict_many(model, [s])[0][1] for s in test_x]
             return prf1(preds, test_y).as_dict()
 
         result = run_cv(seqs, labels, dl_recipe, plan)
@@ -252,7 +253,7 @@ def test_criterion_04_detector_capability_cv():
 
     def mnb_recipe(train_x, train_y, test_x, test_y, fold):
         model = fit_traditional(train_x, train_y, kind="mnb", hp=DetectorHp(), seed=fold)
-        preds = [predict(model, s)[1] for s in test_x]
+        preds = [predict_many(model, [s])[0][1] for s in test_x]
         return prf1(preds, test_y).as_dict()
 
     scores["mnb"] = run_cv(seqs, labels, mnb_recipe, plan).mean["f1"]
@@ -262,7 +263,7 @@ def test_criterion_04_detector_capability_cv():
             train_x, train_y, kind="svm", hp=DetectorHp(), features="bow",
             epochs=20, seed=fold,
         )
-        preds = [predict(model, s)[1] for s in test_x]
+        preds = [predict_many(model, [s])[0][1] for s in test_x]
         return prf1(preds, test_y).as_dict()
 
     scores["svm"] = run_cv(seqs, labels, svm_recipe, plan).mean["f1"]
@@ -279,7 +280,7 @@ def test_criterion_05_overfit_sanity():
         learning_rate=2e-3,
     )
     model = train_dl_detector(seqs, labels, hp, seed=1)
-    preds = [predict(model, s)[1] for s in seqs]
+    preds = [predict_many(model, [s])[0][1] for s in seqs]
     metrics = prf1(preds, labels)
     assert metrics.f1 == 1.0
     report(5, "40-pair training F1 hits 1.0 within 200 epochs")
@@ -328,7 +329,7 @@ def test_criterion_06_generator_memorization():
     exact = 0
     scored = []
     for code, framed in pairs:
-        hyp = generate_comment(model, code)
+        hyp = generate_comments(model, [code])[0]
         ref = framed[1:-1]
         exact += hyp == ref
         scored.append((hyp, ref))

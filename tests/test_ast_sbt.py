@@ -127,6 +127,36 @@ class TestNestingCap:
         assert cond.label == "BinaryOp:+"
 
 
+class TestRecovery:
+    """A statement the parser cannot read becomes a Stmt leaf; recovery
+    skips to where the statement grammar stops and parsing resumes there."""
+
+    COND = "( ParExpr ( Name:a ) Name:a ) ParExpr"
+
+    @pytest.mark.parametrize(
+        "source, sbt",
+        [
+            # runs into the block's `}`, which is left for the block, so the else still parses
+            (
+                "if (a) { f(); x = 1 } else { g(); }",
+                f"( IfStatement {COND} ( Block ( Call:f ) Call:f ( Stmt ) Stmt ) Block"
+                " ( Block ( Call:g ) Call:g ) Block ) IfStatement",
+            ),
+            # a mismatched closer stops the statement, then the block, at the `]`
+            ("if (a) { f(x]; } else { g(); }", f"( IfStatement {COND} ( Stmt ) Stmt ) IfStatement"),
+            # cut off at the end of the fragment
+            ("if (a) x = g(", f"( IfStatement {COND} ( Stmt ) Stmt ) IfStatement"),
+            # ended by the `;` at bracket depth zero, not the one inside the call
+            (
+                "if (a) { x = f(;); g(); }",
+                f"( IfStatement {COND} ( Block ( Stmt ) Stmt ( Call:g ) Call:g ) Block ) IfStatement",
+            ),
+        ],
+    )
+    def test_recovered_statement_sbt(self, source, sbt):
+        assert " ".join(sbt_serialize(parse(source))) == sbt
+
+
 def all_trees(max_nodes, labels):
     """Enumerate every rooted ordered tree with <= max_nodes nodes."""
 

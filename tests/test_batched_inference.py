@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from satd_forge.cli import main
-from satd_forge.detector import fit_detector, predict, predict_many
+from satd_forge.detector import fit_detector, predict_many
 from satd_forge.errors import DataError
 from satd_forge.generator import (
     GeneratorHp,
-    generate_comment,
     generate_comments,
     train_generator,
 )
@@ -57,7 +56,7 @@ class TestPredictMany:
             alone, _ = model.network.forward(matrix, mask)
             assert prob == pytest.approx(float(alone[0]), rel=0, abs=1e-12)
             assert positive == (prob >= model.threshold)
-            assert (prob, positive) == pytest.approx(predict(model, query), rel=0, abs=1e-12)
+            assert (prob, positive) == pytest.approx(predict_many(model, [query])[0], rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("hp", [
         {"model": "mnb", "features": "bow"},
@@ -69,7 +68,7 @@ class TestPredictMany:
         seqs, labels = labeled_sequences()
         model = fit_detector(hp, seqs, labels, seed=3, vocab_kind="code")
         queries = unsorted_queries()
-        assert predict_many(model, queries) == [predict(model, q) for q in queries]
+        assert predict_many(model, queries) == [predict_many(model, [q])[0] for q in queries]
 
     def test_empty_sequence_rejected(self):
         seqs, labels = labeled_sequences()
@@ -159,13 +158,13 @@ class TestDecodeGreedyMany:
         # rows leave at <eos> on different steps, and at least one row runs to the cap
         assert len(set(lengths)) >= 3 and lengths[-1] == cap and lengths[0] < cap
         assert net.decode_greedy_many(inputs, sos, eos, cap) == alone
-        assert [net.decode_greedy(enc, sos, eos, cap) for enc in inputs] == alone
+        assert [net.decode_greedy_many([enc], sos, eos, cap)[0] for enc in inputs] == alone
 
     def test_generate_comments_keeps_input_order(self, memorized):
         model, pairs = memorized
         codes = [pairs[j][0] for j in (5, 2, 0, 4, 1, 3, 2)]
         comments = generate_comments(model, codes)
-        assert comments == [generate_comment(model, c) for c in codes]
+        assert comments == [generate_comments(model, [c])[0] for c in codes]
         assert comments[2] == ["hack"]
 
     def test_empty_or_long_input_rejected(self, memorized):

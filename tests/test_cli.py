@@ -66,6 +66,21 @@ class TestMineAndLabel:
         assert run("mine", str(FIXTURES), "--out", str(parallel)) == 0
         assert read_rows(serial) == read_rows(parallel)
 
+    @pytest.mark.parametrize("threads", ["abc", "2.5"])
+    def test_malformed_thread_count_is_data_error(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("SATD_THREADS", threads)
+        assert run("mine", str(FIXTURES), "--out", str(tmp_path / "c.jsonl")) == 2
+        assert capsys.readouterr().err == f"error: SATD_THREADS must be an integer, got {threads!r}\n"
+        assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3", ""])
+    def test_thread_counts_up_to_one_are_accepted(self, tmp_path, monkeypatch, threads):
+        serial, other = tmp_path / "s.jsonl", tmp_path / "o.jsonl"
+        assert run("mine", str(FIXTURES), "--out", str(serial)) == 0
+        monkeypatch.setenv("SATD_THREADS", threads)
+        assert run("mine", str(FIXTURES), "--out", str(other)) == 0
+        assert read_rows(serial) == read_rows(other)
+
 
 def well_formed_sbt(tokens):
     """One tree: `( label` opens and `) label` closes the same label."""
@@ -540,6 +555,11 @@ class TestBadHyperParameters:
         ("cv", ["--task", "detect-code", "--report", "rep"], {"model": "svm", "lam": 0}, "lam"),
         ("cv", ["--task", "detect-code", "--report", "rep"], {"model": "svm", "epochs": "3"}, "epochs"),
         ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "epochs": -1}, "epochs"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "dropout": "0.2"}, "dropout"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "seq_cap": "1500"}, "seq_cap"),
+        ("train", ["--task", "generate", "--out", "m.ckpt"], {"code_cap": "10"}, "code_cap"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "dropout": -0.5}, "dropout"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "threshold": "0.5"}, "threshold"),
     ])
     def test_exit_2_and_nothing_written(self, tmp_path, capsys, monkeypatch, command, extra, hp, name):
         monkeypatch.chdir(tmp_path)

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from satd_forge.detector import (
     DetectorHp,
     DetectorModel,
     embed_average,
     fit_traditional,
     load_detector,
-    predict,
+    predict_many,
     save_detector,
     train_dl_detector,
     train_linear_svm,
     train_mnb,
 )
 from satd_forge.errors import DataError, TrainingError, check_training_hp
+from satd_forge.generator import GeneratorHp
 from satd_forge.textpipe import build_vocabulary, pad_batch
 from satd_forge.vsm import bow_counts
 
@@ -43,14 +45,14 @@ class TestDlDetector:
         hp = DetectorHp(latent=8, layers=1, batch_size=10, pooling="max", epochs=60,
                         learning_rate=2e-3)
         model = train_dl_detector(seqs, labels, hp, seed=1)
-        preds = [predict(model, s)[1] for s in seqs]
+        preds = [predict_many(model, [s])[0][1] for s in seqs]
         assert all(p == bool(y) for p, y in zip(preds, labels))
 
     def test_zero_epochs_predicts_near_half(self):
         seqs, labels = synthetic_corpus(10, seed=1)
         hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="mean", epochs=0)
         model = train_dl_detector(seqs, labels, hp, seed=2)
-        probs = [predict(model, s)[0] for s in seqs]
+        probs = [predict_many(model, [s])[0][0] for s in seqs]
         assert all(abs(p - 0.5) < 0.2 for p in probs)
 
     def test_same_seed_identical_checkpoint_bytes(self, tmp_path):
@@ -69,10 +71,10 @@ class TestDlDetector:
         seqs, labels = synthetic_corpus(10, seed=3)
         hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="max", epochs=0)
         model = train_dl_detector(seqs, labels, hp, seed=3)
-        prob, label = predict(model, seqs[0])
+        prob, label = predict_many(model, [seqs[0]])[0]
         assert label == (prob >= model.threshold)
         model.threshold = 0.0
-        prob2, label2 = predict(model, seqs[0])
+        prob2, label2 = predict_many(model, [seqs[0]])[0]
         assert prob2 == prob  # threshold never changes the probability
         assert label2
 
@@ -92,7 +94,7 @@ class TestDlDetector:
         seqs, labels = synthetic_corpus(10, seed=5)
         model = train_dl_detector(seqs, labels, DetectorHp(latent=8, epochs=0), seed=5)
         with pytest.raises(DataError):
-            predict(model, [])
+            predict_many(model, [[]])
 
     def test_gradients_through_dropout(self):
         # re-seeding the mask generator inside the closure makes the
@@ -113,7 +115,7 @@ class TestDlDetector:
         probs, caches = net.forward(idx, mask, np.random.default_rng(77), 0.25)
         net.backward((probs - y) / len(y), caches)
         named = net.named_params()
-        report = tc.check_gradients(
+        report = check_gradients(
             loss_fn,
             {k: v[0] for k, v in named.items()},
             {k: v[1] for k, v in named.items()},
@@ -136,7 +138,7 @@ class TestDlDetector:
 
         net.loss_and_grads(idx, mask, y)
         named = net.named_params()
-        report = tc.check_gradients(
+        report = check_gradients(
             loss_fn, {k: v[0] for k, v in named.items()}, {k: v[1] for k, v in named.items()}
         )
         assert max(report.values()) < 1e-4, report
@@ -175,15 +177,15 @@ class TestMnb:
     def test_classifies_toy_example(self):
         docs = [["todo", "hack"], ["good", "code"]]
         model = fit_traditional(docs, [1, 0], kind="mnb", hp=DetectorHp())
-        _, positive = predict(model, ["todo"])
+        _, positive = predict_many(model, [["todo"]])[0]
         assert positive
-        _, positive = predict(model, ["good"])
+        _, positive = predict_many(model, [["good"]])[0]
         assert not positive
 
     def test_tie_breaks_negative(self):
         docs = [["a"], ["a"]]
         model = fit_traditional(docs, [1, 0], kind="mnb", hp=DetectorHp())
-        prob, positive = predict(model, ["a"])
+        prob, positive = predict_many(model, [["a"]])[0]
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert not positive
 
@@ -265,7 +267,7 @@ class TestSvm:
             weights=np.zeros(2),
             bias=0.0,
         )
-        _, positive = predict(model, ["a"])
+        _, positive = predict_many(model, [["a"]])[0]
         assert not positive
 
 
@@ -305,7 +307,7 @@ class TestPersistence:
         loaded = load_detector(path)
         assert loaded.kind == kind
         for seq in seqs:
-            assert predict(loaded, seq)[1] == predict(model, seq)[1]
+            assert predict_many(loaded, [seq])[0][1] == predict_many(model, [seq])[0][1]
 
     def test_dl_round_trip_predictions_match(self, tmp_path):
         seqs, labels = synthetic_corpus(10, seed=9)
@@ -316,7 +318,8 @@ class TestPersistence:
         loaded = load_detector(path)
         for seq in seqs[:4]:
             # float32 storage rounds parameters; probabilities stay close
-            assert predict(loaded, seq)[0] == pytest.approx(predict(model, seq)[0], abs=1e-4)
+            expected = predict_many(model, [seq])[0][0]
+            assert predict_many(loaded, [seq])[0][0] == pytest.approx(expected, abs=1e-4)
 
 
 class TestHyperParameterRules:
@@ -324,6 +327,10 @@ class TestHyperParameterRules:
         {"latent": True}, {"layers": 0}, {"batch_size": 2.0}, {"epochs": -1}, {"epochs": False},
         {"learning_rate": 0}, {"learning_rate": -0.1}, {"learning_rate": math.nan},
         {"learning_rate": math.inf}, {"learning_rate": "0.01"}, {"learning_rate": True},
+        {"dropout": "0.2"}, {"dropout": -0.5}, {"dropout": 1.0}, {"dropout": math.nan},
+        {"dropout": True}, {"seq_cap": "1500"}, {"seq_cap": 0}, {"seq_cap": 1.0}, {"threshold": "0.5"},
+        {"threshold": -0.01}, {"threshold": 1.01}, {"threshold": math.nan}, {"threshold": math.inf},
+        {"threshold": False},
     ])
     def test_rejected(self, bad):
         with pytest.raises(DataError, match=f"hyper-parameter {next(iter(bad))} must be"):
@@ -331,7 +338,18 @@ class TestHyperParameterRules:
 
     def test_boundaries_accepted(self):
         check_training_hp(DetectorHp.from_dict({"latent": 1, "layers": 1, "batch_size": 1, "epochs": 0,
-                                                "learning_rate": 1}))
+                                                "learning_rate": 1, "dropout": 0, "seq_cap": 1,
+                                                "threshold": 0}))
+        check_training_hp(DetectorHp.from_dict({"dropout": 0.999, "threshold": 1}))
+
+    @pytest.mark.parametrize("bad", [{"code_cap": "10"}, {"code_cap": 0}, {"comment_cap": 2.5},
+                                     {"comment_cap": 0}, {"dropout": 1.5}])
+    def test_generator_rejected(self, bad):
+        with pytest.raises(DataError, match=f"hyper-parameter {next(iter(bad))} must be"):
+            check_training_hp(GeneratorHp.from_dict(bad))
+
+    def test_generator_boundaries_accepted(self):
+        check_training_hp(GeneratorHp.from_dict({"code_cap": 1, "comment_cap": 1, "dropout": 0}))
 
     @pytest.mark.parametrize("lam", [0, -1.0, math.nan, math.inf, "0.1", None])
     def test_svm_lam(self, lam):

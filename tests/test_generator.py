@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from satd_forge.errors import DataError
 from satd_forge.generator import (
     Attention,
     GeneratorHp,
     Seq2SeqNetwork,
-    generate_comment,
+    generate_comments,
     load_generator,
     save_generator,
     train_generator,
@@ -109,7 +110,7 @@ class TestTraining:
         framed = frame_comment("todo e g check metadata".split())
         hp = GeneratorHp(latent=32, layers=1, batch_size=1, epochs=120, learning_rate=2e-3)
         model = train_generator([(code, framed)], hp, seed=1)
-        out = generate_comment(model, code)
+        out = generate_comments(model, [code])[0]
         assert out == "todo e g check metadata".split()
         assert bleu_n(out, framed[1:-1], 4) == pytest.approx(1.0)
 
@@ -134,16 +135,14 @@ class TestTraining:
         a = train_generator(pairs, hp, seed=9)
         b = train_generator(pairs, hp, seed=9)
         assert a.final_loss == b.final_loss
-        out_a = generate_comment(a, pairs[0][0])
-        out_b = generate_comment(b, pairs[0][0])
+        out_a = generate_comments(a, [pairs[0][0]])[0]
+        out_b = generate_comments(b, [pairs[0][0]])[0]
         assert out_a == out_b
 
 
 class TestGradients:
     def test_two_layer_handoff_with_dropout(self):
         # the encoder's top layer hands its final state to the decoder's bottom layer
-        from satd_forge import tensor_core as tc
-
         net = Seq2SeqNetwork(code_vocab_size=6, comment_vocab_size=7, latent=3, n_layers=2, seed=8)
         enc_idx, enc_mask = pad_batch([[1, 2, 3], [4, 5]], 10)
         dec_idx, dec_mask = pad_batch([[1, 3, 4], [1, 5]], 10)
@@ -156,7 +155,7 @@ class TestGradients:
 
         net.loss_and_grads(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx, np.random.default_rng(3), 0.2)
         named = net.named_params()
-        report = tc.check_gradients(
+        report = check_gradients(
             loss_fn, {k: v[0] for k, v in named.items()}, {k: v[1] for k, v in named.items()}
         )
         assert max(report.values()) < 1e-4, report
@@ -169,7 +168,7 @@ class TestDecoding:
         model = train_generator(pairs, hp, seed=3)
         for name, (param, _) in model.network.named_params().items():
             param[...] = param * 1e-6  # keep argmax at the padding index
-        out = generate_comment(model, pairs[0][0])
+        out = generate_comments(model, [pairs[0][0]])[0]
         assert len(out) == 150
         assert SOS not in out and EOS not in out
 
@@ -177,12 +176,12 @@ class TestDecoding:
         pairs = tiny_pairs(3)
         model = train_generator(pairs, GeneratorHp(latent=8, epochs=0), seed=4)
         with pytest.raises(DataError):
-            generate_comment(model, [])
+            generate_comments(model, [[]])
 
     def test_decoding_deterministic(self):
         pairs = tiny_pairs(4)
         model = train_generator(pairs, GeneratorHp(latent=8, epochs=3), seed=5)
-        assert generate_comment(model, pairs[1][0]) == generate_comment(model, pairs[1][0])
+        assert generate_comments(model, [pairs[1][0]])[0] == generate_comments(model, [pairs[1][0]])[0]
 
 
 class TestPersistence:
@@ -194,6 +193,6 @@ class TestPersistence:
         save_generator(model, path)
         loaded = load_generator(path)
         for code, _ in pairs:
-            assert generate_comment(loaded, code) == generate_comment(loaded, code)
+            assert generate_comments(loaded, [code])[0] == generate_comments(loaded, [code])[0]
         assert loaded.comment_vocab.words == model.comment_vocab.words
         assert loaded.hp == model.hp

@@ -184,5 +184,3 @@ class TestMasks:
     def test_row_lengths(self):
         mask = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         assert tc.row_lengths(mask).tolist() == [2, 0, 3]
-        assert tc.longest_first(np.array([3, 3, 1, 0])) is None
-        assert tc.longest_first(np.array([1, 3, 3, 0])).tolist() == [1, 2, 0, 3]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from satd_forge.detector import DetectorHp, DetectorNetwork, fit_detector
 from satd_forge.errors import DataError
 from satd_forge.pretrainer import load_lm, save_lm, train_next_token_lm
@@ -53,7 +54,6 @@ class TestLm:
             np.testing.assert_array_equal(pa, pb)
 
     def test_gradients_vs_finite_differences(self):
-        from satd_forge import tensor_core as tc
         from satd_forge.pretrainer import LmNetwork
 
         net = LmNetwork(vocab_size=6, latent=4, n_layers=2, seed=3)
@@ -68,7 +68,7 @@ class TestLm:
         named = net.named_params()
         params = {k: v[0] for k, v in named.items()}
         analytic = {k: v[1].copy() for k, v in named.items()}
-        report = tc.check_gradients(loss_fn, params, analytic)
+        report = check_gradients(loss_fn, params, analytic)
         assert max(report.values()) < 1e-4, report
 
 

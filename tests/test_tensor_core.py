@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from satd_forge import tensor_core as tc
 from satd_forge.checkpoint import load_checkpoint, save_checkpoint
 from satd_forge.errors import CheckpointError, DataError, TrainingError
@@ -15,7 +16,7 @@ def gradcheck(loss_fn, layers, tol=1e-4):
         for key, value in layer.p.items():
             params[f"{name}.{key}"] = value
             grads[f"{name}.{key}"] = layer.g[key]
-    report = tc.check_gradients(loss_fn, params, grads)
+    report = check_gradients(loss_fn, params, grads)
     worst = max(report.values())
     assert worst < tol, report
     return worst
@@ -401,7 +402,7 @@ class TestLstmStack:
         analytic = {k: v[1] for k, v in named.items()}
         params.update(h0=h0, c0=c0)
         analytic.update(h0=dh0, c0=dc0)
-        report = tc.check_gradients(loss_fn, params, analytic)
+        report = check_gradients(loss_fn, params, analytic)
         assert max(report.values()) < 1e-4, report
 
     def test_upper_layers_start_at_zero(self):
