@@ -15,10 +15,13 @@ distinguishes trees is preserved.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DataError
-from .java_miner import _SKIP_KINDS, JToken, StatementError, bracket_end, simple_end, skip_labels, statement_end
+from .java_miner import (
+    END, JavaScan, JToken, StatementError, bracket_end, lex_java, simple_end, skip_labels, statement_end,
+)
 
 
 @dataclass(frozen=True)
@@ -81,53 +84,51 @@ class _Unparsable(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[JToken]):
-        self.toks = [t for t in tokens if t.kind not in _SKIP_KINDS]
-        self.i = 0
+    """Recursive descent over a JavaScan's significant tokens from index
+    `i`, up to the END entry; keyword tests compare lexemes alone (see
+    java_miner._WORD_KINDS)."""
+
+    def __init__(self, scan: JavaScan, i: int):
+        self.scan = scan
+        self.lexemes = scan.lexemes
+        self.kinds = scan.kinds
+        self.i = i
         self.depth = 0  # statements and expressions being parsed
         self.capped = False  # whether some part lay past _MAX_NESTING
 
-    def peek(self) -> JToken | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def at(self, lexeme: str) -> bool:
-        t = self.peek()
-        return t is not None and t.lexeme == lexeme
-
-    def at_kw(self, word: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "keyword" and t.lexeme == word
-
-    def advance(self) -> JToken:
-        t = self.peek()
-        if t is None:
+    def advance(self) -> int:
+        """Index of the current token, moving past it."""
+        i = self.i
+        if self.lexemes[i] == END:
             raise _Unparsable("unexpected end of fragment")
-        self.i += 1
-        return t
+        self.i = i + 1
+        return i
 
-    def expect(self, lexeme: str) -> JToken:
-        t = self.advance()
-        if t.lexeme != lexeme:
-            raise _Unparsable(f"expected {lexeme!r}, found {t.lexeme!r}")
-        return t
+    def expect(self, lexeme: str):
+        t = self.lexemes[self.i]
+        if t != lexeme:
+            if t == END:
+                raise _Unparsable("unexpected end of fragment")
+            raise _Unparsable(f"expected {lexeme!r}, found {t!r}")
+        self.i += 1
 
     # -- statements ------------------------------------------------------
 
     def parse_if(self) -> AstNode:
         """An if/else-if/else chain; each `else if` nests as the last child
         of the `if` before it."""
-        t = self.peek()
-        if t is None or not (t.kind == "keyword" and t.lexeme == "if"):
+        lexemes = self.lexemes
+        if lexemes[self.i] != "if":
             raise DataError("fragment does not start with `if`")
         links = []  # (condition, then-branch) of each `if` in the chain
         tail: tuple[AstNode, ...] = ()
         while True:
-            self.advance()
+            self.i += 1
             links.append((self.parse_par_expr(), self.parse_statement()))
-            if not self.at_kw("else"):
+            if lexemes[self.i] != "else":
                 break
-            self.advance()
-            if not self.at_kw("if"):
+            self.i += 1
+            if lexemes[self.i] != "if":
                 tail = (self.parse_statement(),)
                 break
         for cond, then in reversed(links):
@@ -142,7 +143,7 @@ class _Parser:
             self.expect(")")
             return AstNode("ParExpr", (expr,))
         except _Unparsable:
-            self.i = bracket_end(self.toks, opener, "(")
+            self.i = bracket_end(self.scan, opener, "(")
             return AstNode("ParExpr", (AstNode("Stmt"),))
 
     def parse_statement(self) -> AstNode:
@@ -153,7 +154,7 @@ class _Parser:
         try:
             if self.depth > _MAX_NESTING:
                 self.capped = True
-                self.i = statement_end(self.toks, self.i)
+                self.i = statement_end(self.scan, self.i)
                 return AstNode("Stmt")
             return self._parse_statement_strict()
         except (_Unparsable, StatementError):
@@ -164,37 +165,38 @@ class _Parser:
             self.depth -= 1
 
     def _parse_statement_strict(self) -> AstNode:
-        self.i = skip_labels(self.toks, self.i)
-        t = self.peek()
-        if t is None:
-            raise _Unparsable("statement expected")
-        if t.lexeme == "{":
+        self.i = i = skip_labels(self.scan, self.i)
+        t = self.lexemes[i]
+        if t == "{":
             return self.parse_block()
-        if t.lexeme == ";":
-            self.advance()
+        if t == ";":
+            self.i = i + 1
             return AstNode("Stmt")
-        if t.kind == "keyword":
-            if t.lexeme == "if":
+        if self.kinds[i] == "keyword":
+            if t == "if":
                 return self.parse_if()
-            if t.lexeme == "return":
-                self.advance()
-                if self.at(";"):
-                    self.advance()
+            if t == "return":
+                self.i = i + 1
+                if self.lexemes[self.i] == ";":
+                    self.i += 1
                     return AstNode("Return")
                 expr = self.parse_expression()
                 self.expect(";")
                 return AstNode("Return", (expr,))
-            self.i = statement_end(self.toks, self.i)
+            self.i = statement_end(self.scan, i)
             return AstNode("Stmt")
+        if t == END:
+            raise _Unparsable("statement expected")
         expr = self.parse_expression()
         self.expect(";")
         return expr
 
     def parse_block(self) -> AstNode:
         self.expect("{")
+        lexemes = self.lexemes
         children = []
-        while not self.at("}"):
-            if self.peek() is None:
+        while lexemes[self.i] != "}":
+            if lexemes[self.i] == END:
                 raise _Unparsable("unterminated block")
             before = self.i
             children.append(self.parse_statement())
@@ -210,7 +212,7 @@ class _Parser:
         the simple-statement scan stops: the closing brace of the enclosing
         block or a mismatched closer (left unconsumed), or the end."""
         try:
-            self.i = simple_end(self.toks, self.i)
+            self.i = simple_end(self.scan, self.i)
         except StatementError as exc:
             self.i = exc.at
 
@@ -223,9 +225,8 @@ class _Parser:
                 self.capped = True
                 raise _Unparsable("expression nested too deep")
             lhs = self.parse_ternary()
-            t = self.peek()
-            if t is not None and t.lexeme in _ASSIGN_OPS:
-                self.advance()
+            if self.lexemes[self.i] in _ASSIGN_OPS:
+                self.i += 1
                 return AstNode("Assign", (lhs, self.parse_expression()))
             return lhs
         finally:
@@ -233,8 +234,8 @@ class _Parser:
 
     def parse_ternary(self) -> AstNode:
         cond = self.parse_binary()
-        if self.at("?"):
-            self.advance()
+        if self.lexemes[self.i] == "?":
+            self.i += 1
             then = self.parse_expression()
             self.expect(":")
             other = self.parse_expression()
@@ -244,122 +245,136 @@ class _Parser:
     def parse_binary(self) -> AstNode:
         """Left-associative operators by _BINARY_LEVELS, reduced on an
         operator stack rather than one call per level."""
+        lexemes = self.lexemes
         operands = [self.parse_unary()]
         ops: list[tuple[int, str]] = []  # (level, operator) awaiting a right operand
         while True:
-            t = self.peek()
-            level = _BINARY_LEVEL.get(t.lexeme) if t is not None else None
+            t = lexemes[self.i]
+            level = _BINARY_LEVEL.get(t)
             while ops and (level is None or ops[-1][0] >= level):
                 op = ops.pop()[1]
                 rhs = operands.pop()
                 operands[-1] = AstNode(f"BinaryOp:{op}", (operands[-1], rhs))
             if level is None:
                 return operands[0]
-            self.advance()
-            ops.append((level, t.lexeme))
+            self.i += 1
+            ops.append((level, t))
             operands.append(self.parse_unary())
 
     def parse_unary(self) -> AstNode:
+        lexemes = self.lexemes
         ops = []
-        t = self.peek()
-        while t is not None and t.kind == "operator" and t.lexeme in _UNARY_OPS:
-            ops.append(t.lexeme)
-            self.advance()
-            t = self.peek()
+        while lexemes[self.i] in _UNARY_OPS:  # lexemes only the operator rule makes
+            ops.append(lexemes[self.i])
+            self.i += 1
         node = self.parse_postfix()
         for op in reversed(ops):
             node = AstNode(f"UnaryOp:{op}", (node,))
         return node
 
     def parse_postfix(self) -> AstNode:
+        lexemes, kinds = self.lexemes, self.kinds
         node = self.parse_primary()
         while True:
-            t = self.peek()
-            if t is None:
-                return node
-            if t.lexeme == ".":
-                self.advance()
+            t = lexemes[self.i]
+            if t == ".":
+                self.i += 1
                 name = self.advance()
-                if name.kind not in ("identifier", "keyword"):
-                    raise _Unparsable(f"bad member name {name.lexeme!r}")
+                if kinds[name] not in ("identifier", "keyword"):
+                    raise _Unparsable(f"bad member name {lexemes[name]!r}")
                 if node.label.startswith("Name:") and not node.children:
-                    node = AstNode(f"{node.label}.{name.lexeme}")
+                    node = AstNode(f"{node.label}.{lexemes[name]}")
                 else:
-                    node = AstNode(f"Field:{name.lexeme}", (node,))
-            elif t.lexeme == "(":
+                    node = AstNode(f"Field:{lexemes[name]}", (node,))
+            elif t == "(":
                 args = self.parse_arguments()
                 if node.label.startswith("Name:") and not node.children:
                     node = AstNode(f"Call:{node.label[5:]}", tuple(args))
                 else:
                     node = AstNode("Call", (node, *args))
-            elif t.lexeme == "[":
-                self.advance()
+            elif t == "[":
+                self.i += 1
                 index = self.parse_expression()
                 self.expect("]")
                 node = AstNode("Index", (node, index))
-            elif t.lexeme in ("++", "--"):
-                self.advance()
-                node = AstNode(f"UnaryOp:{t.lexeme}", (node,))
+            elif t == "++" or t == "--":
+                self.i += 1
+                node = AstNode(f"UnaryOp:{t}", (node,))
             else:
                 return node
 
     def parse_arguments(self) -> list[AstNode]:
+        lexemes = self.lexemes
         self.expect("(")
         args = []
-        if not self.at(")"):
+        if lexemes[self.i] != ")":
             args.append(self.parse_expression())
-            while self.at(","):
-                self.advance()
+            while lexemes[self.i] == ",":
+                self.i += 1
                 args.append(self.parse_expression())
         self.expect(")")
         return args
 
     def parse_primary(self) -> AstNode:
-        t = self.peek()
-        if t is None:
-            raise _Unparsable("expression expected")
-        if t.kind == "identifier":
-            self.advance()
-            return AstNode(f"Name:{t.lexeme}")
-        if t.kind == "literal":
-            self.advance()
-            return AstNode(f"Literal:{t.lexeme}")
-        if t.kind == "keyword" and t.lexeme in ("this", "super"):
-            self.advance()
-            return AstNode(f"Name:{t.lexeme}")
-        if t.kind == "keyword" and t.lexeme == "new":
-            self.advance()
+        lexemes = self.lexemes
+        i = self.i
+        t, kind = lexemes[i], self.kinds[i]
+        if kind == "identifier":
+            self.i = i + 1
+            return AstNode(f"Name:{t}")
+        if kind == "literal":
+            self.i = i + 1
+            return AstNode(f"Literal:{t}")
+        if t == "this" or t == "super":
+            self.i = i + 1
+            return AstNode(f"Name:{t}")
+        if t == "new":
+            self.i = i + 1
             name = self.advance()
-            if name.kind not in ("identifier", "keyword"):
+            if self.kinds[name] not in ("identifier", "keyword"):
                 raise _Unparsable("type name expected after new")
-            parts = [name.lexeme]
-            while self.at("."):
-                self.advance()
-                parts.append(self.advance().lexeme)
-            if not self.at("("):
+            parts = [lexemes[name]]
+            while lexemes[self.i] == ".":
+                self.i += 1
+                parts.append(lexemes[self.advance()])
+            if lexemes[self.i] != "(":
                 raise _Unparsable("array or generic construction")
             args = self.parse_arguments()
             return AstNode(f"New:{'.'.join(parts)}", tuple(args))
-        if t.lexeme == "(":
-            self.advance()
+        if t == "(":
+            self.i = i + 1
             expr = self.parse_expression()
             self.expect(")")
             return expr
-        raise _Unparsable(f"unexpected token {t.lexeme!r}")
+        if t == END:
+            raise _Unparsable("expression expected")
+        raise _Unparsable(f"unexpected token {t!r}")
 
 
-def parse_if_statement(tokens: list[JToken], diagnostics: list[str] | None = None) -> AstNode:
-    """Build the simplified tree for one extracted if-fragment; a fragment
-    nested past _MAX_NESTING is reported in `diagnostics`. A fragment whose
-    condition or brackets do not close raises DataError."""
-    parser = _Parser(tokens)
+def parse_if_statement(
+    tokens: Sequence[JToken], diagnostics: list[str] | None = None, span: tuple[int, int] | None = None
+) -> AstNode:
+    """Build the simplified tree for an if-fragment: all of `tokens`, or,
+    given `span`, the significant tokens [start, end) of a `lex_java` scan,
+    parsed in place with END standing in for token `end`. Any other JToken
+    list is scanned again from its lexemes. A fragment nested past
+    _MAX_NESTING is reported in `diagnostics`; one whose condition or
+    brackets do not close raises DataError."""
+    scan = tokens if isinstance(tokens, JavaScan) else lex_java("".join([t.lexeme for t in tokens]))
+    start, end = span if span is not None else (0, len(scan.lexemes) - 1)
+    lexemes, kinds = scan.lexemes, scan.kinds
+    saved = lexemes[end], kinds[end]
+    lexemes[end] = kinds[end] = END
+    parser = _Parser(scan, start)
     try:
         tree = parser.parse_if()
     except (_Unparsable, StatementError) as exc:
         raise DataError(f"unparsable if-statement: {exc}") from exc
+    finally:
+        lexemes[end], kinds[end] = saved
     if parser.capped and diagnostics is not None:
-        t = parser.toks[0]
+        line, column = scan.position(scan.starts[start])
         diagnostics.append(
-            f"truncated if-statement at line {t.line}, column {t.column}: nested deeper than {_MAX_NESTING} levels"
+            f"truncated if-statement at line {line}, column {column}: nested deeper than {_MAX_NESTING} levels"
         )
     return tree

@@ -1,10 +1,15 @@
-"""Mining of Java sources: lossless lexing, outermost if-statement
+"""Mining of Java sources: one scan per file, outermost if-statement
 extraction, comment linking, SATD keyword labeling, and deterministic
 dataset assembly.
 
+`lex_java` makes one regex pass over a file and keeps its significant
+tokens as parallel kind/lexeme/offset lists and its comments; lines and
+columns are computed only where a column or a message needs them. The
+lossless JToken list is built from the same scan, when it is read as one.
+
 Extraction does not parse full Java; it recognizes if/else-if/else chains
-with one iterative statement grammar (`statement_end`), which the SBT
-parser in `ast_sbt` shares.
+with one iterative statement grammar (`statement_end`) over the scan's
+lists, which the SBT parser in `ast_sbt` shares.
 """
 
 from __future__ import annotations
@@ -12,7 +17,11 @@ from __future__ import annotations
 import json
 import random
 import re
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from heapq import merge
+from operator import itemgetter
 from pathlib import Path
 
 from .atomic import atomic_write
@@ -46,9 +55,6 @@ JAVA_KEYWORDS = frozenset(
     this throw throws transient try void volatile while""".split()
 )
 
-_COMMENT_KINDS = ("line_comment", "block_comment")
-_SKIP_KINDS = ("whitespace",) + _COMMENT_KINDS
-
 # longest first so the alternation picks up compound operators
 _OPERATORS = sorted(
     [
@@ -68,16 +74,18 @@ _PUNCTUATION = "(){}[];,.@:"
 _NUMBER_REST = re.compile(r"(?:[\w.]|(?<=[eEpP])[+-])*")
 _IDENT_REST = re.compile(r"[\w$]*")
 
-# One alternative per token kind, tried in order. The unterminated `/*`
-# and `"""` come before the string and operator alternatives that would
-# take their first characters. ASCII starts are matched here; a non-ASCII
-# start (or a `.` before one) is `other`, which `lex_java` classifies with
+# One match is the whitespace before a token plus the token: one named
+# group per token kind, tried in order, and `end` for the whitespace at
+# the end of the source. The unterminated `/*` and `"""` come before the
+# string and operator alternatives that would take their first
+# characters. ASCII starts are matched here; a non-ASCII start (or a `.`
+# before one) is `other`, which `lex_java` classifies with
 # str.isdigit/str.isalpha.
 _MASTER = re.compile(
-    "|".join(
+    r"[ \t\r\n\f\v]*(?:"
+    + "|".join(
         f"(?P<{group}>{pattern})"
         for group, pattern in (
-            ("whitespace", r"[ \t\r\n\f\v]+"),
             ("line_comment", r"//[^\n]*"),
             ("block_comment", r"/\*.*?\*/"),
             ("text_block", r'""".*?"""'),
@@ -89,17 +97,19 @@ _MASTER = re.compile(
             ("operator", "|".join(map(re.escape, _OPERATORS))),
             ("punctuation", r"[(){}\[\];,@:]|\.(?![^\x00-\x7f])"),
             ("other", r"."),
+            ("end", r"\Z"),
         )
-    ),
+    )
+    + ")",
     re.DOTALL,
 )
 
 _GROUP_KINDS = {
-    "whitespace": "whitespace", "line_comment": "line_comment", "block_comment": "block_comment",
     "text_block": "literal", "string": "literal", "number": "literal",
     "operator": "operator", "punctuation": "punctuation",
 }
-_MULTILINE_GROUPS = frozenset(("whitespace", "block_comment", "text_block", "string"))
+# A lexeme that spells a keyword is always of kind keyword, so the grammar
+# and the parser test keywords by lexeme alone.
 _WORD_KINDS = dict.fromkeys(JAVA_KEYWORDS, "keyword") | dict.fromkeys(("true", "false", "null"), "literal")
 _UNTERMINATED = {
     "/*": "unterminated block comment",
@@ -107,9 +117,14 @@ _UNTERMINATED = {
     '"': "unterminated string literal",
     "'": "unterminated character literal",
 }
+_NEWLINE = re.compile("\n")
+
+# the kind and lexeme after the last significant token: no token has
+# it, so no grammar rule or parser test matches it
+END = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class JToken:
     kind: str  # keyword|identifier|literal|operator|punctuation|line_comment|block_comment|whitespace
     lexeme: str
@@ -117,39 +132,114 @@ class JToken:
     column: int  # 1-based character position in line
 
 
-def lex_java(source: str) -> list[JToken]:
-    """Lossless tokenization: concatenating lexemes reproduces the input."""
-    tokens: list[JToken] = []
-    append = tokens.append
+class JavaScan(Sequence):
+    """One source's tokens, as `lex_java` scans them.
+
+    The significant tokens are parallel lists (kind, lexeme, start
+    offset), closed by an END entry whose start is len(source); the
+    comments are (index of the next significant token, start offset,
+    lexeme), in order; whitespace is what lies between them. Lines and
+    columns are computed on demand from the source's newline offsets.
+    Read as a sequence, the scan is the lossless JToken list: iteration
+    makes the tokens one at a time, and `len`, indexing and `==` build
+    the list once and keep it."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.kinds: list[str] = []
+        self.lexemes: list[str] = []
+        self.starts: list[int] = []
+        self.comments: list[tuple[int, int, str]] = []
+        self._newlines: list[int] | None = None
+        self._tokens: list[JToken] | None = None
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of the character at `offset`."""
+        if self._newlines is None:
+            self._newlines = [m.start() for m in _NEWLINE.finditer(self.source)]
+        k = bisect_left(self._newlines, offset)  # newlines before `offset`
+        return k + 1, offset - (self._newlines[k - 1] if k else -1)
+
+    def _iter_tokens(self):
+        """The tokens and comments, in order, with the whitespace between
+        them: concatenating their lexemes reproduces the source."""
+        source = self.source
+        comments = (
+            (start, "line_comment" if lexeme.startswith("//") else "block_comment", lexeme)
+            for _, start, lexeme in self.comments
+        )
+        pos = 0
+        for start, kind, lexeme in merge(zip(self.starts, self.kinds, self.lexemes), comments):
+            if start > pos:
+                yield JToken("whitespace", source[pos:start], *self.position(pos))
+            if kind == END:
+                return
+            yield JToken(kind, lexeme, *self.position(start))
+            pos = start + len(lexeme)
+
+    def _token_list(self) -> list[JToken]:
+        if self._tokens is None:
+            self._tokens = list(self._iter_tokens())
+        return self._tokens
+
+    def __len__(self) -> int:
+        return len(self._token_list())
+
+    def __getitem__(self, k):
+        return self._token_list()[k]
+
+    def __iter__(self):
+        # one pass needs no list: it holds one token at a time
+        return iter(self._tokens) if self._tokens is not None else self._iter_tokens()
+
+    def __eq__(self, other) -> bool:
+        return self._token_list() == (other._token_list() if isinstance(other, JavaScan) else other)
+
+    def __repr__(self) -> str:
+        return repr(self._token_list())
+
+
+def lex_java(source: str) -> JavaScan:
+    """Lossless tokenization in one pass of `_MASTER` over `source`: the
+    significant tokens and the comments, read as JToken objects only when
+    the scan is read as a sequence. An unterminated comment, text block or
+    literal raises JavaLexError at its first character."""
+    scan = JavaScan(source)
+    kinds, lexemes, starts, comments = scan.kinds, scan.lexemes, scan.starts, scan.comments
     match = _MASTER.match
-    pos, n = 0, len(source)
-    line, line_start = 1, 0  # line_start: index of the current line's first character
-    while pos < n:
+    pos = 0
+    while True:
         m = match(source, pos)
         group = m.lastgroup
-        end = m.end()
+        lexeme = m[group]
+        pos = m.end()
         kind = _GROUP_KINDS.get(group)
         if kind is None:
             if group == "word":
-                kind = _WORD_KINDS.get(m.group(), "identifier")
+                kind = _WORD_KINDS.get(lexeme, "identifier")
+            elif group == "line_comment" or group == "block_comment":
+                comments.append((len(lexemes), pos - len(lexeme), lexeme))
+                continue
             elif group == "other":
-                ch = source[pos]
-                if ch.isdigit() or (ch == "." and source[end].isdigit()):
-                    kind, end = "literal", _NUMBER_REST.match(source, end).end()
-                elif ch.isalpha():
-                    kind, end = "identifier", _IDENT_REST.match(source, end).end()
+                start = pos - 1  # `other` is one character
+                if lexeme.isdigit() or (lexeme == "." and source[pos].isdigit()):
+                    kind, pos = "literal", _NUMBER_REST.match(source, pos).end()
+                elif lexeme.isalpha():
+                    kind, pos = "identifier", _IDENT_REST.match(source, pos).end()
                 else:
-                    kind = "punctuation" if ch in _PUNCTUATION else "operator"
+                    kind = "punctuation" if lexeme in _PUNCTUATION else "operator"
+                lexeme = source[start:pos]
+            elif group == "end":
+                break
             else:
-                raise JavaLexError(_UNTERMINATED[m.group()], line, pos - line_start + 1)
-        append(JToken(kind, source[pos:end], line, pos - line_start + 1))
-        if group in _MULTILINE_GROUPS:
-            newlines = source.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = source.rfind("\n", pos, end) + 1
-        pos = end
-    return tokens
+                raise JavaLexError(_UNTERMINATED[lexeme], *scan.position(pos - len(lexeme)))
+        kinds.append(kind)
+        lexemes.append(lexeme)
+        starts.append(pos - len(lexeme))
+    kinds.append(END)
+    lexemes.append(END)
+    starts.append(len(source))
+    return scan
 
 
 @dataclass
@@ -158,9 +248,9 @@ class IfFragment:
     column: int  # column of the `if` keyword
     text: str
     project_id: str = ""
-    # token indices into the full lexed stream, used for linking/parsing
-    if_token_index: int = -1
-    token_span: tuple[int, int] = (-1, -1)  # inclusive start, exclusive end
+    # the fragment's significant tokens in the file's scan, from its `if`:
+    # inclusive start, exclusive end
+    token_span: tuple[int, int] = (-1, -1)
 
 
 class StatementError(Exception):
@@ -176,70 +266,83 @@ _OPEN = {"(": ")", "{": "}", "[": "]"}
 _CLOSE = (")", "}", "]")
 _LOOP_KEYWORDS = ("for", "while", "switch", "synchronized")
 
+# The statement grammar reads a JavaScan's significant tokens from index
+# `i`; the END entry (or the one a caller puts in its place) ends them.
 
-def _is_kw(toks: list[JToken], i: int, word: str) -> bool:
-    return i < len(toks) and toks[i].kind == "keyword" and toks[i].lexeme == word
+
+def _line(scan: JavaScan, i: int) -> int:
+    return scan.position(scan.starts[i])[0]
 
 
-def skip_labels(toks: list[JToken], i: int) -> int:
-    """Index past the `label:` prefixes that start at `toks[i]`."""
-    while i + 1 < len(toks) and toks[i].kind == "identifier" and toks[i + 1].lexeme == ":":
+def skip_labels(scan: JavaScan, i: int) -> int:
+    """Index past the `label:` prefixes that start at token `i`."""
+    kinds, lexemes = scan.kinds, scan.lexemes
+    while kinds[i] == "identifier" and lexemes[i + 1] == ":":
         i += 2
     return i
 
 
-def bracket_end(toks: list[JToken], i: int, opener: str) -> int:
-    """Index past the `opener` at `toks[i]` and its balanced contents."""
-    if i >= len(toks):
-        raise StatementError("unexpected end of token stream", i)
-    if toks[i].lexeme != opener:
-        raise StatementError(f"expected {opener!r}, found {toks[i].lexeme!r} at line {toks[i].line}", i)
+def bracket_end(scan: JavaScan, i: int, opener: str) -> int:
+    """Index past the `opener` at token `i` and its balanced contents."""
+    lexemes = scan.lexemes
+    t = lexemes[i]
+    if t != opener:
+        if t == END:
+            raise StatementError("unexpected end of token stream", i)
+        raise StatementError(f"expected {opener!r}, found {t!r} at line {_line(scan, i)}", i)
     stack = [_OPEN[opener]]
     while stack:
         i += 1
-        if i >= len(toks):
+        t = lexemes[i]
+        if t in _OPEN:
+            stack.append(_OPEN[t])
+        elif t in _CLOSE:
+            if t != stack.pop():
+                raise StatementError(f"mismatched {t!r} at line {_line(scan, i)}", i)
+        elif t == END:
             raise StatementError("unexpected end of token stream", i)
-        t = toks[i]
-        if t.lexeme in _OPEN:
-            stack.append(_OPEN[t.lexeme])
-        elif t.lexeme in _CLOSE and t.lexeme != stack.pop():
-            raise StatementError(f"mismatched {t.lexeme!r} at line {t.line}", i)
     return i + 1
 
 
-def simple_end(toks: list[JToken], i: int) -> int:
+def simple_end(scan: JavaScan, i: int) -> int:
     """Index past the `;` that ends a statement at bracket depth zero; a `}`
-    there, a mismatched closer or the end of `toks` raises at that index."""
+    there, a mismatched closer or the end of the tokens raises at that
+    index."""
+    lexemes = scan.lexemes
     stack: list[str] = []
-    while i < len(toks):
-        t = toks[i]
-        if not stack and t.lexeme == ";":
-            return i + 1
-        if not stack and t.lexeme == "}":
-            raise StatementError(f"statement runs into enclosing block at line {t.line}", i)
-        if t.lexeme in _OPEN:
-            stack.append(_OPEN[t.lexeme])
-        elif t.lexeme in _CLOSE and (not stack or t.lexeme != stack.pop()):
-            raise StatementError(f"mismatched {t.lexeme!r} at line {t.line}", i)
+    while True:
+        t = lexemes[i]
+        if not stack:
+            if t == ";":
+                return i + 1
+            if t == "}":
+                raise StatementError(f"statement runs into enclosing block at line {_line(scan, i)}", i)
+        if t in _OPEN:
+            stack.append(_OPEN[t])
+        elif t in _CLOSE:
+            if not stack or t != stack.pop():
+                raise StatementError(f"mismatched {t!r} at line {_line(scan, i)}", i)
+        elif t == END:
+            raise StatementError("unterminated statement", i)
         i += 1
-    raise StatementError("unterminated statement", i)
 
 
-def _try_end(toks: list[JToken], i: int) -> int:
-    """Index past the try statement whose `try` is `toks[i]`."""
+def _try_end(scan: JavaScan, i: int) -> int:
+    """Index past the try statement whose `try` is token `i`."""
+    lexemes = scan.lexemes
     i += 1
-    if i < len(toks) and toks[i].lexeme == "(":
-        i = bracket_end(toks, i, "(")
-    i = bracket_end(toks, i, "{")
-    while _is_kw(toks, i, "catch"):
-        i = bracket_end(toks, bracket_end(toks, i + 1, "("), "{")
-    if _is_kw(toks, i, "finally"):
-        i = bracket_end(toks, i + 1, "{")
+    if lexemes[i] == "(":
+        i = bracket_end(scan, i, "(")
+    i = bracket_end(scan, i, "{")
+    while lexemes[i] == "catch":
+        i = bracket_end(scan, bracket_end(scan, i + 1, "("), "{")
+    if lexemes[i] == "finally":
+        i = bracket_end(scan, i + 1, "{")
     return i
 
 
-def statement_end(toks: list[JToken], i: int) -> int:
-    """Index past the statement that starts at `toks[i]`.
+def statement_end(scan: JavaScan, i: int) -> int:
+    """Index past the statement that starts at token `i`.
 
     The one statement grammar, shared by extraction and parsing, over
     significant tokens: if/else chains, loops, do/while, try and labels
@@ -248,42 +351,42 @@ def statement_end(toks: list[JToken], i: int) -> int:
     body is being scanned, innermost last, so a dangling `else` binds to
     the nearest `if`. Raises StatementError at the first violation.
     """
+    lexemes = scan.lexemes
     pending: list[str] = []
     while True:
-        i = skip_labels(toks, i)
-        if i >= len(toks):
-            raise StatementError("statement expected, found end of stream", i)
-        t = toks[i]
-        word = t.lexeme if t.kind == "keyword" else None
-        if word == "if":
-            i = bracket_end(toks, i + 1, "(")
+        i = skip_labels(scan, i)
+        t = lexemes[i]
+        if t == "if":
+            i = bracket_end(scan, i + 1, "(")
             pending.append("if")
             continue
-        if word in _LOOP_KEYWORDS:
+        if t in _LOOP_KEYWORDS:
             i += 1
-            if i < len(toks) and toks[i].lexeme == "(":
-                i = bracket_end(toks, i, "(")
+            if lexemes[i] == "(":
+                i = bracket_end(scan, i, "(")
             continue
-        if word == "do":
+        if t == "do":
             pending.append("do")
             i += 1
             continue
-        if t.lexeme == "{":
-            i = bracket_end(toks, i, "{")
-        elif word == "try":
-            i = _try_end(toks, i)
+        if t == "{":
+            i = bracket_end(scan, i, "{")
+        elif t == "try":
+            i = _try_end(scan, i)
+        elif t == END:
+            raise StatementError("statement expected, found end of stream", i)
         else:
-            i = simple_end(toks, i)
+            i = simple_end(scan, i)
         # the innermost statement is complete; so are the pending ones it ends
         while pending:
             if pending.pop() == "do":
-                if not _is_kw(toks, i, "while"):
+                if lexemes[i] != "while":
                     raise StatementError("do without while", i)
-                i = bracket_end(toks, i + 1, "(")
-                if not (i < len(toks) and toks[i].lexeme == ";"):
+                i = bracket_end(scan, i + 1, "(")
+                if lexemes[i] != ";":
                     raise StatementError("do-while missing semicolon", i)
                 i += 1
-            elif _is_kw(toks, i, "else"):
+            elif lexemes[i] == "else":
                 i += 1
                 break  # scan the else branch; an `else if` pends its own `if`
         else:
@@ -291,7 +394,7 @@ def statement_end(toks: list[JToken], i: int) -> int:
 
 
 def extract_outermost_ifs(
-    tokens: list[JToken],
+    scan: JavaScan,
     project_id: str = "",
     diagnostics: list[str] | None = None,
 ) -> list[IfFragment]:
@@ -300,39 +403,37 @@ def extract_outermost_ifs(
     Candidates the statement grammar rejects are skipped with a
     diagnostic; the rest of the file is still mined.
     """
-    sig = [k for k, t in enumerate(tokens) if t.kind not in _SKIP_KINDS]
-    toks = [tokens[k] for k in sig]
+    source, lexemes, starts = scan.source, scan.lexemes, scan.starts
     fragments: list[IfFragment] = []
-    done, done_bytes = 0, 0  # tokens[:done] encode to done_bytes UTF-8 bytes
+    done, done_bytes = 0, 0  # source[:done] encodes to done_bytes UTF-8 bytes
     pos = 0
-    while pos < len(toks):
-        tok = toks[pos]
-        if not (tok.kind == "keyword" and tok.lexeme == "if"):
-            pos += 1
-            continue
+    while True:
         try:
-            end = statement_end(toks, pos)
+            pos = lexemes.index("if", pos)
+        except ValueError:
+            return fragments
+        try:
+            end = statement_end(scan, pos)
         except StatementError as exc:
             if diagnostics is not None:
-                diagnostics.append(f"skipped if-statement at line {tok.line}, column {tok.column}: {exc}")
+                line, column = scan.position(starts[pos])
+                diagnostics.append(f"skipped if-statement at line {line}, column {column}: {exc}")
             pos += 1
             continue
-        first, last = sig[pos], sig[end - 1]
-        text = "".join([t.lexeme for t in tokens[first : last + 1]])
-        start = done_bytes + len("".join([t.lexeme for t in tokens[done:first]]).encode("utf-8"))
-        done, done_bytes = last + 1, start + len(text.encode("utf-8"))
+        first, last = starts[pos], starts[end - 1] + len(lexemes[end - 1])
+        text = source[first:last]
+        start = done_bytes + len(source[done:first].encode("utf-8"))
+        done, done_bytes = last, start + len(text.encode("utf-8"))
         fragments.append(
             IfFragment(
                 source_span=(start, done_bytes),
-                column=tok.column,
+                column=scan.position(first)[1],
                 text=text,
                 project_id=project_id,
-                if_token_index=first,
-                token_span=(first, last + 1),
+                token_span=(pos, end),
             )
         )
         pos = end
-    return fragments
 
 
 @dataclass
@@ -343,29 +444,30 @@ class CodeCommentPair:
     project_id: str = ""
 
 
-def link_comments(tokens: list[JToken], fragments: list[IfFragment]) -> list[CodeCommentPair]:
+def link_comments(scan: JavaScan, fragments: list[IfFragment]) -> list[CodeCommentPair]:
     """Attach to each fragment the single comment that sits between the `if`
-    and its previous non-comment token at the same column.
+    and its previous significant token at the same column.
 
     Fragments with several qualifying comments are dropped; fragments with
     none are kept without a comment.
     """
+    comments = scan.comments
     pairs: list[CodeCommentPair] = []
     for frag in fragments:
-        candidates = []
-        j = frag.if_token_index - 1
-        while j >= 0 and tokens[j].kind in _SKIP_KINDS:
-            if tokens[j].kind in _COMMENT_KINDS:
-                candidates.append(tokens[j])
-            j -= 1
-        qualifying = [c for c in candidates if c.column == frag.column]
+        k = frag.token_span[0]
+        j = bisect_left(comments, k, key=itemgetter(0))
+        qualifying = []
+        while j < len(comments) and comments[j][0] == k:
+            _, start, lexeme = comments[j]
+            if scan.position(start)[1] == frag.column:
+                qualifying.append(lexeme)
+            j += 1
         if len(qualifying) > 1:
             continue
-        comment = qualifying[0].lexeme if qualifying else None
         pairs.append(
             CodeCommentPair(
                 fragment=frag,
-                comment=comment,
+                comment=qualifying[0] if qualifying else None,
                 label=UNLABELED,
                 project_id=frag.project_id,
             )
@@ -380,10 +482,10 @@ def label_comment(comment: str) -> str:
     if not words:
         return EXCLUDED
     for w in words:
-        if any(w.startswith(k) for k in SATD_KEYWORDS):
+        if w.startswith(SATD_KEYWORDS):
             return SATD
     for w in words:
-        if any(w.startswith(k) for k in ALL_KEYWORDS):
+        if w.startswith(ALL_KEYWORDS):
             return EXCLUDED
     return NON_SATD
 
@@ -439,17 +541,16 @@ def mine_source(
     apply_labels: bool = False,
     diagnostics: list[str] | None = None,
 ) -> list[PairRecord]:
-    """Lex, extract, link, and serialize one Java compilation unit."""
+    """Scan, extract, link, and serialize one Java compilation unit."""
     from .ast_sbt import parse_if_statement, sbt_serialize
 
-    tokens = lex_java(source)
-    fragments = extract_outermost_ifs(tokens, project_id=project, diagnostics=diagnostics)
-    pairs = link_comments(tokens, fragments)
+    scan = lex_java(source)
+    fragments = extract_outermost_ifs(scan, project_id=project, diagnostics=diagnostics)
+    pairs = link_comments(scan, fragments)
     records = []
     for pair in pairs:
         frag = pair.fragment
-        start, end = frag.token_span
-        tree = parse_if_statement(tokens[start:end], diagnostics)
+        tree = parse_if_statement(scan, diagnostics, frag.token_span)
         label = UNLABELED
         if apply_labels and pair.comment is not None:
             label = label_comment(pair.comment)

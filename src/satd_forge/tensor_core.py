@@ -20,13 +20,16 @@ def detector_layer_sizes(latent: int, n_layers: int) -> list[int]:
     """LSTM widths for the classifier stack.
 
     One and two layers use the latent dimension everywhere; three layers
-    widen the first to 2x and narrow the last to half.
+    widen the first to 2x and narrow the last to half, so they need a
+    latent dimension of at least 2.
     """
     if n_layers == 1:
         return [latent]
     if n_layers == 2:
         return [latent, latent]
     if n_layers == 3:
+        if latent < 2:
+            raise DataError(f"hyper-parameter latent must be at least 2 with 3 layers, got {latent!r}")
         return [2 * latent, latent, latent // 2]
     raise DataError(f"unsupported layer count: {n_layers}")
 

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from satd_forge.ast_sbt import _MAX_NESTING, AstNode, parse_if_statement, sbt_serialize
 from satd_forge.errors import DataError
-from satd_forge.java_miner import lex_java
+from satd_forge.java_miner import lex_java, mine_file, mine_source
+
+FIXTURES = Path(__file__).parent / "fixtures" / "java"
 
 
 def parse(source):
@@ -125,6 +128,23 @@ class TestNestingCap:
         assert depth == 2000
         cond = parse("if (" + "!" * 3000 + "a + a" + " + a" * 3000 + ") f();").children[0].children[0]
         assert cond.label == "BinaryOp:+"
+
+
+def test_token_entry_and_mining_entry_build_the_same_trees():
+    """One parser, two entries: mining parses each fragment by its span in
+    the file's scan; the other entry parses the scan of the fragment's text
+    alone, or a plain JToken list of it."""
+    records = [r for path in sorted(FIXTURES.glob("*.java")) for r in mine_file(path, root=FIXTURES)]
+    diagnostics = []
+    deep = "class D {\n  void m() {\n    " + f"if ({parens(100)}) " + "if (a) " * 400 + "f(); } }\n"
+    records += mine_source(deep, diagnostics=diagnostics)
+    assert diagnostics == [f"truncated if-statement at line 3, column 5: nested deeper than {_MAX_NESTING} levels"]
+    assert len(records) > 10
+    for r in records:
+        entry_diagnostics = []
+        assert sbt_serialize(parse_if_statement(lex_java(r.code_text), entry_diagnostics)) == r.sbt_tokens
+        assert sbt_serialize(parse_if_statement(list(lex_java(r.code_text)))) == r.sbt_tokens
+        assert len(entry_diagnostics) == (1 if r is records[-1] else 0)
 
 
 class TestRecovery:

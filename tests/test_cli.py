@@ -548,6 +548,8 @@ class TestBadHyperParameters:
     @pytest.mark.parametrize("command,extra,hp,name", [
         ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "batch_size": 0}, "batch_size"),
         ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "latent": 0}, "latent"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "latent": 1, "layers": 3, "epochs": 1},
+         "latent"),
         ("train", ["--task", "generate", "--out", "m.ckpt"], {"latent": 0}, "latent"),
         ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "latent": "4"}, "latent"),
         ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "batch_size": 8.5}, "batch_size"),

@@ -151,7 +151,7 @@ class TestExtraction:
         frags = extract_outermost_ifs(tokens)
         assert [f.text for f in frags] == ['if (a) { f("λλ"); }', 'if (b) { h("é"); } else { k(); }']
         for frag in frags:
-            a = sum(len(t.lexeme) for t in tokens[: frag.token_span[0]])
+            a = tokens.starts[frag.token_span[0]]
             b = a + len(frag.text)
             assert source[a:b] == frag.text
             assert frag.source_span == (len(source[:a].encode()), len(source[:b].encode()))
