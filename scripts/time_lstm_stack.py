@@ -3,13 +3,13 @@
 Builds the detector's 3-layer stack at latent 256 (widths 512, 256, 128)
 over 128 right-padded sequences with seeded lognormal lengths (T=322,
 28% real cells), with 20% dropout, and prints the median wall time of
-REPEATS passes. It uses only the public `tensor_core` API, so it
-runs unchanged on older commits:
+REPEATS passes. The upstream gradient covers the real cells only, as
+every consumer of the stack passes:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/time_lstm_stack.py
 
-The padded layout of older commits needs about 3 GB of memory here, the
-packed one about 1.6 GB.
+Commits before the stack handed packed arrays between its layers took
+the mask instead of a `Packing` and a padded (B, T, H) gradient.
 """
 
 import statistics
@@ -30,11 +30,12 @@ def main():
     mask = (np.arange(T) < lengths[:, None]).astype(np.float64)
     idx = rng.integers(1, VOCAB, size=mask.shape) * mask.astype(np.int64)
     stack = tc.LstmStack(VOCAB, LATENT, tc.detector_layer_sizes(LATENT, LAYERS), rng)
-    dtop = rng.normal(size=(BATCH, T, stack.layers[-1].state_size)) * mask[:, :, None]
+    packing = tc.Packing(mask)
+    dtop = packing.pack(rng.normal(size=(BATCH, T, stack.layers[-1].state_size)))
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        _, _, cache = stack.forward(idx, mask, np.random.default_rng(1), 0.2)
+        _, _, cache = stack.forward(idx, packing, np.random.default_rng(1), 0.2)
         stack.backward(dtop, cache)
         times.append(time.perf_counter() - start)
         del cache

@@ -51,8 +51,9 @@ class DetectorNetwork(tc.Network):
         return {**self.stack.named_params(), **tc.block_params("dense", self.dense)}
 
     def forward(self, idx: np.ndarray, mask: np.ndarray, drop_rng=None, drop_rate: float = 0.0):
-        states, _, stack_cache = self.stack.forward(idx, mask, drop_rng, drop_rate)
-        pooled, pool_cache = tc.pool_forward(states, mask, self.pooling)
+        packing = tc.Packing(mask)
+        states, _, stack_cache = self.stack.forward(idx, packing, drop_rng, drop_rate)
+        pooled, pool_cache = tc.pool_forward(states, packing, self.pooling)
         logits, dense_cache = self.dense.forward(pooled)
         probs = tc.sigmoid(logits[:, 0])
         return probs, {"stack": stack_cache, "pool": pool_cache, "dense": dense_cache}

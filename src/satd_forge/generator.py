@@ -113,29 +113,35 @@ class Seq2SeqNetwork(tc.Network):
         self, enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng=None, drop_rate=0.0
     ):
         """Teacher-forced loss: decoder inputs are the target sequence
-        shifted right by one position."""
-        Henc, enc_finals, enc_cache = self.encoder.forward(enc_idx, enc_mask, drop_rng, drop_rate)
+        shifted right by one position.
+
+        The stacks run on real cells only; attention and the output layer
+        run on the padded (B, K, d) layout, and the loss on real positions.
+        """
+        enc, dec = tc.Packing(enc_mask), tc.Packing(dec_mask)
+        Henc, enc_finals, enc_cache = self.encoder.forward(enc_idx, enc, drop_rng, drop_rate)
         states, _, dec_cache = self.decoder.forward(
-            dec_idx, dec_mask, drop_rng, drop_rate, initial=enc_finals[-1:]
+            dec_idx, dec, drop_rng, drop_rate, initial=enc_finals[-1:]
         )
-        attended, _, att_cache = self.attention.forward(states, Henc, enc_mask)
+        attended, _, att_cache = self.attention.forward(dec.unpack(states), enc.unpack(Henc), enc_mask)
         logits, dense_cache = self.out.forward(attended)
-        loss, dlogits, _ = tc.masked_cross_entropy(logits, targets, dec_mask)
+        loss, dlogits, _ = tc.masked_cross_entropy(dec.pack(logits), targets, dec)
         caches = {
             "encoder": enc_cache,
             "decoder": dec_cache,
             "attention": att_cache,
             "out": dense_cache,
-            "dlogits": dlogits,
+            "dlogits": dec.unpack(dlogits),
         }
         return loss, caches
 
     def backward(self, caches):
+        enc, dec = caches["encoder"]["packing"], caches["decoder"]["packing"]
         dattended = self.out.backward(caches["dlogits"], caches["out"])
         dstates, dHenc = self.attention.backward(dattended, caches["attention"])
-        handoff = self.decoder.backward(dstates, caches["decoder"])
+        handoff = self.decoder.backward(dec.pack(dstates), caches["decoder"])
         # encoder: attention gradient on every state, handoff on the final one
-        self.encoder.backward(dHenc, caches["encoder"], dfinal=handoff)
+        self.encoder.backward(enc.pack(dHenc), caches["encoder"], dfinal=handoff)
 
     def loss_and_grads(self, enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng=None, drop_rate=0.0):
         self.zero_grads()
@@ -152,14 +158,17 @@ class Seq2SeqNetwork(tc.Network):
         rows at a time. Each row emits until `eos` or the word cap, and
         leaves the batch at its `eos`."""
         enc_idx, enc_mask = pad_batch(enc_lists, max(map(len, enc_lists)))
-        Henc, enc_finals, _ = self.encoder.forward(enc_idx, enc_mask)
+        enc = tc.Packing(enc_mask)
+        Henc, enc_finals, _ = self.encoder.forward(enc_idx, enc)
+        Henc = enc.unpack(Henc)
         states = enc_finals[-1:]
         rows = np.arange(len(enc_lists))  # input index of each live row
         words = np.full(len(rows), sos)
         out: list[list[int]] = [[] for _ in enc_lists]
         for _ in range(max_words):
-            X, states, _ = self.decoder.forward(words[:, None], np.ones((len(rows), 1)), initial=states)
-            attended, _, _ = self.attention.forward(X, Henc, enc_mask)
+            step = tc.Packing(np.ones((len(rows), 1)))
+            X, states, _ = self.decoder.forward(words[:, None], step, initial=states)
+            attended, _, _ = self.attention.forward(step.unpack(X), Henc, enc_mask)
             logits, _ = self.out.forward(attended)
             words = np.argmax(logits[:, 0], axis=1)
             live = words != eos

@@ -20,6 +20,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import merge
 from operator import itemgetter
 from pathlib import Path
@@ -150,31 +151,44 @@ class JavaScan(Sequence):
         self.lexemes: list[str] = []
         self.starts: list[int] = []
         self.comments: list[tuple[int, int, str]] = []
-        self._newlines: list[int] | None = None
         self._tokens: list[JToken] | None = None
+
+    @cached_property
+    def newlines(self) -> list[int]:
+        """Offsets of the source's newlines."""
+        return [m.start() for m in _NEWLINE.finditer(self.source)]
 
     def position(self, offset: int) -> tuple[int, int]:
         """1-based line and column of the character at `offset`."""
-        if self._newlines is None:
-            self._newlines = [m.start() for m in _NEWLINE.finditer(self.source)]
-        k = bisect_left(self._newlines, offset)  # newlines before `offset`
-        return k + 1, offset - (self._newlines[k - 1] if k else -1)
+        newlines = self.newlines
+        k = bisect_left(newlines, offset)  # newlines before `offset`
+        return k + 1, offset - (newlines[k - 1] if k else -1)
 
     def _iter_tokens(self):
         """The tokens and comments, in order, with the whitespace between
-        them: concatenating their lexemes reproduces the source."""
+        them: concatenating their lexemes reproduces the source. Offsets
+        only grow, so the line and its start offset are carried along
+        instead of looked up per token."""
         source = self.source
         comments = (
             (start, "line_comment" if lexeme.startswith("//") else "block_comment", lexeme)
             for _, start, lexeme in self.comments
         )
+        newlines = self.newlines + [len(source)]  # the sentinel is never passed
+        line, line_start, upcoming = 1, 0, newlines[0]
         pos = 0
         for start, kind, lexeme in merge(zip(self.starts, self.kinds, self.lexemes), comments):
             if start > pos:
-                yield JToken("whitespace", source[pos:start], *self.position(pos))
+                while upcoming < pos:
+                    line_start, upcoming = upcoming + 1, newlines[line]
+                    line += 1
+                yield JToken("whitespace", source[pos:start], line, pos - line_start + 1)
             if kind == END:
                 return
-            yield JToken(kind, lexeme, *self.position(start))
+            while upcoming < start:
+                line_start, upcoming = upcoming + 1, newlines[line]
+                line += 1
+            yield JToken(kind, lexeme, line, start - line_start + 1)
             pos = start + len(lexeme)
 
     def _token_list(self) -> list[JToken]:

@@ -27,10 +27,12 @@ class LmNetwork(tc.Network):
 
     def loss_and_grads(self, idx, mask, targets, drop_rng=None, drop_rate=0.0):
         self.zero_grads()
-        states, _, stack_cache = self.stack.forward(idx, mask, drop_rng, drop_rate)
+        packing = tc.Packing(mask)
+        states, _, stack_cache = self.stack.forward(idx, packing, drop_rng, drop_rate)
+        # the softmax head sees real positions only
         logits, dense_cache = self.out.forward(states)
-        loss, dlogits, _ = tc.masked_cross_entropy(logits, targets, mask)
-        self.stack.backward(self.out.backward(dlogits, dense_cache), stack_cache)
+        loss, dlogits, _ = tc.masked_cross_entropy(logits, targets, packing)
+        self.stack.backward(self.out.backward(dlogits, dense_cache, packing), stack_cache)
         return loss
 
 

@@ -1,8 +1,13 @@
 """Minimal neural toolkit with explicit forward and backward passes:
-embedding lookup, LSTM layers with sequence masking, the embedding ->
+embedding lookup, LSTM layers over packed sequences, the embedding ->
 LSTM stack every network is built on, pooling, dense heads, the binary
 and multi-class log-losses, inverted dropout, Adam/RMSprop and the one
 training loop.
+
+A right-padded batch enters as token ids and a 0/1 mask (B, T). The
+stack, pooling and the multi-class loss work on its real cells only,
+packed (`Packing`); callers that need the padded layout, such as
+attention, scatter the packed states back with `Packing.unpack`.
 
 Everything runs in float64 on numpy; checkpoints store float32.
 """
@@ -70,14 +75,20 @@ def bce_loss(y, p):
     return loss, dp
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-scaling dropout mask: 0 with probability `rate`, else 1/(1-rate)."""
+def dropout_mask(shape, rate: float, rng: np.random.Generator, packing=None) -> np.ndarray:
+    """Inverted-scaling dropout mask: 0 with probability `rate`, else 1/(1-rate).
+
+    With a `packing`, `shape` is a padded (B, T, width) shape. The draw
+    still covers all of it, so the generator advances as it does for the
+    padded batch, but the mask comes back for the real cells only,
+    (N_real, width) in packing order.
+    """
     if not 0.0 <= rate < 1.0:
         raise DataError(f"dropout rate {rate} outside [0, 1)")
-    if rate == 0.0:
-        return np.ones(shape, dtype=np.float64)
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    draw = np.ones(shape) if rate == 0.0 else rng.random(shape)
+    if packing is not None:
+        draw = packing.pack(draw)
+    return (draw >= rate).astype(np.float64) / (1.0 - rate)
 
 
 class Embedding:
@@ -111,21 +122,56 @@ def row_lengths(mask) -> np.ndarray:
     return lengths
 
 
+class Packing:
+    """The real cells of a right-padded 0/1 mask (B, T), packed as in
+    PyTorch's `PackedSequence`: time-major, rows longest first. The cells
+    of step t are `off[t]:off[t+1]`, and a row keeps its slot (its place
+    in the sorted order) at every step, so a step's first n cells are the
+    same rows as the previous step's first n.
+
+    `pack` gathers a padded (B, T, ...) array into (N_real, ...) in this
+    order; `unpack` scatters it back, with zeros at padding.
+    """
+
+    def __init__(self, mask):
+        self.mask = mask = np.asarray(mask)
+        self.lengths = lengths = row_lengths(mask)
+        self.order = np.argsort(-lengths, kind="stable")  # rows longest first
+        self.pos = np.argsort(self.order)  # each row's slot
+        live = lengths[self.order] > np.arange(lengths.max(initial=0))[:, None]
+        self.off = np.concatenate(([0], np.cumsum(np.count_nonzero(live, axis=1))))
+        self.times, self.slots = np.nonzero(live)
+        self.rows = self.order[self.slots]  # each cell's row
+        self.n = len(self.times)
+
+    def pack(self, padded) -> np.ndarray:
+        return np.asarray(padded)[self.rows, self.times]
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        padded = np.zeros(self.mask.shape + packed.shape[1:])
+        padded[self.rows, self.times] = packed
+        return padded
+
+    def row_major(self) -> np.ndarray:
+        """The packed index of every real cell, in the padded batch's
+        row-major order."""
+        rows, times = np.nonzero(self.mask)
+        return self.off[times] + self.pos[rows]
+
+
 class LstmLayer:
-    """Single LSTM layer over right-padded (batch, time, input) sequences.
+    """Single LSTM layer over packed sequences (see `Packing`).
 
     Gate order in the fused weight matrices is input, forget, output,
-    candidate. Past its length a row's state and cell stay unchanged.
+    candidate. A row's final state is its state at its last real cell,
+    or its initial state when it has none; states at padding are not
+    defined.
 
-    Inside, the layer keeps only the real cells, packed as in PyTorch's
-    `PackedSequence`: time-major, rows sorted longest first, so step t is
-    rows `off[t]:off[t+1]` of an (N_real, ·) array. The input projection,
-    the gate-derivative factors and the weight and input gradients are one
-    vectorized operation each over the real cells. A step applies one tanh
-    to all four gates: the sigmoid columns of the weights are halved once
-    per call (exact, a power of two), and sigmoid(x) = (1 + tanh(x/2))/2.
-    The states at padding carry a row's last state, and they and the
-    finals are one gather each from the initial and the packed states.
+    The input projection, the gate-derivative factors and the weight and
+    input gradients are one vectorized operation each over the real
+    cells. A step applies one tanh to all four gates: the sigmoid columns
+    of the weights are halved once per call (exact, a power of two), and
+    sigmoid(x) = (1 + tanh(x/2))/2.
     """
 
     def __init__(self, input_size: int, state_size: int, rng: np.random.Generator):
@@ -141,24 +187,18 @@ class LstmLayer:
         self.g = {k: np.zeros_like(v) for k, v in self.p.items()}
         self.gate_scale = np.where(np.arange(4 * h) < 3 * h, 0.5, 1.0)
 
-    def forward(self, X: np.ndarray, mask: np.ndarray, h0=None, c0=None):
-        """Returns (states (B, T, H), final (h, c), cache)."""
-        B, T, D = X.shape
-        H = self.state_size
-        lengths = row_lengths(mask)
-        order = np.argsort(-lengths, kind="stable")  # rows longest first
-        pos = np.argsort(order)  # each row's sorted position
-        live = lengths[order] > np.arange(lengths.max(initial=0))[:, None]
-        active = np.count_nonzero(live, axis=1)
-        off = np.concatenate(([0], np.cumsum(active)))
+    def forward(self, X: np.ndarray, mask: np.ndarray, h0=None, c0=None, packing=None):
+        """X (N_real, D) holds the real cells of the right-padded (B, T)
+        `mask` in the order of `packing`, which is built from the mask when
+        not given. Returns (states (N_real, H) in that order, final (h, c)
+        of every row, cache)."""
+        pk = Packing(mask) if packing is None else packing
+        B, N, H = len(pk.lengths), pk.n, self.state_size
+        off, order = pk.off, pk.order
         # the B initial states, then the packed ones; step t reads rows start[t]:start[t]+n
         start = np.concatenate(([0], B + off[:-1]))
-        tt, packed_rows = np.nonzero(live)
-        rows = order[packed_rows]  # each cell's row in X
-        N = len(tt)
         scale = self.gate_scale
-        Xp = X[rows, tt]
-        gates = Xp @ (self.p["Wx"] * scale)  # pre-activations, then gate values
+        gates = X @ (self.p["Wx"] * scale)  # pre-activations, then gate values
         gates += self.p["b"] * scale
         Wh = self.p["Wh"] * scale
         hs, cs = np.empty((B + N, H)), np.empty((B + N, H))
@@ -184,27 +224,22 @@ class LstmLayer:
             c += ig[:n]
             np.tanh(c, out=tanh_c[lo:hi])
             np.multiply(tanh_c[lo:hi], z[:, 2 * H : 3 * H], out=h_new[lo:hi])
-        src = start[np.minimum(np.arange(1, T + 1), lengths[:, None])] + pos[:, None]
-        states = hs[src]
-        if not np.isfinite(hs).all():
-            finite = np.isfinite(states).all(axis=(0, 2))
-            if not finite.all():
-                raise TrainingError(f"non-finite LSTM state at timestep {int(np.argmin(finite))}")
-        last = start[lengths] + pos
-        cache = {"X": Xp, "gates": gates, "h": hs, "c": cs, "tanh_c": tanh_c, "off": off,
-                 "prev": start[tt] + packed_rows, "cells": (rows, tt), "lengths": lengths,
-                 "order": order, "pos": pos, "shape": X.shape}
-        return states, (hs[last], cs[last]), cache
+        if not np.isfinite(h_new).all():
+            # the packing is time-major, so the first bad cell is at the first bad step
+            first = np.argmin(np.isfinite(h_new).all(axis=1))
+            raise TrainingError(f"non-finite LSTM state at timestep {int(pk.times[first])}")
+        last = start[pk.lengths] + pk.pos
+        cache = {"X": X, "gates": gates, "h": hs, "c": cs, "tanh_c": tanh_c,
+                 "prev": start[pk.times] + pk.slots, "packing": pk}
+        return h_new, (hs[last], cs[last]), cache
 
     def backward(self, dstates, dh_final, dc_final, cache):
-        """Returns (dX, dh0, dc0). The gate-derivative factors, then the
-        gradients of the gate pre-activations, overwrite the gate values, so
-        a cache serves one backward pass."""
-        Xp, gates, hs, tanh_c, off = cache["X"], cache["gates"], cache["h"], cache["tanh_c"], cache["off"]
-        (rows, tt), lengths, order, pos = cache["cells"], cache["lengths"], cache["order"], cache["pos"]
-        B, T, D = cache["shape"]
-        H = self.state_size
-        N = len(Xp)
+        """`dstates` (N_real, H) is the gradient on the states, or None.
+        Returns (dX (N_real, D), dh0, dc0). The gate-derivative factors, then
+        the gradients of the gate pre-activations, overwrite the gate values,
+        so a cache serves one backward pass."""
+        X, gates, hs, tanh_c, pk = cache["X"], cache["gates"], cache["h"], cache["tanh_c"], cache["packing"]
+        B, N, H = len(pk.lengths), pk.n, self.state_size
         i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
         forget = f.copy()
         f *= 1.0 - f
@@ -218,21 +253,15 @@ class LstmLayer:
         i *= 1.0 - i
         i *= g  # g i(1-i)
         g[...] = dg  # i(1-g^2)
-        dh = np.zeros((B, H)) if dh_final is None else np.array(dh_final, dtype=np.float64)
-        dc = np.zeros((B, H)) if dc_final is None else np.array(dc_final, dtype=np.float64)
-        dS = None
-        if dstates is not None:
-            dS = dstates[rows, tt]
-            # a state at padding is the row's carried last state
-            pad = (np.arange(T) >= lengths[:, None]).astype(np.float64)
-            dh += (pad[:, None, :] @ dstates)[:, 0]
-        dh, dc = dh[order], dc[order]
+        dh = np.zeros((B, H)) if dh_final is None else np.asarray(dh_final, dtype=np.float64)[pk.order]
+        dc = np.zeros((B, H)) if dc_final is None else np.asarray(dc_final, dtype=np.float64)[pk.order]
         dZ, dc3, WhT = gates.reshape(N, 4, H), dc[:, None, :], np.ascontiguousarray(self.p["Wh"].T)
+        off = pk.off
         for lo, hi in zip(off[-2::-1].tolist(), off[:0:-1].tolist()):
             n = hi - lo
             dh_t, dc_t = dh[:n], dc[:n]
-            if dS is not None:
-                dh_t += dS[lo:hi]
+            if dstates is not None:
+                dh_t += dstates[lo:hi]
             dc_t += dh_t * dc_dh[lo:hi]
             z = dZ[lo:hi]
             z[:, :2] *= dc3[:n]
@@ -240,12 +269,10 @@ class LstmLayer:
             z[:, 3] *= dc_t
             dc_t *= forget[lo:hi]
             np.matmul(gates[lo:hi], WhT, out=dh_t)
-        self.g["Wx"] += Xp.T @ gates
+        self.g["Wx"] += X.T @ gates
         self.g["Wh"] += hs[cache["prev"]].T @ gates
         self.g["b"] += gates.sum(axis=0)
-        dX = np.zeros((B, T, D))
-        dX[rows, tt] = gates @ self.p["Wx"].T
-        return dX, dh[pos], dc[pos]
+        return gates @ self.p["Wx"].T, dh[pk.pos], dc[pk.pos]
 
 
 def block_params(name: str, layer) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -263,11 +290,14 @@ class Network:
 
 
 class LstmStack:
-    """Embedding -> dropout -> LSTM layers, each followed by dropout.
+    """Embedding -> dropout -> LSTM layers, each followed by dropout, on
+    the real cells of a batch only: the embedding, the dropout masks and
+    every layer hand each other (N_real, width) arrays in `Packing` order.
 
     Dropout applies only when a generator and a positive rate are given;
     the masks are drawn after the embedding and after each layer, in
-    that order.
+    that order, each over the padded (B, T, width) shape, so the random
+    numbers a real cell gets do not depend on the packing.
     """
 
     def __init__(self, vocab_size: int, dim: int, sizes: list[int], rng: np.random.Generator):
@@ -284,10 +314,12 @@ class LstmStack:
             named.update(block_params(f"{prefix}lstm{k}", layer))
         return named
 
-    def forward(self, idx, mask, drop_rng=None, drop_rate: float = 0.0, initial=()):
-        """`initial` holds (h, c) for the bottom layers; the rest start at zero.
+    def forward(self, idx, packing: Packing, drop_rng=None, drop_rate: float = 0.0, initial=()):
+        """`idx` (B, T) holds token ids, right-padded as `packing`'s mask.
+        `initial` holds (h, c) for the bottom layers; the rest start at zero.
 
-        Returns (top-layer states, final (h, c) of every layer, cache).
+        Returns (top-layer states (N_real, H) in packing order, final (h, c)
+        of every layer, cache).
         """
         dropping = drop_rng is not None and drop_rate > 0.0
         drops, caches, finals = [], [], []
@@ -295,20 +327,22 @@ class LstmStack:
         def drop(X):
             if not dropping:
                 return X
-            drops.append(dropout_mask(X.shape, drop_rate, drop_rng))
+            drops.append(dropout_mask(packing.mask.shape + X.shape[1:], drop_rate, drop_rng, packing))
             return X * drops[-1]
 
-        X = drop(self.embedding.forward(idx))
+        tokens = packing.pack(idx)
+        X = drop(self.embedding.forward(tokens))
         for k, layer in enumerate(self.layers):
             h0, c0 = initial[k] if k < len(initial) else (None, None)
-            X, final, cache = layer.forward(X, mask, h0=h0, c0=c0)
+            X, final, cache = layer.forward(X, packing.mask, h0=h0, c0=c0, packing=packing)
             caches.append(cache)
             finals.append(final)
             X = drop(X)
-        return X, finals, {"idx": idx, "mask": mask, "drops": drops, "layers": caches}
+        return X, finals, {"tokens": tokens, "packing": packing, "drops": drops, "layers": caches}
 
     def backward(self, dstates, cache, dfinal=(None, None)):
-        """`dfinal` is the gradient on the top layer's final (h, c).
+        """`dstates` (N_real, H) is the gradient on the top states and
+        `dfinal` the gradient on the top layer's final (h, c).
 
         Returns the gradient on the bottom layer's initial (h, c).
         """
@@ -319,53 +353,56 @@ class LstmStack:
                 dstates = dstates * drops.pop()
             dstates, dh0, dc0 = self.layers[k].backward(dstates, dh_final, dc_final, cache["layers"][k])
             dh_final = dc_final = None  # lower layers' final states feed nothing else
-        # the input gradient is zero at padding, so only real tokens reach the table
-        real = np.nonzero(cache["mask"])
-        dtokens = dstates[real]
         if drops:
-            dtokens *= drops.pop()[real]
-        self.embedding.backward(dtokens, np.asarray(cache["idx"])[real])
+            dstates = dstates * drops.pop()
+        # in the padded batch's row-major order, so a repeated token's rows add up in the
+        # same order whatever the packing
+        cells = cache["packing"].row_major()
+        self.embedding.backward(dstates[cells], cache["tokens"][cells])
         return dh0, dc0
 
 
-def pool_forward(states: np.ndarray, mask: np.ndarray, mode: str):
-    """Reduce per-timestep states to one vector per sequence.
+def pool_forward(states: np.ndarray, packing: Packing, mode: str):
+    """Reduce each row's real states, (N_real, H) in `packing` order, to
+    one vector per row (B, H).
 
-    last -> state at the final real position; mean/max -> elementwise over
-    real positions only.
+    last -> the state at the row's final real position; mean/max ->
+    elementwise over its real positions. The mean adds a row's states in
+    time order; max picks the first timestep that reaches the maximum.
     """
-    B, T, H = states.shape
-    counts = mask.sum(axis=1)
-    if (counts == 0).any():
+    lengths = packing.lengths
+    if (lengths == 0).any():
         raise DataError("pooling over an all-masked sequence")
-    if mode == "last":
-        last_idx = (T - 1) - np.argmax(mask[:, ::-1] > 0, axis=1)
-        pooled = states[np.arange(B), last_idx]
-        return pooled, ("last", last_idx, states.shape)
+    B, H = len(lengths), states.shape[1]
     if mode == "mean":
-        pooled = (states * mask[:, :, None]).sum(axis=1) / counts[:, None]
-        return pooled, ("mean", mask, counts, states.shape)
-    if mode == "max":
-        masked = np.where(mask[:, :, None] > 0, states, -np.inf)
-        arg = masked.argmax(axis=1)
-        pooled = np.take_along_axis(states, arg[:, None, :], axis=1)[:, 0, :]
-        return pooled, ("max", arg, states.shape)
-    raise DataError(f"unknown pooling mode: {mode!r}")
+        # bincount adds in input order, and the packing is time-major
+        cells = (packing.rows[:, None] * H + np.arange(H)).ravel()
+        total = np.bincount(cells, weights=states.ravel(), minlength=B * H).reshape(B, H)
+        return total / lengths[:, None], ("mean", packing.rows, lengths, states.shape)
+    if mode == "last":
+        cells = (packing.off[lengths - 1] + packing.pos)[:, None]
+    elif mode == "max":
+        order = packing.row_major()
+        runs = states[order]  # each row's cells in time order, one row after another
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        top = np.maximum.reduceat(runs, starts, axis=0)
+        hits = np.where(runs == np.repeat(top, lengths, axis=0), np.arange(len(runs))[:, None], len(runs))
+        cells = order[np.minimum.reduceat(hits, starts, axis=0)]
+    else:
+        raise DataError(f"unknown pooling mode: {mode!r}")
+    columns = np.arange(H)
+    return states[cells, columns], ("pick", cells, columns, states.shape)
 
 
 def pool_backward(dpooled: np.ndarray, cache) -> np.ndarray:
-    mode = cache[0]
-    if mode == "last":
-        _, last_idx, shape = cache
-        dstates = np.zeros(shape)
-        dstates[np.arange(shape[0]), last_idx] = dpooled
-        return dstates
-    if mode == "mean":
-        _, mask, counts, shape = cache
-        return dpooled[:, None, :] * mask[:, :, None] / counts[:, None, None]
-    _, arg, shape = cache
+    """The gradient on the packed states (N_real, H); zero at every cell
+    the pooling did not read."""
+    if cache[0] == "mean":
+        _, rows, lengths, _ = cache
+        return dpooled[rows] / lengths[rows, None]
+    _, cells, columns, shape = cache
     dstates = np.zeros(shape)
-    np.put_along_axis(dstates, arg[:, None, :], dpooled[:, None, :], axis=1)
+    dstates[cells, columns] = dpooled
     return dstates
 
 
@@ -380,32 +417,38 @@ class Dense:
     def forward(self, x: np.ndarray):
         return x @ self.p["W"] + self.p["b"], x
 
-    def backward(self, dout: np.ndarray, x: np.ndarray):
+    def backward(self, dout: np.ndarray, x: np.ndarray, packing: Packing | None = None):
+        """Returns the gradient on `x`. With a `packing`, `dout` and `x` are
+        packed real cells; the weight and bias gradients are still summed
+        over the padded layout, zero at padding, so they keep the order of
+        their sums."""
+        dx = dout @ self.p["W"].T
+        if packing is not None:
+            dout, x = packing.unpack(dout), packing.unpack(x)
         flat_x = x.reshape(-1, x.shape[-1])
         flat_d = dout.reshape(-1, dout.shape[-1])
         self.g["W"] += flat_x.T @ flat_d
         self.g["b"] += flat_d.sum(axis=0)
-        return dout @ self.p["W"].T
+        return dx
 
 
-def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
-    """Mean per-position multi-class log-loss over real positions.
+def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray, packing: Packing):
+    """Mean per-position multi-class log-loss over the real positions.
 
-    logits (B, T, V), targets (B, T) int, mask (B, T). Returns
-    (loss, dlogits, probs).
+    logits (N_real, V) in `packing` order, targets (B, T) int, right-padded
+    as the packing's mask. Returns (loss, dlogits, probs), both (N_real, V).
+    The per-position losses are summed in the padded batch's row-major order.
     """
-    probs = softmax(logits, axis=-1)
-    B, T, V = logits.shape
-    n_real = mask.sum()
-    if n_real == 0:
+    if packing.n == 0:
         raise DataError("cross entropy over an all-masked batch")
-    picked = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
-    losses = -np.log(np.clip(picked, 1e-300, None)) * mask
-    loss = losses.sum() / n_real
+    probs = softmax(logits, axis=-1)
+    cells, picked = np.arange(packing.n), packing.pack(targets)
+    losses = np.zeros(packing.mask.shape)
+    losses[packing.rows, packing.times] = -np.log(np.clip(probs[cells, picked], 1e-300, None))
+    loss = losses.sum() / packing.n
     dlogits = probs.copy()
-    rows = np.arange(B)[:, None], np.arange(T)[None, :]
-    dlogits[rows[0], rows[1], targets] -= 1.0
-    dlogits *= mask[:, :, None] / n_real
+    dlogits[cells, picked] -= 1.0
+    dlogits *= 1.0 / packing.n
     return loss, dlogits, probs
 
 

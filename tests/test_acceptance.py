@@ -38,10 +38,10 @@ def report(n, text):
 
 def test_criterion_01_pooling_worked_example():
     states = np.array([[[5.2, 3.3], [4.7, 7.5], [9.1, 0.6]]])
-    mask = np.ones((1, 3))
-    last, _ = tc.pool_forward(states, mask, "last")
-    maxp, _ = tc.pool_forward(states, mask, "max")
-    mean, _ = tc.pool_forward(states, mask, "mean")
+    packing = tc.Packing(np.ones((1, 3)))
+    last, _ = tc.pool_forward(packing.pack(states), packing, "last")
+    maxp, _ = tc.pool_forward(packing.pack(states), packing, "max")
+    mean, _ = tc.pool_forward(packing.pack(states), packing, "mean")
     assert np.abs(last[0] - np.array([9.1, 0.6])).max() < 1e-9
     assert np.abs(maxp[0] - np.array([9.1, 7.5])).max() < 1e-9
     assert np.abs(mean[0] - np.array([19.0 / 3.0, 3.8])).max() < 1e-9
@@ -102,13 +102,14 @@ def test_criterion_02_gradient_fidelity():
         dense = tc.Dense(prev, 1, rng)
         idx = np.array([[1, 2, 3], [4, 5, 0]])
         mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        packing = tc.Packing(mask)
         y = np.array([1.0, 0.0])
 
         def stack_loss():
-            X = emb.forward(idx)
+            X = emb.forward(packing.pack(idx))
             for lstm in lstms:
                 X, _, _ = lstm.forward(X, mask)
-            pooled, _ = tc.pool_forward(X, mask, pooling)
+            pooled, _ = tc.pool_forward(X, packing, pooling)
             logits, _ = dense.forward(pooled)
             losses, _ = tc.bce_loss(y, tc.sigmoid(logits[:, 0]))
             return float(losses.mean())
@@ -118,19 +119,19 @@ def test_criterion_02_gradient_fidelity():
         for layer in layers.values():
             for g in layer.g.values():
                 g[...] = 0.0
-        X = emb.forward(idx)
+        X = emb.forward(packing.pack(idx))
         caches = []
         for lstm in lstms:
             X, _, c = lstm.forward(X, mask)
             caches.append(c)
-        pooled, pcache = tc.pool_forward(X, mask, pooling)
+        pooled, pcache = tc.pool_forward(X, packing, pooling)
         logits, dcache = dense.forward(pooled)
         p = tc.sigmoid(logits[:, 0])
         dpool = dense.backward(((p - y) / len(y))[:, None], dcache)
         dstates = tc.pool_backward(dpool, pcache)
         for k in range(len(lstms) - 1, -1, -1):
             dstates, _, _ = lstms[k].backward(dstates, None, None, caches[k])
-        emb.backward(dstates, idx)
+        emb.backward(dstates, packing.pack(idx))
         params, grads = _collect(layers)
         rep = check_gradients(stack_loss, params, grads)
         worst_overall = max(worst_overall, max(rep.values()))
@@ -138,8 +139,8 @@ def test_criterion_02_gradient_fidelity():
 
     # softmax + multi-class log-loss at the single-prediction level: one real position
     def single_ce(logits, target):
-        loss, dlogits, _ = tc.masked_cross_entropy(logits[None, None, :], np.array([[target]]), np.ones((1, 1)))
-        return loss, dlogits[0, 0]
+        loss, dlogits, _ = tc.masked_cross_entropy(logits[None, :], np.array([[target]]), tc.Packing(np.ones((1, 1))))
+        return loss, dlogits[0]
 
     rng = np.random.default_rng(300)
     logits = rng.normal(size=7)

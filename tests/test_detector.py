@@ -151,9 +151,10 @@ class TestDlDetector:
         idx, mask = pad_batch([model.vocab.encode(seqs[0])], 1500)
         from satd_forge import tensor_core as tc
 
-        X = net.stack.embedding.forward(idx)
+        packing = tc.Packing(mask)
+        X = net.stack.embedding.forward(packing.pack(idx))
         states, (h_final, _), _ = net.stack.layers[0].forward(X, mask)
-        pooled, _ = tc.pool_forward(states, mask, "last")
+        pooled, _ = tc.pool_forward(states, packing, "last")
         np.testing.assert_array_equal(pooled, h_final)
 
 

@@ -1,10 +1,10 @@
 """Property tests of the packed LSTM layer and stack against the frozen
 full-batch reference (`lstm_reference.ReferenceLstmLayer`).
 
-Every state, final and gradient must agree within 1e-12 (relative and
-absolute) over random length sets, and the embedding gradient, taken
-over real tokens only, must equal `np.add.at` over the whole padded
-batch bit for bit.
+Every state at a real cell, final and gradient must agree within 1e-12
+(relative and absolute) over random length sets, with zero gradient at
+padding, and the embedding gradient, taken over real tokens only, must
+equal `np.add.at` over the whole padded batch bit for bit.
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ def check_layer(lengths, T, D, H, seed, given_initial, upstream):
     mask = right_padded(lengths, T)
     h0 = rng.normal(size=(B, H)) if given_initial else None
     c0 = rng.normal(size=(B, H)) if given_initial else None
-    # gradients at padding positions reach the carried states
+    # a gradient at every real position; padding takes none
     dstates = rng.normal(size=(B, T, H)) if upstream in ("states", "both") else None
     dh_final = rng.normal(size=(B, H)) if upstream in ("final", "both") else None
     dc_final = rng.normal(size=(B, H)) if upstream in ("final", "both") else None
@@ -53,7 +53,8 @@ def check_stack(lengths, T, sizes, seed, drop_rate, n_initial, vocab=11, dim=4):
     mask = right_padded(lengths, T)
     idx = (rng.integers(1, vocab, size=(B, T)) * mask).astype(np.int64)
     initial = [(rng.normal(size=(B, H)), rng.normal(size=(B, H))) for H in sizes[:n_initial]]
-    dstates = rng.normal(size=(B, T, sizes[-1]))
+    packing = tc.Packing(mask)
+    dstates = packing.unpack(packing.pack(rng.normal(size=(B, T, sizes[-1]))))  # zero at padding
     dfinal = (rng.normal(size=(B, sizes[-1])), rng.normal(size=(B, sizes[-1])))
     drop_seed = seed + 1 if drop_rate else None
 
@@ -61,13 +62,13 @@ def check_stack(lengths, T, sizes, seed, drop_rate, n_initial, vocab=11, dim=4):
     for _, grad in named.values():
         grad[...] = 0.0
     drop_rng = np.random.default_rng(drop_seed) if drop_seed is not None else None
-    states, finals, cache = stack.forward(idx, mask, drop_rng, drop_rate, initial=initial)
+    states, finals, cache = stack.forward(idx, packing, drop_rng, drop_rate, initial=initial)
     states = states.copy()
     finals = [(h.copy(), c.copy()) for h, c in finals]
-    dh0, dc0 = stack.backward(dstates, cache, dfinal=dfinal)
+    dh0, dc0 = stack.backward(packing.pack(dstates), cache, dfinal=dfinal)
 
     want = reference_stack(stack, idx, mask, drop_seed, drop_rate, initial, dstates, dfinal)
-    close(states, want[0])
+    close(states, packing.pack(want[0]))
     for (h, c), (wh, wc) in zip(finals, want[1]):
         close(h, wh)
         close(c, wc)
@@ -123,7 +124,7 @@ class TestStackProperties:
         lengths = [4, 0, 9, 6, 9, 2, 5]
         B, T, vocab = len(lengths), 10, 6  # few words, so rows share them
         stack = tc.LstmStack(vocab, 3, [4, 5], rng)
-        mask = right_padded(lengths, T)
+        packing = tc.Packing(right_padded(lengths, T))
         idx = rng.integers(0, vocab, size=(B, T))  # padding positions hold words too
         seen = []
         bottom = stack.layers[0]
@@ -138,11 +139,10 @@ class TestStackProperties:
         for _, grad in stack.named_params().values():
             grad[...] = 0.0
         drop_rng = np.random.default_rng(4) if drop_rate else None
-        _, _, cache = stack.forward(idx, mask, drop_rng, drop_rate)
-        stack.backward(rng.normal(size=(B, T, 5)), cache)
-        dX = seen[0]
-        assert not dX[mask == 0].any()  # the bottom layer's input gradient is zero at padding
-        full = dX * cache["drops"][0] if drop_rate else dX
+        _, _, cache = stack.forward(idx, packing, drop_rng, drop_rate)
+        stack.backward(packing.pack(rng.normal(size=(B, T, 5))), cache)
+        dX = seen[0]  # real cells only: the padded batch's input gradient is zero at padding
+        full = packing.unpack(dX * cache["drops"][0] if drop_rate else dX)
         want = np.zeros_like(stack.embedding.g["M"])
         np.add.at(want, idx, full)
         np.testing.assert_array_equal(stack.embedding.g["M"], want)
@@ -156,16 +156,18 @@ class TestNonFinite:
         lengths = [3, 7, 5, 2]
         X = rng.normal(size=(4, 7, 2))
         X[2, 4, 1] = np.nan
+        packing = tc.Packing(right_padded(lengths, 7))
         with pytest.raises(TrainingError, match="non-finite LSTM state at timestep 4$"):
-            layer.forward(X, right_padded(lengths, 7))
+            layer.forward(packing.pack(X), packing.mask)
 
     def test_padding_input_is_never_read(self):
+        # the stack looks up real cells only: tokens at padding, in the vocabulary or not, change nothing
         rng = np.random.default_rng(10)
-        layer = tc.LstmLayer(2, 3, rng)
-        X = rng.normal(size=(3, 6, 2))
-        mask = right_padded([6, 2, 4], 6)
-        clean, _, _ = layer.forward(X, mask)
-        X[1, 2:] = np.nan
-        X[2, 4:] = np.inf
-        states, _, _ = layer.forward(X, mask)
+        stack = tc.LstmStack(5, 2, [3], rng)
+        packing = tc.Packing(right_padded([6, 2, 4], 6))
+        idx = rng.integers(1, 5, size=(3, 6))
+        clean, _, _ = stack.forward(idx, packing)
+        idx[1, 2:] = 99
+        idx[2, 4:] = -1
+        states, _, _ = stack.forward(idx, packing)
         np.testing.assert_array_equal(states, clean)

@@ -2,7 +2,10 @@
 
 `lstm_reference.ReferenceLstmLayer` is the layer as it was before rows
 were sorted and packed: every step runs the whole batch and blends the
-masked rows. States, finals and every gradient must agree within 1e-12.
+masked rows. The packed layer and stack define states at real cells
+only and take no gradient at padding, so the reference gets a gradient
+of zero there, as every consumer of the states passes. States at real
+cells, finals and every gradient must agree within 1e-12.
 """
 
 import numpy as np
@@ -22,15 +25,24 @@ def right_padded(lengths, T):
 
 
 def run_both(layer, ref, X, mask, h0, c0, dstates, dh_final, dc_final):
-    """Forward and backward through both layers; returns both result tuples."""
+    """Forward and backward through both layers; returns both result tuples,
+    with states and input gradients at real cells in packing order.
+
+    `X` (B, T, D) and `dstates` (B, T, H) or None are padded: the packed
+    layer gets their real cells, and the reference gets `dstates` with
+    zeros at padding."""
+    packing = tc.Packing(mask)
+    d_real = None if dstates is None else packing.pack(dstates)
+    d_padded = None if dstates is None else packing.unpack(d_real)
     results = []
-    for lstm in (layer, ref):
+    for lstm, x, d, cells in ((layer, packing.pack(X), d_real, np.asarray),
+                              (ref, X, d_padded, packing.pack)):
         for g in lstm.g.values():
             g[...] = 0.0
-        states, (h, c), cache = lstm.forward(X, mask, h0=h0, c0=c0)
-        states, h, c = states.copy(), h.copy(), c.copy()
-        dX, dh0, dc0 = lstm.backward(dstates, dh_final, dc_final, cache)
-        results.append((states, h, c, dX, dh0, dc0, {k: v.copy() for k, v in lstm.g.items()}))
+        states, (h, c), cache = lstm.forward(x, mask, h0=h0, c0=c0)
+        states, h, c = cells(states).copy(), h.copy(), c.copy()
+        dX, dh0, dc0 = lstm.backward(d, dh_final, dc_final, cache)
+        results.append((states, h, c, cells(dX), dh0, dc0, {k: v.copy() for k, v in lstm.g.items()}))
     return results
 
 
@@ -51,7 +63,7 @@ class TestLayerAgainstReference:
         mask = right_padded(lengths, T)
         h0 = rng.normal(size=(B, H)) if given_initial else None
         c0 = rng.normal(size=(B, H)) if given_initial else None
-        # a gradient at every position, padding included, reaches the carried state
+        # a gradient at every real position; padding takes none
         dstates = rng.normal(size=(B, T, H)) if upstream in ("states", "both") else None
         dh_final = rng.normal(size=(B, H)) if upstream in ("final", "both") else None
         dc_final = rng.normal(size=(B, H)) if upstream in ("final", "both") else None
@@ -81,16 +93,20 @@ class TestLayerAgainstReference:
         layer = tc.LstmLayer(3, 2, rng)
         X = rng.normal(size=(3, 4, 3))
         mask = right_padded([1, 4, 2], 4)
-        states, (h, c), _ = layer.forward(X, mask)
+        packing = tc.Packing(mask)
+        states, (h, c), _ = layer.forward(packing.pack(X), mask)
+        states = packing.unpack(states)
         for r in range(3):
-            alone, (h_r, c_r), _ = layer.forward(X[r : r + 1], mask[r : r + 1])
-            close(states[r], alone[0])
+            lone = tc.Packing(mask[r : r + 1])
+            alone, (h_r, c_r), _ = layer.forward(lone.pack(X[r : r + 1]), mask[r : r + 1])
+            close(states[r], lone.unpack(alone)[0])
             close(h[r], h_r[0])
             close(c[r], c_r[0])
 
 
 def reference_stack(stack, idx, mask, drop_seed, drop_rate, initial, dstates, dfinal):
-    """`LstmStack` forward and backward composed from reference layers."""
+    """`LstmStack` forward and backward composed from reference layers, on
+    the padded batch."""
     M = stack.embedding.p["M"]
     refs = [ReferenceLstmLayer(layer) for layer in stack.layers]
     drop_rng = np.random.default_rng(drop_seed) if drop_seed is not None else None
@@ -138,7 +154,8 @@ class TestStackAgainstReference:
         H0 = stack.layers[0].state_size
         initial = [(rng.normal(size=(B, H0)), rng.normal(size=(B, H0)))]
         Htop = stack.layers[-1].state_size
-        dstates = rng.normal(size=(B, T, Htop))
+        packing = tc.Packing(mask)
+        dstates = packing.unpack(packing.pack(rng.normal(size=(B, T, Htop))))  # zero at padding
         dfinal = (rng.normal(size=(B, Htop)), rng.normal(size=(B, Htop)))
         drop_seed = 3 if drop_rate else None
 
@@ -146,13 +163,13 @@ class TestStackAgainstReference:
         for _, grad in named.values():
             grad[...] = 0.0
         drop_rng = np.random.default_rng(drop_seed) if drop_seed is not None else None
-        states, finals, cache = stack.forward(idx, mask, drop_rng, drop_rate, initial=initial)
+        states, finals, cache = stack.forward(idx, packing, drop_rng, drop_rate, initial=initial)
         states = states.copy()
         finals = [(h.copy(), c.copy()) for h, c in finals]
-        dh0, dc0 = stack.backward(dstates, cache, dfinal=dfinal)
+        dh0, dc0 = stack.backward(packing.pack(dstates), cache, dfinal=dfinal)
 
         want = reference_stack(stack, idx, mask, drop_seed, drop_rate, initial, dstates, dfinal)
-        close(states, want[0])
+        close(states, packing.pack(want[0]))
         for (h, c), (wh, wc) in zip(finals, want[1]):
             close(h, wh)
             close(c, wc)
@@ -169,9 +186,8 @@ class TestMasks:
         mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         with pytest.raises(DataError, match="right-padded"):
             layer.forward(rng.normal(size=(2, 3, 2)), mask)
-        stack = tc.LstmStack(5, 2, [3], rng)
         with pytest.raises(DataError, match="right-padded"):
-            stack.forward(np.ones((2, 3), dtype=np.int64), mask)
+            tc.Packing(mask)
 
     def test_left_padding_and_fractional_values_raise(self):
         rng = np.random.default_rng(8)

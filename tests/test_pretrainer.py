@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients
+from satd_forge import tensor_core as tc
 from satd_forge.detector import DetectorHp, DetectorNetwork, fit_detector
 from satd_forge.errors import DataError
 from satd_forge.pretrainer import load_lm, save_lm, train_next_token_lm
@@ -22,9 +23,10 @@ class TestLm:
         encoded = [model.vocab.encode(s) for s in seqs[:4]]
         idx, mask = pad_batch([s[:-1] for s in encoded], 100)
         tgt, _ = pad_batch([s[1:] for s in encoded], 100)
-        states, _, _ = model.network.stack.forward(idx, mask)
+        packing = tc.Packing(mask)
+        states, _, _ = model.network.stack.forward(idx, packing)
         logits, _ = model.network.out.forward(states)
-        hits = ((logits.argmax(axis=-1) == tgt) * mask).sum()
+        hits = (logits.argmax(axis=-1) == packing.pack(tgt)).sum()
         assert hits / mask.sum() == 1.0
 
     def test_initial_loss_log_vocab(self):

@@ -1,16 +1,19 @@
-"""Fixed-seed final losses of the three neural trainers at tiny sizes.
+"""Fixed-seed final losses of the three neural trainers at tiny sizes,
+and the bytes of the checkpoints they write.
 
-The expected values were recorded before the networks shared one LSTM
+The expected losses were recorded before the networks shared one LSTM
 stack and one training loop; any change to the order of random draws or
 of arithmetic in the forward/backward passes shows up here.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from satd_forge.detector import DetectorHp, fit_detector, train_dl_detector
-from satd_forge.generator import GeneratorHp, train_generator
-from satd_forge.pretrainer import train_next_token_lm
+from satd_forge.detector import DetectorHp, fit_detector, save_detector, train_dl_detector
+from satd_forge.generator import GeneratorHp, save_generator, train_generator
+from satd_forge.pretrainer import save_lm, train_next_token_lm
 from satd_forge.textpipe import frame_comment
 
 REL = 1e-12
@@ -84,3 +87,39 @@ def test_detector_initialised_end2end_from_lm():
           "epochs": 2, "learning_rate": 0.01, "dropout": 0.2}
     model = fit_detector(hp, seqs, labels, 15, "code", lm=lm, mode="end2end")
     assert model.final_loss == pytest.approx(END2END_LOSS, rel=REL)
+
+
+# SHA-256 of the checkpoints the trainers above write (float32 blocks). They
+# pin the bytes a user gets, which is stricter than the 1e-12 on the loss.
+# Recorded with CPython 3.11 and numpy 2.4 under OpenBLAS with one thread.
+CHECKPOINT_SHA256 = {
+    "dl-last": "e99e6d63f603a23708aa5e33f124b78453dfbd8853e5aca633c1f64681a4a0f0",
+    "dl-mean": "4833ab13928fecedfb1dbe42015b579392c238c3bac20a9f4402c0f870c1ab8f",
+    "dl-max": "cc2b0efb9175aff7e105df777822df33b5f492ff0d3b55f681f5169076de8995",
+    "lm": "5240fc46dfaf16aa616021ffbfec1319b27199f760eec80217cd60f8a6c192ef",
+    "generator": "7a4320acf68695154f7f13b9605dfd10c6add41e12e28df33df497833d5e810f",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("pooling", ["last", "mean", "max"])
+def test_dl_detector_checkpoint_bytes(tmp_path, pooling):
+    seqs, labels = detector_corpus()
+    hp = DetectorHp(latent=6, layers=3, batch_size=4, pooling=pooling, epochs=2,
+                    learning_rate=0.01, dropout=0.3)
+    save_detector(train_dl_detector(seqs, labels, hp, seed=11), tmp_path / "dl.ckpt")
+    assert sha256(tmp_path / "dl.ckpt") == CHECKPOINT_SHA256[f"dl-{pooling}"]
+
+
+def test_next_token_lm_checkpoint_bytes(tmp_path):
+    save_lm(train_next_token_lm(lm_corpus(), LM_HP, seed=12), tmp_path / "lm.ckpt")
+    assert sha256(tmp_path / "lm.ckpt") == CHECKPOINT_SHA256["lm"]
+
+
+def test_generator_checkpoint_bytes(tmp_path):
+    hp = GeneratorHp(latent=6, layers=2, batch_size=3, epochs=2, learning_rate=0.01, dropout=0.2)
+    save_generator(train_generator(generator_pairs(), hp, seed=13), tmp_path / "gen.ckpt")
+    assert sha256(tmp_path / "gen.ckpt") == CHECKPOINT_SHA256["generator"]

@@ -22,28 +22,34 @@ def gradcheck(loss_fn, layers, tol=1e-4):
     return worst
 
 
+def pool_padded(states, mask, mode):
+    """`pool_forward` of a padded (B, T, H) batch."""
+    packing = tc.Packing(mask)
+    return tc.pool_forward(packing.pack(states), packing, mode)
+
+
 class TestPooling:
     # the worked example: S1=[5.2, 3.3], S2=[4.7, 7.5], S3=[9.1, 0.6]
     STATES = np.array([[[5.2, 3.3], [4.7, 7.5], [9.1, 0.6]]])
     MASK = np.ones((1, 3))
 
     def test_last(self):
-        pooled, _ = tc.pool_forward(self.STATES, self.MASK, "last")
+        pooled, _ = pool_padded(self.STATES, self.MASK, "last")
         np.testing.assert_allclose(pooled[0], [9.1, 0.6], atol=1e-9)
 
     def test_max(self):
-        pooled, _ = tc.pool_forward(self.STATES, self.MASK, "max")
+        pooled, _ = pool_padded(self.STATES, self.MASK, "max")
         np.testing.assert_allclose(pooled[0], [9.1, 7.5], atol=1e-9)
 
     def test_mean(self):
-        pooled, _ = tc.pool_forward(self.STATES, self.MASK, "mean")
+        pooled, _ = pool_padded(self.STATES, self.MASK, "mean")
         np.testing.assert_allclose(pooled[0], [19.0 / 3.0, 3.8], atol=1e-9)
 
     def test_single_position_all_modes_agree(self):
         states = np.array([[[1.5, -2.0]]])
         mask = np.ones((1, 1))
         for mode in ("last", "mean", "max"):
-            pooled, _ = tc.pool_forward(states, mask, mode)
+            pooled, _ = pool_padded(states, mask, mode)
             np.testing.assert_allclose(pooled[0], [1.5, -2.0])
 
     def test_padding_never_affects_mean_max(self):
@@ -55,13 +61,13 @@ class TestPooling:
             padded = np.concatenate([states, rng.normal(size=(1, pad, 3)) * 100], axis=1)
             mask = np.concatenate([np.ones((1, real)), np.zeros((1, pad))], axis=1)
             for mode in ("mean", "max", "last"):
-                a, _ = tc.pool_forward(states, np.ones((1, real)), mode)
-                b, _ = tc.pool_forward(padded, mask, mode)
+                a, _ = pool_padded(states, np.ones((1, real)), mode)
+                b, _ = pool_padded(padded, mask, mode)
                 np.testing.assert_allclose(a, b)
 
     def test_all_masked_rejected(self):
         with pytest.raises(DataError):
-            tc.pool_forward(np.zeros((1, 2, 2)), np.zeros((1, 2)), "mean")
+            pool_padded(np.zeros((1, 2, 2)), np.zeros((1, 2)), "mean")
 
 
 class TestSigmoidAndBce:
@@ -115,9 +121,9 @@ class TestSigmoidAndBce:
 def single_ce(logits, target):
     """`masked_cross_entropy` of one prediction: (probs, loss, dlogits)."""
     loss, dlogits, probs = tc.masked_cross_entropy(
-        np.asarray(logits)[None, None, :], np.array([[target]]), np.ones((1, 1))
+        np.asarray(logits)[None, :], np.array([[target]]), tc.Packing(np.ones((1, 1)))
     )
-    return probs[0, 0], loss, dlogits[0, 0]
+    return probs[0], loss, dlogits[0]
 
 
 class TestSoftmaxCe:
@@ -218,6 +224,14 @@ class TestOptimizers:
         assert opt.t == 3
 
 
+def lstm_padded(lstm, X, mask):
+    """`LstmLayer.forward` of a padded (B, T, D) batch, with the states
+    scattered back to (B, T, H), zero at padding."""
+    packing = tc.Packing(mask)
+    states, final, cache = lstm.forward(packing.pack(X), mask, packing=packing)
+    return packing.unpack(states), final, cache
+
+
 class TestLstm:
     def test_zero_weights_zero_states(self):
         rng = np.random.default_rng(0)
@@ -225,7 +239,7 @@ class TestLstm:
         for key in lstm.p:
             lstm.p[key][...] = 0.0
         X = rng.normal(size=(2, 5, 3))
-        states, (h, c), _ = lstm.forward(X, np.ones((2, 5)))
+        states, (h, c), _ = lstm_padded(lstm, X, np.ones((2, 5)))
         np.testing.assert_allclose(states, 0.0, atol=1e-15)
         np.testing.assert_allclose(h, 0.0, atol=1e-15)
 
@@ -233,7 +247,7 @@ class TestLstm:
         rng = np.random.default_rng(1)
         lstm = tc.LstmLayer(3, 4, rng)
         X = rng.normal(size=(2, 5, 3))
-        states, (h, c), _ = lstm.forward(X, np.zeros((2, 5)))
+        states, (h, c), _ = lstm_padded(lstm, X, np.zeros((2, 5)))
         np.testing.assert_allclose(h, 0.0, atol=1e-15)
         np.testing.assert_allclose(c, 0.0, atol=1e-15)
 
@@ -243,16 +257,14 @@ class TestLstm:
         X = rng.normal(size=(1, 4, 2))
         X[0, 2, 0] = np.nan
         with pytest.raises(TrainingError, match="timestep 2"):
-            lstm.forward(X, np.ones((1, 4)))
+            lstm_padded(lstm, X, np.ones((1, 4)))
 
-    def test_masked_steps_copy_state(self):
+    def test_final_state_is_the_last_real_state(self):
         rng = np.random.default_rng(3)
         lstm = tc.LstmLayer(2, 3, rng)
         X = rng.normal(size=(1, 4, 2))
         mask = np.array([[1.0, 1.0, 0.0, 0.0]])
-        states, (h, _), _ = lstm.forward(X, mask)
-        np.testing.assert_array_equal(states[0, 1], states[0, 2])
-        np.testing.assert_array_equal(states[0, 1], states[0, 3])
+        states, (h, _), _ = lstm_padded(lstm, X, mask)
         np.testing.assert_array_equal(h, states[:, 1])
 
 
@@ -318,13 +330,14 @@ class TestGradientChecks:
         dense = tc.Dense(prev, 1, rng)
         idx = np.array([[1, 2, 3], [4, 5, 0]])
         mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        packing = tc.Packing(mask)
         y = np.array([1.0, 0.0])
 
         def loss_fn():
-            X = emb.forward(idx)
+            X = emb.forward(packing.pack(idx))
             for lstm in lstms:
                 X, _, _ = lstm.forward(X, mask)
-            pooled, _ = tc.pool_forward(X, mask, pooling)
+            pooled, _ = tc.pool_forward(X, packing, pooling)
             logits, _ = dense.forward(pooled)
             losses, _ = tc.bce_loss(y, tc.sigmoid(logits[:, 0]))
             return float(losses.mean())
@@ -334,19 +347,19 @@ class TestGradientChecks:
         for layer in layers.values():
             for g in layer.g.values():
                 g[...] = 0.0
-        X = emb.forward(idx)
+        X = emb.forward(packing.pack(idx))
         caches = []
         for lstm in lstms:
             X, _, cache = lstm.forward(X, mask)
             caches.append(cache)
-        pooled, pcache = tc.pool_forward(X, mask, pooling)
+        pooled, pcache = tc.pool_forward(X, packing, pooling)
         logits, dcache = dense.forward(pooled)
         p = tc.sigmoid(logits[:, 0])
         dpool = dense.backward(((p - y) / len(y))[:, None], dcache)
         dstates = tc.pool_backward(dpool, pcache)
         for k in range(len(lstms) - 1, -1, -1):
             dstates, _, _ = lstms[k].backward(dstates, None, None, caches[k])
-        emb.backward(dstates, idx)
+        emb.backward(dstates, packing.pack(idx))
         gradcheck(loss_fn, layers)
 
     def test_three_layer_sizing_rule(self):
@@ -380,12 +393,13 @@ class TestLstmStack:
         rng = np.random.default_rng(21)
         stack = tc.LstmStack(6, 3, [4, 4], rng)
         idx = np.array([[1, 2, 3], [4, 5, 0]])
-        mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        packing = tc.Packing(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]]))
         h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
         w_states, w_h, w_c = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        w_states = packing.pack(w_states)  # the states of real cells
 
         def run():
-            states, finals, cache = stack.forward(idx, mask, np.random.default_rng(5), 0.3, initial=[(h0, c0)])
+            states, finals, cache = stack.forward(idx, packing, np.random.default_rng(5), 0.3, initial=[(h0, c0)])
             h, c = finals[-1]
             loss = float((states * w_states).sum() + (h * w_h).sum() + (c * w_c).sum())
             return loss, cache
@@ -408,10 +422,10 @@ class TestLstmStack:
     def test_upper_layers_start_at_zero(self):
         rng = np.random.default_rng(22)
         stack = tc.LstmStack(5, 3, [3, 3], rng)
-        idx, mask = np.array([[1, 2]]), np.ones((1, 2))
+        idx, packing = np.array([[1, 2]]), tc.Packing(np.ones((1, 2)))
         zeros = (np.zeros((1, 3)), np.zeros((1, 3)))
-        a, finals_a, _ = stack.forward(idx, mask)
-        b, finals_b, _ = stack.forward(idx, mask, initial=[zeros, zeros])
+        a, finals_a, _ = stack.forward(idx, packing)
+        b, finals_b, _ = stack.forward(idx, packing, initial=[zeros, zeros])
         np.testing.assert_array_equal(a, b)
         for (ha, ca), (hb, cb) in zip(finals_a, finals_b):
             np.testing.assert_array_equal(ha, hb)
