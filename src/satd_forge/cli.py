@@ -13,14 +13,23 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import __version__, evalkit
 from .atomic import atomic_write
-from .detector import DetectorHp, fit_detector, load_detector, predict_many, save_detector
+from .detector import (
+    DetectorHp,
+    check_detector_input,
+    fit_detector,
+    load_detector,
+    predict_many,
+    save_detector,
+)
 from .errors import DataError, JavaLexError, SatdForgeError, TrainingError
 from .generator import (
     GeneratorHp,
+    check_generator_input,
     generate_comments,
     load_generator,
     save_generator,
@@ -323,8 +332,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _input_lines(path) -> list[str]:
-    return [line for line in _read_utf8(path).splitlines() if line.strip()]
+def _input_sequences(path, kind: str, check) -> tuple[list[str], list[list[str]]]:
+    """The non-blank lines of `path` and their token sequences. A line that
+    does not convert, or whose non-empty sequence `check` rejects, raises
+    DataError naming `path:line:`."""
+    lines, sequences = [], []
+    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            seq = _line_to_sequence(line, kind)
+            if seq:
+                check(seq)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        lines.append(line)
+        sequences.append(seq)
+    return lines, sequences
 
 
 def _line_to_sequence(line: str, kind: str) -> list[str]:
@@ -339,8 +363,8 @@ def _line_to_sequence(line: str, kind: str) -> list[str]:
 def cmd_detect(args) -> int:
     model = load_detector(args.model)
     kind = args.kind or model.vocab.kind
-    lines = _input_lines(args.input)
-    results = _predict_all(model, [_line_to_sequence(line, kind) for line in lines])
+    lines, sequences = _input_sequences(args.input, kind, partial(check_detector_input, model))
+    results = _predict_all(model, sequences)
     for line, (prob, positive) in zip(lines, results):
         verdict = "SATD" if positive else "NonSATD"
         print(f"{prob:.6f}\t{verdict}\t{line}")
@@ -349,7 +373,7 @@ def cmd_detect(args) -> int:
 
 def cmd_generate(args) -> int:
     model = load_generator(args.model)
-    sequences = [_line_to_sequence(line, "code") for line in _input_lines(args.input)]
+    _, sequences = _input_sequences(args.input, "code", partial(check_generator_input, model))
     for words in generate_comments(model, sequences):
         print("// " + " ".join(words))
     return 0

@@ -165,6 +165,14 @@ def _featurize(model: DetectorModel, sequences):
     return transform(counts, model.tfidf) if model.features == "tfidf" else counts
 
 
+def check_detector_input(model: DetectorModel, seq) -> None:
+    """Raise DataError unless `predict_many` can score `seq`."""
+    if not seq:
+        raise DataError("cannot classify an empty sequence")
+    if model.kind == "dl" and len(seq) > model.hp.seq_cap:
+        raise DataError(f"sequence of length {len(seq)} exceeds cap {model.hp.seq_cap}")
+
+
 def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
     """Probability and label for each token sequence, in input order.
 
@@ -175,16 +183,13 @@ def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
     calls a tie negative and the SVM a zero margin.
     """
     sequences = list(sequences)
-    if not all(sequences):
-        raise DataError("cannot classify an empty sequence")
+    for seq in sequences:
+        check_detector_input(model, seq)
     if model.kind in ("mnb", "svm", "pretrained_embed_svm"):
         return _predict_linear(model, sequences)
     if model.kind != "dl":
         raise DataError(f"unknown detector kind: {model.kind!r}")
     cap = model.hp.seq_cap
-    for seq in sequences:
-        if len(seq) > cap:
-            raise DataError(f"sequence of length {len(seq)} exceeds cap {cap}")
     encoded = [model.vocab.encode(s) for s in sequences]
     probs = np.empty(len(encoded))
     for chunk in length_sorted_chunks(encoded, model.hp.batch_size):

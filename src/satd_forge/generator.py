@@ -39,7 +39,14 @@ class GeneratorHp:
 
 
 class Attention:
-    """Dot-score attention over encoder states with a concat projection."""
+    """Global dot-product attention (Luong et al., 2015) with a concat
+    projection, tanh(Wc [context; state] + bc).
+
+    Attention is defined one sequence at a time, so it runs one row at a
+    time: a row's decoder states score, weigh and average only its own
+    real encoder states, read as views. The projection and its tanh run
+    once over every decoder state of the batch.
+    """
 
     def __init__(self, dim: int, rng: np.random.Generator):
         self.dim = dim
@@ -49,41 +56,55 @@ class Attention:
         }
         self.g = {k: np.zeros_like(v) for k, v in self.p.items()}
 
-    def forward(self, S: np.ndarray, H: np.ndarray, enc_mask: np.ndarray):
-        """S (B,K,d) decoder states, H (B,N,d) encoder states.
+    def forward(self, S: np.ndarray, H: np.ndarray, dec_spans, enc_spans):
+        """S (N_S, d) decoder states and H (N_H, d) encoder states at real
+        cells, each row's cells contiguous and in time order (see
+        `Packing.row_major`): row b's are S[lo:hi] for (lo, hi) =
+        dec_spans[b], and H[lo:hi] for enc_spans[b].
 
-        Returns (attended (B,K,d), weights (B,K,N), cache).
+        Returns (attended (N_S, d) in the order of S, cache); the cache
+        holds each row's attention weights (k_b, n_b) under "weights".
         """
-        if (enc_mask.sum(axis=1) == 0).any():
-            raise DataError("attention over an all-masked input sequence")
-        scores = S @ H.transpose(0, 2, 1)
-        scores = np.where(enc_mask[:, None, :] > 0, scores, -1e30)
-        weights = tc.softmax(scores, axis=-1)
-        context = weights @ H
-        concat = np.concatenate([context, S], axis=-1)
-        pre = concat @ self.p["Wc"] + self.p["bc"]
-        attended = np.tanh(pre)
-        cache = (S, H, weights, concat, attended)
-        return attended, weights, cache
+        context = np.empty_like(S)
+        weights = []
+        for (s0, s1), (h0, h1) in zip(dec_spans, enc_spans):
+            if h0 == h1:
+                raise DataError("attention over an all-masked input sequence")
+            Hb = H[h0:h1]
+            w = S[s0:s1] @ Hb.T
+            # softmax over the row's encoder states
+            w -= w.max(axis=1, keepdims=True)
+            np.exp(w, out=w)
+            w /= w.sum(axis=1, keepdims=True)
+            np.matmul(w, Hb, out=context[s0:s1])
+            weights.append(w)
+        concat = np.concatenate([context, S], axis=1)
+        attended = np.tanh(concat @ self.p["Wc"] + self.p["bc"])
+        cache = {"S": S, "H": H, "spans": (dec_spans, enc_spans), "weights": weights,
+                 "concat": concat, "attended": attended}
+        return attended, cache
 
     def backward(self, dattended: np.ndarray, cache):
-        S, H, weights, concat, attended = cache
+        """`dattended` (N_S, d) in the order of S. Returns (dS, dH) in the
+        orders of S and H; an encoder state that no row reads gets zero."""
+        S, H, weights, attended = cache["S"], cache["H"], cache["weights"], cache["attended"]
         d = self.dim
         dpre = dattended * (1.0 - attended**2)
-        flat_c = concat.reshape(-1, 2 * d)
-        flat_d = dpre.reshape(-1, d)
-        self.g["Wc"] += flat_c.T @ flat_d
-        self.g["bc"] += flat_d.sum(axis=0)
+        self.g["Wc"] += cache["concat"].T @ dpre
+        self.g["bc"] += dpre.sum(axis=0)
         dconcat = dpre @ self.p["Wc"].T
-        dcontext = dconcat[..., :d]
-        dS = dconcat[..., d:]
-        # context = weights @ H
-        dweights = dcontext @ H.transpose(0, 2, 1)
-        dH = weights.transpose(0, 2, 1) @ dcontext
-        # softmax over the encoder axis; masked positions carry zero weight
-        dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
-        dS += dscores @ H
-        dH += dscores.transpose(0, 2, 1) @ S
+        dcontext, dS = dconcat[:, :d], dconcat[:, d:]
+        dH = np.zeros_like(H)
+        for (s0, s1), (h0, h1), w in zip(*cache["spans"], weights):
+            Hb, dc, dHb = H[h0:h1], dcontext[s0:s1], dH[h0:h1]
+            # context = w @ Hb
+            dw = dc @ Hb.T
+            np.matmul(w.T, dc, out=dHb)
+            # softmax over the row's encoder states
+            dw -= (dw * w).sum(axis=1, keepdims=True)
+            dw *= w
+            dS[s0:s1] += dw @ Hb
+            dHb += dw.T @ S[s0:s1]
         return dS, dH
 
 
@@ -115,16 +136,20 @@ class Seq2SeqNetwork(tc.Network):
         """Teacher-forced loss: decoder inputs are the target sequence
         shifted right by one position.
 
-        The stacks run on real cells only; attention and the output layer
-        run on the padded (B, K, d) layout, and the loss on real positions.
+        The stacks and attention run on real cells only; the output layer
+        runs on the padded (B, K, d) layout, and the loss on real positions.
         """
         enc, dec = tc.Packing(enc_mask), tc.Packing(dec_mask)
         Henc, enc_finals, enc_cache = self.encoder.forward(enc_idx, enc, drop_rng, drop_rate)
         states, _, dec_cache = self.decoder.forward(
             dec_idx, dec, drop_rng, drop_rate, initial=enc_finals[-1:]
         )
-        attended, _, att_cache = self.attention.forward(dec.unpack(states), enc.unpack(Henc), enc_mask)
-        logits, dense_cache = self.out.forward(attended)
+        attended, att_cache = self.attention.forward(
+            states[dec.row_major], Henc[enc.row_major], dec.spans, enc.spans
+        )
+        padded = np.zeros(dec.mask.shape + attended.shape[1:])
+        padded[dec.mask > 0] = attended  # boolean indexing runs in row-major order
+        logits, dense_cache = self.out.forward(padded)
         loss, dlogits, _ = tc.masked_cross_entropy(dec.pack(logits), targets, dec)
         caches = {
             "encoder": enc_cache,
@@ -138,10 +163,10 @@ class Seq2SeqNetwork(tc.Network):
     def backward(self, caches):
         enc, dec = caches["encoder"]["packing"], caches["decoder"]["packing"]
         dattended = self.out.backward(caches["dlogits"], caches["out"])
-        dstates, dHenc = self.attention.backward(dattended, caches["attention"])
-        handoff = self.decoder.backward(dec.pack(dstates), caches["decoder"])
+        dstates, dHenc = self.attention.backward(dattended[dec.mask > 0], caches["attention"])
+        handoff = self.decoder.backward(dec.from_row_major(dstates), caches["decoder"])
         # encoder: attention gradient on every state, handoff on the final one
-        self.encoder.backward(enc.pack(dHenc), caches["encoder"], dfinal=handoff)
+        self.encoder.backward(enc.from_row_major(dHenc), caches["encoder"], dfinal=handoff)
 
     def loss_and_grads(self, enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng=None, drop_rate=0.0):
         self.zero_grads()
@@ -160,7 +185,7 @@ class Seq2SeqNetwork(tc.Network):
         enc_idx, enc_mask = pad_batch(enc_lists, max(map(len, enc_lists)))
         enc = tc.Packing(enc_mask)
         Henc, enc_finals, _ = self.encoder.forward(enc_idx, enc)
-        Henc = enc.unpack(Henc)
+        Henc, enc_spans = Henc[enc.row_major], enc.spans
         states = enc_finals[-1:]
         rows = np.arange(len(enc_lists))  # input index of each live row
         words = np.full(len(rows), sos)
@@ -168,14 +193,15 @@ class Seq2SeqNetwork(tc.Network):
         for _ in range(max_words):
             step = tc.Packing(np.ones((len(rows), 1)))
             X, states, _ = self.decoder.forward(words[:, None], step, initial=states)
-            attended, _, _ = self.attention.forward(step.unpack(X), Henc, enc_mask)
-            logits, _ = self.out.forward(attended)
+            attended, _ = self.attention.forward(X, Henc, step.spans, enc_spans)
+            logits, _ = self.out.forward(attended[:, None])
             words = np.argmax(logits[:, 0], axis=1)
             live = words != eos
             for row, word in zip(rows[live].tolist(), words[live].tolist()):
                 out[row].append(word)
             if not live.all():
-                rows, words, Henc, enc_mask = rows[live], words[live], Henc[live], enc_mask[live]
+                rows, words = rows[live], words[live]
+                enc_spans = [span for span, keep in zip(enc_spans, live.tolist()) if keep]
                 states = [(h[live], c[live]) for h, c in states]
                 if not len(rows):
                     break
@@ -242,16 +268,21 @@ def train_generator(
     )
 
 
+def check_generator_input(model: GeneratorModel, seq) -> None:
+    """Raise DataError unless `generate_comments` can decode `seq`."""
+    if not seq:
+        raise DataError("cannot generate a comment for an empty input")
+    if len(seq) > model.hp.code_cap:
+        raise DataError(f"input of length {len(seq)} exceeds cap {model.hp.code_cap}")
+
+
 def generate_comments(model: GeneratorModel, sequences) -> list[list[str]]:
     """Greedy decode code sequences into comment words (markers
     excluded), in input order. The inputs are sorted by length, longest
     first, and decoded in chunks of `hp.batch_size`."""
     sequences = list(sequences)
     for seq in sequences:
-        if not seq:
-            raise DataError("cannot generate a comment for an empty input")
-        if len(seq) > model.hp.code_cap:
-            raise DataError(f"input of length {len(seq)} exceeds cap {model.hp.code_cap}")
+        check_generator_input(model, seq)
     encoded = [model.code_vocab.encode(s) for s in sequences]
     sos = model.comment_vocab.index_of[SOS]
     eos = model.comment_vocab.index_of[EOS]

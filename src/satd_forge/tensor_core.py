@@ -6,8 +6,10 @@ training loop.
 
 A right-padded batch enters as token ids and a 0/1 mask (B, T). The
 stack, pooling and the multi-class loss work on its real cells only,
-packed (`Packing`); callers that need the padded layout, such as
-attention, scatter the packed states back with `Packing.unpack`.
+packed (`Packing`); callers that read a row's cells together, such as
+attention, gather them in row-major order with `Packing.row_major`, and
+callers that need the padded layout scatter them back with
+`Packing.unpack`.
 
 Everything runs in float64 on numpy; checkpoints store float32.
 """
@@ -15,6 +17,7 @@ Everything runs in float64 on numpy; checkpoints store float32.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -78,17 +81,31 @@ def bce_loss(y, p):
 def dropout_mask(shape, rate: float, rng: np.random.Generator, packing=None) -> np.ndarray:
     """Inverted-scaling dropout mask: 0 with probability `rate`, else 1/(1-rate).
 
-    With a `packing`, `shape` is a padded (B, T, width) shape. The draw
-    still covers all of it, so the generator advances as it does for the
-    padded batch, but the mask comes back for the real cells only,
-    (N_real, width) in packing order.
+    With a `packing`, `shape` is a padded (B, T, width) shape and the mask
+    comes back for the real cells only, (N_real, width) in packing order.
+    Each cell still gets the number that a row-major draw over all of
+    `shape` gives it, and the generator ends where that draw leaves it:
+    each row's real prefix is drawn in place and its padding skipped with
+    `advance`, which needs a PCG64 generator (one 64-bit step per number).
     """
     if not 0.0 <= rate < 1.0:
         raise DataError(f"dropout rate {rate} outside [0, 1)")
-    draw = np.ones(shape) if rate == 0.0 else rng.random(shape)
-    if packing is not None:
-        draw = packing.pack(draw)
-    return (draw >= rate).astype(np.float64) / (1.0 - rate)
+    if rate == 0.0:
+        return np.ones(shape if packing is None else (packing.n,) + tuple(shape[2:]))
+    if packing is None:
+        keep = rng.random(shape) >= rate
+    else:
+        bits = rng.bit_generator
+        if not isinstance(bits, np.random.PCG64):
+            raise DataError(f"dropout over a packing needs a PCG64 generator, got {type(bits).__name__}")
+        T, width = int(shape[1]), int(math.prod(shape[2:]))  # advance takes Python ints
+        draw = np.empty((packing.n,) + tuple(shape[2:]))  # the real cells in row-major order
+        for lo, hi in packing.spans:
+            rng.random(out=draw[lo:hi])
+            if hi - lo < T:
+                bits.advance((T - (hi - lo)) * width)
+        keep = packing.from_row_major(draw >= rate)
+    return keep * (1.0 / (1.0 - rate))
 
 
 class Embedding:
@@ -152,11 +169,27 @@ class Packing:
         padded[self.rows, self.times] = packed
         return padded
 
+    @cached_property
     def row_major(self) -> np.ndarray:
         """The packed index of every real cell, in the padded batch's
-        row-major order."""
+        row-major order: `packed[row_major]` lists each row's cells in time
+        order, one row after another."""
         rows, times = np.nonzero(self.mask)
         return self.off[times] + self.pos[rows]
+
+    @cached_property
+    def spans(self) -> list[tuple[int, int]]:
+        """(lo, hi) of each row in row-major order: row b's cells are
+        `packed[row_major][lo:hi]`."""
+        bounds = np.concatenate(([0], np.cumsum(self.lengths))).tolist()
+        return list(zip(bounds[:-1], bounds[1:]))
+
+    def from_row_major(self, cells: np.ndarray) -> np.ndarray:
+        """The real cells (N_real, ...) in packing order, given in
+        row-major order; the inverse of `packed[row_major]`."""
+        packed = np.empty_like(cells)
+        packed[self.row_major] = cells
+        return packed
 
 
 class LstmLayer:
@@ -296,7 +329,8 @@ class LstmStack:
 
     Dropout applies only when a generator and a positive rate are given;
     the masks are drawn after the embedding and after each layer, in
-    that order, each over the padded (B, T, width) shape, so the random
+    that order, each as a row-major draw over the padded (B, T, width)
+    shape whose padding is skipped (`dropout_mask`), so the random
     numbers a real cell gets do not depend on the packing.
     """
 
@@ -357,7 +391,7 @@ class LstmStack:
             dstates = dstates * drops.pop()
         # in the padded batch's row-major order, so a repeated token's rows add up in the
         # same order whatever the packing
-        cells = cache["packing"].row_major()
+        cells = cache["packing"].row_major
         self.embedding.backward(dstates[cells], cache["tokens"][cells])
         return dh0, dc0
 
@@ -382,7 +416,7 @@ def pool_forward(states: np.ndarray, packing: Packing, mode: str):
     if mode == "last":
         cells = (packing.off[lengths - 1] + packing.pos)[:, None]
     elif mode == "max":
-        order = packing.row_major()
+        order = packing.row_major
         runs = states[order]  # each row's cells in time order, one row after another
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         top = np.maximum.reduceat(runs, starts, axis=0)

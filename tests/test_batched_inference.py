@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from attention_reference import ReferenceAttention
 from satd_forge import tensor_core as tc
 from satd_forge.cli import main
 from satd_forge.detector import fit_detector, predict_many
@@ -116,7 +117,8 @@ class TestDetectCommand:
 
 def reference_decode(network, enc_indices, sos, eos, max_words):
     """Greedy decoding of one input, one decoder step at a time, as the
-    generator did before it decoded batches."""
+    generator did before it decoded batches, with the padded attention."""
+    attention = ReferenceAttention(network.attention)
     enc_idx, enc_mask = pad_batch([enc_indices], len(enc_indices))
     enc = tc.Packing(enc_mask)
     Henc, enc_finals, _ = network.encoder.forward(enc_idx, enc)
@@ -125,7 +127,7 @@ def reference_decode(network, enc_indices, sos, eos, max_words):
     step = tc.Packing(np.ones((1, 1)))
     for _ in range(max_words):
         X, states, _ = network.decoder.forward(np.array([[word]]), step, initial=states)
-        attended, _, _ = network.attention.forward(step.unpack(X), enc.unpack(Henc), enc_mask)
+        attended, _, _ = attention.forward(step.unpack(X), enc.unpack(Henc), enc_mask)
         logits, _ = network.out.forward(attended)
         word = int(np.argmax(logits[0, 0]))
         if word == eos:

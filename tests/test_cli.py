@@ -483,7 +483,32 @@ class TestMalformedInputLines:
         assert run(command, "--model", str(models[command]), "--input", str(inputs)) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: unparsable if-statement")
+        assert err.startswith(f"error: {inputs}:2: unparsable if-statement")
+
+    @pytest.mark.parametrize("line,message", [
+        ('if (s == "abc) x();', "unterminated string literal at line 1, column 10"),
+        ("not java (", "fragment does not start with `if`"),
+    ])
+    @pytest.mark.parametrize("command", ["detect", "generate"])
+    def test_error_names_the_input_line(self, tmp_path, capsys, models, command, line, message):
+        # blank lines count: the failing line is the file's fourth
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("if (x > 0) { f(); }\n\n  \n" + line + "\nif (y) g();\n")
+        capsys.readouterr()
+        assert run(command, "--model", str(models[command]), "--input", str(inputs)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {inputs}:4: {message}\n"
+
+    def test_line_over_the_code_cap_names_its_line(self, tmp_path, capsys, models):
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("if (x > 0) { f(); }\nif (a) f(" + ", ".join(["a"] * 600) + ");\n")
+        capsys.readouterr()
+        assert run("generate", "--model", str(models["generate"]), "--input", str(inputs)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {inputs}:2: input of length ")
+        assert err.endswith(" exceeds cap 1500\n")
 
 
 class TestBadOptionFiles:

@@ -37,12 +37,16 @@ def tiny_pairs(n=6):
 
 def one_step(att, state, enc_states, mask):
     """Context, weights and attended vector of one decoder step over one
-    encoded sequence, through the batched Attention.forward."""
-    S = np.asarray(state, dtype=np.float64)[None, None, :]
-    H = np.asarray(enc_states, dtype=np.float64)[None, :, :]
-    attended, weights, _ = att.forward(S, H, np.asarray(mask, dtype=np.float64)[None, :])
-    context = (weights[0, 0][:, None] * H[0]).sum(axis=0)
-    return context, weights[0, 0], attended[0, 0]
+    encoded sequence, through Attention.forward; the weights are spread
+    over every encoder position, zero at masked ones."""
+    S = np.asarray(state, dtype=np.float64)[None, :]
+    real = np.asarray(mask) > 0
+    H = np.asarray(enc_states, dtype=np.float64)
+    attended, cache = att.forward(S, H[real], [(0, 1)], [(0, int(real.sum()))])
+    weights = np.zeros(len(real))
+    weights[real] = cache["weights"][0][0]
+    context = (weights[:, None] * H).sum(axis=0)
+    return context, weights, attended[0]
 
 
 class TestAttention:

@@ -6,12 +6,14 @@ gradient at padding: scattered back to the padded batch, the gradient
 that pooling, attention and the masked cross-entropy give the states is
 zero at every padding position, so leaving those positions out changes
 nothing. Each consumer is checked on a padded batch with rows of length
-1 and with garbage at padding, against its padded formula.
+1 and with garbage at padding, against its padded formula (for
+attention, the frozen padded `attention_reference.ReferenceAttention`).
 """
 
 import numpy as np
 import pytest
 
+from attention_reference import ReferenceAttention
 from satd_forge import tensor_core as tc
 from satd_forge.generator import Attention, Seq2SeqNetwork
 from satd_forge.textpipe import pad_batch
@@ -59,20 +61,29 @@ def test_attention_over_decoder_and_encoder_padding():
     rng = np.random.default_rng(2)
     d = 3
     dec_mask, enc_mask = right_padded(DEC_LENGTHS, K), right_padded(ENC_LENGTHS, N)
+    dec, enc = tc.Packing(dec_mask), tc.Packing(enc_mask)
     S = rng.normal(size=(len(DEC_LENGTHS), K, d))
     S[dec_mask == 0] = 1e3
     H = rng.normal(size=(len(ENC_LENGTHS), N, d))
     H[enc_mask == 0] = -1e3
     att = Attention(d, rng)
-    _, weights, cache = att.forward(S, H, enc_mask)
+    ref = ReferenceAttention(att)
+    _, weights, cache = ref.forward(S, H, enc_mask)
     assert not weights.transpose(0, 2, 1)[enc_mask == 0].any()
+    _, att_cache = att.forward(S[dec_mask > 0], H[enc_mask > 0], dec.spans, enc.spans)
+    for b, w in enumerate(att_cache["weights"]):  # each row's block is the padded weights' real block
+        np.testing.assert_allclose(w, weights[b, : DEC_LENGTHS[b], : ENC_LENGTHS[b]], rtol=1e-12, atol=1e-12)
     # the output layer passes zero at decoder padding (see the next test)
     dattended = rng.normal(size=S.shape) * dec_mask[:, :, None]
-    dS, dH = att.backward(dattended, cache)
+    dS, dH = ref.backward(dattended, cache)
     assert not dS[dec_mask == 0].any()
     assert not dH[enc_mask == 0].any()
+    # so the per-row form, which never reads padding, gets the same gradients at real cells
+    dS_rows, dH_rows = att.backward(dattended[dec_mask > 0], att_cache)
+    np.testing.assert_allclose(dS_rows, dS[dec_mask > 0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dH_rows, dH[enc_mask > 0], rtol=1e-12, atol=1e-12)
     # encoder padding takes no gradient even from decoder positions that do
-    _, dH_all = att.backward(rng.normal(size=S.shape), att.forward(S, H, enc_mask)[2])
+    _, dH_all = ref.backward(rng.normal(size=S.shape), ref.forward(S, H, enc_mask)[2])
     assert not dH_all[enc_mask == 0].any()
 
 
@@ -105,6 +116,16 @@ def test_generator_passes_no_gradient_to_padding():
     tgt_idx, _ = pad_batch([[3, 4, 2], [2], [5, 2]], 5)
     _, caches = net.forward_train(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx, np.random.default_rng(0), 0.3)
     dattended = net.out.backward(caches["dlogits"], caches["out"])
-    dstates, dHenc = net.attention.backward(dattended, caches["attention"])
-    assert not dstates[dec_mask == 0].any()
-    assert not dHenc[enc_mask == 0].any()
+    assert not dattended[dec_mask == 0].any()  # what the per-row attention leaves out
+    dstates, dHenc = net.attention.backward(dattended[dec_mask > 0], caches["attention"])
+    # the padded formula on the same states, with garbage at padding
+    S = np.full(dec_mask.shape + (4,), 7.0)
+    S[dec_mask > 0] = caches["attention"]["S"]
+    H = np.full(enc_mask.shape + (4,), -7.0)
+    H[enc_mask > 0] = caches["attention"]["H"]
+    ref = ReferenceAttention(net.attention)
+    ref_states, ref_Henc = ref.backward(dattended, ref.forward(S, H, enc_mask)[2])
+    assert not ref_states[dec_mask == 0].any()
+    assert not ref_Henc[enc_mask == 0].any()
+    np.testing.assert_allclose(dstates, ref_states[dec_mask > 0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dHenc, ref_Henc[enc_mask > 0], rtol=1e-12, atol=1e-12)

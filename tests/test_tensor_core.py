@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import check_gradients
 from satd_forge import tensor_core as tc
@@ -180,6 +182,31 @@ class TestDropout:
     def test_bad_rate(self):
         with pytest.raises(DataError):
             tc.dropout_mask((2,), 1.0, np.random.default_rng(0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(0, 7), min_size=1, max_size=6),
+        st.integers(0, 3),
+        st.integers(1, 5),
+        st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_packed_mask_skips_padding_in_the_stream(self, lengths, extra, width, rate, seed):
+        # every real cell gets the number a padded row-major draw gives it,
+        # and the generator ends where that draw leaves it
+        T = max(lengths) + extra
+        packing = tc.Packing((np.arange(T) < np.asarray(lengths)[:, None]).astype(np.float64))
+        shape = (len(lengths), T, width)
+        rng, padded_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        mask = tc.dropout_mask(shape, rate, rng, packing)
+        draw = packing.pack(padded_rng.random(shape)) if rate else np.ones((packing.n, width))
+        np.testing.assert_array_equal(mask, (draw >= rate).astype(np.float64) / (1.0 - rate))
+        assert rng.random() == padded_rng.random()
+
+    def test_packed_mask_needs_pcg64(self):
+        packing = tc.Packing(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(DataError):
+            tc.dropout_mask((2, 2, 3), 0.2, np.random.Generator(np.random.MT19937(0)), packing)
 
 
 class TestOptimizers:
