@@ -12,7 +12,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -188,6 +187,9 @@ def cmd_mine(args) -> int:
     all_records = []
     all_diagnostics = []
     if workers > 1 and len(files) > 1:
+        # imported here: the pool loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for records, diags in pool.map(_mine_one, [(f, root) for f in files]):
                 all_records.extend(records)

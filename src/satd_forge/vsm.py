@@ -41,7 +41,9 @@ class Csr:
         return len(self.indptr) - 1
 
     def __iter__(self):
-        """Each row as {column: value}; for oracles and tests."""
+        """Each row as {column: value}. The benchmark's output checks
+        (`perfbench/checks.py`: `mnb_log_probs`, `svm_objective`) read the
+        Csr that `train_mnb` and `train_linear_svm` receive this way."""
         for a, b in zip(self.indptr[:-1], self.indptr[1:]):
             yield dict(zip(self.indices[a:b].tolist(), self.data[a:b].tolist()))
 
@@ -101,7 +103,8 @@ def transform(counts: Csr, model: TfIdfModel) -> Csr:
 
 def as_csr(vectors, n_cols: int) -> Csr:
     """A Csr as it is; {column: value} maps, each row in its own order, as
-    an `n_cols`-wide Csr."""
+    an `n_cols`-wide Csr. Only tests pass the maps, the benchmark's own
+    (`perfbench/tests/test_checks.py`) among them."""
     if isinstance(vectors, Csr):
         return vectors
     rows = list(vectors)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +83,14 @@ class TestMineAndLabel:
         monkeypatch.setenv("SATD_THREADS", threads)
         assert run("mine", str(FIXTURES), "--out", str(other)) == 0
         assert read_rows(serial) == read_rows(other)
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # only `mine` with SATD_THREADS above 1 uses the pool; no other command pays for loading it
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, satd_forge.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
 
 def well_formed_sbt(tokens):

@@ -1,0 +1,67 @@
+"""The packed LSTM layer's step loops against a frozen copy of themselves
+(`lstm_packed_reference.PackedReferenceLstmLayer`), bit for bit.
+
+The step loops may be rewritten for speed only if every value keeps its
+bits: states, finals, the gate cache before and after the backward pass,
+the input gradient, the initial-state gradients and the weight gradients
+must be equal under `np.array_equal`, not merely close.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lstm_packed_reference import PackedReferenceLstmLayer
+from satd_forge import tensor_core as tc
+from test_lstm_packing import right_padded
+
+
+@st.composite
+def masks(draw):
+    """Ragged right-padded masks (zero-length rows, ties, B=1, padding past
+    the longest row), or the all-ones (B, 1) masks of a greedy-decoding step."""
+    if draw(st.booleans()):
+        return np.ones((draw(st.integers(1, 6)), 1))
+    lengths = draw(st.lists(st.integers(0, 9), min_size=1, max_size=7))
+    T = draw(st.integers(max(max(lengths), 1), 11))
+    return right_padded(lengths, T)
+
+
+def run(layer, X, mask, packing, h0, c0, dstates, dh_final, dc_final):
+    states, (h, c), cache = layer.forward(X, mask, h0=h0, c0=c0, packing=packing)
+    forward = [states.copy(), h.copy(), c.copy()] + [cache[k].copy() for k in ("gates", "h", "c", "tanh_c")]
+    dX, dh0, dc0 = layer.backward(dstates, dh_final, dc_final, cache)
+    return forward + [cache["gates"], dX, dh0, dc0] + [layer.g[k] for k in ("Wx", "Wh", "b")]
+
+
+def check(mask, D, H, seed, given_initial, dense_states, given_final):
+    rng = np.random.default_rng(seed)
+    B = len(mask)
+    layer = tc.LstmLayer(D, H, rng)
+    layer.p["b"] += rng.normal(size=4 * H)
+    ref = PackedReferenceLstmLayer(layer)
+    packing = tc.Packing(mask)
+    X = rng.normal(size=(packing.n, D))
+    h0, c0 = (rng.normal(size=(B, H)), rng.normal(size=(B, H))) if given_initial else (None, None)
+    dstates = rng.normal(size=(packing.n, H)) if dense_states else None
+    dh_final, dc_final = (rng.normal(size=(B, H)), rng.normal(size=(B, H))) if given_final else (None, None)
+    got = run(layer, X, mask, packing, h0, c0, dstates, dh_final, dc_final)
+    want = run(ref, X, mask, packing, h0, c0, dstates, dh_final, dc_final)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b), f"result {k} differs"
+
+
+class TestStepLoopsBitForBit:
+    @settings(max_examples=300, deadline=None)
+    @given(masks(), st.integers(1, 6), st.integers(1, 17), st.integers(0, 2**32 - 1),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_same_bits_as_the_frozen_loops(self, mask, D, H, seed, given_initial, dense_states, given_final):
+        check(mask, D, H, seed, given_initial, dense_states, given_final)
+
+    @pytest.mark.parametrize("B,H,median,seed", [(8, 16, 55, 3), (32, 32, 65, 4)])
+    def test_benchmark_shapes(self, B, H, median, seed):
+        # the detector's batches (B=8, latent 16) and the generator's (B=32, latent 32)
+        rng = np.random.default_rng(seed)
+        lengths = np.clip(rng.lognormal(np.log(median), 0.8, B).astype(int), 1, 1500)
+        check(right_padded(lengths, int(lengths.max())), H, H, seed, True, True, True)
