@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 usage, 2 data error, 3 training failure.
 SATD_THREADS caps the mining worker count. All randomness flows from the
 explicit --seed flags and every artifact records the producing config.
+
+Only the mining side (java_miner, textpipe) loads with this module, so
+mine, label and dataset start without numpy. The commands and recipes
+that train, load or evaluate models import detector, generator,
+pretrainer and evalkit in their own bodies.
 """
 
 from __future__ import annotations
@@ -15,25 +20,9 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import __version__, evalkit
+from . import __version__
 from .atomic import atomic_write
-from .detector import (
-    DetectorHp,
-    check_detector_input,
-    fit_detector,
-    load_detector,
-    predict_many,
-    save_detector,
-)
 from .errors import DataError, JavaLexError, SatdForgeError, TrainingError
-from .generator import (
-    GeneratorHp,
-    check_generator_input,
-    generate_comments,
-    load_generator,
-    save_generator,
-    train_generator,
-)
 from .java_miner import (
     SATD,
     build_dataset,
@@ -42,7 +31,6 @@ from .java_miner import (
     read_jsonl,
     write_jsonl,
 )
-from .pretrainer import load_lm, save_lm, train_next_token_lm
 from .textpipe import frame_comment, normalize_comment
 
 DETECT_TASKS = ("detect-code", "detect-comment")
@@ -86,6 +74,8 @@ def _vocab_kind(task: str) -> str:
 def _predict_all(model, sequences) -> list[tuple[float, bool]]:
     """`predict_many` over the non-empty sequences; an empty one scores
     (0.0, False): no tokens carry no admission."""
+    from .detector import predict_many
+
     results = [(0.0, False)] * len(sequences)
     kept = [j for j, seq in enumerate(sequences) if seq]
     for j, result in zip(kept, predict_many(model, [sequences[j] for j in kept])):
@@ -96,6 +86,9 @@ def _predict_all(model, sequences) -> list[tuple[float, bool]]:
 def make_detector_recipe(task: str, hp_dict: dict, seed: int):
     """An evalkit.run_trials recipe: fit on the training side, score
     precision/recall/F1 on the held-out side."""
+    from . import evalkit
+    from .detector import fit_detector
+
     kind = _vocab_kind(task)
 
     def recipe(train_items, train_labels, test_items, test_labels, index):
@@ -107,6 +100,9 @@ def make_detector_recipe(task: str, hp_dict: dict, seed: int):
 
 
 def make_generator_recipe(hp_dict: dict, seed: int):
+    from . import evalkit
+    from .generator import GeneratorHp, generate_comments, train_generator
+
     def recipe(train_items, _train_labels, test_items, _test_labels, index):
         hp = GeneratorHp.from_dict(hp_dict)
         model = train_generator(train_items, hp, seed + 1000 * index)
@@ -248,6 +244,8 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    from . import evalkit
+
     records, _ = read_jsonl(args.data)
     grid = _read_json(args.grid)
     settings = _expand_grid(grid)
@@ -282,6 +280,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    from . import evalkit
+
     records, _ = read_jsonl(args.data)
     hp_dict = _read_json(args.hp)
     config = {
@@ -306,6 +306,9 @@ def cmd_cv(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    from .detector import DetectorHp
+    from .pretrainer import save_lm, train_next_token_lm
+
     records, _ = read_jsonl(args.pool)
     sequences = [r.sbt_tokens for r in records]
     hp = DetectorHp.from_dict(_read_json(args.hp) if args.hp else {})
@@ -316,6 +319,10 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .detector import fit_detector, save_detector
+    from .generator import GeneratorHp, save_generator, train_generator
+    from .pretrainer import load_lm
+
     records, _ = read_jsonl(args.data)
     hp_dict = _read_json(args.hp) if args.hp else {}
     if args.task == "generate" and args.init:
@@ -363,6 +370,8 @@ def _line_to_sequence(line: str, kind: str) -> list[str]:
 
 
 def cmd_detect(args) -> int:
+    from .detector import check_detector_input, load_detector
+
     model = load_detector(args.model)
     kind = args.kind or model.vocab.kind
     lines, sequences = _input_sequences(args.input, kind, partial(check_detector_input, model))
@@ -374,6 +383,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .generator import check_generator_input, generate_comments, load_generator
+
     model = load_generator(args.model)
     _, sequences = _input_sequences(args.input, "code", partial(check_generator_input, model))
     for words in generate_comments(model, sequences):
@@ -382,6 +393,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_xproject(args) -> int:
+    from . import evalkit
+
     records, _ = read_jsonl(args.data)
     hp_dict = _read_json(args.hp) if args.hp else {}
     items, labels, _ = _task_data(records, args.task)

@@ -11,8 +11,25 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor_core as tc
-from .checkpoint import load_blocks, load_checkpoint, save_checkpoint, save_network
-from .errors import CheckpointError, DataError, TrainingError, check_positive, check_training_hp
+from .checkpoint import (
+    check_network,
+    header_checks,
+    header_object,
+    header_vocabulary,
+    load_blocks,
+    load_checkpoint,
+    save_checkpoint,
+    save_network,
+)
+from .errors import (
+    CheckpointError,
+    DataError,
+    TrainingError,
+    check_count,
+    check_number,
+    check_positive,
+    check_training_hp,
+)
 from .textpipe import Vocabulary, build_vocabulary, length_sorted_chunks, pad_batch
 from .vsm import Csr, TfIdfModel, as_csr, bow_counts, fit_tfidf, transform
 
@@ -49,6 +66,14 @@ class DetectorNetwork(tc.Network):
 
     def named_params(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         return {**self.stack.named_params(), **tc.block_params("dense", self.dense)}
+
+    @staticmethod
+    def block_shapes(vocab_size: int, latent: int, n_layers: int):
+        """(name, shape) of each block of `named_params`, without building the network."""
+        sizes = tc.detector_layer_sizes(latent, n_layers)
+        yield from tc.stack_shapes(vocab_size, latent, sizes)
+        yield "dense.W", (sizes[-1], 1)
+        yield "dense.b", (1,)
 
     def forward(self, idx: np.ndarray, mask: np.ndarray, drop_rng=None, drop_rate: float = 0.0):
         packing = tc.Packing(mask)
@@ -420,8 +445,8 @@ def save_detector(model: DetectorModel, path):
 def load_detector(path) -> DetectorModel:
     header, blocks = load_checkpoint(path)
     kind = header["kind"]
-    vocab = Vocabulary(words=list(header["vocab_words"]), kind=header["vocab_kind"])
-    hp = DetectorHp.from_dict(header["hp"])
+    vocab = header_vocabulary(header, "vocab_words")
+    hp = DetectorHp.from_dict(header_object(header, "hp"))
     model = DetectorModel(
         kind=kind,
         vocab=vocab,
@@ -432,6 +457,9 @@ def load_detector(path) -> DetectorModel:
         seed=header.get("seed", 0),
     )
     if kind == "dl":
+        with header_checks(path):
+            check_number("threshold", model.threshold, lambda v: 0 <= v <= 1, "a number in [0, 1]", "header field")
+        check_network(path, header, hp, DetectorNetwork.block_shapes(vocab.size, hp.latent, hp.layers), blocks)
         model.network = DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, model.seed)
         load_blocks(model.network.named_params(), blocks, path)
         return model
@@ -458,5 +486,7 @@ def load_detector(path) -> DetectorModel:
         model.bias = float(arrays["svm.b"][0])
         model.embedding = arrays.get("embedding.M")
     if model.features == "tfidf":
-        model.tfidf = TfIdfModel(n_documents=int(header["tfidf_n_documents"]), df=arrays["tfidf.df"])
+        with header_checks(path):
+            check_count("tfidf_n_documents", header["tfidf_n_documents"], 1, "header field")
+        model.tfidf = TfIdfModel(n_documents=header["tfidf_n_documents"], df=arrays["tfidf.df"])
     return model

@@ -8,12 +8,13 @@ plain dot products, combined through tanh(Wc [context; state]).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor_core as tc
-from .checkpoint import load_blocks, load_checkpoint, save_network
+from .checkpoint import check_network, header_object, header_vocabulary, load_blocks, load_checkpoint, save_network
 from .errors import DataError, check_training_hp
 from .textpipe import EOS, SOS, Vocabulary, build_vocabulary, length_sorted_chunks, pad_batch
 
@@ -129,6 +130,18 @@ class Seq2SeqNetwork(tc.Network):
             **tc.block_params("attention", self.attention),
             **tc.block_params("out", self.out),
         }
+
+    @staticmethod
+    def block_shapes(code_vocab_size: int, comment_vocab_size: int, latent: int, n_layers: int):
+        """(name, shape) of each block of `named_params`, without building
+        the network; the layers are counted lazily, so a header's layer
+        count is compared with the blocks before any list that long exists."""
+        for prefix, vocab_size in (("enc_", code_vocab_size), ("dec_", comment_vocab_size)):
+            yield from tc.stack_shapes(vocab_size, latent, itertools.repeat(latent, n_layers), prefix)
+        yield "attention.Wc", (2 * latent, latent)
+        yield "attention.bc", (latent,)
+        yield "out.W", (latent, comment_vocab_size)
+        yield "out.b", (comment_vocab_size,)
 
     def forward_train(
         self, enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng=None, drop_rate=0.0
@@ -308,9 +321,11 @@ def save_generator(model: GeneratorModel, path):
 
 def load_generator(path) -> GeneratorModel:
     header, blocks = load_checkpoint(path)
-    hp = GeneratorHp.from_dict(header["hp"])
-    code_vocab = Vocabulary(words=list(header["code_vocab_words"]), kind="code")
-    comment_vocab = Vocabulary(words=list(header["comment_vocab_words"]), kind="comment")
+    hp = GeneratorHp.from_dict(header_object(header, "hp"))
+    code_vocab = header_vocabulary(header, "code_vocab_words", "code")
+    comment_vocab = header_vocabulary(header, "comment_vocab_words", "comment")
+    shapes = Seq2SeqNetwork.block_shapes(code_vocab.size, comment_vocab.size, hp.latent, hp.layers)
+    check_network(path, header, hp, shapes, blocks)
     network = Seq2SeqNetwork(code_vocab.size, comment_vocab.size, hp.latent, hp.layers, header.get("seed", 0))
     load_blocks(network.named_params(), blocks, path)
     return GeneratorModel(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .checkpoint import load_blocks, load_checkpoint, save_network
+from .checkpoint import check_network, header_object, header_vocabulary, load_blocks, load_checkpoint, save_network
 from .detector import DetectorHp
 from .errors import DataError, check_training_hp
 from .textpipe import Vocabulary, build_vocabulary, pad_batch
@@ -24,6 +24,14 @@ class LmNetwork(tc.Network):
 
     def named_params(self):
         return {**self.stack.named_params(), **tc.block_params("out", self.out)}
+
+    @staticmethod
+    def block_shapes(vocab_size: int, latent: int, n_layers: int):
+        """(name, shape) of each block of `named_params`, without building the network."""
+        sizes = tc.detector_layer_sizes(latent, n_layers)
+        yield from tc.stack_shapes(vocab_size, latent, sizes)
+        yield "out.W", (sizes[-1], vocab_size)
+        yield "out.b", (vocab_size,)
 
     def loss_and_grads(self, idx, mask, targets, drop_rng=None, drop_rate=0.0):
         self.zero_grads()
@@ -89,8 +97,9 @@ def save_lm(model: LmModel, path):
 
 def load_lm(path) -> LmModel:
     header, blocks = load_checkpoint(path)
-    hp = DetectorHp.from_dict(header["hp"])
-    vocab = Vocabulary(words=list(header["vocab_words"]), kind=header.get("vocab_kind", "code"))
+    hp = DetectorHp.from_dict(header_object(header, "hp"))
+    vocab = header_vocabulary(header, "vocab_words", header.get("vocab_kind", "code"))
+    check_network(path, header, hp, LmNetwork.block_shapes(vocab.size, hp.latent, hp.layers), blocks)
     network = LmNetwork(vocab.size, hp.latent, hp.layers, header.get("seed", 0))
     load_blocks(network.named_params(), blocks, path)
     return LmModel(vocab=vocab, hp=hp, network=network, seed=header.get("seed", 0))

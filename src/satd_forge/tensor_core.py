@@ -336,6 +336,19 @@ class Network:
             grad[...] = 0.0
 
 
+def stack_shapes(vocab_size: int, dim: int, sizes, prefix: str = ""):
+    """(name, shape) of each block of `LstmStack(vocab_size, dim, sizes)`,
+    named and ordered as its `named_params(prefix)`, without building it.
+    `sizes` is read one layer at a time."""
+    yield f"{prefix}embedding.M", (vocab_size, dim)
+    prev = dim
+    for k, size in enumerate(sizes):
+        yield f"{prefix}lstm{k}.Wx", (prev, 4 * size)
+        yield f"{prefix}lstm{k}.Wh", (size, 4 * size)
+        yield f"{prefix}lstm{k}.b", (4 * size,)
+        prev = size
+
+
 class LstmStack:
     """Embedding -> dropout -> LSTM layers, each followed by dropout, on
     the real cells of a batch only: the embedding, the dropout masks and

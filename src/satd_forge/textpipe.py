@@ -8,8 +8,6 @@ import string
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._porter import porter_stem
 from .errors import DataError
 
@@ -123,6 +121,8 @@ def pad_batch(index_lists, cap: int):
     Returns (matrix, mask); mask is 1.0 at real positions. Sequences longer
     than `cap` should have been dropped upstream, so they are an error here.
     """
+    import numpy as np  # here, not at the top: mining loads this module and never pads
+
     for seq in index_lists:
         if len(seq) > cap:
             raise DataError(f"sequence of length {len(seq)} exceeds cap {cap}")

@@ -1,6 +1,7 @@
 """Damaged checkpoints raise CheckpointError naming the file and the block,
 for the low-level reader and for each model loader."""
 
+import json
 import re
 import struct
 from pathlib import Path
@@ -10,10 +11,17 @@ import pytest
 
 from satd_forge.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from satd_forge.cli import main
-from satd_forge.detector import DetectorHp, fit_traditional, load_detector, save_detector, train_dl_detector
+from satd_forge.detector import (
+    DetectorHp,
+    DetectorNetwork,
+    fit_traditional,
+    load_detector,
+    save_detector,
+    train_dl_detector,
+)
 from satd_forge.errors import CheckpointError
-from satd_forge.generator import GeneratorHp, load_generator, save_generator, train_generator
-from satd_forge.pretrainer import load_lm, save_lm, train_next_token_lm
+from satd_forge.generator import GeneratorHp, Seq2SeqNetwork, load_generator, save_generator, train_generator
+from satd_forge.pretrainer import LmNetwork, load_lm, save_lm, train_next_token_lm
 from satd_forge.textpipe import build_vocabulary, frame_comment
 
 
@@ -234,3 +242,97 @@ def test_failed_save_keeps_old_checkpoint(tmp_path):
         save_checkpoint(path, "detector", {"n": 2}, [("a", np.zeros(3)), ("b", np.array(["x"]))])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def set_field(path, field, value):
+    """Rewrite the checkpoint with its header `field` (dotted for hp's: "hp.latent") set to `value`."""
+    header, blocks = load_checkpoint(path)
+    kept = {k: v for k, v in header.items() if k not in ("kind", "format_version", "blocks")}
+    *outer, last = field.split(".")
+    target = kept
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    save_checkpoint(path, header["kind"], kept, list(blocks.items()))
+
+
+def declare_shape(path, shape):
+    """Rewrite the shape the header declares for the first block, keeping every byte after the header."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[len(MAGIC) : len(MAGIC) + 4])
+    start = len(MAGIC) + 4
+    header = json.loads(raw[start : start + length])
+    header["blocks"][0]["shape"] = shape
+    payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload + raw[start + length :])
+
+
+@pytest.fixture()
+def cli_inputs(tmp_path, capsys):
+    """(command argv for a model checkpoint of each kind, the checkpoint paths)."""
+    lines = tmp_path / "lines.txt"
+    lines.write_text("if (a) { f(); }\n")
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["mine", str(Path(__file__).parent / "fixtures" / "java"), "--out", str(corpus)]) == 0
+    assert main(["label", str(corpus)]) == 0
+    capsys.readouterr()
+    paths = {model: tmp_path / f"{model}.ckpt" for model in LOADERS}
+    for model, path in paths.items():
+        LOADERS[model](path)
+    argv = {
+        "detector": ["detect", "--model", str(paths["detector"]), "--input", str(lines)],
+        "generator": ["generate", "--model", str(paths["generator"]), "--input", str(lines)],
+        "lm": ["train", str(corpus), "--task", "detect-code", "--init", str(paths["lm"]),
+               "--out", str(tmp_path / "out.ckpt")],
+    }
+    return argv, paths
+
+
+# each of these crashed inside the loader, or (comment_cap -1) was accepted; 10**6 latent units
+# asked for terabytes while the network was built, before any block was compared, and 2**62
+# generator layers for a list of 2**62 layer sizes
+@pytest.mark.parametrize("model, field, value", [
+    ("detector", "hp.latent", "abc"),
+    ("detector", "hp.latent", -1),
+    ("detector", "hp.latent", 10**6),
+    ("detector", "hp", [1]),
+    ("detector", "vocab_words", 5),
+    ("detector", "threshold", "x"),
+    ("detector", "seed", "x"),
+    ("detector", "seed", -5),
+    ("generator", "hp.latent", "abc"),
+    ("generator", "hp.latent", -1),
+    ("generator", "hp.comment_cap", "x"),
+    ("generator", "hp.batch_size", 0),
+    ("generator", "hp.comment_cap", -1),
+    ("generator", "hp.layers", 2**62),
+    ("lm", "hp.latent", "abc"),
+])
+def test_malformed_header_field_exits_2(cli_inputs, capsys, model, field, value):
+    argv, paths = cli_inputs
+    set_field(paths[model], field, value)
+    assert main(argv[model]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(re.escape(str(paths[model])) + ".*" + re.escape(field.split(".")[-1]), err)
+
+
+# a block too large for the file, and a negative dimension, are found before any block is read
+@pytest.mark.parametrize("shape", [[2**40], [-4, 2]])
+def test_malformed_block_shape_exits_2(cli_inputs, capsys, shape):
+    argv, paths = cli_inputs
+    declare_shape(paths["detector"], shape)
+    assert main(argv["detector"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(named(paths["detector"], "embedding.M"), err)
+
+
+@pytest.mark.parametrize("latent, layers", [(4, 1), (4, 2), (5, 3)])
+def test_block_shapes_are_the_networks(latent, layers):
+    for network, shapes in [
+        (DetectorNetwork(7, latent, layers, "mean", 0), DetectorNetwork.block_shapes(7, latent, layers)),
+        (LmNetwork(7, latent, layers, 0), LmNetwork.block_shapes(7, latent, layers)),
+        (Seq2SeqNetwork(7, 9, latent, layers, 0), Seq2SeqNetwork.block_shapes(7, 9, latent, layers)),
+    ]:
+        assert dict(shapes) == {name: param.shape for name, (param, _) in network.named_params().items()}

@@ -92,6 +92,25 @@ class TestMineAndLabel:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "[]\n"
 
+    def test_mining_commands_load_no_model_stack(self, tmp_path):
+        # mine, label and dataset start without numpy; the model commands import what they run
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        model_stack = ["numpy"] + [f"satd_forge.{name}" for name in
+                                   ("tensor_core", "detector", "generator", "pretrainer", "checkpoint", "vsm", "evalkit")]
+        corpus, data = str(tmp_path / "c.jsonl"), str(tmp_path / "d.jsonl")
+        code = "\n".join([
+            "import sys",
+            "from satd_forge import cli",
+            f"assert cli.main(['mine', {str(FIXTURES)!r}, '--out', {corpus!r}]) == 0",
+            f"assert cli.main(['label', {corpus!r}]) == 0",
+            f"assert cli.main(['dataset', {corpus!r}, '--seed', '1', '--out', {data!r}]) == 0",
+            f"print([name for name in {model_stack!r} if name in sys.modules])",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert read_rows(data)
+
 
 def well_formed_sbt(tokens):
     """One tree: `( label` opens and `) label` closes the same label."""
