@@ -15,13 +15,10 @@ distinguishes trees is preserved.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DataError
-from .java_miner import (
-    END, JavaScan, JToken, StatementError, bracket_end, lex_java, simple_end, skip_labels, statement_end,
-)
+from .java_miner import END, JavaScan, StatementError, bracket_end, simple_end, skip_labels, statement_end
 
 
 @dataclass(frozen=True)
@@ -352,15 +349,13 @@ class _Parser:
 
 
 def parse_if_statement(
-    tokens: Sequence[JToken], diagnostics: list[str] | None = None, span: tuple[int, int] | None = None
+    scan: JavaScan, diagnostics: list[str] | None = None, span: tuple[int, int] | None = None
 ) -> AstNode:
-    """Build the simplified tree for an if-fragment: all of `tokens`, or,
-    given `span`, the significant tokens [start, end) of a `lex_java` scan,
-    parsed in place with END standing in for token `end`. Any other JToken
-    list is scanned again from its lexemes. A fragment nested past
-    _MAX_NESTING is reported in `diagnostics`; one whose condition or
-    brackets do not close raises DataError."""
-    scan = tokens if isinstance(tokens, JavaScan) else lex_java("".join([t.lexeme for t in tokens]))
+    """Build the simplified tree for an if-fragment: all of a `lex_java`
+    scan's significant tokens, or, given `span`, its tokens [start, end),
+    parsed in place with END standing in for token `end`. A fragment
+    nested past _MAX_NESTING is reported in `diagnostics`; one whose
+    condition or brackets do not close raises DataError."""
     start, end = span if span is not None else (0, len(scan.lexemes) - 1)
     lexemes, kinds = scan.lexemes, scan.kinds
     saved = lexemes[end], kinds[end]

@@ -1,6 +1,7 @@
 """Command-line surface wiring the pipeline end to end.
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 training failure.
+Exit codes: 0 success, 1 usage, 2 data error (and running out of
+memory), 3 training failure.
 SATD_THREADS caps the mining worker count. All randomness flows from the
 explicit --seed flags and every artifact records the producing config.
 
@@ -514,6 +515,10 @@ def main(argv=None) -> int:
         return 3
     except (SatdForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed; a bare MemoryError has none
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

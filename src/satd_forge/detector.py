@@ -25,6 +25,7 @@ from .errors import (
     CheckpointError,
     DataError,
     TrainingError,
+    check_choice,
     check_count,
     check_number,
     check_positive,
@@ -380,6 +381,7 @@ def fit_detector(hp_dict: dict, items, labels, seed: int, vocab_kind: str, lm=No
     hp = DetectorHp.from_dict(hp_dict)
     check_training_hp(hp)
     if model_type == "dl":
+        check_choice("pooling", hp.pooling, tc.POOLING_MODES)
         usable = [(s, y) for s, y in zip(items, labels) if s]
         init_blocks = None
         if lm is not None:
@@ -459,6 +461,7 @@ def load_detector(path) -> DetectorModel:
     if kind == "dl":
         with header_checks(path):
             check_number("threshold", model.threshold, lambda v: 0 <= v <= 1, "a number in [0, 1]", "header field")
+            check_choice("pooling", hp.pooling, tc.POOLING_MODES, "header hyper-parameter")
         check_network(path, header, hp, DetectorNetwork.block_shapes(vocab.size, hp.latent, hp.layers), blocks)
         model.network = DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, model.seed)
         load_blocks(model.network.named_params(), blocks, path)

@@ -44,6 +44,12 @@ def check_number(name: str, value, within, rule: str, what: str = "hyper-paramet
         raise DataError(f"{what} {name} must be {rule}, got {value!r}")
 
 
+def check_choice(name: str, value, choices: tuple, what: str = "hyper-parameter") -> None:
+    """DataError unless `value` is one of `choices`."""
+    if value not in choices:
+        raise DataError(f"{what} {name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+
+
 def check_positive(name: str, value) -> None:
     """DataError unless `value` is a finite number (not a bool) above 0."""
     check_number(name, value, lambda v: 0 < v < math.inf, "a finite number > 0")

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,6 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-    zero_division: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -43,7 +41,7 @@ class Metrics:
 def prf1(predicted, actual) -> Metrics:
     """Precision/recall/F1 with SATD (truthy) as the positive class.
 
-    Zero denominators yield 0.0 and set the zero_division flag.
+    A zero denominator yields 0.0.
     """
     predicted = [bool(p) for p in predicted]
     actual = [bool(a) for a in actual]
@@ -55,20 +53,10 @@ def prf1(predicted, actual) -> Metrics:
     fp = sum(1 for p, a in zip(predicted, actual) if p and not a)
     fn = sum(1 for p, a in zip(predicted, actual) if not p and a)
     tn = len(predicted) - tp - fp - fn
-    zero = False
-    if tp + fp == 0:
-        precision, zero = 0.0, True
-    else:
-        precision = tp / (tp + fp)
-    if tp + fn == 0:
-        recall, zero = 0.0, True
-    else:
-        recall = tp / (tp + fn)
-    if precision + recall == 0:
-        f1, zero = 0.0, True
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return Metrics(tp, fp, fn, tn, precision, recall, f1, zero)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return Metrics(tp, fp, fn, tn, precision, recall, f1)
 
 
 def ngram_counts(words, n: int) -> Counter:
@@ -240,30 +228,18 @@ def sort_result_rows(rows: list[dict], primary: str = "f1", tiebreak: str = "pre
     return sorted(rows, key=lambda r: (-r.get(primary, 0.0), -r.get(tiebreak, 0.0)))
 
 
-def cross_project_rounds(items, labels, projects, recipe, tags=None) -> tuple[list[dict], dict]:
-    """Leave-one-project-out: each round tests on one project and trains on
-    the rest. Returns (per-project rows, average).
-
-    `tags` may list the expected projects explicitly; tags without examples
-    are skipped with a warning.
-    """
-    if tags is None:
-        tags = sorted(set(projects))
+def cross_project_rounds(items, labels, projects, recipe) -> tuple[list[dict], dict]:
+    """Leave-one-project-out: each round tests on one project, in sorted
+    project order, and trains on the rest. Returns (per-project rows,
+    average)."""
+    tags = sorted(set(projects))
     if len(tags) < 2:
         raise DataError("cross-project validation needs at least two projects")
-    rounds = []  # (index, project, test_ids) of each project with examples
-    for index, tag in enumerate(tags):
-        test_ids = [i for i, p in enumerate(projects) if p == tag]
-        if not test_ids:
-            warnings.warn(f"project {tag!r} has no examples; skipped", stacklevel=2)
-            continue
-        rounds.append((index, tag, test_ids))
-    if not rounds:
-        raise DataError(f"no examples belong to any of the projects {list(tags)}")
-    scores = run_trials(items, labels, [(recipe, index, test_ids) for index, _, test_ids in rounds])
+    rounds = [[i for i, p in enumerate(projects) if p == tag] for tag in tags]  # test ids per project
+    scores = run_trials(items, labels, [(recipe, index, test_ids) for index, test_ids in enumerate(rounds)])
     rows = [
         {"project": tag, "test_size": len(test_ids), **row}
-        for (_, tag, test_ids), row in zip(rounds, scores)
+        for tag, test_ids, row in zip(tags, rounds, scores)
     ]
     return rows, _mean_of(rows)
 
@@ -288,19 +264,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_report(directory, rows: list[dict], folds: FoldPlan | None = None, config: dict | None = None, columns: list[str] | None = None, title: str = ""):
-    """Emit metrics.json, folds.json, and a plain-text table."""
+def write_report(directory, rows: list[dict], config: dict, columns: list[str], title: str,
+                 folds: FoldPlan | None = None):
+    """Emit metrics.json, a plain-text table of `columns` and, given the
+    fold plan, folds.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = {"config": config or {}, "rows": rows}
+    payload = {"config": config, "rows": rows}
     files = {"metrics.json": json.dumps(payload, indent=2, sort_keys=True)}
     if folds is not None:
         files["folds.json"] = json.dumps(
             {"k": folds.k, "stratified": folds.stratified, "seed": folds.seed, "folds": folds.folds},
             indent=2,
         )
-    if columns is None:
-        columns = sorted({k for r in rows for k in r}) if rows else []
     files["table.txt"] = format_table(rows, columns, title)
     for name, text in files.items():
         with atomic_write(directory / name) as f:

@@ -231,14 +231,9 @@ class GeneratorModel:
     seed: int = 0
 
 
-def train_generator(
-    pairs,
-    hp: GeneratorHp,
-    seed: int,
-    code_vocab: Vocabulary | None = None,
-    comment_vocab: Vocabulary | None = None,
-) -> GeneratorModel:
-    """Train on (sbt_tokens, framed_comment) pairs with RMSprop.
+def train_generator(pairs, hp: GeneratorHp, seed: int) -> GeneratorModel:
+    """Train on (sbt_tokens, framed_comment) pairs with RMSprop, over code
+    and comment vocabularies built from the pairs.
 
     Framed comments must carry <sos>/<eos>; the decoder trains on the
     sequence offset by one position.
@@ -256,10 +251,8 @@ def train_generator(
             raise DataError("empty code sequence in training pair")
         if len(framed) < 2 or framed[0] != SOS or framed[-1] != EOS:
             raise DataError("comment is not framed with sentence markers")
-    if code_vocab is None:
-        code_vocab = build_vocabulary([c for c, _ in pairs], "code")
-    if comment_vocab is None:
-        comment_vocab = build_vocabulary([f for _, f in pairs], "comment")
+    code_vocab = build_vocabulary([c for c, _ in pairs], "code")
+    comment_vocab = build_vocabulary([f for _, f in pairs], "comment")
     network = Seq2SeqNetwork(code_vocab.size, comment_vocab.size, hp.latent, hp.layers, seed)
     enc_seqs = [code_vocab.encode(c) for c, _ in pairs]
     framed_seqs = [comment_vocab.encode(f) for _, f in pairs]

@@ -4,8 +4,9 @@ dataset assembly.
 
 `lex_java` makes one regex pass over a file and keeps its significant
 tokens as parallel kind/lexeme/offset lists and its comments; lines and
-columns are computed only where a column or a message needs them. The
-lossless JToken list is built from the same scan, when it is read as one.
+columns are computed only where a column or a message needs them.
+Iterating a scan yields the lossless JToken stream, whose lexemes join to
+the source.
 
 Extraction does not parse full Java; it recognizes if/else-if/else chains
 with one iterative statement grammar (`statement_end`) over the scan's
@@ -18,7 +19,6 @@ import json
 import random
 import re
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import merge
@@ -133,17 +133,14 @@ class JToken:
     column: int  # 1-based character position in line
 
 
-class JavaScan(Sequence):
+class JavaScan:
     """One source's tokens, as `lex_java` scans them.
 
     The significant tokens are parallel lists (kind, lexeme, start
     offset), closed by an END entry whose start is len(source); the
     comments are (index of the next significant token, start offset,
     lexeme), in order; whitespace is what lies between them. Lines and
-    columns are computed on demand from the source's newline offsets.
-    Read as a sequence, the scan is the lossless JToken list: iteration
-    makes the tokens one at a time, and `len`, indexing and `==` build
-    the list once and keep it."""
+    columns are computed on demand from the source's newline offsets."""
 
     def __init__(self, source: str):
         self.source = source
@@ -151,7 +148,6 @@ class JavaScan(Sequence):
         self.lexemes: list[str] = []
         self.starts: list[int] = []
         self.comments: list[tuple[int, int, str]] = []
-        self._tokens: list[JToken] | None = None
 
     @cached_property
     def newlines(self) -> list[int]:
@@ -164,59 +160,28 @@ class JavaScan(Sequence):
         k = bisect_left(newlines, offset)  # newlines before `offset`
         return k + 1, offset - (newlines[k - 1] if k else -1)
 
-    def _iter_tokens(self):
-        """The tokens and comments, in order, with the whitespace between
-        them: concatenating their lexemes reproduces the source. Offsets
-        only grow, so the line and its start offset are carried along
-        instead of looked up per token."""
-        source = self.source
+    def __iter__(self):
+        """The tokens and comments, in order, one JToken at a time, with
+        the whitespace between them: their lexemes join to the source."""
+        source, position = self.source, self.position
         comments = (
             (start, "line_comment" if lexeme.startswith("//") else "block_comment", lexeme)
             for _, start, lexeme in self.comments
         )
-        newlines = self.newlines + [len(source)]  # the sentinel is never passed
-        line, line_start, upcoming = 1, 0, newlines[0]
         pos = 0
         for start, kind, lexeme in merge(zip(self.starts, self.kinds, self.lexemes), comments):
             if start > pos:
-                while upcoming < pos:
-                    line_start, upcoming = upcoming + 1, newlines[line]
-                    line += 1
-                yield JToken("whitespace", source[pos:start], line, pos - line_start + 1)
+                yield JToken("whitespace", source[pos:start], *position(pos))
             if kind == END:
                 return
-            while upcoming < start:
-                line_start, upcoming = upcoming + 1, newlines[line]
-                line += 1
-            yield JToken(kind, lexeme, line, start - line_start + 1)
+            yield JToken(kind, lexeme, *position(start))
             pos = start + len(lexeme)
-
-    def _token_list(self) -> list[JToken]:
-        if self._tokens is None:
-            self._tokens = list(self._iter_tokens())
-        return self._tokens
-
-    def __len__(self) -> int:
-        return len(self._token_list())
-
-    def __getitem__(self, k):
-        return self._token_list()[k]
-
-    def __iter__(self):
-        # one pass needs no list: it holds one token at a time
-        return iter(self._tokens) if self._tokens is not None else self._iter_tokens()
-
-    def __eq__(self, other) -> bool:
-        return self._token_list() == (other._token_list() if isinstance(other, JavaScan) else other)
-
-    def __repr__(self) -> str:
-        return repr(self._token_list())
 
 
 def lex_java(source: str) -> JavaScan:
     """Lossless tokenization in one pass of `_MASTER` over `source`: the
-    significant tokens and the comments, read as JToken objects only when
-    the scan is read as a sequence. An unterminated comment, text block or
+    significant tokens and the comments, made into JToken objects only
+    when the scan is iterated. An unterminated comment, text block or
     literal raises JavaLexError at its first character."""
     scan = JavaScan(source)
     kinds, lexemes, starts, comments = scan.kinds, scan.lexemes, scan.starts, scan.comments
@@ -261,10 +226,9 @@ class IfFragment:
     source_span: tuple[int, int]  # byte offsets into the UTF-8 encoding
     column: int  # column of the `if` keyword
     text: str
-    project_id: str = ""
     # the fragment's significant tokens in the file's scan, from its `if`:
     # inclusive start, exclusive end
-    token_span: tuple[int, int] = (-1, -1)
+    token_span: tuple[int, int]
 
 
 class StatementError(Exception):
@@ -407,11 +371,7 @@ def statement_end(scan: JavaScan, i: int) -> int:
             return i
 
 
-def extract_outermost_ifs(
-    scan: JavaScan,
-    project_id: str = "",
-    diagnostics: list[str] | None = None,
-) -> list[IfFragment]:
+def extract_outermost_ifs(scan: JavaScan, diagnostics: list[str] | None = None) -> list[IfFragment]:
     """Maximal if/else-if/else chains not nested in another if-statement.
 
     Candidates the statement grammar rejects are skipped with a
@@ -443,30 +403,22 @@ def extract_outermost_ifs(
                 source_span=(start, done_bytes),
                 column=scan.position(first)[1],
                 text=text,
-                project_id=project_id,
                 token_span=(pos, end),
             )
         )
         pos = end
 
 
-@dataclass
-class CodeCommentPair:
-    fragment: IfFragment
-    comment: str | None
-    label: str
-    project_id: str = ""
-
-
-def link_comments(scan: JavaScan, fragments: list[IfFragment]) -> list[CodeCommentPair]:
-    """Attach to each fragment the single comment that sits between the `if`
-    and its previous significant token at the same column.
+def link_comments(scan: JavaScan, fragments: list[IfFragment]) -> list[tuple[IfFragment, str | None]]:
+    """(fragment, comment) for each fragment: the single comment that sits
+    between the `if` and its previous significant token at the same
+    column.
 
     Fragments with several qualifying comments are dropped; fragments with
-    none are kept without a comment.
+    none are kept with None.
     """
     comments = scan.comments
-    pairs: list[CodeCommentPair] = []
+    pairs: list[tuple[IfFragment, str | None]] = []
     for frag in fragments:
         k = frag.token_span[0]
         j = bisect_left(comments, k, key=itemgetter(0))
@@ -478,14 +430,7 @@ def link_comments(scan: JavaScan, fragments: list[IfFragment]) -> list[CodeComme
             j += 1
         if len(qualifying) > 1:
             continue
-        pairs.append(
-            CodeCommentPair(
-                fragment=frag,
-                comment=qualifying[0] if qualifying else None,
-                label=UNLABELED,
-                project_id=frag.project_id,
-            )
-        )
+        pairs.append((frag, qualifying[0] if qualifying else None))
     return pairs
 
 
@@ -552,22 +497,16 @@ def mine_source(
     source: str,
     project: str = "",
     path: str = "",
-    apply_labels: bool = False,
     diagnostics: list[str] | None = None,
 ) -> list[PairRecord]:
-    """Scan, extract, link, and serialize one Java compilation unit."""
+    """Scan, extract, link, and serialize one Java compilation unit into
+    Unlabeled records (`label_comment` labels them)."""
     from .ast_sbt import parse_if_statement, sbt_serialize
 
     scan = lex_java(source)
-    fragments = extract_outermost_ifs(scan, project_id=project, diagnostics=diagnostics)
-    pairs = link_comments(scan, fragments)
     records = []
-    for pair in pairs:
-        frag = pair.fragment
+    for frag, comment in link_comments(scan, extract_outermost_ifs(scan, diagnostics=diagnostics)):
         tree = parse_if_statement(scan, diagnostics, frag.token_span)
-        label = UNLABELED
-        if apply_labels and pair.comment is not None:
-            label = label_comment(pair.comment)
         records.append(
             PairRecord(
                 project=project,
@@ -576,18 +515,23 @@ def mine_source(
                 column=frag.column,
                 code_text=frag.text,
                 sbt_tokens=sbt_serialize(tree),
-                comment_raw=pair.comment,
-                comment_words=normalize_comment(pair.comment) if pair.comment else [],
-                label=label,
+                comment_raw=comment,
+                comment_words=normalize_comment(comment) if comment else [],
+                label=UNLABELED,
             )
         )
     return records
 
 
-def mine_file(path: Path, root: Path | None = None, project: str = "", **kw) -> list[PairRecord]:
-    source = Path(path).read_text(encoding="utf-8")
-    rel = str(Path(path).relative_to(root)) if root else str(path)
-    return mine_source(source, project=project or (rel.split("/")[0] if "/" in rel else ""), path=rel, **kw)
+def mine_file(path: Path, root: Path, project: str, diagnostics: list[str] | None = None) -> list[PairRecord]:
+    """`mine_source` over the file at `path`, whose records name it relative to `root`."""
+    source = path.read_text(encoding="utf-8")
+    return mine_source(source, project, str(path.relative_to(root)), diagnostics)
+
+
+# the longest observation a dataset keeps: SBT tokens and comment words
+CODE_CAP = 1500
+COMMENT_CAP = 150
 
 
 @dataclass
@@ -599,15 +543,10 @@ class Dataset:
     leftover_pool: list[PairRecord] = field(default_factory=list)
 
 
-def build_dataset(
-    records: list[PairRecord],
-    seed: int,
-    balance: bool = False,
-    code_cap: int = 1500,
-    comment_cap: int = 150,
-) -> Dataset:
-    """Deduplicate, drop overlong observations, shuffle (Mersenne Twister),
-    and optionally downsample NonSATD to the SATD count."""
+def build_dataset(records: list[PairRecord], seed: int, balance: bool = False) -> Dataset:
+    """Deduplicate, drop observations longer than CODE_CAP SBT tokens or
+    COMMENT_CAP comment words, shuffle (Mersenne Twister), and optionally
+    downsample NonSATD to the SATD count."""
     labeled = [r for r in records if r.label in (SATD, NON_SATD)]
     n_input = len(labeled)
 
@@ -624,7 +563,7 @@ def build_dataset(
     kept = [
         r
         for r in deduped
-        if len(r.sbt_tokens) <= code_cap and len(r.comment_words) <= comment_cap
+        if len(r.sbt_tokens) <= CODE_CAP and len(r.comment_words) <= COMMENT_CAP
     ]
     n_length = len(kept)
 
@@ -657,8 +596,8 @@ def build_dataset(
         "satd": n_satd,
         "final": len(result),
         "balanced": bool(balance),
-        "code_cap": code_cap,
-        "comment_cap": comment_cap,
+        "code_cap": CODE_CAP,
+        "comment_cap": COMMENT_CAP,
     }
     return Dataset(pairs=result, shuffle_seed=seed, provenance=provenance, leftover_pool=leftover)
 

@@ -53,14 +53,9 @@ class LmModel:
     seed: int = 0
 
 
-def train_next_token_lm(
-    sequences,
-    hp: DetectorHp,
-    seed: int,
-    vocab: Vocabulary | None = None,
-    vocab_kind: str = "code",
-) -> LmModel:
-    """Teacher-forced next-token prediction over the full sequence, Adam."""
+def train_next_token_lm(sequences, hp: DetectorHp, seed: int) -> LmModel:
+    """Teacher-forced next-token prediction over the full sequence, Adam,
+    with a code vocabulary built from the usable sequences."""
     check_training_hp(hp)
     # sequences shorter than 2 tokens have no next token to predict
     usable = [s for s in sequences if len(s) >= 2]
@@ -71,8 +66,7 @@ def train_next_token_lm(
     for s in usable:
         if len(s) > hp.seq_cap:
             raise DataError(f"sequence of length {len(s)} exceeds cap {hp.seq_cap}")
-    if vocab is None:
-        vocab = build_vocabulary(usable, vocab_kind)
+    vocab = build_vocabulary(usable, "code")
     encoded = [vocab.encode(s) for s in usable]
     network = LmNetwork(vocab.size, hp.latent, hp.layers, seed)
 

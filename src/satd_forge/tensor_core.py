@@ -78,34 +78,31 @@ def bce_loss(y, p):
     return loss, dp
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator, packing=None) -> np.ndarray:
+def dropout_mask(shape, rate: float, rng: np.random.Generator, packing: Packing) -> np.ndarray:
     """Inverted-scaling dropout mask: 0 with probability `rate`, else 1/(1-rate).
 
-    With a `packing`, `shape` is a padded (B, T, width) shape and the mask
-    comes back for the real cells only, (N_real, width) in packing order.
-    Each cell still gets the number that a row-major draw over all of
-    `shape` gives it, and the generator ends where that draw leaves it:
-    each row's real prefix is drawn in place and its padding skipped with
+    `shape` is a padded (B, T, width) shape and the mask comes back for
+    `packing`'s real cells only, (N_real, width) in packing order. Each
+    cell still gets the number that a row-major draw over all of `shape`
+    gives it, and the generator ends where that draw leaves it: each
+    row's real prefix is drawn in place and its padding skipped with
     `advance`, which needs a PCG64 generator (one 64-bit step per number).
+    Rate 0 draws nothing.
     """
     if not 0.0 <= rate < 1.0:
         raise DataError(f"dropout rate {rate} outside [0, 1)")
     if rate == 0.0:
-        return np.ones(shape if packing is None else (packing.n,) + tuple(shape[2:]))
-    if packing is None:
-        keep = rng.random(shape) >= rate
-    else:
-        bits = rng.bit_generator
-        if not isinstance(bits, np.random.PCG64):
-            raise DataError(f"dropout over a packing needs a PCG64 generator, got {type(bits).__name__}")
-        T, width = int(shape[1]), int(math.prod(shape[2:]))  # advance takes Python ints
-        draw = np.empty((packing.n,) + tuple(shape[2:]))  # the real cells in row-major order
-        for lo, hi in packing.spans:
-            rng.random(out=draw[lo:hi])
-            if hi - lo < T:
-                bits.advance((T - (hi - lo)) * width)
-        keep = packing.from_row_major(draw >= rate)
-    return keep * (1.0 / (1.0 - rate))
+        return np.ones((packing.n,) + tuple(shape[2:]))
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise DataError(f"dropout over a packing needs a PCG64 generator, got {type(bits).__name__}")
+    T, width = int(shape[1]), int(math.prod(shape[2:]))  # advance takes Python ints
+    draw = np.empty((packing.n,) + tuple(shape[2:]))  # the real cells in row-major order
+    for lo, hi in packing.spans:
+        rng.random(out=draw[lo:hi])
+        if hi - lo < T:
+            bits.advance((T - (hi - lo)) * width)
+    return packing.from_row_major(draw >= rate) * (1.0 / (1.0 - rate))
 
 
 class Embedding:
@@ -423,6 +420,9 @@ class LstmStack:
         return dh0, dc0
 
 
+POOLING_MODES = ("last", "mean", "max")
+
+
 def pool_forward(states: np.ndarray, packing: Packing, mode: str):
     """Reduce each row's real states, (N_real, H) in `packing` order, to
     one vector per row (B, H).
@@ -513,14 +513,18 @@ def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray, packing: Packi
     return loss, dlogits, probs
 
 
-class Adam:
-    """Bias-corrected adaptive-moment optimizer; one shared step counter."""
+# the optimizers' decay rates, and the term that keeps their step finite
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
+RMSPROP_RHO = 0.9
+EPS = 1e-8
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Bias-corrected adaptive-moment optimizer (ADAM_BETA1, ADAM_BETA2,
+    EPS); one shared step counter."""
+
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -530,7 +534,7 @@ class Adam:
             if not np.isfinite(grad).all():
                 raise TrainingError(f"non-finite gradient in {name}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, (param, grad) in named_params.items():
             m = self.m.setdefault(name, np.zeros_like(param))
             v = self.v.setdefault(name, np.zeros_like(param))
@@ -540,16 +544,14 @@ class Adam:
             v += (1.0 - b2) * grad**2
             m_hat = m / (1.0 - b1**self.t)
             v_hat = v / (1.0 - b2**self.t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class RmsProp:
-    """Squared-gradient moving-average optimizer."""
+    """Squared-gradient moving-average optimizer (RMSPROP_RHO, EPS)."""
 
-    def __init__(self, lr: float = 1e-3, rho: float = 0.9, eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.rho = rho
-        self.eps = eps
         self.t = 0
         self.cache: dict[str, np.ndarray] = {}
 
@@ -560,9 +562,9 @@ class RmsProp:
         self.t += 1
         for name, (param, grad) in named_params.items():
             cache = self.cache.setdefault(name, np.zeros_like(param))
-            cache *= self.rho
-            cache += (1.0 - self.rho) * grad**2
-            param -= self.lr * grad / (np.sqrt(cache) + self.eps)
+            cache *= RMSPROP_RHO
+            cache += (1.0 - RMSPROP_RHO) * grad**2
+            param -= self.lr * grad / (np.sqrt(cache) + EPS)
 
 
 def fit(network: Network, optimizer, make_batch, n_items: int, hp, seed: int) -> float:

@@ -23,7 +23,7 @@ from satd_forge.evalkit import (
     tuning_split,
 )
 from satd_forge.generator import GeneratorHp, Seq2SeqNetwork, generate_comments, train_generator
-from satd_forge.java_miner import mine_file
+from satd_forge.java_miner import UNLABELED, label_comment, mine_file
 from satd_forge.textpipe import build_vocabulary, frame_comment, pad_batch
 from satd_forge.vsm import bow_counts, fit_tfidf, transform
 from satd_forge.ast_sbt import AstNode, sbt_serialize
@@ -382,13 +382,14 @@ def test_criterion_09_mining_golden_files():
     golden = json.loads(GOLDEN.read_text())
     rows = []
     for path in sorted(FIXTURES.glob("*.java")):
-        for r in mine_file(path, root=FIXTURES, apply_labels=True):
+        for r in mine_file(path, FIXTURES, ""):
             rows.append(
                 {
                     "path": r.path,
                     "column": r.column,
                     "comment_raw": r.comment_raw,
-                    "label": r.label,
+                    # as `label` labels a mined corpus
+                    "label": UNLABELED if r.comment_raw is None else label_comment(r.comment_raw),
                 }
             )
     assert rows == golden

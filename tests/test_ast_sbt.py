@@ -133,8 +133,8 @@ class TestNestingCap:
 def test_token_entry_and_mining_entry_build_the_same_trees():
     """One parser, two entries: mining parses each fragment by its span in
     the file's scan; the other entry parses the scan of the fragment's text
-    alone, or a plain JToken list of it."""
-    records = [r for path in sorted(FIXTURES.glob("*.java")) for r in mine_file(path, root=FIXTURES)]
+    alone."""
+    records = [r for path in sorted(FIXTURES.glob("*.java")) for r in mine_file(path, FIXTURES, "")]
     diagnostics = []
     deep = "class D {\n  void m() {\n    " + f"if ({parens(100)}) " + "if (a) " * 400 + "f(); } }\n"
     records += mine_source(deep, diagnostics=diagnostics)
@@ -143,7 +143,6 @@ def test_token_entry_and_mining_entry_build_the_same_trees():
     for r in records:
         entry_diagnostics = []
         assert sbt_serialize(parse_if_statement(lex_java(r.code_text), entry_diagnostics)) == r.sbt_tokens
-        assert sbt_serialize(parse_if_statement(list(lex_java(r.code_text)))) == r.sbt_tokens
         assert len(entry_diagnostics) == (1 if r is records[-1] else 0)
 
 

@@ -300,6 +300,7 @@ def cli_inputs(tmp_path, capsys):
     ("detector", "threshold", "x"),
     ("detector", "seed", "x"),
     ("detector", "seed", -5),
+    ("detector", "hp.pooling", "x"),
     ("generator", "hp.latent", "abc"),
     ("generator", "hp.latent", -1),
     ("generator", "hp.comment_cap", "x"),

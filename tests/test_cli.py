@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from satd_forge import cli, detector
 from satd_forge.ast_sbt import _MAX_NESTING
 from satd_forge.cli import main
 
@@ -440,6 +441,20 @@ class TestExitCodes:
         assert run("dataset", str(corpus), "--seed", "1",
                    "--out", str(tmp_path / "d.jsonl")) == 2
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 2.46 GiB for an array with shape (128, 322, 8000) and data type float64"),
+         "error: out of memory: Unable to allocate 2.46 GiB for an array with shape (128, 322, 8000) "
+         "and data type float64\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_exit_2_without_a_traceback(self, monkeypatch, capsys, error, message):
+        def exhausted(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_label", exhausted)
+        assert run("label", "corpus.jsonl") == 2
+        assert capsys.readouterr() == ("", message)
+
 
 class TestBadInputs:
     def test_label_row_without_path(self, tmp_path, capsys):
@@ -624,4 +639,23 @@ class TestBadHyperParameters:
         (tmp_path / "hp.json").write_text(json.dumps(hp))
         assert run(command, str(data), "--hp", "hp.json", *extra) == 2
         assert capsys.readouterr().err.startswith(f"error: hyper-parameter {name} must be ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]
+
+    @pytest.mark.parametrize("command,option,extra", [
+        ("train", "--hp", ["--task", "detect-code", "--out", "m.ckpt"]),
+        ("cv", "--hp", ["--task", "detect-code", "--report", "rep"]),
+        ("tune", "--grid", ["--task", "detect-code", "--out", "t.json"]),
+        ("xproject", "--hp", ["--task", "detect-code", "--report", "rep"]),
+    ])
+    def test_unknown_pooling_exits_2_before_training(self, tmp_path, capsys, monkeypatch, command, option, extra):
+        def trained(*args, **kwargs):
+            raise AssertionError("a detector was trained")
+
+        monkeypatch.setattr(detector, "train_dl_detector", trained)
+        monkeypatch.chdir(tmp_path)
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
+        (tmp_path / "hp.json").write_text(json.dumps({"model": "dl", "pooling": "avg"}))
+        assert run(command, str(data), option, "hp.json", *extra) == 2
+        assert capsys.readouterr().err == (
+            "error: hyper-parameter pooling must be one of 'last', 'mean', 'max', got 'avg'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]

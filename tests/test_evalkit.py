@@ -34,10 +34,9 @@ class TestPrf1:
         assert m.recall == pytest.approx(1.0)
         assert m.f1 == pytest.approx(2.0 / 3.0)
 
-    def test_zero_division_flag(self):
+    def test_zero_denominators_yield_zero(self):
         m = prf1([0, 0], [1, 0])
         assert m.precision == 0.0 and m.f1 == 0.0
-        assert m.zero_division
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -288,24 +287,6 @@ class TestCrossProject:
         with pytest.raises(DataError):
             cross_project_rounds([1], [1], ["only"], lambda *a: {})
 
-    def test_empty_project_skipped_with_warning(self):
-        items = [0, 1, 2, 3]
-        labels = [1, 0, 1, 0]
-        projects = ["p1", "p1", "p2", "p2"]
-
-        def recipe(train_items, train_labels, test_items, test_labels, fold):
-            return {"f1": 1.0}
-
-        with pytest.warns(UserWarning, match="ghost"):
-            rows, _ = cross_project_rounds(
-                items, labels, projects, recipe, tags=["p1", "p2", "ghost"]
-            )
-        assert len(rows) == 2
-
-    def test_no_tagged_project_has_examples(self):
-        items, labels, projects = [0, 1, 2, 3], [1, 0, 1, 0], ["p1", "p1", "p2", "p2"]
-        with pytest.warns(UserWarning), pytest.raises(DataError, match=r"\['x', 'y'\]"):
-            cross_project_rounds(items, labels, projects, lambda *a: {"f1": 1.0}, tags=["x", "y"])
 
 
 class TestReport:
@@ -313,7 +294,7 @@ class TestReport:
         rows = [{"fold": 0, "f1": 0.5, "precision": 0.4, "recall": 0.6}]
         plan = FoldPlan(folds=[[0, 1], [2, 3]], stratified=True, seed=9)
         write_report(tmp_path / "rep", rows, folds=plan, config={"seed": 9},
-                     columns=["fold", "precision", "recall", "f1"])
+                     columns=["fold", "precision", "recall", "f1"], title="")
         metrics = json.loads((tmp_path / "rep" / "metrics.json").read_text())
         assert metrics["config"]["seed"] == 9
         assert metrics["rows"] == rows

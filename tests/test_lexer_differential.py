@@ -30,7 +30,7 @@ SOUP = (
 
 def outcome(lex, source):
     try:
-        return lex(source)
+        return list(lex(source))
     except JavaLexError as exc:
         return ("error", str(exc), exc.line, exc.column)
 
@@ -83,7 +83,7 @@ class TestTraps:
             "unterminated text block at line 2, column 3", 2, 3)
 
     def test_escaped_newline_in_string_advances_the_line(self):
-        tokens = lex_java('s = "a\\\nb"; c')
+        tokens = list(lex_java('s = "a\\\nb"; c'))
         assert tokens[-3:] == [
             JToken("punctuation", ";", 2, 3),
             JToken("whitespace", " ", 2, 4),

@@ -104,6 +104,14 @@ class TestLayerAgainstReference:
             close(c[r], c_r[0])
 
 
+def padded_dropout_mask(shape, rate, rng):
+    """Inverted dropout drawn row-major over the whole padded `shape`:
+    the numbers `tc.dropout_mask` gives the real cells."""
+    if rate == 0.0:
+        return np.ones(shape)
+    return (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
+
+
 def reference_stack(stack, idx, mask, drop_seed, drop_rate, initial, dstates, dfinal):
     """`LstmStack` forward and backward composed from reference layers, on
     the padded batch."""
@@ -113,7 +121,7 @@ def reference_stack(stack, idx, mask, drop_seed, drop_rate, initial, dstates, df
     masks, caches, finals = [], [], []
     X = M[idx]
     if drop_rng is not None:
-        masks.append(tc.dropout_mask(X.shape, drop_rate, drop_rng))
+        masks.append(padded_dropout_mask(X.shape, drop_rate, drop_rng))
         X = X * masks[-1]
     for k, ref in enumerate(refs):
         h0, c0 = initial[k] if k < len(initial) else (None, None)
@@ -121,7 +129,7 @@ def reference_stack(stack, idx, mask, drop_seed, drop_rate, initial, dstates, df
         caches.append(cache)
         finals.append(final)
         if drop_rng is not None:
-            masks.append(tc.dropout_mask(X.shape, drop_rate, drop_rng))
+            masks.append(padded_dropout_mask(X.shape, drop_rate, drop_rng))
             X = X * masks[-1]
     states = X
     dh_final, dc_final = dfinal

@@ -161,27 +161,33 @@ class TestSoftmaxCe:
             assert abs(grad[k] - fd) / max(abs(fd), 1e-8) < 1e-5
 
 
+def all_real(B, T):
+    """The packing of a (B, T) batch without padding."""
+    return tc.Packing(np.ones((B, T)))
+
+
 class TestDropout:
     def test_rate_zero_all_ones(self):
-        mask = tc.dropout_mask((4, 5), 0.0, np.random.default_rng(0))
+        mask = tc.dropout_mask((4, 5, 3), 0.0, np.random.default_rng(0), all_real(4, 5))
+        assert mask.shape == (20, 3)
         np.testing.assert_array_equal(mask, 1.0)
 
     def test_mean_near_one(self):
-        mask = tc.dropout_mask((1000, 1000), 0.2, np.random.default_rng(1))
+        mask = tc.dropout_mask((100, 100, 100), 0.2, np.random.default_rng(1), all_real(100, 100))
         assert 0.995 <= mask.mean() <= 1.005
 
     def test_values_are_zero_or_scaled(self):
-        mask = tc.dropout_mask((50, 50), 0.2, np.random.default_rng(2))
+        mask = tc.dropout_mask((50, 50, 1), 0.2, np.random.default_rng(2), all_real(50, 50))
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.8}
 
     def test_same_seed_same_mask(self):
-        a = tc.dropout_mask((6, 6), 0.2, np.random.default_rng(9))
-        b = tc.dropout_mask((6, 6), 0.2, np.random.default_rng(9))
+        a = tc.dropout_mask((6, 6, 1), 0.2, np.random.default_rng(9), all_real(6, 6))
+        b = tc.dropout_mask((6, 6, 1), 0.2, np.random.default_rng(9), all_real(6, 6))
         np.testing.assert_array_equal(a, b)
 
     def test_bad_rate(self):
         with pytest.raises(DataError):
-            tc.dropout_mask((2,), 1.0, np.random.default_rng(0))
+            tc.dropout_mask((2, 1, 1), 1.0, np.random.default_rng(0), all_real(2, 1))
 
     @settings(max_examples=80, deadline=None)
     @given(
