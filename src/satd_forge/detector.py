@@ -366,6 +366,20 @@ def fit_traditional(
     return model
 
 
+def check_detector_setting(hp_dict: dict) -> tuple[str, DetectorHp]:
+    """The model type (dl, the default, mnb or svm) and parsed
+    hyper-parameters of a detector setting; DataError for an unknown model
+    type or a value that training rejects."""
+    model_type = hp_dict.get("model", "dl")
+    hp = DetectorHp.from_dict(hp_dict)
+    check_training_hp(hp)
+    if model_type == "dl":
+        check_choice("pooling", hp.pooling, tc.POOLING_MODES)
+    elif model_type not in ("mnb", "svm"):
+        raise DataError(f"unknown model type: {model_type!r}")
+    return model_type, hp
+
+
 def fit_detector(hp_dict: dict, items, labels, seed: int, vocab_kind: str, lm=None,
                  mode: str = "end2end") -> DetectorModel:
     """Train the detector a hyper-parameter dict names: `model` is dl
@@ -377,11 +391,8 @@ def fit_detector(hp_dict: dict, items, labels, seed: int, vocab_kind: str, lm=No
     `pretrained_embed_svm` over averaged embeddings. Empty sequences are
     dropped for dl only.
     """
-    model_type = hp_dict.get("model", "dl")
-    hp = DetectorHp.from_dict(hp_dict)
-    check_training_hp(hp)
+    model_type, hp = check_detector_setting(hp_dict)
     if model_type == "dl":
-        check_choice("pooling", hp.pooling, tc.POOLING_MODES)
         usable = [(s, y) for s, y in zip(items, labels) if s]
         init_blocks = None
         if lm is not None:
@@ -396,8 +407,6 @@ def fit_detector(hp_dict: dict, items, labels, seed: int, vocab_kind: str, lm=No
             init_blocks=init_blocks,
             init_mode=mode,
         )
-    if model_type not in ("mnb", "svm"):
-        raise DataError(f"unknown model type: {model_type!r}")
     # how the sequences become features: a language model brings its vocabulary and embedding
     feature_args = {"features": hp_dict.get("features", "bow"), "alpha": hp_dict.get("alpha", 1.0)}
     if lm is not None:

@@ -1,14 +1,17 @@
+import concurrent.futures
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from satd_forge import cli, detector
+from satd_forge import cli, detector, generator
 from satd_forge.ast_sbt import _MAX_NESTING
 from satd_forge.cli import main
+from satd_forge.errors import DataError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "java"
 
@@ -23,6 +26,34 @@ def corpus(tmp_path):
     assert run("mine", str(FIXTURES), "--out", str(out)) == 0
     assert run("label", str(out)) == 0
     return out
+
+
+@pytest.fixture()
+def pool_tree(tmp_path):
+    """The fixtures copied into six projects, with an unlexable and a
+    Latin-1 file: 74 files, enough for two mining workers."""
+    tree = tmp_path / "tree"
+    for p in range(6):
+        shutil.copytree(FIXTURES, tree / f"p{p}")
+    (tree / "p2" / "Bad.java").write_text("class B { /* never closed\n")
+    (tree / "p4" / "Cafe.java").write_bytes("class C { // caf\u00e9\n }\n".encode("latin-1"))
+    return tree
+
+
+@pytest.fixture()
+def pool_spy(monkeypatch):
+    """The worker count of every process pool started while the test runs."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    started = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return started
 
 
 def read_rows(path):
@@ -63,12 +94,77 @@ class TestMineAndLabel:
         meta = json.loads(out.read_text().splitlines()[0])["_meta"]
         assert any("Bad.java" in d for d in meta["diagnostics"])
 
-    def test_parallel_mining_matches_serial(self, tmp_path, monkeypatch):
-        serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-        assert run("mine", str(FIXTURES), "--out", str(serial)) == 0
-        monkeypatch.setenv("SATD_THREADS", "2")
-        assert run("mine", str(FIXTURES), "--out", str(parallel)) == 0
-        assert read_rows(serial) == read_rows(parallel)
+    def test_parallel_mining_matches_serial(self, pool_tree, tmp_path, monkeypatch, pool_spy):
+        # one worker mines in process; two and the default take the pool, and every count
+        # writes the same bytes, diagnostics in file order included
+        outs = []
+        for threads in ("1", "2", None):
+            if threads is None:
+                monkeypatch.delenv("SATD_THREADS", raising=False)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            else:
+                monkeypatch.setenv("SATD_THREADS", threads)
+            outs.append(tmp_path / f"c{threads}.jsonl")
+            assert run("mine", str(pool_tree), "--out", str(outs[-1])) == 0
+        assert pool_spy == [2, 2]
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        meta = json.loads(outs[0].read_text().splitlines()[0])["_meta"]
+        assert meta["files"] == 74 and meta["pairs"] == 60
+        assert [d.split(":")[0] for d in meta["diagnostics"]] == [
+            "skipped p2/Bad.java", "skipped p4/Cafe.java"]
+
+    def test_small_trees_mine_in_process(self, tmp_path, monkeypatch, pool_spy):
+        # 12 files are fewer than two workers' worth: the pool would cost more than it saves
+        monkeypatch.setenv("SATD_THREADS", "8")
+        assert run("mine", str(FIXTURES), "--out", str(tmp_path / "c.jsonl")) == 0
+        assert pool_spy == []
+
+    def test_worker_count_is_capped_by_files(self, pool_tree, tmp_path, monkeypatch, pool_spy):
+        # 74 files give at most two workers of MIN_FILES_PER_WORKER files each
+        monkeypatch.setenv("SATD_THREADS", "16")
+        assert run("mine", str(pool_tree), "--out", str(tmp_path / "c.jsonl")) == 0
+        assert pool_spy == [74 // cli.MIN_FILES_PER_WORKER] == [2]
+
+    def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("SATD_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli._mining_workers() == 3
+        # where the affinity call does not exist, every CPU counts; an unknown count is one
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cli._mining_workers() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._mining_workers() == 1
+        monkeypatch.setenv("SATD_THREADS", "")
+        assert cli._mining_workers() == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_spool_files_are_removed(self, pool_tree, tmp_path, monkeypatch, threads):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("SATD_THREADS", threads)
+        assert run("mine", str(pool_tree), "--out", str(out_dir / "c.jsonl")) == 0
+        assert sorted(os.listdir(out_dir)) == ["c.jsonl"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_spool_files_are_removed_when_mining_fails(self, pool_tree, tmp_path, monkeypatch, capsys,
+                                                       threads, pool_spy):
+        real = cli.mine_file
+
+        def fail_on_one_file(path, *args, **kwargs):
+            if path.name == "Nested.java" and path.parent.name == "p3":
+                raise DataError("planted failure")
+            return real(path, *args, **kwargs)
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(cli, "mine_file", fail_on_one_file)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("SATD_THREADS", threads)
+        assert run("mine", str(pool_tree), "--out", str(out_dir / "c.jsonl")) == 2
+        assert capsys.readouterr().err == "error: planted failure\n"
+        assert pool_spy == ([2] if threads == "2" else [])
+        assert os.listdir(out_dir) == []
 
     @pytest.mark.parametrize("threads", ["abc", "2.5"])
     def test_malformed_thread_count_is_data_error(self, tmp_path, capsys, monkeypatch, threads):
@@ -77,7 +173,7 @@ class TestMineAndLabel:
         assert capsys.readouterr().err == f"error: SATD_THREADS must be an integer, got {threads!r}\n"
         assert not (tmp_path / "c.jsonl").exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-3", ""])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_thread_counts_up_to_one_are_accepted(self, tmp_path, monkeypatch, threads):
         serial, other = tmp_path / "s.jsonl", tmp_path / "o.jsonl"
         assert run("mine", str(FIXTURES), "--out", str(serial)) == 0
@@ -86,7 +182,7 @@ class TestMineAndLabel:
         assert read_rows(serial) == read_rows(other)
 
     def test_importing_the_cli_loads_no_process_pool(self):
-        # only `mine` with SATD_THREADS above 1 uses the pool; no other command pays for loading it
+        # only `mine` on a tree large enough for two workers uses the pool; no other command pays for loading it
         src = str(Path(__file__).parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = "import sys, satd_forge.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
@@ -659,3 +755,24 @@ class TestBadHyperParameters:
         assert capsys.readouterr().err == (
             "error: hyper-parameter pooling must be one of 'last', 'mean', 'max', got 'avg'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]
+
+    @pytest.mark.parametrize("task,grid,trainer,error", [
+        ("detect-code", {"model": "dl", "latent": 4, "batch_size": 2, "epochs": 1, "pooling": ["max", "zz"]},
+         (detector, "train_dl_detector"), "hyper-parameter pooling must be one of 'last', 'mean', 'max', got 'zz'"),
+        ("detect-comment", {"model": ["mnb", "svm", "knn"]}, (detector, "fit_traditional"),
+         "unknown model type: 'knn'"),
+        ("generate", {"latent": [4, 0], "batch_size": 2, "epochs": 1}, (generator, "train_generator"),
+         "hyper-parameter latent must be an integer >= 1, got 0"),
+    ])
+    def test_tune_checks_every_setting_before_the_first_trial(self, tmp_path, capsys, monkeypatch,
+                                                              task, grid, trainer, error):
+        def trained(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(*trainer, trained)
+        monkeypatch.chdir(tmp_path)
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        assert run("tune", str(data), "--task", task, "--grid", "grid.json", "--out", "t.json") == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "grid.json"]
