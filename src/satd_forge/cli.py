@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 usage, 2 data error (and running out of
 memory), 3 training failure.
 `mine` runs one worker process per CPU it may run on, or SATD_THREADS
 workers when that is set and not empty, with at least MIN_FILES_PER_WORKER
-files each; one worker mines in process. The corpus bytes do not depend on
-the worker count. All randomness flows from the explicit --seed flags and
-every artifact records the producing config.
+files each; one worker mines in process. The CPUs it may run on are its
+affinity mask, not a cgroup CPU quota, so a quota-limited container should
+set SATD_THREADS. The corpus bytes do not depend on the worker count. All
+randomness flows from the explicit --seed flags and every artifact records
+the producing config.
 
 Only the mining side (java_miner, textpipe) loads with this module, so
 mine, label and dataset start without numpy. The commands and recipes
@@ -30,10 +32,12 @@ from .errors import DataError, JavaLexError, SatdForgeError, TrainingError, chec
 from .java_miner import (
     SATD,
     build_dataset,
+    join_jsonl,
     label_comment,
     mine_file,
     read_jsonl,
     write_jsonl,
+    write_rows,
 )
 from .textpipe import frame_comment, normalize_comment
 
@@ -162,9 +166,6 @@ def _read_json(path) -> dict:
 # 20 files of the benchmark's tree in process; on 2 CPUs a fresh `mine` of
 # 24 of its files took 1.26x as long through the pool, and of 48 files 0.88x
 MIN_FILES_PER_WORKER = 32
-# jobs per worker: contiguous runs of files, several per worker so that one
-# run of large files does not leave the other workers idle
-JOBS_PER_WORKER = 4
 
 
 def _mine_one(path, root):
@@ -186,15 +187,15 @@ def _mine_one(path, root):
 
 
 def _mine_chunk(job) -> tuple[int, list[str]]:
-    """Mine a job's files in order, writing each record's JSON line to the
-    job's spool file; (pair count, diagnostics). Only these cross the
-    process pool, so no process holds more than one file's records."""
+    """Mine a job's files in order, writing their rows to the job's spool
+    file; (pair count, diagnostics). Only these cross the process pool, so
+    no process holds more than one file's records."""
     files, root, spool = job
     pairs, diagnostics = 0, []
     with open(spool, "w", encoding="utf-8") as out:
         for path in files:
             records, diags = _mine_one(path, root)
-            out.writelines(r.to_json() + "\n" for r in records)
+            write_rows(out, records)
             pairs += len(records)
             diagnostics.extend(diags)
     return pairs, diagnostics
@@ -202,7 +203,9 @@ def _mine_chunk(job) -> tuple[int, list[str]]:
 
 def _mining_workers() -> int:
     """SATD_THREADS when set and not empty, else the number of CPUs this
-    process may run on."""
+    process may run on. That is its CPU affinity, not a cgroup CPU quota: a
+    container limited to fewer CPUs than its host shows should set
+    SATD_THREADS."""
     threads = os.environ.get("SATD_THREADS", "")
     if threads:
         try:
@@ -215,8 +218,7 @@ def _mining_workers() -> int:
 
 
 def cmd_mine(args) -> int:
-    # imported here: no other command needs them
-    import shutil
+    # imported here: no other command makes a temporary directory
     import tempfile
 
     root = Path(args.src_dir)
@@ -224,8 +226,8 @@ def cmd_mine(args) -> int:
         raise DataError(f"not a directory: {root}")
     files = sorted(root.rglob("*.java"))
     workers = max(1, min(_mining_workers(), len(files) // MIN_FILES_PER_WORKER))
-    n_jobs = max(1, min(len(files), JOBS_PER_WORKER * workers))
-    bounds = [len(files) * i // n_jobs for i in range(n_jobs + 1)]
+    # one contiguous run of files per worker
+    bounds = [len(files) * i // workers for i in range(workers + 1)]
     # the spools sit beside the output, on its disk rather than a RAM-backed /tmp
     out_dir = os.path.dirname(os.path.realpath(args.out))
     with tempfile.TemporaryDirectory(prefix=".mine-spool-", dir=out_dir) as spool_dir:
@@ -247,11 +249,7 @@ def cmd_mine(args) -> int:
             "pairs": pairs,
             "diagnostics": [d for _, diags in results for d in diags],
         }
-        with atomic_write(args.out, binary=True) as f:
-            f.write((json.dumps({"_meta": meta}) + "\n").encode("utf-8"))
-            for _, _, spool in jobs:
-                with open(spool, "rb") as part:
-                    shutil.copyfileobj(part, f)
+        join_jsonl(args.out, meta, [spool for _, _, spool in jobs])
     print(f"mined {pairs} pairs from {len(files)} files -> {args.out}")
     return 0
 

@@ -16,8 +16,10 @@ lists, which the SBT parser in `ast_sbt` shares.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import shutil
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -602,12 +604,38 @@ def build_dataset(records: list[PairRecord], seed: int, balance: bool = False) -
     return Dataset(pairs=result, shuffle_seed=seed, provenance=provenance, leftover_pool=leftover)
 
 
+# A corpus file is JSONL: an optional `{"_meta": ...}` line, then one row per
+# record. The functions below are the only writers of that format.
+
+
+def _meta_line(meta: dict) -> str:
+    return json.dumps({"_meta": meta}) + "\n"
+
+
+def write_rows(f, records) -> None:
+    """Write each record's row to `f`, a file open for text."""
+    for r in records:
+        f.write(r.to_json() + "\n")
+
+
 def write_jsonl(path, records: list[PairRecord], meta: dict | None = None):
     with atomic_write(path) as f:
         if meta is not None:
-            f.write(json.dumps({"_meta": meta}) + "\n")
-        for r in records:
-            f.write(r.to_json() + "\n")
+            f.write(_meta_line(meta))
+        write_rows(f, records)
+
+
+def join_jsonl(path, meta: dict, parts) -> None:
+    """Write the `_meta` line and then the rows of each part file, in order,
+    to `path` in one atomic write. Each part holds `write_rows` output and is
+    deleted once copied, so the parts and the output together take the
+    corpus's size on disk plus at most one part."""
+    with atomic_write(path, binary=True) as f:
+        f.write(_meta_line(meta).encode("utf-8"))
+        for part in parts:
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, f)
+            os.remove(part)
 
 
 def read_jsonl(path) -> tuple[list[PairRecord], dict]:

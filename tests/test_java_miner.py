@@ -15,6 +15,7 @@ from satd_forge.java_miner import (
     UNLABELED,
     build_dataset,
     extract_outermost_ifs,
+    join_jsonl,
     label_comment,
     lex_java,
     link_comments,
@@ -22,6 +23,7 @@ from satd_forge.java_miner import (
     PairRecord,
     read_jsonl,
     write_jsonl,
+    write_rows,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "java"
@@ -313,3 +315,17 @@ class TestWriteJsonl:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
         monkeypatch.undo()
         assert [r.path for r in read_jsonl(path)[0]] == ["F0.java", "F1.java", "F2.java"]
+
+    def test_joined_parts_match_one_write_and_are_deleted(self, tmp_path):
+        rows = [PairRecord("p", f"F{k}.java", (0, 1), 1, "if(a){}", ["if"], None, [], "Unlabeled") for k in range(5)]
+        whole = tmp_path / "whole.jsonl"
+        write_jsonl(whole, rows, meta={"n": 5})
+        parts = []
+        for i, chunk in enumerate((rows[:2], [], rows[2:])):
+            parts.append(tmp_path / f"{i}.part")
+            with open(parts[-1], "w", encoding="utf-8") as f:
+                write_rows(f, chunk)
+        joined = tmp_path / "joined.jsonl"
+        join_jsonl(joined, {"n": 5}, parts)
+        assert joined.read_bytes() == whole.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["joined.jsonl", "whole.jsonl"]
