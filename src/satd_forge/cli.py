@@ -31,6 +31,7 @@ from .atomic import atomic_write
 from .errors import DataError, JavaLexError, SatdForgeError, TrainingError, check_training_hp
 from .java_miner import (
     SATD,
+    JsonlRows,
     build_dataset,
     join_jsonl,
     label_comment,
@@ -57,6 +58,14 @@ class _Parser(argparse.ArgumentParser):
 # -- dataset plumbing ------------------------------------------------------
 
 
+def _item_rows(records, task: str):
+    """The index of the record behind each of the task's items: every record
+    for a detector task, each commented SATD record for generation."""
+    if task == "generate":
+        return [i for i, r in enumerate(records) if r.label == SATD and r.comment_words]
+    return range(len(records))
+
+
 def _task_data(records, task: str):
     """(items, labels, stratified) for a task over corpus records. A detector
     task labels every record SATD (1) or not (0); generation pairs each
@@ -64,9 +73,8 @@ def _task_data(records, task: str):
     splits them unstratified."""
     if task == "generate":
         pairs = [
-            (r.sbt_tokens, frame_comment(r.comment_words))
-            for r in records
-            if r.label == SATD and r.comment_words
+            (records[i].sbt_tokens, frame_comment(records[i].comment_words))
+            for i in _item_rows(records, task)
         ]
         if not pairs:
             raise DataError("no SATD pairs available for generation")
@@ -217,10 +225,16 @@ def _mining_workers() -> int:
     return os.cpu_count() or 1
 
 
-def cmd_mine(args) -> int:
-    # imported here: no other command makes a temporary directory
+def _spool_dir(out: str, command: str):
+    """A temporary directory for `command`'s spool files beside `out`, on
+    its disk rather than a RAM-backed /tmp."""
+    # imported here: only the commands that spool make a temporary directory
     import tempfile
 
+    return tempfile.TemporaryDirectory(prefix=f".{command}-spool-", dir=os.path.dirname(os.path.realpath(out)))
+
+
+def cmd_mine(args) -> int:
     root = Path(args.src_dir)
     if not root.is_dir():
         raise DataError(f"not a directory: {root}")
@@ -228,9 +242,7 @@ def cmd_mine(args) -> int:
     workers = max(1, min(_mining_workers(), len(files) // MIN_FILES_PER_WORKER))
     # one contiguous run of files per worker
     bounds = [len(files) * i // workers for i in range(workers + 1)]
-    # the spools sit beside the output, on its disk rather than a RAM-backed /tmp
-    out_dir = os.path.dirname(os.path.realpath(args.out))
-    with tempfile.TemporaryDirectory(prefix=".mine-spool-", dir=out_dir) as spool_dir:
+    with _spool_dir(args.out, "mine") as spool_dir:
         jobs = [(files[a:b], root, os.path.join(spool_dir, f"{i}.jsonl"))
                 for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
         if workers > 1:
@@ -255,37 +267,44 @@ def cmd_mine(args) -> int:
 
 
 def cmd_label(args) -> int:
-    records, meta = read_jsonl(args.corpus)
-    n_labeled = 0
-    for r in records:
-        if r.comment_raw is not None:
-            r.label = label_comment(r.comment_raw)
-            n_labeled += 1
-    meta = dict(meta)
-    meta["command"] = "label"
+    """Label each commented row as it is read. A row whose label changes is
+    re-serialized; every other row is copied as read. The rows go to a spool
+    beside the output, which `join_jsonl` puts behind the `_meta` line, so
+    one row is held at a time."""
     out = args.out or args.corpus
-    write_jsonl(out, records, meta=meta)
-    counts = {}
-    for r in records:
-        counts[r.label] = counts.get(r.label, 0) + 1
+    rows = JsonlRows(args.corpus)
+    n_labeled = 0
+    counts: dict[str, int] = {}
+    with _spool_dir(out, "label") as spool_dir:
+        spool = os.path.join(spool_dir, "rows.jsonl")
+        with open(spool, "wb") as f:
+            for r, line in rows:
+                if r.comment_raw is not None:
+                    n_labeled += 1
+                    label = label_comment(r.comment_raw)
+                    if label != r.label:
+                        r.label = label
+                        line = (r.to_json() + "\n").encode("utf-8")
+                f.write(line)
+                counts[r.label] = counts.get(r.label, 0) + 1
+        join_jsonl(out, {**rows.meta, "command": "label"}, [spool])
     print(f"labeled {n_labeled} commented pairs -> {out} {json.dumps(counts, sort_keys=True)}")
     return 0
 
 
 def cmd_dataset(args) -> int:
-    records, _ = read_jsonl(args.corpus)
-    dataset = build_dataset(records, seed=args.seed, balance=args.balance)
+    dataset = build_dataset(JsonlRows(args.corpus), seed=args.seed, balance=args.balance)
     meta = {
         "command": "dataset",
         "seed": args.seed,
         "balance": args.balance,
         "provenance": dataset.provenance,
     }
-    write_jsonl(args.out, dataset.pairs, meta=meta)
+    write_jsonl(args.out, dataset.pairs, meta)
     print(f"dataset: {dataset.provenance} -> {args.out}")
     if args.pool_out:
         pool_meta = {"command": "dataset", "role": "pretraining-pool", "seed": args.seed}
-        write_jsonl(args.pool_out, dataset.leftover_pool, meta=pool_meta)
+        write_jsonl(args.pool_out, dataset.leftover_pool, pool_meta)
         print(f"pool: {len(dataset.leftover_pool)} leftover NonSATD -> {args.pool_out}")
     return 0
 
@@ -293,7 +312,7 @@ def cmd_dataset(args) -> int:
 def cmd_tune(args) -> int:
     from . import evalkit
 
-    records, _ = read_jsonl(args.data)
+    records = read_jsonl(args.data)
     grid = _read_json(args.grid)
     settings = _expand_grid(grid)
     # every setting is checked before the first trial trains
@@ -315,7 +334,7 @@ def cmd_tune(args) -> int:
         "grid": grid,
     }
     items, labels, stratified = _task_data(records, args.task)
-    tuning_ids, _ = evalkit.tuning_split(
+    tuning_ids, remainder_ids = evalkit.tuning_split(
         labels, fraction=args.fraction, stratified=stratified, seed=args.seed
     )
     trials = [(_make_recipe(args.task, setting, args.seed), 0, tuning_ids) for setting in settings]
@@ -334,13 +353,22 @@ def cmd_tune(args) -> int:
     with atomic_write(args.out) as f:
         f.write(json.dumps(payload, indent=2, sort_keys=True))
     print(f"tuned {len(settings)} settings -> {args.out}")
+    if args.remainder_out:
+        # the rows behind the remainder's items, copied as read in file order
+        item_rows = _item_rows(records, args.task)
+        keep = {item_rows[i] for i in remainder_ids}
+        lines = (line for i, (_, line) in enumerate(JsonlRows(args.data)) if i in keep)
+        meta = {"command": "tune", "role": "remainder", "task": args.task, "seed": args.seed,
+                "fraction": args.fraction}
+        write_jsonl(args.remainder_out, lines, meta)
+        print(f"remainder: {len(keep)} rows -> {args.remainder_out}")
     return 0
 
 
 def cmd_cv(args) -> int:
     from . import evalkit
 
-    records, _ = read_jsonl(args.data)
+    records = read_jsonl(args.data)
     hp_dict = _read_json(args.hp)
     config = {
         "command": "cv",
@@ -367,7 +395,7 @@ def cmd_pretrain(args) -> int:
     from .detector import DetectorHp
     from .pretrainer import save_lm, train_next_token_lm
 
-    records, _ = read_jsonl(args.pool)
+    records = read_jsonl(args.pool)
     sequences = [r.sbt_tokens for r in records]
     hp = DetectorHp.from_dict(_read_json(args.hp) if args.hp else {})
     model = train_next_token_lm(sequences, hp, args.seed)
@@ -381,7 +409,7 @@ def cmd_train(args) -> int:
     from .generator import GeneratorHp, save_generator, train_generator
     from .pretrainer import load_lm
 
-    records, _ = read_jsonl(args.data)
+    records = read_jsonl(args.data)
     hp_dict = _read_json(args.hp) if args.hp else {}
     if args.task == "generate" and args.init:
         raise DataError("a pre-trained language model cannot initialize the generator")
@@ -453,7 +481,7 @@ def cmd_generate(args) -> int:
 def cmd_xproject(args) -> int:
     from . import evalkit
 
-    records, _ = read_jsonl(args.data)
+    records = read_jsonl(args.data)
     hp_dict = _read_json(args.hp) if args.hp else {}
     items, labels, _ = _task_data(records, args.task)
     projects = [r.project for r in records]
@@ -505,6 +533,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fraction", type=float, default=0.10)
     p.add_argument("--out", required=True)
+    p.add_argument("--remainder-out", default=None,
+                   help="write the rows outside the tuning split here, for cv")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("cv", help="k-fold cross validation")

@@ -21,10 +21,10 @@ import random
 import re
 import shutil
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
-from operator import itemgetter
+from operator import index, itemgetter
 from pathlib import Path
 
 from .atomic import atomic_write
@@ -482,17 +482,58 @@ class PairRecord:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PairRecord":
-        return cls(
+        """The record a parsed row holds. A missing field raises KeyError; a
+        field of the wrong type raises ValueError naming it. The lists are
+        checked in C (str.join, operator.index), not by a Python loop per
+        item."""
+        if type(obj) is not dict:
+            raise ValueError("a row is a JSON object")
+        r = cls(
             project=obj["project"],
             path=obj["path"],
-            span=tuple(obj["span"]),
+            span=obj["span"],
             column=obj["column"],
             code_text=obj["code_text"],
-            sbt_tokens=list(obj["sbt_tokens"]),
+            sbt_tokens=obj["sbt_tokens"],
             comment_raw=obj.get("comment_raw"),
-            comment_words=list(obj["comment_words"]),
+            comment_words=obj["comment_words"],
             label=obj["label"],
         )
+        if type(r.project) is not str:
+            raise ValueError("project is not a string")
+        if type(r.path) is not str:
+            raise ValueError("path is not a string")
+        if type(r.span) is not list:
+            raise ValueError("span is not a list of integers")
+        try:
+            r.span = tuple(map(index, r.span))
+        except TypeError:
+            raise ValueError("span is not a list of integers") from None
+        if type(r.column) is not int:
+            raise ValueError("column is not an integer")
+        if type(r.code_text) is not str:
+            raise ValueError("code_text is not a string")
+        if not _is_string_list(r.sbt_tokens):
+            raise ValueError("sbt_tokens is not a list of strings")
+        if r.comment_raw is not None and type(r.comment_raw) is not str:
+            raise ValueError("comment_raw is neither a string nor null")
+        if not _is_string_list(r.comment_words):
+            raise ValueError("comment_words is not a list of strings")
+        if type(r.label) is not str:
+            raise ValueError("label is not a string")
+        return r
+
+
+def _is_string_list(value) -> bool:
+    """Whether `value` is a list of strings; str.join checks the items
+    without a Python loop."""
+    if type(value) is not list:
+        return False
+    try:
+        "".join(value)
+    except TypeError:
+        return False
+    return True
 
 
 def mine_source(
@@ -538,58 +579,67 @@ COMMENT_CAP = 150
 
 @dataclass
 class Dataset:
-    pairs: list[PairRecord]
-    shuffle_seed: int
-    provenance: dict = field(default_factory=dict)
-    # NonSATD records dropped by balancing; reusable for pre-training
-    leftover_pool: list[PairRecord] = field(default_factory=list)
+    # the kept rows' lines as read, in shuffled order
+    pairs: list[bytes]
+    provenance: dict
+    # the lines of the NonSATD rows dropped by balancing; reusable for pre-training
+    leftover_pool: list[bytes]
 
 
-def build_dataset(records: list[PairRecord], seed: int, balance: bool = False) -> Dataset:
+def _dedup_key(tokens: list[str]):
+    """An exact stand-in for `tuple(tokens)` in a dedup set that takes one
+    string, not one object per token: the tokens joined by NUL. The join
+    splits back into the tokens unless the list is empty or a token holds a
+    NUL; such a list keeps its tuple, which never equals a string."""
+    joined = "\0".join(tokens)
+    return joined if joined.count("\0") == len(tokens) - 1 else tuple(tokens)
+
+
+def build_dataset(rows, seed: int, balance: bool = False) -> Dataset:
     """Deduplicate, drop observations longer than CODE_CAP SBT tokens or
     COMMENT_CAP comment words, shuffle (Mersenne Twister), and optionally
-    downsample NonSATD to the SATD count."""
-    labeled = [r for r in records if r.label in (SATD, NON_SATD)]
-    n_input = len(labeled)
+    downsample NonSATD to the SATD count.
 
+    `rows` yields (record, line) pairs, as `JsonlRows` reads them, and is
+    read once, in order. A SATD/NonSATD row leaves its dedup key behind
+    if it is the first with that key, and its label and line if it is also
+    kept; the records are not held."""
+    n_input = 0
     seen = set()
-    deduped = []
-    for r in labeled:
-        key = (tuple(r.sbt_tokens), tuple(r.comment_words))
+    kept: list[tuple[bool, bytes]] = []  # (SATD?, line) of each kept row
+    for r, line in rows:
+        if r.label != SATD and r.label != NON_SATD:
+            continue
+        n_input += 1
+        key = (_dedup_key(r.sbt_tokens), _dedup_key(r.comment_words))
         if key in seen:
             continue
         seen.add(key)
-        deduped.append(r)
-    n_dedup = len(deduped)
-
-    kept = [
-        r
-        for r in deduped
-        if len(r.sbt_tokens) <= CODE_CAP and len(r.comment_words) <= COMMENT_CAP
-    ]
+        if len(r.sbt_tokens) <= CODE_CAP and len(r.comment_words) <= COMMENT_CAP:
+            kept.append((r.label == SATD, line))
+    n_dedup = len(seen)
     n_length = len(kept)
 
-    n_satd = sum(1 for r in kept if r.label == SATD)
+    n_satd = sum(satd for satd, _ in kept)
     if n_satd == 0:
         raise DataError("empty positive class")
 
     rng = random.Random(seed)
-    shuffled = list(kept)
-    rng.shuffle(shuffled)
+    rng.shuffle(kept)
 
-    leftover: list[PairRecord] = []
+    leftover: list[bytes] = []
     if balance:
         result = []
         non_satd_kept = 0
-        for r in shuffled:
-            if r.label == NON_SATD:
+        for satd, line in kept:
+            if not satd:
                 if non_satd_kept >= n_satd:
-                    leftover.append(r)
+                    leftover.append(line)
                     continue
                 non_satd_kept += 1
-            result.append(r)
+            result.append(line)
     else:
-        result = shuffled
+        result = [line for _, line in kept]
 
     provenance = {
         "input_labeled": n_input,
@@ -601,15 +651,18 @@ def build_dataset(records: list[PairRecord], seed: int, balance: bool = False) -
         "code_cap": CODE_CAP,
         "comment_cap": COMMENT_CAP,
     }
-    return Dataset(pairs=result, shuffle_seed=seed, provenance=provenance, leftover_pool=leftover)
+    return Dataset(pairs=result, provenance=provenance, leftover_pool=leftover)
 
 
 # A corpus file is JSONL: an optional `{"_meta": ...}` line, then one row per
-# record. The functions below are the only writers of that format.
+# record, each ending in "\n". `PairRecord.to_json` writes a row; the
+# functions below are the only writers of the file. A command that does not
+# change a row copies its line as read, so a row is re-serialized only when
+# it changes.
 
 
-def _meta_line(meta: dict) -> str:
-    return json.dumps({"_meta": meta}) + "\n"
+def _meta_line(meta: dict) -> bytes:
+    return (json.dumps({"_meta": meta}) + "\n").encode("utf-8")
 
 
 def write_rows(f, records) -> None:
@@ -618,46 +671,70 @@ def write_rows(f, records) -> None:
         f.write(r.to_json() + "\n")
 
 
-def write_jsonl(path, records: list[PairRecord], meta: dict | None = None):
-    with atomic_write(path) as f:
-        if meta is not None:
-            f.write(_meta_line(meta))
-        write_rows(f, records)
+def write_jsonl(path, lines, meta: dict):
+    """Write the `_meta` line and then `lines`, rows as `JsonlRows` reads
+    them, to `path` in one atomic write. `lines` may be an iterator: it is
+    read one line at a time."""
+    with atomic_write(path, binary=True) as f:
+        f.write(_meta_line(meta))
+        f.writelines(lines)
 
 
 def join_jsonl(path, meta: dict, parts) -> None:
     """Write the `_meta` line and then the rows of each part file, in order,
-    to `path` in one atomic write. Each part holds `write_rows` output and is
-    deleted once copied, so the parts and the output together take the
-    corpus's size on disk plus at most one part."""
+    to `path` in one atomic write. Each part holds rows as `write_rows`
+    writes or `JsonlRows` reads them, and is deleted once copied, so the
+    parts and the output together take the corpus's size on disk plus at
+    most one part."""
     with atomic_write(path, binary=True) as f:
-        f.write(_meta_line(meta).encode("utf-8"))
+        f.write(_meta_line(meta))
         for part in parts:
             with open(part, "rb") as src:
                 shutil.copyfileobj(src, f)
             os.remove(part)
 
 
-def read_jsonl(path) -> tuple[list[PairRecord], dict]:
-    """Records and the `_meta` line; a malformed row raises DataError
-    naming `path:line`."""
-    records = []
-    meta: dict = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if "_meta" in obj:
-                    meta = obj["_meta"]
+class JsonlRows:
+    """The rows of the corpus file at `path`, read one at a time.
+
+    Iterating yields (record, line) for each row, where `line` is the row's
+    bytes as read, line break included (one is added to a last line that
+    lacks it). `meta` holds the object of the last `_meta` line read so far;
+    that line may sit anywhere in the file. Blank lines are skipped. A row
+    that is not UTF-8, not JSON, or lacks a field or has one of the wrong
+    type raises DataError naming `path:line`."""
+
+    def __init__(self, path):
+        self.path = path
+        self.meta: dict = {}
+
+    def __iter__(self):
+        path = self.path
+        with open(path, "rb") as f:
+            for lineno, line in enumerate(f, start=1):
+                if line.isspace():
                     continue
-                records.append(PairRecord.from_dict(obj))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: row lacks field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
-    return records, meta
+                try:
+                    obj = json.loads(line.decode("utf-8"))
+                    if type(obj) is dict and "_meta" in obj:
+                        if type(obj["_meta"]) is not dict:
+                            raise ValueError("_meta is not a JSON object")
+                        self.meta = obj["_meta"]
+                        continue
+                    record = PairRecord.from_dict(obj)
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                except KeyError as exc:
+                    raise DataError(f"{path}:{lineno}: row lacks field {exc}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
+                if not line.endswith(b"\n"):
+                    line += b"\n"
+                yield record, line
+
+
+def read_jsonl(path) -> list[PairRecord]:
+    """The records of the corpus file at `path`: `JsonlRows` as a list."""
+    return [record for record, _ in JsonlRows(path)]

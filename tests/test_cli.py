@@ -65,6 +65,43 @@ def read_rows(path):
     return rows
 
 
+def tune_with_remainder(tmp_path, monkeypatch, data, task, grid):
+    """(tuning rows, remainder rows, the rows behind the task's items) of
+    one `tune --remainder-out` over `data`: the tuning rows are the ones its
+    trials score, read back from the input."""
+    from satd_forge import evalkit
+
+    scored = []
+    real_run_trials = evalkit.run_trials
+
+    def spy(items, labels, trials):
+        scored.extend(test_ids for _, _, test_ids in trials)
+        return real_run_trials(items, labels, trials)
+
+    monkeypatch.setattr(evalkit, "run_trials", spy)
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    remainder = tmp_path / "remainder.jsonl"
+    assert run("tune", str(data), "--task", task, "--grid", str(tmp_path / "grid.json"), "--seed", "3",
+               "--out", str(tmp_path / "t.json"), "--remainder-out", str(remainder)) == 0
+    lines = [line for line in Path(data).read_bytes().splitlines(keepends=True) if b'"_meta"' not in line]
+    item_lines = [line for line in lines
+                  if task != "generate" or (json.loads(line)["label"] == "SATD" and json.loads(line)["comment_words"])]
+    assert all(ids == scored[0] for ids in scored)
+    tuning = [item_lines[i] for i in scored[0]]
+    out = remainder.read_bytes().splitlines(keepends=True)
+    assert json.loads(out[0])["_meta"] == {"command": "tune", "role": "remainder", "task": task, "seed": 3,
+                                           "fraction": 0.1}
+    return tuning, out[1:], item_lines
+
+
+def assert_partition(tuning, remainder, item_lines):
+    """The tuning rows and the remainder rows split the items' rows, and the
+    remainder holds its rows as read, in file order."""
+    assert tuning and remainder
+    assert sorted(tuning + remainder) == sorted(item_lines)
+    assert remainder == [line for line in item_lines if line not in tuning]
+
+
 class TestMineAndLabel:
     def test_golden_pair_count(self, corpus):
         rows = read_rows(corpus)
@@ -390,6 +427,13 @@ class TestTrainDetectPipeline:
         f1s = [r["f1"] for r in tuning["rows"]]
         assert f1s == sorted(f1s, reverse=True)
 
+    def test_tune_remainder_partitions_the_input(self, tmp_path, monkeypatch):
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=40)
+        tuning, remainder, item_lines = tune_with_remainder(tmp_path, monkeypatch, data, "detect-code",
+                                                            {"model": "mnb"})
+        assert len(item_lines) == 40 and len(tuning) == 4
+        assert_partition(tuning, remainder, item_lines)
+
     def test_xproject_rounds(self, tmp_path):
         data = synthetic_corpus_file(tmp_path / "data.jsonl", n=45, n_projects=3)
         hp = tmp_path / "hp.json"
@@ -498,6 +542,18 @@ class TestGeneratorProtocol:
         bleus = [r["bleu_4"] for r in tuning["rows"]]
         assert bleus == sorted(bleus, reverse=True)
 
+    def test_tune_remainder_holds_generation_rows_only(self, tmp_path, monkeypatch, gen_data):
+        # rows generation does not train on: NonSATD, and SATD without comment words
+        rows = [json.loads(line) for line in gen_data.read_text().splitlines()]
+        others = [{**rows[0], "label": "NonSATD"}, {**rows[1], "comment_words": []}]
+        with open(gen_data, "a") as f:
+            for r in others:
+                f.write(json.dumps(r) + "\n")
+        tuning, remainder, item_lines = tune_with_remainder(
+            tmp_path, monkeypatch, gen_data, "generate", {"latent": 4, "layers": 1, "batch_size": 8, "epochs": 1})
+        assert len(item_lines) == 10 and len(tuning) == 1
+        assert_partition(tuning, remainder, item_lines)
+
     def test_cv_generate_reports_bleu(self, tmp_path, gen_data):
         hp = tmp_path / "hp.json"
         hp.write_text(json.dumps({"latent": 8, "layers": 1, "batch_size": 8,
@@ -561,6 +617,39 @@ class TestBadInputs:
         assert run("label", str(corpus)) == 2
         err = capsys.readouterr().err
         assert f"{corpus}:1" in err and "path" in err
+
+    # a field of the wrong type is a malformed row (exit 2), not a traceback in
+    # the command that first uses it
+    GOOD_ROW = {"project": "p", "path": "A.java", "span": [0, 1], "column": 1, "code_text": "if (a) f();",
+                "sbt_tokens": ["(If", ")If"], "comment_raw": "// todo", "comment_words": ["todo"], "label": "SATD"}
+
+    @pytest.mark.parametrize("command,field,value", [
+        ("label", "comment_raw", 5),
+        ("dataset", "comment_words", [["todo"]]),
+        ("dataset", "sbt_tokens", [1, 2]),
+    ])
+    def test_field_of_the_wrong_type_is_a_malformed_row(self, tmp_path, capsys, command, field, value):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"_meta": {}}) + "\n" + json.dumps({**self.GOOD_ROW, field: value}) + "\n")
+        extra = ["--seed", "1", "--out", str(tmp_path / "d.jsonl")] if command == "dataset" else []
+        assert run(command, str(corpus), *extra) == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}:2: malformed row: {field} " in err
+        assert not (tmp_path / "d.jsonl").exists()
+
+    def test_row_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        row = json.dumps({**self.GOOD_ROW, "code_text": "caf\u00e9"}, ensure_ascii=False)
+        corpus.write_bytes(row.encode("latin-1") + b"\n")
+        assert run("label", str(corpus)) == 2
+        assert f"{corpus}:1: not UTF-8" in capsys.readouterr().err
+        assert corpus.read_bytes() == row.encode("latin-1") + b"\n"
+
+    def test_meta_that_is_not_an_object_is_a_malformed_row(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps(self.GOOD_ROW) + "\n" + json.dumps({"_meta": 5}) + "\n")
+        assert run("label", str(corpus)) == 2
+        assert f"{corpus}:2: malformed row: _meta " in capsys.readouterr().err
 
     def test_truncated_row_names_its_line(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"

@@ -241,12 +241,21 @@ def make_record(code_tokens, comment_words, label, project="p", path="f.java"):
     )
 
 
+def as_rows(records):
+    """(record, line) pairs, as `JsonlRows` reads a file the package wrote."""
+    return [(r, (r.to_json() + "\n").encode("utf-8")) for r in records]
+
+
+def labels_of(lines):
+    return [json.loads(line)["label"] for line in lines]
+
+
 class TestBuildDataset:
     def test_balancing(self):
         records = [make_record([f"s{i}"], ["w"], SATD) for i in range(10)]
         records += [make_record([f"n{i}"], ["w"], NON_SATD) for i in range(100)]
-        dataset = build_dataset(records, seed=3, balance=True)
-        labels = [r.label for r in dataset.pairs]
+        dataset = build_dataset(as_rows(records), seed=3, balance=True)
+        labels = labels_of(dataset.pairs)
         assert labels.count(SATD) == 10
         assert labels.count(NON_SATD) == 10
         assert len(dataset.leftover_pool) == 90
@@ -254,27 +263,48 @@ class TestBuildDataset:
     def test_dedup(self):
         records = [make_record(["x"], ["w"], SATD), make_record(["x"], ["w"], SATD)]
         records.append(make_record(["y"], ["w"], NON_SATD))
-        dataset = build_dataset(records, seed=0)
+        dataset = build_dataset(as_rows(records), seed=0)
         assert len(dataset.pairs) == 2
+
+    def test_dedup_tells_apart_lists_that_join_alike(self):
+        # joined by NUL, each pair below gives one string; the dedup key must still differ
+        pairs = [(["a\0", "b"], ["a", "\0b"]), ([], [""]), (["a", "b"], ["a\0b"])]
+        records = [make_record(code, ["w"], SATD) for pair in pairs for code in pair]
+        records += [make_record(["c"], words, SATD) for pair in pairs for words in pair]
+        dataset = build_dataset(as_rows(records), seed=0)
+        assert dataset.provenance["after_dedup"] == len(records) == 12
 
     def test_determinism(self):
         records = [make_record([f"s{i}"], ["w"], SATD) for i in range(5)]
         records += [make_record([f"n{i}"], ["w"], NON_SATD) for i in range(5)]
-        a = build_dataset(records, seed=11)
-        b = build_dataset(records, seed=11)
-        assert [r.sbt_tokens for r in a.pairs] == [r.sbt_tokens for r in b.pairs]
+        a = build_dataset(as_rows(records), seed=11)
+        b = build_dataset(as_rows(records), seed=11)
+        assert a.pairs == b.pairs
 
     def test_length_filter(self):
         long_code = make_record(["t"] * 1501, ["w"], NON_SATD)
         long_comment = make_record(["u"], ["w"] * 151, NON_SATD)
         keeper = make_record(["v"], ["w"], SATD)
-        dataset = build_dataset([long_code, long_comment, keeper], seed=0)
+        dataset = build_dataset(as_rows([long_code, long_comment, keeper]), seed=0)
         assert len(dataset.pairs) == 1
 
     def test_empty_positive_class(self):
         records = [make_record([f"n{i}"], ["w"], NON_SATD) for i in range(4)]
         with pytest.raises(DataError, match="empty positive class"):
-            build_dataset(records, seed=0)
+            build_dataset(as_rows(records), seed=0)
+
+    def test_rows_are_read_once_in_order(self):
+        records = [make_record([f"s{i}"], ["w"], SATD) for i in range(3)]
+        seen = []
+
+        def rows():
+            for r, line in as_rows(records):
+                seen.append(r.sbt_tokens[0])
+                yield r, line
+
+        dataset = build_dataset(rows(), seed=0)
+        assert seen == ["s0", "s1", "s2"]
+        assert sorted(dataset.pairs) == sorted(line for _, line in as_rows(records))
 
 
 class TestGoldenFixtures:
@@ -296,30 +326,27 @@ class TestGoldenFixtures:
 
 
 class TestWriteJsonl:
-    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         rows = [PairRecord("p", f"F{k}.java", (0, 1), 1, "if(a){}", ["if"], None, [], "Unlabeled") for k in range(3)]
-        write_jsonl(path, rows, meta={"n": 3})
+        lines = [line for _, line in as_rows(rows)]
+        write_jsonl(path, lines, {"n": 3})
         before = path.read_bytes()
-        real_to_json = PairRecord.to_json
 
-        def fail_on_third_row(self):
-            if self.path == "F2.java":
-                raise RuntimeError("disk full")
-            return real_to_json(self)
+        def fail_on_third_row():
+            yield from lines[:2]
+            raise RuntimeError("disk full")
 
-        monkeypatch.setattr(PairRecord, "to_json", fail_on_third_row)
         with pytest.raises(RuntimeError, match="disk full"):
-            write_jsonl(path, rows, meta={"n": 3})
+            write_jsonl(path, fail_on_third_row(), {"n": 3})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
-        monkeypatch.undo()
-        assert [r.path for r in read_jsonl(path)[0]] == ["F0.java", "F1.java", "F2.java"]
+        assert [r.path for r in read_jsonl(path)] == ["F0.java", "F1.java", "F2.java"]
 
     def test_joined_parts_match_one_write_and_are_deleted(self, tmp_path):
         rows = [PairRecord("p", f"F{k}.java", (0, 1), 1, "if(a){}", ["if"], None, [], "Unlabeled") for k in range(5)]
         whole = tmp_path / "whole.jsonl"
-        write_jsonl(whole, rows, meta={"n": 5})
+        write_jsonl(whole, [line for _, line in as_rows(rows)], {"n": 5})
         parts = []
         for i, chunk in enumerate((rows[:2], [], rows[2:])):
             parts.append(tmp_path / f"{i}.part")
