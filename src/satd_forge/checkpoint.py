@@ -72,8 +72,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (header, blocks); block arrays come back as float64.
 
     Looking up a header field or a block the file lacks raises
-    CheckpointError naming the path. So does a header that declares more
-    bytes than the file holds, which is found before they are read.
+    CheckpointError naming the path. So does a block holding a NaN or an
+    infinity, and a header declaring more bytes than the file holds.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -99,6 +99,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         for name, shape in specs:
             raw = _read_exactly(f, 4 * math.prod(shape), path, f"block {name!r}")
             blocks[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+            if not np.isfinite(blocks[name]).all():
+                raise CheckpointError(f"{path}: block {name!r} holds a NaN or infinite value")
     return _Section(header, f"{path}: header field"), _Section(blocks, f"{path}: block")
 
 

@@ -1,14 +1,13 @@
 """Command-line surface wiring the pipeline end to end.
 
 Exit codes: 0 success, 1 usage, 2 data error (and running out of
-memory), 3 training failure.
+memory), 3 training failure, 130 interrupted (Ctrl-C).
 `mine` runs one worker process per CPU it may run on, or SATD_THREADS
 workers when that is set and not empty, with at least MIN_FILES_PER_WORKER
 files each; one worker mines in process. The CPUs it may run on are its
-affinity mask, not a cgroup CPU quota, so a quota-limited container should
-set SATD_THREADS. The corpus bytes do not depend on the worker count. All
-randomness flows from the explicit --seed flags and every artifact records
-the producing config.
+affinity mask, capped by its cgroup's CPU quota where one is set. The
+corpus bytes do not depend on the worker count. All randomness flows from
+the explicit --seed flags and every artifact records the producing config.
 
 Only the mining side (java_miner, textpipe) loads with this module, so
 mine, label and dataset start without numpy. The commands and recipes
@@ -21,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -209,20 +209,42 @@ def _mine_chunk(job) -> tuple[int, list[str]]:
     return pairs, diagnostics
 
 
+def _quota_cpus(root: str) -> int | None:
+    """The CPUs the CPU quota of this process's cgroup allows, rounded up, or
+    None without a readable quota. The cgroup is named in root/proc/self/cgroup;
+    its cpu.max (v2) or cpu.cfs_quota_us over cpu.cfs_period_us (v1) is read
+    under root/sys/fs/cgroup, at the hierarchy's root where the cgroup's own
+    path is missing, as inside a container."""
+    base = Path(root, "sys", "fs", "cgroup")
+    try:
+        lines = Path(root, "proc", "self", "cgroup").read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError):
+        return None
+    for controllers, path in (g for g in (line.split(":", 2)[1:] for line in lines) if len(g) == 2):
+        if controllers and "cpu" not in controllers.split(","):
+            continue
+        names = ["cpu.cfs_quota_us", "cpu.cfs_period_us"] if controllers else ["cpu.max"]
+        for where in (base / controllers / path.lstrip("/"), base / controllers):  # v2 lists no controllers
+            try:
+                quota, period = " ".join((where / name).read_text(encoding="utf-8") for name in names).split()
+                return None if quota in ("max", "-1") else max(1, math.ceil(int(quota) / int(period)))
+            except (OSError, ValueError, ZeroDivisionError):
+                continue
+    return None
+
+
 def _mining_workers() -> int:
     """SATD_THREADS when set and not empty, else the number of CPUs this
-    process may run on. That is its CPU affinity, not a cgroup CPU quota: a
-    container limited to fewer CPUs than its host shows should set
-    SATD_THREADS."""
+    process may run on (its CPU affinity), capped by its cgroup's CPU quota
+    where one is set."""
     threads = os.environ.get("SATD_THREADS", "")
     if threads:
         try:
             return int(threads)
         except ValueError:
             raise DataError(f"SATD_THREADS must be an integer, got {threads!r}") from None
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, _quota_cpus("/") or cpus)
 
 
 def _spool_dir(out: str, command: str):
@@ -607,6 +629,9 @@ def main(argv=None) -> int:
         # numpy's message names the allocation that failed; a bare MemoryError has none
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

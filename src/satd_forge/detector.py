@@ -6,7 +6,7 @@ averaged-embedding feature path.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .checkpoint import (
 from .errors import (
     CheckpointError,
     DataError,
+    HyperParameters,
     TrainingError,
     check_choice,
     check_count,
@@ -36,7 +37,7 @@ from .vsm import Csr, TfIdfModel, as_csr, bow_counts, fit_tfidf, transform
 
 
 @dataclass
-class DetectorHp:
+class DetectorHp(HyperParameters):
     latent: int = 32
     layers: int = 1
     batch_size: int = 32
@@ -46,14 +47,6 @@ class DetectorHp:
     dropout: float = 0.2
     seq_cap: int = 1500
     threshold: float = 0.5
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DetectorHp":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
 
 
 class DetectorNetwork(tc.Network):

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the hyper-parameter
-checks that raise them.
+"""Exception types shared across the package, the hyper-parameter
+dataclasses' base, and the hyper-parameter checks that raise them.
 
 The CLI maps these onto exit codes: DataError -> 2, TrainingError -> 3.
 """
 
 import math
+from dataclasses import asdict
 
 
 class SatdForgeError(Exception):
@@ -28,6 +29,17 @@ class CheckpointError(DataError):
 
 class TrainingError(SatdForgeError):
     pass
+
+
+class HyperParameters:
+    """Base of the hyper-parameter dataclasses: to and from a dict, ignoring unknown keys."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, obj: dict):
+        return cls(**{k: v for k, v in obj.items() if k in cls.__dataclass_fields__})
 
 
 def check_count(name: str, value, minimum: int, what: str = "hyper-parameter") -> None:

@@ -8,19 +8,18 @@ plain dot products, combined through tanh(Wc [context; state]).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor_core as tc
 from .checkpoint import check_network, header_object, header_vocabulary, load_blocks, load_checkpoint, save_network
-from .errors import DataError, check_training_hp
+from .errors import DataError, HyperParameters, check_training_hp
 from .textpipe import EOS, SOS, Vocabulary, build_vocabulary, length_sorted_chunks, pad_batch
 
 
 @dataclass
-class GeneratorHp:
+class GeneratorHp(HyperParameters):
     latent: int = 64
     layers: int = 1
     batch_size: int = 32
@@ -29,14 +28,6 @@ class GeneratorHp:
     dropout: float = 0.2
     code_cap: int = 1500
     comment_cap: int = 150  # emitted words; framed sequences may be cap+2
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GeneratorHp":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
 
 
 class Attention:
@@ -137,7 +128,7 @@ class Seq2SeqNetwork(tc.Network):
         the network; the layers are counted lazily, so a header's layer
         count is compared with the blocks before any list that long exists."""
         for prefix, vocab_size in (("enc_", code_vocab_size), ("dec_", comment_vocab_size)):
-            yield from tc.stack_shapes(vocab_size, latent, itertools.repeat(latent, n_layers), prefix)
+            yield from tc.stack_shapes(vocab_size, latent, (latent for _ in range(n_layers)), prefix)
         yield "attention.Wc", (2 * latent, latent)
         yield "attention.bc", (latent,)
         yield "out.W", (latent, comment_vocab_size)
@@ -149,8 +140,9 @@ class Seq2SeqNetwork(tc.Network):
         """Teacher-forced loss: decoder inputs are the target sequence
         shifted right by one position.
 
-        The stacks and attention run on real cells only; the output layer
-        runs on the padded (B, K, d) layout, and the loss on real positions.
+        Everything runs on real cells only. The output layer runs once on
+        the attended cells as one (1, N_real, d) run in row-major order (at
+        batch 1, the row's (1, K, V) logits); the loss reads them packed.
         """
         enc, dec = tc.Packing(enc_mask), tc.Packing(dec_mask)
         Henc, enc_finals, enc_cache = self.encoder.forward(enc_idx, enc, drop_rng, drop_rate)
@@ -160,23 +152,21 @@ class Seq2SeqNetwork(tc.Network):
         attended, att_cache = self.attention.forward(
             states[dec.row_major], Henc[enc.row_major], dec.spans, enc.spans
         )
-        padded = np.zeros(dec.mask.shape + attended.shape[1:])
-        padded[dec.mask > 0] = attended  # boolean indexing runs in row-major order
-        logits, dense_cache = self.out.forward(padded)
-        loss, dlogits, _ = tc.masked_cross_entropy(dec.pack(logits), targets, dec)
+        logits, dense_cache = self.out.forward(attended[None])
+        loss, dlogits, _ = tc.masked_cross_entropy(dec.from_row_major(logits[0]), targets, dec)
         caches = {
             "encoder": enc_cache,
             "decoder": dec_cache,
             "attention": att_cache,
             "out": dense_cache,
-            "dlogits": dec.unpack(dlogits),
+            "dlogits": dlogits[dec.row_major],  # in the row-major order of the output layer's input
         }
         return loss, caches
 
     def backward(self, caches):
         enc, dec = caches["encoder"]["packing"], caches["decoder"]["packing"]
         dattended = self.out.backward(caches["dlogits"], caches["out"])
-        dstates, dHenc = self.attention.backward(dattended[dec.mask > 0], caches["attention"])
+        dstates, dHenc = self.attention.backward(dattended, caches["attention"])
         handoff = self.decoder.backward(dec.from_row_major(dstates), caches["decoder"])
         # encoder: attention gradient on every state, handoff on the final one
         self.encoder.backward(enc.from_row_major(dHenc), caches["encoder"], dfinal=handoff)

@@ -37,10 +37,10 @@ class LmNetwork(tc.Network):
         self.zero_grads()
         packing = tc.Packing(mask)
         states, _, stack_cache = self.stack.forward(idx, packing, drop_rng, drop_rate)
-        # the softmax head sees real positions only
+        # the softmax head sees real positions only, and sums its gradients over them
         logits, dense_cache = self.out.forward(states)
         loss, dlogits, _ = tc.masked_cross_entropy(logits, targets, packing)
-        self.stack.backward(self.out.backward(dlogits, dense_cache, packing), stack_cache)
+        self.stack.backward(self.out.backward(dlogits, dense_cache), stack_cache)
         return loss
 
 

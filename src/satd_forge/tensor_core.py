@@ -4,12 +4,12 @@ LSTM stack every network is built on, pooling, dense heads, the binary
 and multi-class log-losses, inverted dropout, Adam/RMSprop and the one
 training loop.
 
-A right-padded batch enters as token ids and a 0/1 mask (B, T). The
-stack, pooling and the multi-class loss work on its real cells only,
-packed (`Packing`); callers that read a row's cells together, such as
-attention, gather them in row-major order with `Packing.row_major`, and
-callers that need the padded layout scatter them back with
-`Packing.unpack`.
+A right-padded batch enters as token ids and a 0/1 mask (B, T), and the
+padded layout ends there: the stack, pooling, both softmax heads and the
+multi-class loss work on its real cells only, packed (`Packing`); callers
+that read a row's cells together, such as attention, gather them in
+row-major order (`Packing.row_major`). Only the multi-class loss total and
+the embedding gradient still add up in the padded batch's row-major order.
 
 Everything runs in float64 on numpy; checkpoints store float32.
 """
@@ -110,7 +110,6 @@ class Embedding:
 
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         self.vocab_size = vocab_size
-        self.dim = dim
         self.p = {"M": glorot_uniform(rng, (vocab_size, dim), vocab_size, dim)}
         self.g = {"M": np.zeros((vocab_size, dim))}
 
@@ -144,7 +143,7 @@ class Packing:
     same rows as the previous step's first n.
 
     `pack` gathers a padded (B, T, ...) array into (N_real, ...) in this
-    order; `unpack` scatters it back, with zeros at padding.
+    order.
     """
 
     def __init__(self, mask):
@@ -160,11 +159,6 @@ class Packing:
 
     def pack(self, padded) -> np.ndarray:
         return np.asarray(padded)[self.rows, self.times]
-
-    def unpack(self, packed: np.ndarray) -> np.ndarray:
-        padded = np.zeros(self.mask.shape + packed.shape[1:])
-        padded[self.rows, self.times] = packed
-        return padded
 
     @cached_property
     def row_major(self) -> np.ndarray:
@@ -211,7 +205,6 @@ class LstmLayer:
     """
 
     def __init__(self, input_size: int, state_size: int, rng: np.random.Generator):
-        self.input_size = input_size
         self.state_size = state_size
         h = state_size
         self.p = {
@@ -360,11 +353,7 @@ class LstmStack:
 
     def __init__(self, vocab_size: int, dim: int, sizes: list[int], rng: np.random.Generator):
         self.embedding = Embedding(vocab_size, dim, rng)
-        self.layers = []
-        prev = dim
-        for size in sizes:
-            self.layers.append(LstmLayer(prev, size, rng))
-            prev = size
+        self.layers = [LstmLayer(prev, size, rng) for prev, size in zip([dim, *sizes], sizes)]
 
     def named_params(self, prefix: str = "") -> dict[str, tuple[np.ndarray, np.ndarray]]:
         named = block_params(f"{prefix}embedding", self.embedding)
@@ -468,6 +457,9 @@ def pool_backward(dpooled: np.ndarray, cache) -> np.ndarray:
 
 
 class Dense:
+    """Affine layer x @ W + b. Both softmax heads run it on real cells only,
+    so its weight and bias gradients are sums over those cells."""
+
     def __init__(self, input_size: int, output_size: int, rng: np.random.Generator):
         self.p = {
             "W": glorot_uniform(rng, (input_size, output_size), input_size, output_size),
@@ -478,14 +470,9 @@ class Dense:
     def forward(self, x: np.ndarray):
         return x @ self.p["W"] + self.p["b"], x
 
-    def backward(self, dout: np.ndarray, x: np.ndarray, packing: Packing | None = None):
-        """Returns the gradient on `x`. With a `packing`, `dout` and `x` are
-        packed real cells; the weight and bias gradients are still summed
-        over the padded layout, zero at padding, so they keep the order of
-        their sums."""
+    def backward(self, dout: np.ndarray, x: np.ndarray):
+        """Returns the gradient on `x`, with the leading axes of `dout`."""
         dx = dout @ self.p["W"].T
-        if packing is not None:
-            dout, x = packing.unpack(dout), packing.unpack(x)
         flat_x = x.reshape(-1, x.shape[-1])
         flat_d = dout.reshape(-1, dout.shape[-1])
         self.g["W"] += flat_x.T @ flat_d
@@ -552,14 +539,12 @@ class RmsProp:
 
     def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.t = 0
         self.cache: dict[str, np.ndarray] = {}
 
     def step(self, named_params: dict[str, tuple[np.ndarray, np.ndarray]]):
         for name, (_, grad) in named_params.items():
             if not np.isfinite(grad).all():
                 raise TrainingError(f"non-finite gradient in {name}")
-        self.t += 1
         for name, (param, grad) in named_params.items():
             cache = self.cache.setdefault(name, np.zeros_like(param))
             cache *= RMSPROP_RHO

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from attention_reference import ReferenceAttention
+from padded_layout import unpack
 from satd_forge import tensor_core as tc
 from satd_forge.cli import main
 from satd_forge.detector import fit_detector, predict_many
@@ -127,7 +128,7 @@ def reference_decode(network, enc_indices, sos, eos, max_words):
     step = tc.Packing(np.ones((1, 1)))
     for _ in range(max_words):
         X, states, _ = network.decoder.forward(np.array([[word]]), step, initial=states)
-        attended, _, _ = attention.forward(step.unpack(X), enc.unpack(Henc), enc_mask)
+        attended, _, _ = attention.forward(unpack(step, X), unpack(enc, Henc), enc_mask)
         logits, _ = network.out.forward(attended)
         word = int(np.argmax(logits[0, 0]))
         if word == eos:

@@ -205,6 +205,43 @@ def test_linear_round_trip(tmp_path, model):
     assert again.read_bytes() == path.read_bytes()
 
 
+def set_entry(name, value):
+    """Set the first entry of block `name` to `value`."""
+    def edit(blocks):
+        for n, a in blocks:
+            if n == name:
+                a.flat[0] = value
+        return blocks
+    return edit
+
+
+# a NaN bias made every line of `detect` print "nan NonSATD" and exit 0
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cli_detect_non_finite_block_exits_2(cli_inputs, capsys, value):
+    argv, paths = cli_inputs
+    rewrite(paths["detector"], set_entry("dense.b", value))
+    assert main(argv["detector"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(named(paths["detector"], "dense.b") + ".*NaN or infinite", err)
+
+
+@pytest.mark.parametrize("model, block", [
+    ("detector", "lstm0.Wx"), ("lm", "out.b"), ("generator", "out.W"), ("mnb", "class_log_prior"),
+    ("svm-tfidf", "svm.b"), ("svm-tfidf", "tfidf.df"), ("embed-svm", "embedding.M"),
+])
+def test_non_finite_block_is_named(tmp_path, model, block):
+    path = tmp_path / "m.ckpt"
+    if model in LINEAR:
+        linear_ckpt(path, *LINEAR[model])
+        load = load_detector
+    else:
+        load = LOADERS[model](path)
+    rewrite(path, set_entry(block, np.nan))
+    with pytest.raises(CheckpointError, match=named(path, block) + ".*NaN or infinite"):
+        load(path)
+
+
 def test_cli_detect_cut_mnb_block_exits_2(tmp_path, capsys):
     model = tmp_path / "mnb.ckpt"
     linear_ckpt(model, "mnb", "bow")
@@ -307,6 +344,7 @@ def cli_inputs(tmp_path, capsys):
     ("generator", "hp.batch_size", 0),
     ("generator", "hp.comment_cap", -1),
     ("generator", "hp.layers", 2**62),
+    ("generator", "hp.layers", 2**63),  # past a C ssize_t: itertools.repeat raised OverflowError
     ("lm", "hp.latent", "abc"),
 ])
 def test_malformed_header_field_exits_2(cli_inputs, capsys, model, field, value):

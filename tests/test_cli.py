@@ -139,6 +139,7 @@ class TestMineAndLabel:
             if threads is None:
                 monkeypatch.delenv("SATD_THREADS", raising=False)
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+                monkeypatch.setattr(cli, "_quota_cpus", lambda root: None)  # whatever the host's cgroup says
             else:
                 monkeypatch.setenv("SATD_THREADS", threads)
             outs.append(tmp_path / f"c{threads}.jsonl")
@@ -164,6 +165,7 @@ class TestMineAndLabel:
 
     def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("SATD_THREADS", raising=False)
+        monkeypatch.setattr(cli, "_quota_cpus", lambda root: None)  # whatever the host's cgroup says
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         assert cli._mining_workers() == 3
         # where the affinity call does not exist, every CPU counts; an unknown count is one
@@ -174,6 +176,19 @@ class TestMineAndLabel:
         assert cli._mining_workers() == 1
         monkeypatch.setenv("SATD_THREADS", "")
         assert cli._mining_workers() == 1
+
+    def test_default_worker_count_is_capped_by_the_cpu_quota(self, monkeypatch):
+        monkeypatch.delenv("SATD_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        seen = []
+        monkeypatch.setattr(cli, "_quota_cpus", lambda root: seen.append(root) or 2)
+        assert cli._mining_workers() == 2
+        assert seen == ["/"]
+        monkeypatch.setattr(cli, "_quota_cpus", lambda root: 100)
+        assert cli._mining_workers() == 64
+        # SATD_THREADS still wins
+        monkeypatch.setenv("SATD_THREADS", "5")
+        assert cli._mining_workers() == 5
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_spool_files_are_removed(self, pool_tree, tmp_path, monkeypatch, threads):
@@ -606,6 +621,79 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_label", exhausted)
         assert run("label", "corpus.jsonl") == 2
         assert capsys.readouterr() == ("", message)
+
+
+    def test_ctrl_c_exits_130_without_a_traceback(self, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_label", interrupted)
+        assert run("label", "corpus.jsonl") == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+
+
+def cgroup_tree(root, cgroup_lines, files):
+    """A fake file system under `root`: /proc/self/cgroup holding
+    `cgroup_lines`, and each of `files` (path under /sys/fs/cgroup -> text)."""
+    proc = root / "proc" / "self"
+    proc.mkdir(parents=True)
+    (proc / "cgroup").write_text("".join(line + "\n" for line in cgroup_lines))
+    for rel, text in files.items():
+        path = root / "sys" / "fs" / "cgroup" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(root)
+
+
+class TestCpuQuota:
+    V1 = ["3:cpuset:/", "2:cpu,cpuacct:/job", "1:memory:/job", "0::/job"]
+
+    @pytest.mark.parametrize("cpu_max, cpus", [
+        ("200000 100000\n", 2),
+        ("150000 100000\n", 2),  # a part of a CPU counts as one
+        ("50000 100000\n", 1),
+        ("6400000 100000\n", 64),
+        ("max 100000\n", None),
+    ])
+    def test_cgroup_v2_cpu_max(self, tmp_path, cpu_max, cpus):
+        root = cgroup_tree(tmp_path, ["0::/user.slice/job"], {"user.slice/job/cpu.max": cpu_max})
+        assert cli._quota_cpus(root) == cpus
+
+    @pytest.mark.parametrize("quota, period, cpus", [
+        ("250000", "100000", 3),
+        ("100000", "100000", 1),
+        ("-1", "100000", None),
+    ])
+    def test_cgroup_v1_cfs_quota(self, tmp_path, quota, period, cpus):
+        root = cgroup_tree(tmp_path, self.V1, {"cpu,cpuacct/job/cpu.cfs_quota_us": quota + "\n",
+                                               "cpu,cpuacct/job/cpu.cfs_period_us": period + "\n",
+                                               "memory/job/memory.limit_in_bytes": "1000\n"})
+        assert cli._quota_cpus(root) == cpus
+
+    def test_a_container_reads_its_cgroup_at_the_mount(self, tmp_path):
+        # the host's path of the cgroup does not exist in the container, whose mount shows the cgroup itself
+        root = cgroup_tree(tmp_path, ["1:cpu:/docker/0123abcd"], {"cpu/cpu.cfs_quota_us": "200000\n",
+                                                                  "cpu/cpu.cfs_period_us": "100000\n"})
+        assert cli._quota_cpus(root) == 2
+        root = cgroup_tree(tmp_path / "v2", ["0::/docker/0123abcd"], {"cpu.max": "300000 100000\n"})
+        assert cli._quota_cpus(root) == 3
+
+    @pytest.mark.parametrize("cgroup_lines, files", [
+        ([], {}),  # no cgroup at all
+        (["0::/job"], {}),  # v2 without the cpu controller: no cpu.max
+        (["0::/job"], {"job/cpu.max": "lots 100000\n"}),
+        (["0::/job"], {"job/cpu.max": "200000 0\n"}),
+        (["0::/job"], {"job/cpu.max": "200000\n"}),
+        (["1:cpu:/job"], {"cpu/job/cpu.cfs_quota_us": "200000\n"}),  # no period
+        (["garbage"], {"cpu.max": "200000 100000\n"}),
+        (["1:memory:/job"], {"memory/job/cpu.cfs_quota_us": "200000\n",
+                             "memory/job/cpu.cfs_period_us": "100000\n"}),
+    ])
+    def test_no_readable_quota_is_none(self, tmp_path, cgroup_lines, files):
+        assert cli._quota_cpus(cgroup_tree(tmp_path, cgroup_lines, files)) is None
+
+    def test_no_proc_file_is_none(self, tmp_path):
+        assert cli._quota_cpus(str(tmp_path)) is None
 
 
 class TestBadInputs:

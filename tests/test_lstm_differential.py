@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lstm_reference import ReferenceLstmLayer
+from padded_layout import unpack
 from satd_forge import tensor_core as tc
 from satd_forge.errors import TrainingError
 from test_lstm_packing import close, reference_stack, right_padded, run_both
@@ -54,7 +55,7 @@ def check_stack(lengths, T, sizes, seed, drop_rate, n_initial, vocab=11, dim=4):
     idx = (rng.integers(1, vocab, size=(B, T)) * mask).astype(np.int64)
     initial = [(rng.normal(size=(B, H)), rng.normal(size=(B, H))) for H in sizes[:n_initial]]
     packing = tc.Packing(mask)
-    dstates = packing.unpack(packing.pack(rng.normal(size=(B, T, sizes[-1]))))  # zero at padding
+    dstates = unpack(packing, packing.pack(rng.normal(size=(B, T, sizes[-1]))))  # zero at padding
     dfinal = (rng.normal(size=(B, sizes[-1])), rng.normal(size=(B, sizes[-1])))
     drop_seed = seed + 1 if drop_rate else None
 
@@ -142,7 +143,7 @@ class TestStackProperties:
         _, _, cache = stack.forward(idx, packing, drop_rng, drop_rate)
         stack.backward(packing.pack(rng.normal(size=(B, T, 5))), cache)
         dX = seen[0]  # real cells only: the padded batch's input gradient is zero at padding
-        full = packing.unpack(dX * cache["drops"][0] if drop_rate else dX)
+        full = unpack(packing, dX * cache["drops"][0] if drop_rate else dX)
         want = np.zeros_like(stack.embedding.g["M"])
         np.add.at(want, idx, full)
         np.testing.assert_array_equal(stack.embedding.g["M"], want)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lstm_reference import ReferenceLstmLayer
+from padded_layout import unpack
 from satd_forge import tensor_core as tc
 from satd_forge.errors import DataError
 
@@ -33,7 +34,7 @@ def run_both(layer, ref, X, mask, h0, c0, dstates, dh_final, dc_final):
     zeros at padding."""
     packing = tc.Packing(mask)
     d_real = None if dstates is None else packing.pack(dstates)
-    d_padded = None if dstates is None else packing.unpack(d_real)
+    d_padded = None if dstates is None else unpack(packing, d_real)
     results = []
     for lstm, x, d, cells in ((layer, packing.pack(X), d_real, np.asarray),
                               (ref, X, d_padded, packing.pack)):
@@ -95,11 +96,11 @@ class TestLayerAgainstReference:
         mask = right_padded([1, 4, 2], 4)
         packing = tc.Packing(mask)
         states, (h, c), _ = layer.forward(packing.pack(X), mask)
-        states = packing.unpack(states)
+        states = unpack(packing, states)
         for r in range(3):
             lone = tc.Packing(mask[r : r + 1])
             alone, (h_r, c_r), _ = layer.forward(lone.pack(X[r : r + 1]), mask[r : r + 1])
-            close(states[r], lone.unpack(alone)[0])
+            close(states[r], unpack(lone, alone)[0])
             close(h[r], h_r[0])
             close(c[r], c_r[0])
 
@@ -163,7 +164,7 @@ class TestStackAgainstReference:
         initial = [(rng.normal(size=(B, H0)), rng.normal(size=(B, H0)))]
         Htop = stack.layers[-1].state_size
         packing = tc.Packing(mask)
-        dstates = packing.unpack(packing.pack(rng.normal(size=(B, T, Htop))))  # zero at padding
+        dstates = unpack(packing, packing.pack(rng.normal(size=(B, T, Htop))))  # zero at padding
         dfinal = (rng.normal(size=(B, Htop)), rng.normal(size=(B, Htop)))
         drop_seed = 3 if drop_rate else None
 

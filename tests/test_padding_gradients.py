@@ -7,13 +7,16 @@ that pooling, attention and the masked cross-entropy give the states is
 zero at every padding position, so leaving those positions out changes
 nothing. Each consumer is checked on a padded batch with rows of length
 1 and with garbage at padding, against its padded formula (for
-attention, the frozen padded `attention_reference.ReferenceAttention`).
+attention, the frozen padded `attention_reference.ReferenceAttention`;
+for the output heads, the frozen padded `heads_reference`).
 """
 
 import numpy as np
 import pytest
 
 from attention_reference import ReferenceAttention
+from heads_reference import generator_head, lm_head
+from padded_layout import unpack
 from satd_forge import tensor_core as tc
 from satd_forge.generator import Attention, Seq2SeqNetwork
 from satd_forge.textpipe import pad_batch
@@ -54,7 +57,7 @@ def test_pooling(mode):
     dpooled = rng.normal(size=pooled.shape)
     want = padded_pool_gradient(states, mask, mode, dpooled)
     assert not want[mask == 0].any()
-    np.testing.assert_array_equal(packing.unpack(tc.pool_backward(dpooled, cache)), want)
+    np.testing.assert_array_equal(unpack(packing, tc.pool_backward(dpooled, cache)), want)
 
 
 def test_attention_over_decoder_and_encoder_padding():
@@ -102,11 +105,18 @@ def test_masked_cross_entropy_through_the_output_layer():
     want[np.arange(B)[:, None], np.arange(K), targets] -= 1.0
     want *= mask[:, :, None] / mask.sum()
     assert loss == (-np.log(picked) * mask).sum() / mask.sum()
-    padded = packing.unpack(dlogits)
-    np.testing.assert_array_equal(padded, want)
+    np.testing.assert_array_equal(unpack(packing, dlogits), want)
+    # so the output layer's padded sums add zeros at padding, and the head on real cells,
+    # which never reads padding, gets the padded head's loss, input gradient and sums
     dense = tc.Dense(d, V, rng)
-    dx = dense.backward(padded, rng.normal(size=(B, K, d)))
-    assert not dx[mask == 0].any()
+    states = packing.pack(rng.normal(size=(B, K, d)))
+    ref_loss, ref_dstates, gW, gb = lm_head(dense, states, targets, packing)
+    head_logits, cache = dense.forward(states)
+    head_loss, head_dlogits, _ = tc.masked_cross_entropy(head_logits, targets, packing)
+    assert head_loss == ref_loss
+    np.testing.assert_array_equal(dense.backward(head_dlogits, cache), ref_dstates)
+    np.testing.assert_allclose(dense.g["W"], gW, rtol=1e-12, atol=1e-12 * np.abs(gW).max())
+    np.testing.assert_allclose(dense.g["b"], gb, rtol=1e-12, atol=1e-12 * np.abs(gb).max())
 
 
 def test_generator_passes_no_gradient_to_padding():
@@ -114,17 +124,23 @@ def test_generator_passes_no_gradient_to_padding():
     enc_idx, enc_mask = pad_batch([[1, 2, 3, 4], [2], [5, 1, 1]], 6)
     dec_idx, dec_mask = pad_batch([[1, 3, 4], [1], [1, 5]], 5)
     tgt_idx, _ = pad_batch([[3, 4, 2], [2], [5, 2]], 5)
-    _, caches = net.forward_train(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx, np.random.default_rng(0), 0.3)
+    loss, caches = net.forward_train(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx, np.random.default_rng(0), 0.3)
+    # the padded head on the same attended cells passes zero at decoder padding,
+    # which is what the head on real cells and the per-row attention leave out
+    dec = caches["decoder"]["packing"]
+    ref_loss, dpadded, _, _ = generator_head(net.out, caches["out"][0], tgt_idx, dec)
+    assert ref_loss == loss
+    assert not dpadded[dec_mask == 0].any()
     dattended = net.out.backward(caches["dlogits"], caches["out"])
-    assert not dattended[dec_mask == 0].any()  # what the per-row attention leaves out
-    dstates, dHenc = net.attention.backward(dattended[dec_mask > 0], caches["attention"])
+    np.testing.assert_array_equal(dattended, dpadded[dec_mask > 0])
+    dstates, dHenc = net.attention.backward(dattended, caches["attention"])
     # the padded formula on the same states, with garbage at padding
     S = np.full(dec_mask.shape + (4,), 7.0)
     S[dec_mask > 0] = caches["attention"]["S"]
     H = np.full(enc_mask.shape + (4,), -7.0)
     H[enc_mask > 0] = caches["attention"]["H"]
     ref = ReferenceAttention(net.attention)
-    ref_states, ref_Henc = ref.backward(dattended, ref.forward(S, H, enc_mask)[2])
+    ref_states, ref_Henc = ref.backward(dpadded, ref.forward(S, H, enc_mask)[2])
     assert not ref_states[dec_mask == 0].any()
     assert not ref_Henc[enc_mask == 0].any()
     np.testing.assert_allclose(dstates, ref_states[dec_mask > 0], rtol=1e-12, atol=1e-12)

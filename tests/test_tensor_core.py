@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import check_gradients
+from padded_layout import unpack
 from satd_forge import tensor_core as tc
 from satd_forge.checkpoint import load_checkpoint, save_checkpoint
 from satd_forge.errors import CheckpointError, DataError, TrainingError
@@ -262,7 +263,7 @@ def lstm_padded(lstm, X, mask):
     scattered back to (B, T, H), zero at padding."""
     packing = tc.Packing(mask)
     states, final, cache = lstm.forward(packing.pack(X), mask, packing=packing)
-    return packing.unpack(states), final, cache
+    return unpack(packing, states), final, cache
 
 
 class TestLstm:
