@@ -213,8 +213,8 @@ def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
     probs = np.empty(len(encoded))
     for chunk in length_sorted_chunks(encoded, model.hp.batch_size):
         matrix, mask = pad_batch([encoded[j] for j in chunk], cap)
-        chunk_probs, _ = model.network.forward(matrix, mask)
-        probs[chunk] = chunk_probs
+        # the forward cache goes at once, so no two chunks' caches are alive together
+        probs[chunk] = model.network.forward(matrix, mask)[0]
     return [(float(p), bool(p >= model.threshold)) for p in probs]
 
 
@@ -237,8 +237,7 @@ def train_mnb(vectors, labels, alpha: float = 1.0, vocab_size: int = 0) -> tuple
 
     Returns (class_log_prior, feature_log_prob) for classes (0, 1).
     """
-    if alpha <= 0:
-        raise DataError(f"smoothing parameter must be positive, got {alpha}")
+    check_positive("alpha", alpha)
     vectors = as_csr(vectors, vocab_size)
     labels = np.asarray([int(v) for v in labels], dtype=np.int64)
     if not len(vectors) or len(vectors) != len(labels):

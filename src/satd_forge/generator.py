@@ -142,7 +142,8 @@ class Seq2SeqNetwork(tc.Network):
 
         Everything runs on real cells only. The output layer runs once on
         the attended cells as one (1, N_real, d) run in row-major order (at
-        batch 1, the row's (1, K, V) logits); the loss reads them packed.
+        batch 1, the row's (1, K, V) logits), and the loss and its gradient
+        keep that order.
         """
         enc, dec = tc.Packing(enc_mask), tc.Packing(dec_mask)
         Henc, enc_finals, enc_cache = self.encoder.forward(enc_idx, enc, drop_rng, drop_rate)
@@ -153,23 +154,25 @@ class Seq2SeqNetwork(tc.Network):
             states[dec.row_major], Henc[enc.row_major], dec.spans, enc.spans
         )
         logits, dense_cache = self.out.forward(attended[None])
-        loss, dlogits, _ = tc.masked_cross_entropy(dec.from_row_major(logits[0]), targets, dec)
+        loss, dlogits = tc.masked_cross_entropy(logits[0], targets, dec, row_major=True)
         caches = {
             "encoder": enc_cache,
             "decoder": dec_cache,
             "attention": att_cache,
             "out": dense_cache,
-            "dlogits": dlogits[dec.row_major],  # in the row-major order of the output layer's input
+            "dlogits": dlogits,
         }
         return loss, caches
 
     def backward(self, caches):
+        """Consumes `caches`: each part is let go once its gradients are done."""
         enc, dec = caches["encoder"]["packing"], caches["decoder"]["packing"]
-        dattended = self.out.backward(caches["dlogits"], caches["out"])
-        dstates, dHenc = self.attention.backward(dattended, caches["attention"])
-        handoff = self.decoder.backward(dec.from_row_major(dstates), caches["decoder"])
+        dattended = self.out.backward(caches.pop("dlogits"), caches.pop("out"))
+        dstates, dHenc = self.attention.backward(dattended, caches.pop("attention"))
+        dstates, dHenc = dec.from_row_major(dstates), enc.from_row_major(dHenc)
+        handoff = self.decoder.backward(dstates, caches.pop("decoder"))
         # encoder: attention gradient on every state, handoff on the final one
-        self.encoder.backward(enc.from_row_major(dHenc), caches["encoder"], dfinal=handoff)
+        self.encoder.backward(dHenc, caches.pop("encoder"), dfinal=handoff)
 
     def loss_and_grads(self, enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng=None, drop_rate=0.0):
         self.zero_grads()
@@ -187,14 +190,14 @@ class Seq2SeqNetwork(tc.Network):
         leaves the batch at its `eos`."""
         enc_idx, enc_mask = pad_batch(enc_lists, max(map(len, enc_lists)))
         enc = tc.Packing(enc_mask)
-        Henc, enc_finals, _ = self.encoder.forward(enc_idx, enc)
+        Henc, enc_finals = self.encoder.forward(enc_idx, enc)[:2]  # the cache is not kept
         Henc, enc_spans = Henc[enc.row_major], enc.spans
         states = enc_finals[-1:]
         rows = np.arange(len(enc_lists))  # input index of each live row
         words = np.full(len(rows), sos)
         out: list[list[int]] = [[] for _ in enc_lists]
+        step = tc.Packing(np.ones((len(rows), 1)))  # one step of the live rows
         for _ in range(max_words):
-            step = tc.Packing(np.ones((len(rows), 1)))
             X, states, _ = self.decoder.forward(words[:, None], step, initial=states)
             attended, _ = self.attention.forward(X, Henc, step.spans, enc_spans)
             logits, _ = self.out.forward(attended[:, None])
@@ -208,6 +211,7 @@ class Seq2SeqNetwork(tc.Network):
                 states = [(h[live], c[live]) for h, c in states]
                 if not len(rows):
                     break
+                step = tc.Packing(np.ones((len(rows), 1)))
         return out
 
 

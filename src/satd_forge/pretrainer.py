@@ -37,10 +37,14 @@ class LmNetwork(tc.Network):
         self.zero_grads()
         packing = tc.Packing(mask)
         states, _, stack_cache = self.stack.forward(idx, packing, drop_rng, drop_rate)
-        # the softmax head sees real positions only, and sums its gradients over them
+        # the softmax head sees real positions only, and sums its gradients over them; it
+        # holds two (N_real, V) arrays at most, and none through the stack's backward pass
         logits, dense_cache = self.out.forward(states)
-        loss, dlogits, _ = tc.masked_cross_entropy(logits, targets, packing)
-        self.stack.backward(self.out.backward(dlogits, dense_cache), stack_cache)
+        loss, dlogits = tc.masked_cross_entropy(logits, targets, packing)
+        del logits
+        dstates = self.out.backward(dlogits, dense_cache)
+        del dlogits
+        self.stack.backward(dstates, stack_cache)
         return loss
 
 

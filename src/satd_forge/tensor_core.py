@@ -11,6 +11,15 @@ that read a row's cells together, such as attention, gather them in
 row-major order (`Packing.row_major`). Only the multi-class loss total and
 the embedding gradient still add up in the padded batch's row-major order.
 
+Each per-cell array is held once. Dropout keeps a boolean keep-mask, and
+a stack's backward pass rebuilds the dropped input of each layer from
+what it keeps anyway (the token ids, or the states of the layer below)
+instead of storing it; a layer recomputes tanh(c) from its cells. Each
+rebuilt value repeats the forward's float64 operations on the same
+operands, so it has the same bits. The softmax heads hold at most two
+(N_real, V) arrays: the logits, and the probabilities that become their
+gradient in place.
+
 Everything runs in float64 on numpy; checkpoints store float32.
 """
 
@@ -60,10 +69,12 @@ def sigmoid(x):
 
 
 def softmax(x, axis: int = -1):
+    """One new array: the shifted inputs, exponentiated and normalized in place."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def bce_loss(y, p):
@@ -79,20 +90,21 @@ def bce_loss(y, p):
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator, packing: Packing) -> np.ndarray:
-    """Inverted-scaling dropout mask: 0 with probability `rate`, else 1/(1-rate).
+    """Inverted dropout's keep-mask: False with probability `rate`; a kept
+    number is scaled by 1/(1-rate) (`apply_dropout`).
 
-    `shape` is a padded (B, T, width) shape and the mask comes back for
-    `packing`'s real cells only, (N_real, width) in packing order. Each
-    cell still gets the number that a row-major draw over all of `shape`
-    gives it, and the generator ends where that draw leaves it: each
-    row's real prefix is drawn in place and its padding skipped with
+    `shape` is a padded (B, T, width) shape and the mask comes back as
+    bool for `packing`'s real cells only, (N_real, width) in packing
+    order. Each cell still gets the number that a row-major draw over all
+    of `shape` gives it, and the generator ends where that draw leaves it:
+    each row's real prefix is drawn in place and its padding skipped with
     `advance`, which needs a PCG64 generator (one 64-bit step per number).
-    Rate 0 draws nothing.
+    Rate 0 draws nothing and keeps every number.
     """
     if not 0.0 <= rate < 1.0:
         raise DataError(f"dropout rate {rate} outside [0, 1)")
     if rate == 0.0:
-        return np.ones((packing.n,) + tuple(shape[2:]))
+        return np.ones((packing.n,) + tuple(shape[2:]), dtype=bool)
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
         raise DataError(f"dropout over a packing needs a PCG64 generator, got {type(bits).__name__}")
@@ -102,7 +114,16 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator, packing: Packing)
         rng.random(out=draw[lo:hi])
         if hi - lo < T:
             bits.advance((T - (hi - lo)) * width)
-    return packing.from_row_major(draw >= rate) * (1.0 / (1.0 - rate))
+    return packing.from_row_major(draw >= rate)
+
+
+def apply_dropout(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    """A new array: `x` zeroed where `keep` is False and scaled by
+    1/(1-rate) elsewhere. x·1·s is x·s and x·0·s is the signed zero x·0
+    gives, so these are the bits of x times the float mask keep/(1-rate)."""
+    out = x * keep
+    out *= 1.0 / (1.0 - rate)
+    return out
 
 
 class Embedding:
@@ -202,6 +223,10 @@ class LstmLayer:
     does not depend on the step is built once per call, so a step slices
     only the per-cell arrays around its ufunc calls (ten forward, eight
     backward with a state gradient).
+
+    The cache holds the input X, the gates and the states and cells, one
+    copy each; a step's tanh(c) goes to a (B, H) scratch buffer and the
+    backward pass recomputes it over all cells at once.
     """
 
     def __init__(self, input_size: int, state_size: int, rng: np.random.Generator):
@@ -233,18 +258,18 @@ class LstmLayer:
         hs, cs = np.empty((B + N, H)), np.empty((B + N, H))
         hs[:B] = 0.0 if h0 is None else np.asarray(h0)[order]
         cs[:B] = 0.0 if c0 is None else np.asarray(c0)[order]
-        h_new, c_new, tanh_c = hs[B:], cs[B:], np.empty((N, H))
-        rec, ig = np.empty((B, 4 * H)), np.empty((B, H))
+        h_new, c_new = hs[B:], cs[B:]
+        rec, ig, tanh_c = np.empty((B, 4 * H)), np.empty((B, H)), np.empty((B, H))
         # x*half + shift is (1 + tanh)/2 on the sigmoid gates and leaves the candidate's tanh
         half, shift = np.tile(scale, (B, 1)), np.tile(1.0 - scale, (B, 1))
         # each gate's columns over all cells, and the step buffers' first n rows for each row
         # count n of the packing
         gi, gf, go, gg = (gates[:, k * H : (k + 1) * H] for k in range(4))
-        heads = {n: (rec[:n], ig[:n], half[:n], shift[:n]) for n in set(np.diff(off).tolist())}
+        heads = {n: (rec[:n], ig[:n], tanh_c[:n], half[:n], shift[:n]) for n in set(np.diff(off).tolist())}
         matmul, tanh, multiply, add = np.matmul, np.tanh, np.multiply, np.add  # each writes to its last argument
         for lo, hi, prev in zip(off[:-1].tolist(), off[1:].tolist(), start.tolist()):
-            rec_n, ig_n, half_n, shift_n = heads[hi - lo]
-            z, c, tanh_c_t = gates[lo:hi], c_new[lo:hi], tanh_c[lo:hi]
+            rec_n, ig_n, tanh_c_t, half_n, shift_n = heads[hi - lo]
+            z, c = gates[lo:hi], c_new[lo:hi]
             matmul(hs[prev : prev + hi - lo], Wh, rec_n)
             add(z, rec_n, z)
             tanh(z, z)
@@ -260,30 +285,37 @@ class LstmLayer:
             first = np.argmin(np.isfinite(h_new).all(axis=1))
             raise TrainingError(f"non-finite LSTM state at timestep {int(pk.times[first])}")
         last = start[pk.lengths] + pk.pos
-        cache = {"X": X, "gates": gates, "h": hs, "c": cs, "tanh_c": tanh_c,
-                 "prev": start[pk.times] + pk.slots, "packing": pk}
+        cache = {"X": X, "gates": gates, "h": hs, "c": cs, "packing": pk}
         return h_new, (hs[last], cs[last]), cache
 
     def backward(self, dstates, dh_final, dc_final, cache):
         """`dstates` (N_real, H) is the gradient on the states, or None.
         Returns (dX (N_real, D), dh0, dc0). The gate-derivative factors, then
         the gradients of the gate pre-activations, overwrite the gate values,
-        so a cache serves one backward pass."""
-        X, gates, hs, tanh_c, pk = cache["X"], cache["gates"], cache["h"], cache["tanh_c"], cache["packing"]
+        so a cache serves one backward pass; nothing else passed in is
+        written."""
+        X, gates, hs, cs, pk = cache["X"], cache["gates"], cache["h"], cache["c"], cache["packing"]
         B, N, H = len(pk.lengths), pk.n, self.state_size
+        prev = np.concatenate(([0], B + pk.off[:-1]))[pk.times] + pk.slots  # each cell's previous state
         i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
+        # tanh(c) is recomputed here, and the factors share one scratch buffer, which take's
+        # "clip" mode (prev is in range) writes to unbuffered
+        tanh_c, buf = np.tanh(cs[B:]), np.empty((N, H))
         forget = f.copy()
-        f *= 1.0 - f
-        f *= cache["c"][cache["prev"]]  # c_prev f(1-f)
-        dc_dh = 1.0 - tanh_c * tanh_c
+        f *= np.subtract(1.0, f, out=buf)
+        f *= np.take(cs, prev, axis=0, out=buf, mode="clip")  # c_prev f(1-f)
+        dc_dh = np.multiply(tanh_c, tanh_c)
+        np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o  # o(1 - tanh^2 c)
-        o *= 1.0 - o
+        o *= np.subtract(1.0, o, out=buf)
         o *= tanh_c  # tanh(c) o(1-o)
-        dg = 1.0 - g * g
+        dg = np.multiply(g, g, out=tanh_c)
+        np.subtract(1.0, dg, out=dg)
         dg *= i
-        i *= 1.0 - i
+        i *= np.subtract(1.0, i, out=buf)
         i *= g  # g i(1-i)
         g[...] = dg  # i(1-g^2)
+        del tanh_c, dg  # each factor array lives only as long as it is read
         dh = np.zeros((B, H)) if dh_final is None else np.asarray(dh_final, dtype=np.float64)[pk.order]
         dc = np.zeros((B, H)) if dc_final is None else np.asarray(dc_final, dtype=np.float64)[pk.order]
         dZ, WhT = gates.reshape(N, 4, H), np.ascontiguousarray(self.p["Wh"].T)
@@ -306,8 +338,9 @@ class LstmLayer:
             multiply(z, dc_t, z)
             multiply(dc_t, forget[lo:hi], dc_t)
             matmul(gates[lo:hi], WhT, dh_t)
+        del forget, dc_dh
         self.g["Wx"] += X.T @ gates
-        self.g["Wh"] += hs[cache["prev"]].T @ gates
+        self.g["Wh"] += np.take(hs, prev, axis=0, out=buf, mode="clip").T @ gates
         self.g["b"] += gates.sum(axis=0)
         return gates @ self.p["Wx"].T, dh[pk.pos], dc[pk.pos]
 
@@ -349,6 +382,11 @@ class LstmStack:
     that order, each as a row-major draw over the padded (B, T, width)
     shape whose padding is skipped (`dropout_mask`), so the random
     numbers a real cell gets do not depend on the packing.
+
+    The cache keeps the boolean keep-masks but not the dropped arrays it
+    hands each layer: the backward pass rebuilds a layer's input from the
+    embedding rows of the cached token ids, or from the states of the
+    layer below, with the same operations as the forward pass.
     """
 
     def __init__(self, vocab_size: int, dim: int, sizes: list[int], rng: np.random.Generator):
@@ -369,39 +407,49 @@ class LstmStack:
         of every layer, cache).
         """
         dropping = drop_rng is not None and drop_rate > 0.0
-        drops, caches, finals = [], [], []
+        keeps, caches, finals = [], [], []
 
         def drop(X):
             if not dropping:
                 return X
-            drops.append(dropout_mask(packing.mask.shape + X.shape[1:], drop_rate, drop_rng, packing))
-            return X * drops[-1]
+            keeps.append(dropout_mask(packing.mask.shape + X.shape[1:], drop_rate, drop_rng, packing))
+            return apply_dropout(X, keeps[-1], drop_rate)
 
         tokens = packing.pack(idx)
         X = drop(self.embedding.forward(tokens))
         for k, layer in enumerate(self.layers):
             h0, c0 = initial[k] if k < len(initial) else (None, None)
             X, final, cache = layer.forward(X, packing.mask, h0=h0, c0=c0, packing=packing)
+            del cache["X"]  # rebuilt by the backward pass
             caches.append(cache)
             finals.append(final)
             X = drop(X)
-        return X, finals, {"tokens": tokens, "packing": packing, "drops": drops, "layers": caches}
+        cache = {"tokens": tokens, "packing": packing, "keeps": keeps, "rate": drop_rate, "layers": caches}
+        return X, finals, cache
 
     def backward(self, dstates, cache, dfinal=(None, None)):
         """`dstates` (N_real, H) is the gradient on the top states and
         `dfinal` the gradient on the top layer's final (h, c).
 
-        Returns the gradient on the bottom layer's initial (h, c).
+        The pass consumes `cache`: each layer's part is let go once its
+        gradients are done. Returns the gradient on the bottom layer's
+        initial (h, c).
         """
-        drops = list(cache["drops"])
+        keeps, rate, layer_caches = cache["keeps"], cache["rate"], cache["layers"]
+        B = len(cache["packing"].lengths)
+
+        def drop(X, k):
+            return apply_dropout(X, keeps[k], rate) if keeps else X
+
         dh_final, dc_final = dfinal
         for k in range(len(self.layers) - 1, -1, -1):
-            if drops:
-                dstates = dstates * drops.pop()
-            dstates, dh0, dc0 = self.layers[k].backward(dstates, dh_final, dc_final, cache["layers"][k])
+            dstates = drop(dstates, k + 1)
+            below = layer_caches[k - 1]["h"][B:] if k else self.embedding.forward(cache["tokens"])
+            layer_cache = {**layer_caches.pop(), "X": drop(below, k)}
+            dstates, dh0, dc0 = self.layers[k].backward(dstates, dh_final, dc_final, layer_cache)
+            del below, layer_cache
             dh_final = dc_final = None  # lower layers' final states feed nothing else
-        if drops:
-            dstates = dstates * drops.pop()
+        dstates = drop(dstates, 0)
         # in the padded batch's row-major order, so a repeated token's rows add up in the
         # same order whatever the packing
         cells = cache["packing"].row_major
@@ -468,7 +516,9 @@ class Dense:
         self.g = {k: np.zeros_like(v) for k, v in self.p.items()}
 
     def forward(self, x: np.ndarray):
-        return x @ self.p["W"] + self.p["b"], x
+        out = x @ self.p["W"]
+        out += self.p["b"]
+        return out, x
 
     def backward(self, dout: np.ndarray, x: np.ndarray):
         """Returns the gradient on `x`, with the leading axes of `dout`."""
@@ -480,24 +530,28 @@ class Dense:
         return dx
 
 
-def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray, packing: Packing):
+def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray, packing: Packing, row_major: bool = False):
     """Mean per-position multi-class log-loss over the real positions.
 
-    logits (N_real, V) in `packing` order, targets (B, T) int, right-padded
-    as the packing's mask. Returns (loss, dlogits, probs), both (N_real, V).
-    The per-position losses are summed in the padded batch's row-major order.
+    logits (N_real, V) hold `packing`'s real cells in packing order, or
+    with `row_major` in the padded batch's row-major order; targets
+    (B, T) int, right-padded as the packing's mask. Returns (loss,
+    dlogits), dlogits in the order of the logits. The softmax makes one
+    new array, which becomes dlogits in place once the per-position
+    losses are read; the logits are not written. The per-position losses
+    are summed in the padded batch's row-major order.
     """
     if packing.n == 0:
         raise DataError("cross entropy over an all-masked batch")
+    rows, times = np.nonzero(packing.mask) if row_major else (packing.rows, packing.times)
     probs = softmax(logits, axis=-1)
-    cells, picked = np.arange(packing.n), packing.pack(targets)
+    cells, picked = np.arange(packing.n), np.asarray(targets)[rows, times]
     losses = np.zeros(packing.mask.shape)
-    losses[packing.rows, packing.times] = -np.log(np.clip(probs[cells, picked], 1e-300, None))
+    losses[rows, times] = -np.log(np.clip(probs[cells, picked], 1e-300, None))
     loss = losses.sum() / packing.n
-    dlogits = probs.copy()
-    dlogits[cells, picked] -= 1.0
-    dlogits *= 1.0 / packing.n
-    return loss, dlogits, probs
+    probs[cells, picked] -= 1.0
+    probs *= 1.0 / packing.n
+    return loss, probs
 
 
 # the optimizers' decay rates, and the term that keeps their step finite

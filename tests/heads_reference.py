@@ -7,12 +7,34 @@ scattered its logits' gradient and its input back to the padded
 generator's output layer ran on the padded (B, K, d) decoder layout,
 zero at padding. These functions do the same with a live `tc.Dense`'s
 parameters and return the gradients instead of adding them to the layer.
+Their softmax and loss are frozen copies too, from before the live loss
+turned its probabilities into the gradient in place.
 """
 
 import numpy as np
 
 from padded_layout import unpack
-from satd_forge import tensor_core as tc
+
+
+def softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray, packing):
+    """Mean log-loss over the real cells, logits (N_real, V) in `packing`
+    order; the per-cell losses add up in the padded batch's row-major
+    order. Returns (loss, dlogits)."""
+    probs = softmax(logits)
+    cells, picked = np.arange(packing.n), packing.pack(targets)
+    losses = np.zeros(packing.mask.shape)
+    losses[packing.rows, packing.times] = -np.log(np.clip(probs[cells, picked], 1e-300, None))
+    loss = losses.sum() / packing.n
+    dlogits = probs.copy()
+    dlogits[cells, picked] -= 1.0
+    dlogits *= 1.0 / packing.n
+    return loss, dlogits
 
 
 def _padded_sums(dout: np.ndarray, x: np.ndarray):
@@ -27,7 +49,7 @@ def lm_head(dense, states: np.ndarray, targets: np.ndarray, packing):
     `packing` order. Returns (loss, dstates (N_real, H), gW, gb)."""
     W, b = dense.p["W"], dense.p["b"]
     logits = states @ W + b
-    loss, dlogits, _ = tc.masked_cross_entropy(logits, targets, packing)
+    loss, dlogits = masked_cross_entropy(logits, targets, packing)
     dstates = dlogits @ W.T
     gW, gb = _padded_sums(unpack(packing, dlogits), unpack(packing, states))
     return loss, dstates, gW, gb
@@ -43,7 +65,7 @@ def generator_head(dense, attended: np.ndarray, targets: np.ndarray, dec):
     padded = np.zeros(dec.mask.shape + attended.shape[1:])
     padded[dec.mask > 0] = attended  # boolean indexing runs in row-major order
     logits = padded @ W + b
-    loss, dlogits, _ = tc.masked_cross_entropy(dec.pack(logits), targets, dec)
+    loss, dlogits = masked_cross_entropy(dec.pack(logits), targets, dec)
     dlogits = unpack(dec, dlogits)
     dpadded = dlogits @ W.T
     gW, gb = _padded_sums(dlogits, padded)

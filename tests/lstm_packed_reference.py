@@ -1,12 +1,16 @@
 """A frozen copy of the packed `tensor_core.LstmLayer` step loops: the
-bit-for-bit oracle of `test_lstm_step_loops.py`.
+bit-for-bit oracle of `test_lstm_step_loops.py`; and a frozen copy of
+`tensor_core.LstmStack` from before it kept boolean keep-masks, over
+these layers: the bit-for-bit oracle of `test_activation_memory.py`.
 
 Each step slices its own views of the gate blocks and the step buffers.
 Any rewrite of the live loops must give exactly these bits: the same
-ufunc calls, in the same order, on the same operands. It starts from a
-copy of the parameters of the layer under test and keeps its own
+ufunc calls, in the same order, on the same operands. Each copy starts
+from the parameters of the layer or stack under test and keeps its own
 gradients.
 """
+
+import math
 
 import numpy as np
 
@@ -95,3 +99,69 @@ class PackedReferenceLstmLayer:
         self.g["Wh"] += hs[cache["prev"]].T @ gates
         self.g["b"] += gates.sum(axis=0)
         return gates @ self.p["Wx"].T, dh[pk.pos], dc[pk.pos]
+
+
+def float_dropout_mask(shape, rate: float, rng: np.random.Generator, packing: Packing) -> np.ndarray:
+    """The float mask, 0 or 1/(1-rate), that `tensor_core.dropout_mask`
+    returned before it returned a boolean keep-mask."""
+    if rate == 0.0:
+        return np.ones((packing.n,) + tuple(shape[2:]))
+    bits = rng.bit_generator
+    T, width = int(shape[1]), int(math.prod(shape[2:]))
+    draw = np.empty((packing.n,) + tuple(shape[2:]))
+    for lo, hi in packing.spans:
+        rng.random(out=draw[lo:hi])
+        if hi - lo < T:
+            bits.advance((T - (hi - lo)) * width)
+    return packing.from_row_major(draw >= rate) * (1.0 / (1.0 - rate))
+
+
+class FloatMaskReferenceStack:
+    """Embedding -> dropout -> `PackedReferenceLstmLayer`s, each followed
+    by dropout. Its cache stores every float mask and, in each layer's
+    cache, the dropped array handed to that layer."""
+
+    def __init__(self, stack):
+        M = stack.embedding.p["M"].copy()
+        self.embedding = {"M": (M, np.zeros_like(M))}
+        self.layers = [PackedReferenceLstmLayer(layer) for layer in stack.layers]
+
+    def named_params(self):
+        named = {f"embedding.{key}": pg for key, pg in self.embedding.items()}
+        for k, layer in enumerate(self.layers):
+            named.update({f"lstm{k}.{key}": (layer.p[key], layer.g[key]) for key in layer.p})
+        return named
+
+    def forward(self, idx, packing, drop_rng=None, drop_rate=0.0, initial=()):
+        dropping = drop_rng is not None and drop_rate > 0.0
+        drops, caches, finals = [], [], []
+
+        def drop(X):
+            if not dropping:
+                return X
+            drops.append(float_dropout_mask(packing.mask.shape + X.shape[1:], drop_rate, drop_rng, packing))
+            return X * drops[-1]
+
+        tokens = packing.pack(idx)
+        X = drop(self.embedding["M"][0][tokens])
+        for k, layer in enumerate(self.layers):
+            h0, c0 = initial[k] if k < len(initial) else (None, None)
+            X, final, cache = layer.forward(X, packing.mask, h0=h0, c0=c0, packing=packing)
+            caches.append(cache)
+            finals.append(final)
+            X = drop(X)
+        return X, finals, {"tokens": tokens, "packing": packing, "drops": drops, "layers": caches}
+
+    def backward(self, dstates, cache, dfinal=(None, None)):
+        drops = list(cache["drops"])
+        dh_final, dc_final = dfinal
+        for k in range(len(self.layers) - 1, -1, -1):
+            if drops:
+                dstates = dstates * drops.pop()
+            dstates, dh0, dc0 = self.layers[k].backward(dstates, dh_final, dc_final, cache["layers"][k])
+            dh_final = dc_final = None
+        if drops:
+            dstates = dstates * drops.pop()
+        cells = cache["packing"].row_major
+        np.add.at(self.embedding["M"][1], cache["tokens"][cells], dstates[cells])
+        return dh0, dc0

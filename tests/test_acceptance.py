@@ -139,7 +139,7 @@ def test_criterion_02_gradient_fidelity():
 
     # softmax + multi-class log-loss at the single-prediction level: one real position
     def single_ce(logits, target):
-        loss, dlogits, _ = tc.masked_cross_entropy(logits[None, :], np.array([[target]]), tc.Packing(np.ones((1, 1))))
+        loss, dlogits = tc.masked_cross_entropy(logits[None, :], np.array([[target]]), tc.Packing(np.ones((1, 1))))
         return loss, dlogits[0]
 
     rng = np.random.default_rng(300)

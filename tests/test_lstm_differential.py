@@ -143,7 +143,8 @@ class TestStackProperties:
         _, _, cache = stack.forward(idx, packing, drop_rng, drop_rate)
         stack.backward(packing.pack(rng.normal(size=(B, T, 5))), cache)
         dX = seen[0]  # real cells only: the padded batch's input gradient is zero at padding
-        full = unpack(packing, dX * cache["drops"][0] if drop_rate else dX)
+        # the float mask the stack's bool keep-mask stands for
+        full = unpack(packing, dX * (cache["keeps"][0] * (1.0 / (1.0 - drop_rate))) if drop_rate else dX)
         want = np.zeros_like(stack.embedding.g["M"])
         np.add.at(want, idx, full)
         np.testing.assert_array_equal(stack.embedding.g["M"], want)

@@ -4,7 +4,9 @@
 The step loops may be rewritten for speed only if every value keeps its
 bits: states, finals, the gate cache before and after the backward pass,
 the input gradient, the initial-state gradients and the weight gradients
-must be equal under `np.array_equal`, not merely close.
+must be equal under `np.array_equal`, not merely close. So must the
+tanh(c) the live backward pass recomputes over all cells at once and the
+one the frozen loops store step by step.
 """
 
 import numpy as np
@@ -30,7 +32,10 @@ def masks(draw):
 
 def run(layer, X, mask, packing, h0, c0, dstates, dh_final, dc_final):
     states, (h, c), cache = layer.forward(X, mask, h0=h0, c0=c0, packing=packing)
-    forward = [states.copy(), h.copy(), c.copy()] + [cache[k].copy() for k in ("gates", "h", "c", "tanh_c")]
+    forward = [states.copy(), h.copy(), c.copy()] + [cache[k].copy() for k in ("gates", "h", "c")]
+    # the frozen loops store each step's tanh(c); the live layer's backward pass recomputes it
+    # over all cells at once
+    forward.append(cache["tanh_c"].copy() if "tanh_c" in cache else np.tanh(cache["c"][len(mask):]))
     dX, dh0, dc0 = layer.backward(dstates, dh_final, dc_final, cache)
     return forward + [cache["gates"], dX, dh0, dc0] + [layer.g[k] for k in ("Wx", "Wh", "b")]
 

@@ -97,7 +97,7 @@ def test_masked_cross_entropy_through_the_output_layer():
     packing = tc.Packing(mask)
     logits = rng.normal(size=(B, K, V))
     targets = rng.integers(0, V, size=(B, K))  # padding holds words too
-    loss, dlogits, _ = tc.masked_cross_entropy(packing.pack(logits), targets, packing)
+    loss, dlogits = tc.masked_cross_entropy(packing.pack(logits), targets, packing)
     # the padded formula: a softmax at every position, masked afterwards
     probs = tc.softmax(logits, axis=-1)
     picked = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
@@ -112,7 +112,7 @@ def test_masked_cross_entropy_through_the_output_layer():
     states = packing.pack(rng.normal(size=(B, K, d)))
     ref_loss, ref_dstates, gW, gb = lm_head(dense, states, targets, packing)
     head_logits, cache = dense.forward(states)
-    head_loss, head_dlogits, _ = tc.masked_cross_entropy(head_logits, targets, packing)
+    head_loss, head_dlogits = tc.masked_cross_entropy(head_logits, targets, packing)
     assert head_loss == ref_loss
     np.testing.assert_array_equal(dense.backward(head_dlogits, cache), ref_dstates)
     np.testing.assert_allclose(dense.g["W"], gW, rtol=1e-12, atol=1e-12 * np.abs(gW).max())

@@ -122,11 +122,10 @@ class TestSigmoidAndBce:
 
 
 def single_ce(logits, target):
-    """`masked_cross_entropy` of one prediction: (probs, loss, dlogits)."""
-    loss, dlogits, probs = tc.masked_cross_entropy(
-        np.asarray(logits)[None, :], np.array([[target]]), tc.Packing(np.ones((1, 1)))
-    )
-    return probs[0], loss, dlogits[0]
+    """`masked_cross_entropy` of one prediction, and its softmax: (probs, loss, dlogits)."""
+    logits = np.asarray(logits)[None, :]
+    loss, dlogits = tc.masked_cross_entropy(logits, np.array([[target]]), tc.Packing(np.ones((1, 1))))
+    return tc.softmax(logits)[0], loss, dlogits[0]
 
 
 class TestSoftmaxCe:
@@ -170,16 +169,17 @@ def all_real(B, T):
 class TestDropout:
     def test_rate_zero_all_ones(self):
         mask = tc.dropout_mask((4, 5, 3), 0.0, np.random.default_rng(0), all_real(4, 5))
-        assert mask.shape == (20, 3)
-        np.testing.assert_array_equal(mask, 1.0)
+        assert mask.shape == (20, 3) and mask.dtype == bool
+        assert mask.all()
 
     def test_mean_near_one(self):
         mask = tc.dropout_mask((100, 100, 100), 0.2, np.random.default_rng(1), all_real(100, 100))
-        assert 0.995 <= mask.mean() <= 1.005
+        assert 0.995 <= tc.apply_dropout(np.ones(mask.shape), mask, 0.2).mean() <= 1.005
 
     def test_values_are_zero_or_scaled(self):
         mask = tc.dropout_mask((50, 50, 1), 0.2, np.random.default_rng(2), all_real(50, 50))
-        assert set(np.unique(mask)) <= {0.0, 1.0 / 0.8}
+        assert mask.dtype == bool
+        assert set(np.unique(tc.apply_dropout(np.ones(mask.shape), mask, 0.2))) <= {0.0, 1.0 / 0.8}
 
     def test_same_seed_same_mask(self):
         a = tc.dropout_mask((6, 6, 1), 0.2, np.random.default_rng(9), all_real(6, 6))
@@ -207,8 +207,23 @@ class TestDropout:
         rng, padded_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         mask = tc.dropout_mask(shape, rate, rng, packing)
         draw = packing.pack(padded_rng.random(shape)) if rate else np.ones((packing.n, width))
-        np.testing.assert_array_equal(mask, (draw >= rate).astype(np.float64) / (1.0 - rate))
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, draw >= rate)
         assert rng.random() == padded_rng.random()
+
+    @pytest.mark.parametrize("rate", [0.1, 0.2, 0.3, 0.5, 0.9])
+    def test_apply_dropout_gives_the_float_mask_product(self, rate):
+        # the same bits as x times the float mask keep/(1-rate), signed zeros too
+        rng = np.random.default_rng(int(rate * 10))
+        x = rng.normal(size=(40, 7))
+        x[::5] = -0.0
+        keep = rng.random(x.shape) >= rate
+        before = x.copy()
+        got = tc.apply_dropout(x, keep, rate)
+        want = x * (keep * (1.0 / (1.0 - rate)))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(x, before)
 
     def test_packed_mask_needs_pcg64(self):
         packing = tc.Packing(np.array([[1.0, 1.0], [1.0, 0.0]]))
