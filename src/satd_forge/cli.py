@@ -99,28 +99,42 @@ def _predict_all(model, sequences) -> list[tuple[float, bool]]:
     return results
 
 
-def make_detector_recipe(task: str, hp_dict: dict, seed: int):
-    """An evalkit.run_trials recipe: fit on the training side, score
-    precision/recall/F1 on the held-out side."""
+def _check_setting(task: str, hp_dict: dict):
+    """The checked setting of a task's `--hp` dict, which its recipes and
+    trainers read: a GeneratorHp for generation, a DetectorSetting for a
+    detector task. DataError for any value training would reject."""
+    if task == "generate":
+        from .generator import GeneratorHp
+
+        hp = GeneratorHp.from_dict(hp_dict)
+        check_training_hp(hp)
+        return hp
+    from .detector import check_detector_setting
+
+    return check_detector_setting(hp_dict)
+
+
+def make_detector_recipe(task: str, setting, seed: int):
+    """An evalkit.run_trials recipe: fit a checked DetectorSetting on the
+    training side, score precision/recall/F1 on the held-out side."""
     from . import evalkit
     from .detector import fit_detector
 
     kind = _vocab_kind(task)
 
     def recipe(train_items, train_labels, test_items, test_labels, index):
-        model = fit_detector(hp_dict, train_items, train_labels, seed + 1000 * index, kind)
+        model = fit_detector(setting, train_items, train_labels, seed + 1000 * index, kind)
         preds = [positive for _, positive in _predict_all(model, test_items)]
         return evalkit.prf1(preds, test_labels).as_dict()
 
     return recipe
 
 
-def make_generator_recipe(hp_dict: dict, seed: int):
+def make_generator_recipe(hp, seed: int):
     from . import evalkit
-    from .generator import GeneratorHp, generate_comments, train_generator
+    from .generator import generate_comments, train_generator
 
     def recipe(train_items, _train_labels, test_items, _test_labels, index):
-        hp = GeneratorHp.from_dict(hp_dict)
         model = train_generator(train_items, hp, seed + 1000 * index)
         hyps = generate_comments(model, [code for code, _ in test_items])
         references = [framed[1:-1] for _, framed in test_items]
@@ -129,10 +143,10 @@ def make_generator_recipe(hp_dict: dict, seed: int):
     return recipe
 
 
-def _make_recipe(task: str, hp_dict: dict, seed: int):
+def _make_recipe(task: str, setting, seed: int):
     if task == "generate":
-        return make_generator_recipe(hp_dict, seed)
-    return make_detector_recipe(task, hp_dict, seed)
+        return make_generator_recipe(setting, seed)
+    return make_detector_recipe(task, setting, seed)
 
 
 def _expand_grid(grid: dict) -> list[dict]:
@@ -338,16 +352,7 @@ def cmd_tune(args) -> int:
     grid = _read_json(args.grid)
     settings = _expand_grid(grid)
     # every setting is checked before the first trial trains
-    if args.task == "generate":
-        from .generator import GeneratorHp
-
-        for setting in settings:
-            check_training_hp(GeneratorHp.from_dict(setting))
-    else:
-        from .detector import check_detector_setting
-
-        for setting in settings:
-            check_detector_setting(setting)
+    checked = [_check_setting(args.task, setting) for setting in settings]
     config = {
         "command": "tune",
         "task": args.task,
@@ -359,7 +364,7 @@ def cmd_tune(args) -> int:
     tuning_ids, remainder_ids = evalkit.tuning_split(
         labels, fraction=args.fraction, stratified=stratified, seed=args.seed
     )
-    trials = [(_make_recipe(args.task, setting, args.seed), 0, tuning_ids) for setting in settings]
+    trials = [(_make_recipe(args.task, setting, args.seed), 0, tuning_ids) for setting in checked]
     scores = evalkit.run_trials(items, labels, trials)
     rows = [{**setting, **row} for setting, row in zip(settings, scores)]
     if args.task == "generate":
@@ -392,6 +397,7 @@ def cmd_cv(args) -> int:
 
     records = read_jsonl(args.data)
     hp_dict = _read_json(args.hp)
+    setting = _check_setting(args.task, hp_dict)
     config = {
         "command": "cv",
         "task": args.task,
@@ -401,7 +407,7 @@ def cmd_cv(args) -> int:
     }
     items, labels, stratified = _task_data(records, args.task)
     plan = evalkit.stratified_folds(labels, k=args.k, stratified=stratified, seed=args.seed)
-    result = evalkit.run_cv(items, labels, _make_recipe(args.task, hp_dict, args.seed), plan)
+    result = evalkit.run_cv(items, labels, _make_recipe(args.task, setting, args.seed), plan)
     if args.task == "generate":
         scores = ["bleu_1", "bleu_2", "bleu_3", "bleu_4"]
     else:
@@ -428,22 +434,21 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     from .detector import fit_detector, save_detector
-    from .generator import GeneratorHp, save_generator, train_generator
-    from .pretrainer import load_lm
+    from .generator import save_generator, train_generator
+    from .pretrainer import detector_start, load_lm
 
     records = read_jsonl(args.data)
-    hp_dict = _read_json(args.hp) if args.hp else {}
+    setting = _check_setting(args.task, _read_json(args.hp) if args.hp else {})
     if args.task == "generate" and args.init:
         raise DataError("a pre-trained language model cannot initialize the generator")
     items, labels, _ = _task_data(records, args.task)
     if args.task == "generate":
-        model = train_generator(items, GeneratorHp.from_dict(hp_dict), args.seed)
+        model = train_generator(items, setting, args.seed)
         save_generator(model, args.out)
         print(f"generator trained on {len(items)} pairs, loss {model.final_loss:.4f} -> {args.out}")
         return 0
-    lm = load_lm(args.init) if args.init else None
-    mode = args.mode.replace("-", "_")
-    model = fit_detector(hp_dict, items, labels, args.seed, _vocab_kind(args.task), lm=lm, mode=mode)
+    start = detector_start(load_lm(args.init), args.mode.replace("-", "_")) if args.init else {}
+    model = fit_detector(setting, items, labels, args.seed, _vocab_kind(args.task), **start)
     save_detector(model, args.out)
     print(f"{model.kind} detector trained on {len(items)} sequences -> {args.out}")
     return 0
@@ -505,9 +510,10 @@ def cmd_xproject(args) -> int:
 
     records = read_jsonl(args.data)
     hp_dict = _read_json(args.hp) if args.hp else {}
+    setting = _check_setting(args.task, hp_dict)
     items, labels, _ = _task_data(records, args.task)
     projects = [r.project for r in records]
-    recipe = make_detector_recipe(args.task, hp_dict, args.seed)
+    recipe = make_detector_recipe(args.task, setting, args.seed)
     rows, mean = evalkit.cross_project_rounds(items, labels, projects, recipe)
     config = {"command": "xproject", "task": args.task, "seed": args.seed, "hp": hp_dict}
     table_rows = rows + [{"project": "average", **mean}]

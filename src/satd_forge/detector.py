@@ -49,6 +49,25 @@ class DetectorHp(HyperParameters):
     threshold: float = 0.5
 
 
+MODELS = ("dl", "mnb", "svm")
+FEATURES = ("bow", "tfidf")
+# the values of the setting keys beyond DetectorHp's that a detector `--hp` dict leaves out
+SETTING_DEFAULTS = {"model": "dl", "features": "bow", "alpha": 1.0, "lam": 1e-2}
+# the SVM's epochs when its setting names none; DetectorHp's default is the LSTM's
+SVM_EPOCHS = 20
+
+
+@dataclass(frozen=True)
+class DetectorSetting:
+    """A checked detector `--hp` dict (`check_detector_setting`)."""
+
+    model: str  # dl | mnb | svm
+    hp: DetectorHp  # the LSTM's hyper-parameters; the SVM trains `hp.epochs` epochs
+    features: str  # bow | tfidf: what naive Bayes and the SVM count
+    alpha: float  # naive Bayes' Laplace smoothing
+    lam: float  # the SVM's L2 weight
+
+
 class DetectorNetwork(tc.Network):
     """Embedding -> stacked LSTM -> pooling -> dense + sigmoid."""
 
@@ -81,7 +100,7 @@ class DetectorNetwork(tc.Network):
         dpooled = self.dense.backward(dlogits[:, None], caches["dense"])
         self.stack.backward(tc.pool_backward(dpooled, caches["pool"]), caches["stack"])
 
-    def loss_and_grads(self, idx, mask, labels, drop_rng=None, drop_rate=0.0) -> float:
+    def loss_and_grads(self, idx, mask, labels, drop_rng, drop_rate: float) -> float:
         """Mean binary log-loss over the batch; fills parameter gradients."""
         self.zero_grads()
         probs, caches = self.forward(idx, mask, drop_rng, drop_rate)
@@ -104,21 +123,12 @@ class DetectorModel:
     bias: float = 0.0
     embedding: np.ndarray | None = None
     tfidf: TfIdfModel | None = None
-    features: str = "bow"  # bow | tfidf | embed_average
-    alpha: float = 1.0
+    # bow | tfidf | embed_average; a dl model records the setting defaults
+    features: str = SETTING_DEFAULTS["features"]
+    alpha: float = SETTING_DEFAULTS["alpha"]
     final_loss: float | None = None
     objective_history: list[float] = field(default_factory=list)
     seed: int = 0
-
-
-def _encode_for_training(sequences, vocab, cap: int) -> list[list[int]]:
-    encoded = [vocab.encode(s) for s in sequences]
-    for seq in encoded:
-        if len(seq) > cap:
-            raise DataError(f"sequence of length {len(seq)} exceeds cap {cap}")
-        if not seq:
-            raise DataError("empty sequence in training data")
-    return encoded
 
 
 def train_dl_detector(
@@ -126,17 +136,15 @@ def train_dl_detector(
     labels,
     hp: DetectorHp,
     seed: int,
-    vocab: Vocabulary | None = None,
-    vocab_kind: str = "code",
-    init_blocks: dict[str, np.ndarray] | None = None,
-    init_mode: str = "end2end",
+    vocab: Vocabulary,
+    init_blocks: dict[str, np.ndarray] | None,
 ) -> DetectorModel:
-    """Train the LSTM classifier with Adam on binary log-loss.
+    """Train the LSTM classifier with Adam on binary log-loss over
+    non-empty sequences (`fit_detector` drops the empty ones).
 
-    The vocabulary is built from the training sequences unless one is
-    passed in. Pre-trained blocks, named as in `LstmStack.named_params`,
-    replace the embedding (`embedding_only`) or the whole stack
-    (`end2end`) before training.
+    Pre-trained blocks, named as in `LstmStack.named_params`, replace the
+    whole stack, or the embedding alone when `init_blocks` holds only
+    `embedding.M`, before training.
     """
     labels = [int(v) for v in labels]
     if len(sequences) != len(labels):
@@ -145,17 +153,16 @@ def train_dl_detector(
         raise DataError("empty training set")
     if len(set(labels)) < 2:
         raise TrainingError("training data contains a single class")
-    if vocab is None:
-        vocab = build_vocabulary(sequences, vocab_kind)
     network = DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, seed)
     if init_blocks is not None:
-        if init_mode not in ("end2end", "embedding_only"):
-            raise DataError(f"unknown pre-training mode: {init_mode!r}")
         wanted = network.stack.named_params()
-        if init_mode == "embedding_only":
+        if list(init_blocks) == ["embedding.M"]:
             wanted = {"embedding.M": wanted["embedding.M"]}
         load_blocks(wanted, init_blocks, "pre-trained language model")
-    encoded = _encode_for_training(sequences, vocab, hp.seq_cap)
+    encoded = [vocab.encode(s) for s in sequences]
+    for seq in encoded:
+        if len(seq) > hp.seq_cap:
+            raise DataError(f"sequence of length {len(seq)} exceeds cap {hp.seq_cap}")
     y_all = np.asarray(labels, dtype=np.float64)
 
     def make_batch(chunk):
@@ -231,13 +238,12 @@ def _predict_linear(model: DetectorModel, sequences) -> list[tuple[float, bool]]
     return [(float(p), bool(y)) for p, y in zip(probs, positive)]
 
 
-def train_mnb(vectors, labels, alpha: float = 1.0, vocab_size: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def train_mnb(vectors, labels, alpha: float, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Laplace-smoothed multinomial naive Bayes over count rows: a Csr, or
-    {term_index: count} maps.
+    {term_index: count} maps. `check_detector_setting` checks `alpha`.
 
     Returns (class_log_prior, feature_log_prob) for classes (0, 1).
     """
-    check_positive("alpha", alpha)
     vectors = as_csr(vectors, vocab_size)
     labels = np.asarray([int(v) for v in labels], dtype=np.int64)
     if not len(vectors) or len(vectors) != len(labels):
@@ -256,9 +262,9 @@ def train_mnb(vectors, labels, alpha: float = 1.0, vocab_size: int = 0) -> tuple
 def train_linear_svm(
     vectors,
     labels,
-    lam: float = 1e-2,
-    epochs: int = 20,
-    seed: int = 0,
+    lam: float,
+    epochs: int,
+    seed: int,
     dim: int = 0,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Pegasos: stochastic sub-gradient descent on the L2-regularized
@@ -267,9 +273,9 @@ def train_linear_svm(
 
     Labels are -1/+1; the unregularized bias moves only on margin
     violations. The weights are kept as w = s * v, so the decay at each
-    step scales s alone. Returns (weights, bias, per-epoch objective values).
+    step scales s alone. `check_detector_setting` checks `lam` and `epochs`.
+    Returns (weights, bias, per-epoch objective values).
     """
-    check_positive("lam", lam)
     labels = [int(v) for v in labels]
     if any(y not in (-1, 1) for y in labels):
         raise DataError("SVM labels must be -1 or +1")
@@ -313,106 +319,88 @@ def embed_average(sequence, vocab: Vocabulary, embedding: np.ndarray) -> np.ndar
     return embedding[indices].mean(axis=0)
 
 
-def fit_traditional(
-    sequences,
-    labels,
-    kind: str,
-    hp: DetectorHp,
-    features: str = "bow",
-    alpha: float = 1.0,
-    lam: float = 1e-2,
-    epochs: int = 20,
-    seed: int = 0,
-    vocab: Vocabulary | None = None,
-    vocab_kind: str = "code",
-    embedding: np.ndarray | None = None,
-) -> DetectorModel:
-    """Fit MNB or the SVM on featurized sequences (bow/tfidf/embed_average)."""
-    labels = [int(v) for v in labels]
+def check_detector_setting(hp_dict: dict) -> DetectorSetting:
+    """A detector `--hp` dict as a DetectorSetting; DataError for any value
+    training would reject. `model` is dl, mnb or svm; the DetectorHp keys
+    pass `check_training_hp` and dl's `pooling` names a pooling mode;
+    `features` is bow or tfidf, and `alpha` and `lam` are finite numbers > 0,
+    whatever the model. A key the dict leaves out takes its default from
+    SETTING_DEFAULTS or DetectorHp, but the SVM's `epochs` from SVM_EPOCHS."""
+    values = {**SETTING_DEFAULTS, **hp_dict}
+    model = values["model"]
+    if model not in MODELS:
+        raise DataError(f"unknown model type: {model!r}")
+    hp = DetectorHp.from_dict({"epochs": SVM_EPOCHS, **hp_dict} if model == "svm" else hp_dict)
+    check_training_hp(hp)
+    if model == "dl":
+        check_choice("pooling", hp.pooling, tc.POOLING_MODES)
+    check_choice("features", values["features"], FEATURES)
+    check_positive("alpha", values["alpha"])
+    check_positive("lam", values["lam"])
+    return DetectorSetting(model, hp, values["features"], values["alpha"], values["lam"])
+
+
+def fit_detector(setting: DetectorSetting, items, labels, seed: int, vocab_kind: str,
+                 vocab: Vocabulary | None = None, init_blocks: dict[str, np.ndarray] | None = None) -> DetectorModel:
+    """Train the detector a checked setting names: the LSTM classifier
+    (dl), naive Bayes (mnb) or the SVM (svm), over `vocab`, or over a
+    `vocab_kind` vocabulary built from the items.
+
+    Pre-trained `LstmStack` blocks (`pretrainer.detector_start`) start the
+    dl detector from a language model's whole stack, or from its embedding
+    alone when `init_blocks` holds only `embedding.M`; from the embedding
+    alone they turn the svm into `pretrained_embed_svm` over averaged
+    embeddings. Empty sequences are dropped for dl only.
+    """
     if vocab is None:
-        vocab = build_vocabulary(sequences, vocab_kind)
+        vocab = build_vocabulary(items, vocab_kind)
+    if setting.model == "dl":
+        kept = [j for j, s in enumerate(items) if s]
+        sequences, kept_labels = [items[j] for j in kept], [labels[j] for j in kept]
+        return train_dl_detector(sequences, kept_labels, setting.hp, seed, vocab, init_blocks)
+    kind = setting.model
+    if init_blocks is not None:
+        mode = "embedding_only" if list(init_blocks) == ["embedding.M"] else "end2end"
+        if kind != "svm" or mode != "embedding_only":
+            raise DataError(
+                f"a pre-trained language model cannot initialize model {kind!r} in mode {mode!r}: "
+                "it serves dl in either mode and svm in embedding_only"
+            )
+        kind = "pretrained_embed_svm"
+    labels = [int(v) for v in labels]
     model = DetectorModel(
-        kind=kind, vocab=vocab, hp=hp, features=features, alpha=alpha, seed=seed
+        kind=kind, vocab=vocab, hp=setting.hp, features=setting.features, alpha=setting.alpha, seed=seed
     )
     if kind == "pretrained_embed_svm":
-        if embedding is None:
-            raise DataError("pretrained_embed_svm requires an embedding matrix")
-        model.embedding, model.features = embedding, "embed_average"
-        vectors = Csr.from_dense(_featurize(model, sequences))
+        model.embedding, model.features = init_blocks["embedding.M"], "embed_average"
+        vectors = Csr.from_dense(_featurize(model, items))
     else:
-        vectors = bow_counts(sequences, vocab)
-        if features == "tfidf":
+        vectors = bow_counts(items, vocab)
+        if setting.features == "tfidf":
             model.tfidf = fit_tfidf(vectors)
             vectors = transform(vectors, model.tfidf)
     if kind == "mnb":
         model.class_log_prior, model.feature_log_prob = train_mnb(
-            vectors, labels, alpha=alpha, vocab_size=vocab.size
-        )
-    elif kind in ("svm", "pretrained_embed_svm"):
-        svm_labels = [1 if y == 1 else -1 for y in labels]
-        model.weights, model.bias, model.objective_history = train_linear_svm(
-            vectors, svm_labels, lam=lam, epochs=epochs, seed=seed
+            vectors, labels, alpha=setting.alpha, vocab_size=vocab.size
         )
     else:
-        raise DataError(f"unknown traditional detector kind: {kind!r}")
+        svm_labels = [1 if y == 1 else -1 for y in labels]
+        model.weights, model.bias, model.objective_history = train_linear_svm(
+            vectors, svm_labels, lam=setting.lam, epochs=setting.hp.epochs, seed=seed
+        )
     return model
 
 
-def check_detector_setting(hp_dict: dict) -> tuple[str, DetectorHp]:
-    """The model type (dl, the default, mnb or svm) and parsed
-    hyper-parameters of a detector setting; DataError for an unknown model
-    type or a value that training rejects."""
-    model_type = hp_dict.get("model", "dl")
-    hp = DetectorHp.from_dict(hp_dict)
-    check_training_hp(hp)
-    if model_type == "dl":
-        check_choice("pooling", hp.pooling, tc.POOLING_MODES)
-    elif model_type not in ("mnb", "svm"):
-        raise DataError(f"unknown model type: {model_type!r}")
-    return model_type, hp
-
-
-def fit_detector(hp_dict: dict, items, labels, seed: int, vocab_kind: str, lm=None,
-                 mode: str = "end2end") -> DetectorModel:
-    """Train the detector a hyper-parameter dict names: `model` is dl
-    (the default), mnb or svm.
-
-    A pre-trained language model `lm` brings its vocabulary and
-    initializes the dl detector's embedding (`embedding_only`) or whole
-    stack (`end2end`); with `embedding_only` it turns the svm into
-    `pretrained_embed_svm` over averaged embeddings. Empty sequences are
-    dropped for dl only.
-    """
-    model_type, hp = check_detector_setting(hp_dict)
-    if model_type == "dl":
-        usable = [(s, y) for s, y in zip(items, labels) if s]
-        init_blocks = None
-        if lm is not None:
-            init_blocks = {name: param for name, (param, _) in lm.network.stack.named_params().items()}
-        return train_dl_detector(
-            [s for s, _ in usable],
-            [y for _, y in usable],
-            hp,
-            seed,
-            vocab=lm.vocab if lm is not None else None,
-            vocab_kind=vocab_kind,
-            init_blocks=init_blocks,
-            init_mode=mode,
-        )
-    # how the sequences become features: a language model brings its vocabulary and embedding
-    feature_args = {"features": hp_dict.get("features", "bow"), "alpha": hp_dict.get("alpha", 1.0)}
-    if lm is not None:
-        if model_type != "svm" or mode != "embedding_only":
-            raise DataError(
-                f"a pre-trained language model cannot initialize model {model_type!r} in mode {mode!r}: "
-                "it serves dl in either mode and svm in embedding_only"
-            )
-        model_type = "pretrained_embed_svm"
-        feature_args = {"vocab": lm.vocab, "embedding": lm.network.stack.embedding.p["M"]}
-    return fit_traditional(
-        items, labels, kind=model_type, hp=hp, lam=hp_dict.get("lam", 1e-2), epochs=hp_dict.get("epochs", 20),
-        seed=seed, vocab_kind=vocab_kind, **feature_args
-    )
+# the blocks of each linear kind's checkpoint in file order: (block, DetectorModel
+# field, shape), where "V" stands for the vocabulary's size and "W" for the width
+# of a pre-trained embedding; a tfidf model adds its document frequencies, "tfidf.df"
+LINEAR_BLOCKS = {
+    "mnb": [("class_log_prior", "class_log_prior", (2,)), ("feature_log_prob", "feature_log_prob", (2, "V"))],
+    "svm": [("svm.w", "weights", ("V",)), ("svm.b", "bias", (1,))],
+    "pretrained_embed_svm": [
+        ("embedding.M", "embedding", ("V", "W")), ("svm.w", "weights", ("W",)), ("svm.b", "bias", (1,))
+    ],
+}
 
 
 def save_detector(model: DetectorModel, path):
@@ -428,17 +416,9 @@ def save_detector(model: DetectorModel, path):
     if model.kind == "dl":
         save_network(path, "dl", header, model.network)
         return
-    blocks: list[tuple[str, np.ndarray]] = []
-    if model.kind == "mnb":
-        blocks.append(("class_log_prior", model.class_log_prior))
-        blocks.append(("feature_log_prob", model.feature_log_prob))
-    elif model.kind in ("svm", "pretrained_embed_svm"):
-        if model.kind == "pretrained_embed_svm":
-            blocks.append(("embedding.M", model.embedding))
-        blocks.append(("svm.w", model.weights))
-        blocks.append(("svm.b", np.array([model.bias])))
-    else:
+    if model.kind not in LINEAR_BLOCKS:
         raise DataError(f"cannot save detector of kind {model.kind!r}")
+    blocks = [(name, np.atleast_1d(getattr(model, field))) for name, field, _ in LINEAR_BLOCKS[model.kind]]
     if model.tfidf is not None:
         header["tfidf_n_documents"] = model.tfidf.n_documents
         blocks.append(("tfidf.df", model.tfidf.df))
@@ -450,15 +430,9 @@ def load_detector(path) -> DetectorModel:
     kind = header["kind"]
     vocab = header_vocabulary(header, "vocab_words")
     hp = DetectorHp.from_dict(header_object(header, "hp"))
-    model = DetectorModel(
-        kind=kind,
-        vocab=vocab,
-        hp=hp,
-        threshold=header.get("threshold", 0.5),
-        features=header.get("features", "bow"),
-        alpha=header.get("alpha", 1.0),
-        seed=header.get("seed", 0),
-    )
+    # a field an older header lacks keeps DetectorModel's default
+    recorded = {key: header[key] for key in ("threshold", "features", "alpha", "seed") if key in header}
+    model = DetectorModel(kind=kind, vocab=vocab, hp=hp, **recorded)
     if kind == "dl":
         with header_checks(path):
             check_number("threshold", model.threshold, lambda v: 0 <= v <= 1, "a number in [0, 1]", "header field")
@@ -467,28 +441,21 @@ def load_detector(path) -> DetectorModel:
         model.network = DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, model.seed)
         load_blocks(model.network.named_params(), blocks, path)
         return model
-    # the linear models' blocks at the shapes the vocabulary implies; a
-    # pre-trained embedding is as wide as its language model's latent size
-    if kind == "mnb":
-        expected = {"class_log_prior": (2,), "feature_log_prob": (2, vocab.size)}
-    elif kind == "svm":
-        expected = {"svm.w": (vocab.size,), "svm.b": (1,)}
-    elif kind == "pretrained_embed_svm":
-        width = blocks["embedding.M"].shape[-1:]
-        expected = {"embedding.M": (vocab.size, *width), "svm.w": width, "svm.b": (1,)}
-    else:
+    if not isinstance(kind, str) or kind not in LINEAR_BLOCKS:
         raise CheckpointError(f"unknown detector kind in checkpoint: {kind!r}")
+    # the blocks at the shapes the vocabulary implies; a pre-trained
+    # embedding is as wide as its language model's latent size
+    dims = {"V": vocab.size}
+    if kind == "pretrained_embed_svm":
+        dims["W"] = np.atleast_1d(blocks["embedding.M"]).shape[-1]
+    layout = [(name, field, tuple(dims.get(d, d) for d in shape)) for name, field, shape in LINEAR_BLOCKS[kind]]
     if model.features == "tfidf":
-        expected["tfidf.df"] = (vocab.size,)
-    arrays = {name: np.zeros(shape) for name, shape in expected.items()}
+        layout.append(("tfidf.df", None, (vocab.size,)))
+    arrays = {name: np.zeros(shape) for name, _, shape in layout}
     load_blocks({name: (a, None) for name, a in arrays.items()}, blocks, path)
-    if kind == "mnb":
-        model.class_log_prior = arrays["class_log_prior"]
-        model.feature_log_prob = arrays["feature_log_prob"]
-    else:
-        model.weights = arrays["svm.w"]
-        model.bias = float(arrays["svm.b"][0])
-        model.embedding = arrays.get("embedding.M")
+    for name, field, _ in layout:
+        if field is not None:
+            setattr(model, field, float(arrays[name][0]) if field == "bias" else arrays[name])
     if model.features == "tfidf":
         with header_checks(path):
             check_count("tfidf_n_documents", header["tfidf_n_documents"], 1, "header field")

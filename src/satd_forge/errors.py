@@ -67,13 +67,23 @@ def check_positive(name: str, value) -> None:
     check_number(name, value, lambda v: 0 < v < math.inf, "a finite number > 0")
 
 
+# The largest size a network or batch setting may take. An array is at most two
+# sizes wide times a small factor, so its bytes stay far below the 2**63 numpy can
+# index: a network too large for memory ends in MemoryError, not in a ValueError.
+MAX_SIZE = 2**24
+
+
 def check_sizes(hp, what: str = "hyper-parameter") -> None:
     """`latent`, `layers`, `batch_size` and whichever of the caps `seq_cap`,
-    `code_cap` and `comment_cap` hp has are ints >= 1: the settings that
-    shape a network and its batches, in training and in inference."""
+    `code_cap` and `comment_cap` hp has are ints in [1, MAX_SIZE]: the
+    settings that shape a network and its batches, in training and in
+    inference."""
     for name in ("latent", "layers", "batch_size", "seq_cap", "code_cap", "comment_cap"):
         if hasattr(hp, name):
-            check_count(name, getattr(hp, name), 1, what)
+            value = getattr(hp, name)
+            check_count(name, value, 1, what)
+            if value > MAX_SIZE:
+                raise DataError(f"{what} {name} must be at most {MAX_SIZE}, got {value!r}")
 
 
 def check_training_hp(hp) -> None:

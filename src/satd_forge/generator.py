@@ -174,7 +174,7 @@ class Seq2SeqNetwork(tc.Network):
         # encoder: attention gradient on every state, handoff on the final one
         self.encoder.backward(dHenc, caches.pop("encoder"), dfinal=handoff)
 
-    def loss_and_grads(self, enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng=None, drop_rate=0.0):
+    def loss_and_grads(self, enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng, drop_rate: float):
         self.zero_grads()
         loss, caches = self.forward_train(
             enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng, drop_rate

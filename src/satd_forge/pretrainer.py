@@ -33,7 +33,7 @@ class LmNetwork(tc.Network):
         yield "out.W", (sizes[-1], vocab_size)
         yield "out.b", (vocab_size,)
 
-    def loss_and_grads(self, idx, mask, targets, drop_rng=None, drop_rate=0.0):
+    def loss_and_grads(self, idx, mask, targets, drop_rng, drop_rate: float):
         self.zero_grads()
         packing = tc.Packing(mask)
         states, _, stack_cache = self.stack.forward(idx, packing, drop_rng, drop_rate)
@@ -81,6 +81,18 @@ def train_next_token_lm(sequences, hp: DetectorHp, seed: int) -> LmModel:
 
     final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(encoded), hp, seed)
     return LmModel(vocab=vocab, hp=hp, network=network, final_loss=final_loss, seed=seed)
+
+
+def detector_start(lm: LmModel, mode: str) -> dict:
+    """`fit_detector`'s `vocab` and `init_blocks` for a detector that starts
+    from `lm`: its vocabulary, and its whole stack (`end2end`) or its
+    embedding alone (`embedding_only`)."""
+    if mode not in ("end2end", "embedding_only"):
+        raise DataError(f"unknown pre-training mode: {mode!r}")
+    blocks = {name: param for name, (param, _) in lm.network.stack.named_params().items()}
+    if mode == "embedding_only":
+        blocks = {"embedding.M": blocks["embedding.M"]}
+    return {"vocab": lm.vocab, "init_blocks": blocks}
 
 
 def save_lm(model: LmModel, path):

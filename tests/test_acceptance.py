@@ -11,7 +11,7 @@ import numpy as np
 
 from gradcheck import check_gradients
 from satd_forge import tensor_core as tc
-from satd_forge.detector import DetectorHp, fit_traditional, predict_many, train_dl_detector
+from satd_forge.detector import DetectorHp, check_detector_setting, fit_detector, predict_many
 from satd_forge.evalkit import (
     bleu_n,
     cross_project_rounds,
@@ -27,6 +27,7 @@ from satd_forge.java_miner import UNLABELED, label_comment, mine_file
 from satd_forge.textpipe import build_vocabulary, frame_comment, pad_batch
 from satd_forge.vsm import bow_counts, fit_tfidf, transform
 from satd_forge.ast_sbt import AstNode, sbt_serialize
+from test_detector import train_dl
 
 FIXTURES = Path(__file__).parent / "fixtures" / "java"
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_pairs.json"
@@ -167,7 +168,7 @@ def test_criterion_02_gradient_fidelity():
         loss, _ = net.forward_train(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx)
         return float(loss)
 
-    net.loss_and_grads(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx)
+    net.loss_and_grads(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx, None, 0.0)
     named = net.named_params()
     rep = check_gradients(
         gen_loss, {k: v[0] for k, v in named.items()}, {k: v[1] for k, v in named.items()}
@@ -245,7 +246,7 @@ def test_criterion_04_detector_capability_cv():
         )
 
         def dl_recipe(train_x, train_y, test_x, test_y, fold):
-            model = train_dl_detector(train_x, train_y, hp, seed=fold)
+            model = train_dl(train_x, train_y, hp, fold)
             preds = [predict_many(model, [s])[0][1] for s in test_x]
             return prf1(preds, test_y).as_dict()
 
@@ -253,17 +254,15 @@ def test_criterion_04_detector_capability_cv():
         scores[f"lstm/{pooling}"] = result.mean["f1"]
 
     def mnb_recipe(train_x, train_y, test_x, test_y, fold):
-        model = fit_traditional(train_x, train_y, kind="mnb", hp=DetectorHp(), seed=fold)
+        model = fit_detector(check_detector_setting({"model": "mnb"}), train_x, train_y, fold, "code")
         preds = [predict_many(model, [s])[0][1] for s in test_x]
         return prf1(preds, test_y).as_dict()
 
     scores["mnb"] = run_cv(seqs, labels, mnb_recipe, plan).mean["f1"]
 
     def svm_recipe(train_x, train_y, test_x, test_y, fold):
-        model = fit_traditional(
-            train_x, train_y, kind="svm", hp=DetectorHp(), features="bow",
-            epochs=20, seed=fold,
-        )
+        setting = check_detector_setting({"model": "svm", "features": "bow", "epochs": 20})
+        model = fit_detector(setting, train_x, train_y, fold, "code")
         preds = [predict_many(model, [s])[0][1] for s in test_x]
         return prf1(preds, test_y).as_dict()
 
@@ -280,7 +279,7 @@ def test_criterion_05_overfit_sanity():
         latent=16, layers=1, batch_size=20, pooling="max", epochs=200,
         learning_rate=2e-3,
     )
-    model = train_dl_detector(seqs, labels, hp, seed=1)
+    model = train_dl(seqs, labels, hp, 1)
     preds = [predict_many(model, [s])[0][1] for s in seqs]
     metrics = prf1(preds, labels)
     assert metrics.f1 == 1.0

@@ -11,7 +11,7 @@ from attention_reference import ReferenceAttention
 from padded_layout import unpack
 from satd_forge import tensor_core as tc
 from satd_forge.cli import main
-from satd_forge.detector import fit_detector, predict_many
+from satd_forge.detector import check_detector_setting, fit_detector, predict_many
 from satd_forge.errors import DataError
 from satd_forge.generator import (
     GeneratorHp,
@@ -49,7 +49,7 @@ class TestPredictMany:
         seqs, labels = labeled_sequences()
         hp = {"model": "dl", "latent": 6, "layers": layers, "batch_size": 4,
               "pooling": pooling, "epochs": 2, "learning_rate": 0.01}
-        model = fit_detector(hp, seqs, labels, seed=3, vocab_kind="code")
+        model = fit_detector(check_detector_setting(hp), seqs, labels, seed=3, vocab_kind="code")
         queries = unsorted_queries()
         many = predict_many(model, queries)
         assert len(many) == len(queries)
@@ -69,20 +69,20 @@ class TestPredictMany:
     ], ids=["mnb-bow", "mnb-tfidf", "svm-bow", "svm-tfidf"])
     def test_linear_models_equal_predict(self, hp):
         seqs, labels = labeled_sequences()
-        model = fit_detector(hp, seqs, labels, seed=3, vocab_kind="code")
+        model = fit_detector(check_detector_setting(hp), seqs, labels, seed=3, vocab_kind="code")
         queries = unsorted_queries()
         assert predict_many(model, queries) == [predict_many(model, [q])[0] for q in queries]
 
     def test_empty_sequence_rejected(self):
         seqs, labels = labeled_sequences()
-        model = fit_detector({"model": "dl", "latent": 4, "epochs": 0}, seqs, labels, seed=3,
+        model = fit_detector(check_detector_setting({"model": "dl", "latent": 4, "epochs": 0}), seqs, labels, seed=3,
                              vocab_kind="code")
         with pytest.raises(DataError):
             predict_many(model, [["tok1"], []])
 
     def test_no_sequences(self):
         seqs, labels = labeled_sequences()
-        model = fit_detector({"model": "dl", "latent": 4, "epochs": 0}, seqs, labels, seed=3,
+        model = fit_detector(check_detector_setting({"model": "dl", "latent": 4, "epochs": 0}), seqs, labels, seed=3,
                              vocab_kind="code")
         assert predict_many(model, []) == []
 

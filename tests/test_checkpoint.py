@@ -14,15 +14,16 @@ from satd_forge.cli import main
 from satd_forge.detector import (
     DetectorHp,
     DetectorNetwork,
-    fit_traditional,
+    check_detector_setting,
+    fit_detector,
     load_detector,
     save_detector,
-    train_dl_detector,
 )
 from satd_forge.errors import CheckpointError
 from satd_forge.generator import GeneratorHp, Seq2SeqNetwork, load_generator, save_generator, train_generator
 from satd_forge.pretrainer import LmNetwork, load_lm, save_lm, train_next_token_lm
 from satd_forge.textpipe import build_vocabulary, frame_comment
+from test_detector import train_dl
 
 
 def rewrite(path, edit):
@@ -47,7 +48,7 @@ def cut_columns(name):
 def detector_ckpt(path):
     seqs = [["a", "b"], ["c"], ["a", "c", "b"], ["b"]]
     hp = DetectorHp(latent=4, layers=2, batch_size=2, epochs=1)
-    save_detector(train_dl_detector(seqs, [1, 0, 1, 0], hp, seed=0), path)
+    save_detector(train_dl(seqs, [1, 0, 1, 0], hp, 0), path)
     return load_detector
 
 
@@ -68,9 +69,11 @@ def linear_ckpt(path, kind, features):
     """An mnb, svm or pretrained_embed_svm detector over a 4-word vocabulary."""
     seqs = [["a", "b"], ["c"], ["a", "c", "b"], ["b"]]
     vocab = build_vocabulary(seqs, "code")
-    embedding = np.arange(vocab.size * 3.0).reshape(vocab.size, 3) if kind == "pretrained_embed_svm" else None
-    model = fit_traditional(seqs, [1, 0, 1, 0], kind=kind, hp=DetectorHp(), features=features, epochs=2,
-                            vocab=vocab, embedding=embedding)
+    setting = check_detector_setting({"model": "mnb" if kind == "mnb" else "svm", "features": features, "epochs": 2})
+    init_blocks = None
+    if kind == "pretrained_embed_svm":
+        init_blocks = {"embedding.M": np.arange(vocab.size * 3.0).reshape(vocab.size, 3)}
+    model = fit_detector(setting, seqs, [1, 0, 1, 0], 0, "code", vocab=vocab, init_blocks=init_blocks)
     save_detector(model, path)
 
 

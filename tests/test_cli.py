@@ -905,6 +905,14 @@ class TestBadHyperParameters:
         ("train", ["--task", "generate", "--out", "m.ckpt"], {"code_cap": "10"}, "code_cap"),
         ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "dropout": -0.5}, "dropout"),
         ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "threshold": "0.5"}, "threshold"),
+        # sizes numpy cannot allocate, and a layer count past a C ssize_t
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "latent": 2**62}, "latent"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "latent": 2**63}, "latent"),
+        ("train", ["--task", "generate", "--out", "m.ckpt"], {"latent": 2, "layers": 2**63}, "layers"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "svm", "features": "tfidff"}, "features"),
+        ("cv", ["--task", "detect-code", "--report", "rep"], {"model": "mnb", "features": "tfidff"}, "features"),
+        ("xproject", ["--task", "detect-code", "--report", "rep"], {"model": "svm", "features": "tfidff"},
+         "features"),
     ])
     def test_exit_2_and_nothing_written(self, tmp_path, capsys, monkeypatch, command, extra, hp, name):
         monkeypatch.chdir(tmp_path)
@@ -933,20 +941,28 @@ class TestBadHyperParameters:
             "error: hyper-parameter pooling must be one of 'last', 'mean', 'max', got 'avg'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]
 
+    # `trainer` lists the trainers a setting of the grid would call
     @pytest.mark.parametrize("task,grid,trainer,error", [
         ("detect-code", {"model": "dl", "latent": 4, "batch_size": 2, "epochs": 1, "pooling": ["max", "zz"]},
-         (detector, "train_dl_detector"), "hyper-parameter pooling must be one of 'last', 'mean', 'max', got 'zz'"),
-        ("detect-comment", {"model": ["mnb", "svm", "knn"]}, (detector, "fit_traditional"),
+         [(detector, "train_dl_detector")], "hyper-parameter pooling must be one of 'last', 'mean', 'max', got 'zz'"),
+        ("detect-comment", {"model": ["mnb", "svm", "knn"]}, [(detector, "train_mnb"), (detector, "train_linear_svm")],
          "unknown model type: 'knn'"),
-        ("generate", {"latent": [4, 0], "batch_size": 2, "epochs": 1}, (generator, "train_generator"),
+        ("generate", {"latent": [4, 0], "batch_size": 2, "epochs": 1}, [(generator, "train_generator")],
          "hyper-parameter latent must be an integer >= 1, got 0"),
+        ("detect-comment", {"model": "svm", "lam": [0.1, -1]}, [(detector, "train_linear_svm")],
+         "hyper-parameter lam must be a finite number > 0, got -1"),
+        ("detect-comment", {"model": "mnb", "alpha": [1.0, 0]}, [(detector, "train_mnb")],
+         "hyper-parameter alpha must be a finite number > 0, got 0"),
+        ("detect-comment", {"model": "mnb", "features": ["bow", "tfidff"]}, [(detector, "train_mnb")],
+         "hyper-parameter features must be one of 'bow', 'tfidf', got 'tfidff'"),
     ])
     def test_tune_checks_every_setting_before_the_first_trial(self, tmp_path, capsys, monkeypatch,
                                                               task, grid, trainer, error):
         def trained(*args, **kwargs):
             raise AssertionError("a model was trained")
 
-        monkeypatch.setattr(*trainer, trained)
+        for patched in trainer:
+            monkeypatch.setattr(*patched, trained)
         monkeypatch.chdir(tmp_path)
         data = synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
         (tmp_path / "grid.json").write_text(json.dumps(grid))

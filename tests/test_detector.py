@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients
+from satd_forge.checkpoint import load_checkpoint
 from satd_forge.detector import (
     DetectorHp,
     DetectorModel,
+    check_detector_setting,
     embed_average,
-    fit_traditional,
+    fit_detector,
     load_detector,
     predict_many,
     save_detector,
-    train_dl_detector,
     train_linear_svm,
     train_mnb,
 )
@@ -20,6 +21,12 @@ from satd_forge.errors import DataError, TrainingError, check_training_hp
 from satd_forge.generator import GeneratorHp
 from satd_forge.textpipe import build_vocabulary, pad_batch
 from satd_forge.vsm import bow_counts
+
+
+def train_dl(seqs, labels, hp, seed):
+    """The LSTM detector with `hp`, through the factory, over a code
+    vocabulary built from `seqs`."""
+    return fit_detector(check_detector_setting(hp.to_dict()), seqs, labels, seed, "code")
 
 
 def synthetic_corpus(n, seed, markers=("hackmark", "fixmark")):
@@ -44,14 +51,14 @@ class TestDlDetector:
         seqs, labels = synthetic_corpus(20, seed=0)
         hp = DetectorHp(latent=8, layers=1, batch_size=10, pooling="max", epochs=60,
                         learning_rate=2e-3)
-        model = train_dl_detector(seqs, labels, hp, seed=1)
+        model = train_dl(seqs, labels, hp, 1)
         preds = [predict_many(model, [s])[0][1] for s in seqs]
         assert all(p == bool(y) for p, y in zip(preds, labels))
 
     def test_zero_epochs_predicts_near_half(self):
         seqs, labels = synthetic_corpus(10, seed=1)
         hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="mean", epochs=0)
-        model = train_dl_detector(seqs, labels, hp, seed=2)
+        model = train_dl(seqs, labels, hp, 2)
         probs = [predict_many(model, [s])[0][0] for s in seqs]
         assert all(abs(p - 0.5) < 0.2 for p in probs)
 
@@ -59,18 +66,18 @@ class TestDlDetector:
         seqs, labels = synthetic_corpus(12, seed=2)
         hp = DetectorHp(latent=8, layers=1, batch_size=6, pooling="last", epochs=5)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_detector(train_dl_detector(seqs, labels, hp, seed=7), p1)
-        save_detector(train_dl_detector(seqs, labels, hp, seed=7), p2)
+        save_detector(train_dl(seqs, labels, hp, 7), p1)
+        save_detector(train_dl(seqs, labels, hp, 7), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
-            train_dl_detector([["a"], ["b"]], [1, 1], DetectorHp(epochs=1), seed=0)
+            train_dl([["a"], ["b"]], [1, 1], DetectorHp(epochs=1), 0)
 
     def test_threshold_rule(self):
         seqs, labels = synthetic_corpus(10, seed=3)
         hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="max", epochs=0)
-        model = train_dl_detector(seqs, labels, hp, seed=3)
+        model = train_dl(seqs, labels, hp, 3)
         prob, label = predict_many(model, [seqs[0]])[0]
         assert label == (prob >= model.threshold)
         model.threshold = 0.0
@@ -81,7 +88,7 @@ class TestDlDetector:
     def test_prediction_invariant_to_trailing_padding(self):
         seqs, labels = synthetic_corpus(10, seed=4)
         hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="mean", epochs=3)
-        model = train_dl_detector(seqs, labels, hp, seed=4)
+        model = train_dl(seqs, labels, hp, 4)
         seq = model.vocab.encode(seqs[0])
         lone, lone_mask = pad_batch([seq], 1500)
         padded = np.concatenate([lone, np.zeros((1, 7), dtype=np.int64)], axis=1)
@@ -92,7 +99,7 @@ class TestDlDetector:
 
     def test_empty_sequence_rejected(self):
         seqs, labels = synthetic_corpus(10, seed=5)
-        model = train_dl_detector(seqs, labels, DetectorHp(latent=8, epochs=0), seed=5)
+        model = train_dl(seqs, labels, DetectorHp(latent=8, epochs=0), 5)
         with pytest.raises(DataError):
             predict_many(model, [[]])
 
@@ -136,7 +143,7 @@ class TestDlDetector:
             probs, _ = net.forward(idx, mask)
             return float(tc.bce_loss(y, probs)[0].mean())
 
-        net.loss_and_grads(idx, mask, y)
+        net.loss_and_grads(idx, mask, y, None, 0.0)
         named = net.named_params()
         report = check_gradients(
             loss_fn, {k: v[0] for k, v in named.items()}, {k: v[1] for k, v in named.items()}
@@ -146,7 +153,7 @@ class TestDlDetector:
     def test_last_pool_single_layer_equals_final_state(self):
         seqs, labels = synthetic_corpus(8, seed=6)
         hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="last", epochs=2)
-        model = train_dl_detector(seqs, labels, hp, seed=6)
+        model = train_dl(seqs, labels, hp, 6)
         net = model.network
         idx, mask = pad_batch([model.vocab.encode(seqs[0])], 1500)
         from satd_forge import tensor_core as tc
@@ -177,7 +184,7 @@ class TestMnb:
 
     def test_classifies_toy_example(self):
         docs = [["todo", "hack"], ["good", "code"]]
-        model = fit_traditional(docs, [1, 0], kind="mnb", hp=DetectorHp())
+        model = fit_detector(check_detector_setting({"model": "mnb"}), docs, [1, 0], 0, "code")
         _, positive = predict_many(model, [["todo"]])[0]
         assert positive
         _, positive = predict_many(model, [["good"]])[0]
@@ -185,7 +192,7 @@ class TestMnb:
 
     def test_tie_breaks_negative(self):
         docs = [["a"], ["a"]]
-        model = fit_traditional(docs, [1, 0], kind="mnb", hp=DetectorHp())
+        model = fit_detector(check_detector_setting({"model": "mnb"}), docs, [1, 0], 0, "code")
         prob, positive = predict_many(model, [["a"]])[0]
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert not positive
@@ -217,8 +224,8 @@ class TestMnb:
                 assert log_prob[c, idx] == pytest.approx(expected, abs=1e-12)
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(DataError):
-            train_mnb([{0: 1.0}], [1], alpha=0.0, vocab_size=2)
+        with pytest.raises(DataError, match="hyper-parameter alpha must be"):
+            check_detector_setting({"model": "mnb", "alpha": 0.0})
 
 
 class TestSvm:
@@ -258,7 +265,7 @@ class TestSvm:
 
     def test_label_validation(self):
         with pytest.raises(DataError):
-            train_linear_svm([{0: 1.0}], [0], dim=1)
+            train_linear_svm([{0: 1.0}], [0], lam=1e-2, epochs=1, seed=0, dim=1)
 
     def test_zero_margin_is_negative(self):
         model = DetectorModel(
@@ -302,7 +309,7 @@ class TestPersistence:
     @pytest.mark.parametrize("kind,features", [("mnb", "bow"), ("mnb", "tfidf"), ("svm", "bow"), ("svm", "tfidf")])
     def test_traditional_round_trip(self, tmp_path, kind, features):
         seqs, labels = synthetic_corpus(20, seed=8)
-        model = fit_traditional(seqs, labels, kind=kind, hp=DetectorHp(), features=features, seed=1)
+        model = fit_detector(check_detector_setting({"model": kind, "features": features}), seqs, labels, 1, "code")
         path = tmp_path / "m.ckpt"
         save_detector(model, path)
         loaded = load_detector(path)
@@ -310,10 +317,19 @@ class TestPersistence:
         for seq in seqs:
             assert predict_many(loaded, [seq])[0][1] == predict_many(model, [seq])[0][1]
 
+    @pytest.mark.parametrize("hp,epochs", [({"model": "svm"}, 20), ({"model": "svm", "epochs": 3}, 3)])
+    def test_svm_header_records_the_epochs_it_trained(self, tmp_path, hp, epochs):
+        seqs, labels = synthetic_corpus(20, seed=8)
+        model = fit_detector(check_detector_setting(hp), seqs, labels, 1, "code")
+        assert len(model.objective_history) == epochs
+        save_detector(model, tmp_path / "svm.ckpt")
+        header, _ = load_checkpoint(tmp_path / "svm.ckpt")
+        assert header["hp"]["epochs"] == epochs
+
     def test_dl_round_trip_predictions_match(self, tmp_path):
         seqs, labels = synthetic_corpus(10, seed=9)
         hp = DetectorHp(latent=8, layers=2, batch_size=4, pooling="max", epochs=3)
-        model = train_dl_detector(seqs, labels, hp, seed=10)
+        model = train_dl(seqs, labels, hp, 10)
         path = tmp_path / "dl.ckpt"
         save_detector(model, path)
         loaded = load_detector(path)
@@ -355,4 +371,4 @@ class TestHyperParameterRules:
     @pytest.mark.parametrize("lam", [0, -1.0, math.nan, math.inf, "0.1", None])
     def test_svm_lam(self, lam):
         with pytest.raises(DataError, match="hyper-parameter lam must be"):
-            train_linear_svm([{0: 1.0}, {1: 1.0}], [1, -1], lam=lam)
+            check_detector_setting({"model": "svm", "lam": lam})

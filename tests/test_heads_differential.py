@@ -92,7 +92,7 @@ class TestLanguageModelHead:
         seen = {}
         record_first_argument(net.out, "forward", seen)
         record_first_argument(net.stack, "backward", seen)
-        loss = net.loss_and_grads(idx, mask, tgt)
+        loss = net.loss_and_grads(idx, mask, tgt, None, 0.0)
         ref_loss, ref_dstates, gW, gb = lm_head(net.out, seen["forward"], tgt, tc.Packing(mask))
         assert loss == ref_loss
         np.testing.assert_array_equal(seen["backward"], ref_dstates)

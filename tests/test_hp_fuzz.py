@@ -4,7 +4,8 @@ generate` and `pretrain` on a tiny corpus.
 A dict holds known and unknown keys set to values of any JSON type: the
 right ones, wrong types, bools, NaN and infinities, and numbers as
 strings. Every run must end in exit code 0, 2 or 3, never in an
-exception. Integers come from -1..3, which holds each rule's boundaries
+exception, and a linear setting whose `features` is neither bow nor tfidf
+never in 0. Integers come from -1..3, which holds each rule's boundaries
 (0 and 1 for a count, 2 for the latent size of three layers); larger ones
 would only allocate more or train longer. Each dict extends a tiny
 setting, so a run that trains stays small.
@@ -28,7 +29,7 @@ DETECTOR_KEYS = sorted(DetectorHp.__dataclass_fields__)
 # the linear models read keys of their own, which a dl setting would bury
 COMMANDS = {
     "detect-code": (["train", "--task", "detect-code"], ["model", *DETECTOR_KEYS], ["dl"]),
-    "detect-code-linear": (["train", "--task", "detect-code"], ["model", "features", "alpha", "lam"],
+    "detect-code-linear": (["train", "--task", "detect-code"], ["model", "features", "alpha", "lam", "epochs"],
                            ["mnb", "svm"]),
     "generate": (["train", "--task", "generate"], sorted(GeneratorHp.__dataclass_fields__), []),
     "pretrain": (["pretrain"], DETECTOR_KEYS, []),
@@ -61,4 +62,7 @@ def test_generated_hp_exits_with_a_code(corpus, command, data):
     hp_path = corpus.parent / f"{command}.json"
     hp_path.write_text(json.dumps(hp))  # NaN and infinities too, which Python's json writes and reads
     out = corpus.parent / f"{command}.ckpt"
-    assert main([argv[0], str(corpus), *argv[1:], "--hp", str(hp_path), "--seed", "1", "--out", str(out)]) in (0, 2, 3)
+    code = main([argv[0], str(corpus), *argv[1:], "--hp", str(hp_path), "--seed", "1", "--out", str(out)])
+    assert code in (0, 2, 3)
+    if command == "detect-code-linear" and hp.get("features", "bow") not in ("bow", "tfidf"):
+        assert code != 0

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linear_reference as ref
-from satd_forge.detector import DetectorHp, fit_traditional, predict_many, train_linear_svm, train_mnb
+from satd_forge.detector import check_detector_setting, fit_detector, predict_many, train_linear_svm, train_mnb
 from satd_forge.textpipe import UNKN_PAD, build_vocabulary
 from satd_forge.vsm import bow_counts, fit_tfidf, transform
 
@@ -97,8 +97,9 @@ def compare_all(train, labels, test, lam, epochs, seed, skip_unless=require):
         scored = [d for d in test if d]
         scored_vectors = [v for d, v in zip(test, test_vectors) if d]
         for kind in ("mnb", "svm"):
-            model = fit_traditional(train, labels, kind, DetectorHp(), features=features, alpha=0.5,
-                                    lam=lam, epochs=epochs, seed=seed, vocab=vocab)
+            setting = check_detector_setting(
+                {"model": kind, "features": features, "alpha": 0.5, "lam": lam, "epochs": epochs})
+            model = fit_detector(setting, train, labels, seed, "code", vocab=vocab)
             assert_predictions_equal(
                 predict_many(model, scored), reference_predictions(model, scored_vectors, scored)
             )
@@ -143,8 +144,8 @@ def test_pretrained_embed_svm(seed):
     embedding[vocab.index_of["e"], 2] = 0.0  # docs[4] has an exact zero feature
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        model = fit_traditional(docs, labels, "pretrained_embed_svm", DetectorHp(), lam=0.05, epochs=6,
-                                seed=seed, vocab=vocab, embedding=embedding)
+        setting = check_detector_setting({"model": "svm", "lam": 0.05, "epochs": 6})
+        model = fit_detector(setting, docs, labels, seed, "code", vocab=vocab, init_blocks={"embedding.M": embedding})
         feats = [ref.embed_average(d, vocab, embedding) for d in docs]
         dense = [{i: float(v) for i, v in enumerate(f) if v != 0.0} for f in feats]
         want = ref.train_linear_svm(dense, [1 if y else -1 for y in labels], lam=0.05, epochs=6, seed=seed, dim=6)

@@ -5,9 +5,9 @@ import pytest
 
 from gradcheck import check_gradients
 from satd_forge import tensor_core as tc
-from satd_forge.detector import DetectorHp, DetectorNetwork, fit_detector
+from satd_forge.detector import DetectorHp, DetectorNetwork, check_detector_setting, fit_detector
 from satd_forge.errors import DataError
-from satd_forge.pretrainer import load_lm, save_lm, train_next_token_lm
+from satd_forge.pretrainer import detector_start, load_lm, save_lm, train_next_token_lm
 from satd_forge.textpipe import pad_batch
 
 
@@ -38,7 +38,7 @@ class TestLm:
         encoded = [model.vocab.encode(s) for s in seqs[:4]]
         idx, mask = pad_batch([s[:-1] for s in encoded], 100)
         tgt, _ = pad_batch([s[1:] for s in encoded], 100)
-        loss = model.network.loss_and_grads(idx, mask, tgt)
+        loss = model.network.loss_and_grads(idx, mask, tgt, None, 0.0)
         assert loss == pytest.approx(math.log(model.vocab.size), abs=1e-9)
 
     def test_corpus_smaller_than_batch_rejected(self):
@@ -64,9 +64,9 @@ class TestLm:
 
         def loss_fn():
             # loss_and_grads zeroes and refills gradients; harmless here
-            return float(net.loss_and_grads(idx, mask, tgt))
+            return float(net.loss_and_grads(idx, mask, tgt, None, 0.0))
 
-        net.loss_and_grads(idx, mask, tgt)
+        net.loss_and_grads(idx, mask, tgt, None, 0.0)
         named = net.named_params()
         params = {k: v[0] for k, v in named.items()}
         analytic = {k: v[1].copy() for k, v in named.items()}
@@ -85,7 +85,8 @@ def lm_and_detector(tmp_seed=0, latent=8, layers=2, mode="end2end", lm=None):
         hp = DetectorHp(latent=latent, layers=layers, batch_size=4, epochs=3)
         lm = train_next_token_lm(alternating_corpus(), hp, seed=tmp_seed)
     hp_dict = {"model": "dl", "latent": latent, "layers": layers, "batch_size": 2, "epochs": 0}
-    detector = fit_detector(hp_dict, DETECTOR_ITEMS, DETECTOR_LABELS, tmp_seed + 1, "code", lm=lm, mode=mode)
+    detector = fit_detector(check_detector_setting(hp_dict), DETECTOR_ITEMS, DETECTOR_LABELS, tmp_seed + 1, "code",
+                            **detector_start(lm, mode))
     return lm, detector
 
 

@@ -11,10 +11,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from satd_forge.detector import DetectorHp, fit_detector, save_detector, train_dl_detector
+from satd_forge.detector import DetectorHp, check_detector_setting, fit_detector, save_detector
 from satd_forge.generator import GeneratorHp, save_generator, train_generator
-from satd_forge.pretrainer import save_lm, train_next_token_lm
+from satd_forge.pretrainer import detector_start, save_lm, train_next_token_lm
 from satd_forge.textpipe import frame_comment
+from test_detector import train_dl
 
 REL = 1e-12
 
@@ -65,7 +66,7 @@ def test_dl_detector_three_layers_with_dropout(pooling):
     seqs, labels = detector_corpus()
     hp = DetectorHp(latent=6, layers=3, batch_size=4, pooling=pooling, epochs=2,
                     learning_rate=0.01, dropout=0.3)
-    model = train_dl_detector(seqs, labels, hp, seed=11)
+    model = train_dl(seqs, labels, hp, 11)
     assert model.final_loss == pytest.approx(DL_LOSS[pooling], rel=REL)
 
 
@@ -85,7 +86,7 @@ def test_detector_initialised_end2end_from_lm():
     seqs, labels = detector_corpus()
     hp = {"model": "dl", "latent": 6, "layers": 2, "batch_size": 4, "pooling": "mean",
           "epochs": 2, "learning_rate": 0.01, "dropout": 0.2}
-    model = fit_detector(hp, seqs, labels, 15, "code", lm=lm, mode="end2end")
+    model = fit_detector(check_detector_setting(hp), seqs, labels, 15, "code", **detector_start(lm, "end2end"))
     assert model.final_loss == pytest.approx(END2END_LOSS, rel=REL)
 
 
@@ -110,7 +111,7 @@ def test_dl_detector_checkpoint_bytes(tmp_path, pooling):
     seqs, labels = detector_corpus()
     hp = DetectorHp(latent=6, layers=3, batch_size=4, pooling=pooling, epochs=2,
                     learning_rate=0.01, dropout=0.3)
-    save_detector(train_dl_detector(seqs, labels, hp, seed=11), tmp_path / "dl.ckpt")
+    save_detector(train_dl(seqs, labels, hp, 11), tmp_path / "dl.ckpt")
     assert sha256(tmp_path / "dl.ckpt") == CHECKPOINT_SHA256[f"dl-{pooling}"]
 
 

@@ -104,10 +104,10 @@ class TestVocabulary:
 
     def test_json_round_trip(self, tmp_path):
         # the vocabulary travels in the JSON header of a detector checkpoint
-        from satd_forge.detector import DetectorHp, fit_traditional, load_detector, save_detector
+        from satd_forge.detector import check_detector_setting, fit_detector, load_detector, save_detector
 
 
-        model = fit_traditional([["a", "b"], ["b"]], [1, 0], kind="mnb", hp=DetectorHp(), vocab_kind="comment")
+        model = fit_detector(check_detector_setting({"model": "mnb"}), [["a", "b"], ["b"]], [1, 0], 0, "comment")
         vocab = model.vocab
         path = tmp_path / "m.ckpt"
         save_detector(model, path)
