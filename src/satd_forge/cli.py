@@ -30,17 +30,16 @@ from . import __version__
 from .atomic import atomic_write
 from .errors import DataError, JavaLexError, SatdForgeError, TrainingError, check_training_hp
 from .java_miner import (
-    SATD,
     JsonlRows,
     build_dataset,
     join_jsonl,
     label_comment,
+    lines_at,
     mine_file,
-    read_jsonl,
     write_jsonl,
     write_rows,
 )
-from .textpipe import frame_comment, normalize_comment
+from .textpipe import TokenStore, as_column, normalize_comment
 
 DETECT_TASKS = ("detect-code", "detect-comment")
 ALL_TASKS = DETECT_TASKS + ("generate",)
@@ -58,43 +57,45 @@ class _Parser(argparse.ArgumentParser):
 # -- dataset plumbing ------------------------------------------------------
 
 
-def _item_rows(records, task: str):
-    """The index of the record behind each of the task's items: every record
-    for a detector task, each commented SATD record for generation."""
+def _read_task(path, task: str, projects: bool = False) -> TokenStore:
+    """The task's items from the corpus file at `path`, read into a store
+    in one pass: every row's SBT or comment words for a detector task, each
+    commented SATD row's SBT and framed comment for generation; with
+    `projects`, each row's project too."""
     if task == "generate":
-        return [i for i, r in enumerate(records) if r.label == SATD and r.comment_words]
-    return range(len(records))
-
-
-def _task_data(records, task: str):
-    """(items, labels, stratified) for a task over corpus records. A detector
-    task labels every record SATD (1) or not (0); generation pairs each
-    commented SATD record's SBT with its framed comment, all labelled 0, and
-    splits them unstratified."""
-    if task == "generate":
-        pairs = [
-            (records[i].sbt_tokens, frame_comment(records[i].comment_words))
-            for i in _item_rows(records, task)
-        ]
-        if not pairs:
+        store = TokenStore.read(path, pairs=True)
+        if not len(store):
             raise DataError("no SATD pairs available for generation")
-        return pairs, [0] * len(pairs), False
-    items = [r.sbt_tokens if task == "detect-code" else r.comment_words for r in records]
-    return items, [1 if r.label == SATD else 0 for r in records], True
+        return store
+    return TokenStore.read(path, code=task == "detect-code", comment=task == "detect-comment", projects=projects)
+
+
+def _task_labels(store: TokenStore, task: str) -> tuple[list, bool]:
+    """(labels, stratified) of a task's items: a detector task labels each
+    item SATD (True) or not and splits them stratified; generation labels
+    every pair 0 and splits them unstratified."""
+    if task == "generate":
+        return [0] * len(store), False
+    return store.satd.tolist(), True
+
+
+def _task_items(store: TokenStore, task: str):
+    """A detector task's items: the SBT or the comment words of each row."""
+    return store.code if task == "detect-code" else store.comment
 
 
 def _vocab_kind(task: str) -> str:
     return "code" if task == "detect-code" else "comment"
 
 
-def _predict_all(model, sequences) -> list[tuple[float, bool]]:
-    """`predict_many` over the non-empty sequences; an empty one scores
-    (0.0, False): no tokens carry no admission."""
+def _predict_all(model, column) -> list[tuple[float, bool]]:
+    """`predict_many` over the non-empty rows of a TokenColumn; an empty
+    one scores (0.0, False): no tokens carry no admission."""
     from .detector import predict_many
 
-    results = [(0.0, False)] * len(sequences)
-    kept = [j for j, seq in enumerate(sequences) if seq]
-    for j, result in zip(kept, predict_many(model, [sequences[j] for j in kept])):
+    results = [(0.0, False)] * len(column)
+    kept = [j for j, n in enumerate(column.lengths().tolist()) if n]
+    for j, result in zip(kept, predict_many(model, column.select(kept))):
         results[j] = result
     return results
 
@@ -114,39 +115,42 @@ def _check_setting(task: str, hp_dict: dict):
     return check_detector_setting(hp_dict)
 
 
-def make_detector_recipe(task: str, setting, seed: int):
-    """An evalkit.run_trials recipe: fit a checked DetectorSetting on the
-    training side, score precision/recall/F1 on the held-out side."""
+def make_detector_recipe(task: str, setting, seed: int, store: TokenStore):
+    """An evalkit.run_trials recipe over the store's task items: fit a
+    checked DetectorSetting on the training rows, score precision/recall/F1
+    on the held-out rows."""
     from . import evalkit
     from .detector import fit_detector
 
     kind = _vocab_kind(task)
+    column = _task_items(store, task)
 
-    def recipe(train_items, train_labels, test_items, test_labels, index):
-        model = fit_detector(setting, train_items, train_labels, seed + 1000 * index, kind)
-        preds = [positive for _, positive in _predict_all(model, test_items)]
-        return evalkit.prf1(preds, test_labels).as_dict()
+    def recipe(train_ids, test_ids, index):
+        model = fit_detector(setting, column.select(train_ids), store.satd[train_ids], seed + 1000 * index, kind)
+        preds = [positive for _, positive in _predict_all(model, column.select(test_ids))]
+        return evalkit.prf1(preds, store.satd[test_ids]).as_dict()
 
     return recipe
 
 
-def make_generator_recipe(hp, seed: int):
+def make_generator_recipe(hp, seed: int, store: TokenStore):
     from . import evalkit
     from .generator import generate_comments, train_generator
 
-    def recipe(train_items, _train_labels, test_items, _test_labels, index):
-        model = train_generator(train_items, hp, seed + 1000 * index)
-        hyps = generate_comments(model, [code for code, _ in test_items])
-        references = [framed[1:-1] for _, framed in test_items]
+    def recipe(train_ids, test_ids, index):
+        model = train_generator(store.select(train_ids), hp, seed + 1000 * index)
+        test = store.select(test_ids)
+        hyps = generate_comments(model, test.code)
+        references = [framed[1:-1] for framed in test.comment]
         return evalkit.mean_bleu(zip(hyps, references))
 
     return recipe
 
 
-def _make_recipe(task: str, setting, seed: int):
+def _make_recipe(task: str, setting, seed: int, store: TokenStore):
     if task == "generate":
-        return make_generator_recipe(setting, seed)
-    return make_detector_recipe(task, setting, seed)
+        return make_generator_recipe(setting, seed, store)
+    return make_detector_recipe(task, setting, seed, store)
 
 
 def _expand_grid(grid: dict) -> list[dict]:
@@ -348,7 +352,7 @@ def cmd_dataset(args) -> int:
 def cmd_tune(args) -> int:
     from . import evalkit
 
-    records = read_jsonl(args.data)
+    store = _read_task(args.data, args.task)
     grid = _read_json(args.grid)
     settings = _expand_grid(grid)
     # every setting is checked before the first trial trains
@@ -360,12 +364,12 @@ def cmd_tune(args) -> int:
         "fraction": args.fraction,
         "grid": grid,
     }
-    items, labels, stratified = _task_data(records, args.task)
+    labels, stratified = _task_labels(store, args.task)
     tuning_ids, remainder_ids = evalkit.tuning_split(
         labels, fraction=args.fraction, stratified=stratified, seed=args.seed
     )
-    trials = [(_make_recipe(args.task, setting, args.seed), 0, tuning_ids) for setting in checked]
-    scores = evalkit.run_trials(items, labels, trials)
+    trials = [(_make_recipe(args.task, setting, args.seed, store), 0, tuning_ids) for setting in checked]
+    scores = evalkit.run_trials(len(store), trials)
     rows = [{**setting, **row} for setting, row in zip(settings, scores)]
     if args.task == "generate":
         rows = evalkit.sort_result_rows(rows, primary="bleu_4", tiebreak="bleu_1")
@@ -382,12 +386,10 @@ def cmd_tune(args) -> int:
     print(f"tuned {len(settings)} settings -> {args.out}")
     if args.remainder_out:
         # the rows behind the remainder's items, copied as read in file order
-        item_rows = _item_rows(records, args.task)
-        keep = {item_rows[i] for i in remainder_ids}
-        lines = (line for i, (_, line) in enumerate(JsonlRows(args.data)) if i in keep)
+        keep = set(store.linenos[remainder_ids].tolist())
         meta = {"command": "tune", "role": "remainder", "task": args.task, "seed": args.seed,
                 "fraction": args.fraction}
-        write_jsonl(args.remainder_out, lines, meta)
+        write_jsonl(args.remainder_out, lines_at(args.data, keep), meta)
         print(f"remainder: {len(keep)} rows -> {args.remainder_out}")
     return 0
 
@@ -395,7 +397,7 @@ def cmd_tune(args) -> int:
 def cmd_cv(args) -> int:
     from . import evalkit
 
-    records = read_jsonl(args.data)
+    store = _read_task(args.data, args.task)
     hp_dict = _read_json(args.hp)
     setting = _check_setting(args.task, hp_dict)
     config = {
@@ -405,9 +407,9 @@ def cmd_cv(args) -> int:
         "k": args.k,
         "hp": hp_dict,
     }
-    items, labels, stratified = _task_data(records, args.task)
+    labels, stratified = _task_labels(store, args.task)
     plan = evalkit.stratified_folds(labels, k=args.k, stratified=stratified, seed=args.seed)
-    result = evalkit.run_cv(items, labels, _make_recipe(args.task, setting, args.seed), plan)
+    result = evalkit.run_cv(_make_recipe(args.task, setting, args.seed, store), plan)
     if args.task == "generate":
         scores = ["bleu_1", "bleu_2", "bleu_3", "bleu_4"]
     else:
@@ -423,8 +425,7 @@ def cmd_pretrain(args) -> int:
     from .detector import DetectorHp
     from .pretrainer import save_lm, train_next_token_lm
 
-    records = read_jsonl(args.pool)
-    sequences = [r.sbt_tokens for r in records]
+    sequences = TokenStore.read(args.pool, code=True).code
     hp = DetectorHp.from_dict(_read_json(args.hp) if args.hp else {})
     model = train_next_token_lm(sequences, hp, args.seed)
     save_lm(model, args.out)
@@ -437,18 +438,18 @@ def cmd_train(args) -> int:
     from .generator import save_generator, train_generator
     from .pretrainer import detector_start, load_lm
 
-    records = read_jsonl(args.data)
+    store = _read_task(args.data, args.task)
     setting = _check_setting(args.task, _read_json(args.hp) if args.hp else {})
     if args.task == "generate" and args.init:
         raise DataError("a pre-trained language model cannot initialize the generator")
-    items, labels, _ = _task_data(records, args.task)
     if args.task == "generate":
-        model = train_generator(items, setting, args.seed)
+        model = train_generator(store, setting, args.seed)
         save_generator(model, args.out)
-        print(f"generator trained on {len(items)} pairs, loss {model.final_loss:.4f} -> {args.out}")
+        print(f"generator trained on {len(store)} pairs, loss {model.final_loss:.4f} -> {args.out}")
         return 0
     start = detector_start(load_lm(args.init), args.mode.replace("-", "_")) if args.init else {}
-    model = fit_detector(setting, items, labels, args.seed, _vocab_kind(args.task), **start)
+    items = _task_items(store, args.task)
+    model = fit_detector(setting, items, store.satd, args.seed, _vocab_kind(args.task), **start)
     save_detector(model, args.out)
     print(f"{model.kind} detector trained on {len(items)} sequences -> {args.out}")
     return 0
@@ -465,7 +466,7 @@ def _input_sequences(path, kind: str, check) -> tuple[list[str], list[list[str]]
         try:
             seq = _line_to_sequence(line, kind)
             if seq:
-                check(seq)
+                check(len(seq))
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         lines.append(line)
@@ -488,7 +489,7 @@ def cmd_detect(args) -> int:
     model = load_detector(args.model)
     kind = args.kind or model.vocab.kind
     lines, sequences = _input_sequences(args.input, kind, partial(check_detector_input, model))
-    results = _predict_all(model, sequences)
+    results = _predict_all(model, as_column(sequences))
     for line, (prob, positive) in zip(lines, results):
         verdict = "SATD" if positive else "NonSATD"
         print(f"{prob:.6f}\t{verdict}\t{line}")
@@ -508,13 +509,11 @@ def cmd_generate(args) -> int:
 def cmd_xproject(args) -> int:
     from . import evalkit
 
-    records = read_jsonl(args.data)
+    store = _read_task(args.data, args.task, projects=True)
     hp_dict = _read_json(args.hp) if args.hp else {}
     setting = _check_setting(args.task, hp_dict)
-    items, labels, _ = _task_data(records, args.task)
-    projects = [r.project for r in records]
-    recipe = make_detector_recipe(args.task, setting, args.seed)
-    rows, mean = evalkit.cross_project_rounds(items, labels, projects, recipe)
+    recipe = make_detector_recipe(args.task, setting, args.seed, store)
+    rows, mean = evalkit.cross_project_rounds(store.projects, recipe)
     config = {"command": "xproject", "task": args.task, "seed": args.seed, "hp": hp_dict}
     table_rows = rows + [{"project": "average", **mean}]
     evalkit.write_report(

@@ -32,7 +32,7 @@ from .errors import (
     check_positive,
     check_training_hp,
 )
-from .textpipe import Vocabulary, build_vocabulary, length_sorted_chunks, pad_batch
+from .textpipe import Vocabulary, as_column, build_vocabulary, length_sorted_chunks, pad_batch
 from .vsm import Csr, TfIdfModel, as_csr, bow_counts, fit_tfidf, transform
 
 
@@ -132,24 +132,24 @@ class DetectorModel:
 
 
 def train_dl_detector(
-    sequences,
+    column,
     labels,
     hp: DetectorHp,
     seed: int,
     vocab: Vocabulary,
     init_blocks: dict[str, np.ndarray] | None,
 ) -> DetectorModel:
-    """Train the LSTM classifier with Adam on binary log-loss over
-    non-empty sequences (`fit_detector` drops the empty ones).
+    """Train the LSTM classifier with Adam on binary log-loss over the
+    non-empty rows of a TokenColumn (`fit_detector` drops the empty ones).
 
     Pre-trained blocks, named as in `LstmStack.named_params`, replace the
     whole stack, or the embedding alone when `init_blocks` holds only
     `embedding.M`, before training.
     """
     labels = [int(v) for v in labels]
-    if len(sequences) != len(labels):
+    if len(column) != len(labels):
         raise DataError("sequences and labels differ in length")
-    if not sequences:
+    if not len(column):
         raise DataError("empty training set")
     if len(set(labels)) < 2:
         raise TrainingError("training data contains a single class")
@@ -159,17 +159,15 @@ def train_dl_detector(
         if list(init_blocks) == ["embedding.M"]:
             wanted = {"embedding.M": wanted["embedding.M"]}
         load_blocks(wanted, init_blocks, "pre-trained language model")
-    encoded = [vocab.encode(s) for s in sequences]
-    for seq in encoded:
-        if len(seq) > hp.seq_cap:
-            raise DataError(f"sequence of length {len(seq)} exceeds cap {hp.seq_cap}")
+    column.check_cap(hp.seq_cap)
+    lut = column.lookup(vocab)
     y_all = np.asarray(labels, dtype=np.float64)
 
     def make_batch(chunk):
-        matrix, mask = pad_batch([encoded[j] for j in chunk], hp.seq_cap)
+        matrix, mask = pad_batch(column.encode_rows(lut, chunk), hp.seq_cap)
         return matrix, mask, y_all[chunk]
 
-    final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(encoded), hp, seed)
+    final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(column), hp, seed)
     return DetectorModel(
         kind="dl",
         vocab=vocab,
@@ -181,26 +179,30 @@ def train_dl_detector(
     )
 
 
-def _featurize(model: DetectorModel, sequences):
-    """The linear model's features: a Csr of counts or TF-IDF weights, or
-    the dense averaged embeddings of `pretrained_embed_svm`."""
+def _featurize(model: DetectorModel, column):
+    """The linear model's features of a TokenColumn's rows: a Csr of counts
+    or TF-IDF weights, or the dense averaged embeddings of
+    `pretrained_embed_svm`."""
     if model.kind == "pretrained_embed_svm":
-        averages = [embed_average(s, model.vocab, model.embedding) for s in sequences]
+        rows = column.encode_rows(column.lookup(model.vocab), slice(None))
+        averages = [embed_average(row, model.embedding) for row in rows]
         return np.array(averages).reshape(-1, model.embedding.shape[1])
-    counts = bow_counts(sequences, model.vocab)
+    counts = bow_counts(column, model.vocab)
     return transform(counts, model.tfidf) if model.features == "tfidf" else counts
 
 
-def check_detector_input(model: DetectorModel, seq) -> None:
-    """Raise DataError unless `predict_many` can score `seq`."""
-    if not seq:
+def check_detector_input(model: DetectorModel, length: int) -> None:
+    """Raise DataError unless `predict_many` can score a sequence of
+    `length` tokens."""
+    if not length:
         raise DataError("cannot classify an empty sequence")
-    if model.kind == "dl" and len(seq) > model.hp.seq_cap:
-        raise DataError(f"sequence of length {len(seq)} exceeds cap {model.hp.seq_cap}")
+    if model.kind == "dl" and length > model.hp.seq_cap:
+        raise DataError(f"sequence of length {length} exceeds cap {model.hp.seq_cap}")
 
 
 def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
-    """Probability and label for each token sequence, in input order.
+    """Probability and label for each token sequence (a TokenColumn's
+    rows, or token lists), in input order.
 
     The DL detector sorts the sequences by length, longest first, pads
     them in chunks of `hp.batch_size` and runs one forward pass per chunk;
@@ -208,25 +210,26 @@ def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
     all sequences at once and score them with one product; naive Bayes
     calls a tie negative and the SVM a zero margin.
     """
-    sequences = list(sequences)
-    for seq in sequences:
-        check_detector_input(model, seq)
+    column = as_column(sequences)
+    lengths = column.lengths().tolist()
+    for length in lengths:
+        check_detector_input(model, length)
     if model.kind in ("mnb", "svm", "pretrained_embed_svm"):
-        return _predict_linear(model, sequences)
+        return _predict_linear(model, column)
     if model.kind != "dl":
         raise DataError(f"unknown detector kind: {model.kind!r}")
     cap = model.hp.seq_cap
-    encoded = [model.vocab.encode(s) for s in sequences]
-    probs = np.empty(len(encoded))
-    for chunk in length_sorted_chunks(encoded, model.hp.batch_size):
-        matrix, mask = pad_batch([encoded[j] for j in chunk], cap)
+    lut = column.lookup(model.vocab)
+    probs = np.empty(len(column))
+    for chunk in length_sorted_chunks(lengths, model.hp.batch_size):
+        matrix, mask = pad_batch(column.encode_rows(lut, chunk), cap)
         # the forward cache goes at once, so no two chunks' caches are alive together
         probs[chunk] = model.network.forward(matrix, mask)[0]
     return [(float(p), bool(p >= model.threshold)) for p in probs]
 
 
-def _predict_linear(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
-    features = _featurize(model, sequences)
+def _predict_linear(model: DetectorModel, column) -> list[tuple[float, bool]]:
+    features = _featurize(model, column)
     if model.kind == "mnb":
         scores = np.stack([features.dot(log_prob) for log_prob in model.feature_log_prob], axis=1)
         scores += model.class_log_prior
@@ -310,10 +313,12 @@ def train_linear_svm(
     return s * v, b, history
 
 
-def embed_average(sequence, vocab: Vocabulary, embedding: np.ndarray) -> np.ndarray:
-    """Mean embedding of the in-vocabulary tokens of a sequence."""
-    indices = [i for i in vocab.encode(sequence) if i != 0]
-    if not indices:
+def embed_average(indices, embedding: np.ndarray) -> np.ndarray:
+    """Mean embedding of the in-vocabulary tokens of one encoded sequence:
+    its indices other than 0."""
+    indices = np.asarray(indices)
+    indices = indices[indices != 0]
+    if not len(indices):
         warnings.warn("sequence has no in-vocabulary tokens; using a zero vector", stacklevel=2)
         return np.zeros(embedding.shape[1])
     return embedding[indices].mean(axis=0)
@@ -324,12 +329,17 @@ def check_detector_setting(hp_dict: dict) -> DetectorSetting:
     training would reject. `model` is dl, mnb or svm; the DetectorHp keys
     pass `check_training_hp` and dl's `pooling` names a pooling mode;
     `features` is bow or tfidf, and `alpha` and `lam` are finite numbers > 0,
-    whatever the model. A key the dict leaves out takes its default from
-    SETTING_DEFAULTS or DetectorHp, but the SVM's `epochs` from SVM_EPOCHS."""
+    whatever the model. Only dl takes a `threshold`: naive Bayes and the
+    SVM call a positive score SATD. A key the dict leaves out takes its
+    default from SETTING_DEFAULTS or DetectorHp, but the SVM's `epochs`
+    from SVM_EPOCHS."""
     values = {**SETTING_DEFAULTS, **hp_dict}
     model = values["model"]
     if model not in MODELS:
         raise DataError(f"unknown model type: {model!r}")
+    if model != "dl" and "threshold" in hp_dict:
+        raise DataError(f"hyper-parameter threshold must be left out for model {model!r}, which calls a "
+                        f"positive score SATD, got {hp_dict['threshold']!r}")
     hp = DetectorHp.from_dict({"epochs": SVM_EPOCHS, **hp_dict} if model == "svm" else hp_dict)
     check_training_hp(hp)
     if model == "dl":
@@ -343,8 +353,9 @@ def check_detector_setting(hp_dict: dict) -> DetectorSetting:
 def fit_detector(setting: DetectorSetting, items, labels, seed: int, vocab_kind: str,
                  vocab: Vocabulary | None = None, init_blocks: dict[str, np.ndarray] | None = None) -> DetectorModel:
     """Train the detector a checked setting names: the LSTM classifier
-    (dl), naive Bayes (mnb) or the SVM (svm), over `vocab`, or over a
-    `vocab_kind` vocabulary built from the items.
+    (dl), naive Bayes (mnb) or the SVM (svm), on the items (a TokenColumn,
+    or token lists), over `vocab`, or over a `vocab_kind` vocabulary built
+    from the items.
 
     Pre-trained `LstmStack` blocks (`pretrainer.detector_start`) start the
     dl detector from a language model's whole stack, or from its embedding
@@ -352,12 +363,13 @@ def fit_detector(setting: DetectorSetting, items, labels, seed: int, vocab_kind:
     alone they turn the svm into `pretrained_embed_svm` over averaged
     embeddings. Empty sequences are dropped for dl only.
     """
+    column = as_column(items)
     if vocab is None:
-        vocab = build_vocabulary(items, vocab_kind)
+        vocab = build_vocabulary(column, vocab_kind)
     if setting.model == "dl":
-        kept = [j for j, s in enumerate(items) if s]
-        sequences, kept_labels = [items[j] for j in kept], [labels[j] for j in kept]
-        return train_dl_detector(sequences, kept_labels, setting.hp, seed, vocab, init_blocks)
+        kept = np.flatnonzero(column.lengths())
+        kept_labels = [labels[j] for j in kept]
+        return train_dl_detector(column.select(kept), kept_labels, setting.hp, seed, vocab, init_blocks)
     kind = setting.model
     if init_blocks is not None:
         mode = "embedding_only" if list(init_blocks) == ["embedding.M"] else "end2end"
@@ -373,9 +385,9 @@ def fit_detector(setting: DetectorSetting, items, labels, seed: int, vocab_kind:
     )
     if kind == "pretrained_embed_svm":
         model.embedding, model.features = init_blocks["embedding.M"], "embed_average"
-        vectors = Csr.from_dense(_featurize(model, items))
+        vectors = Csr.from_dense(_featurize(model, column))
     else:
-        vectors = bow_counts(items, vocab)
+        vectors = bow_counts(column, vocab)
         if setting.features == "tfidf":
             model.tfidf = fit_tfidf(vectors)
             vectors = transform(vectors, model.tfidf)

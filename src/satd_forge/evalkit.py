@@ -168,27 +168,23 @@ def stratified_folds(labels, k: int = 10, stratified: bool = True, seed: int = 0
     return FoldPlan(folds=[sorted(f) for f in folds], stratified=stratified, seed=seed)
 
 
-def run_trials(items, labels, trials) -> list[dict]:
+def run_trials(n_items: int, trials) -> list[dict]:
     """The evaluation loop behind cross validation, cross-project rounds and
-    tuning. Each trial `(recipe, index, test_ids)` trains on the complement
-    of `test_ids`, in increasing index order, and scores `test_ids`.
+    tuning, over items 0..n_items-1. Each trial `(recipe, index, test_ids)`
+    trains on the complement of `test_ids`, in increasing index order, and
+    scores `test_ids`.
 
-    `recipe(train_items, train_labels, test_items, test_labels, index)` must
+    `recipe(train_ids, test_ids, index)` gets both as index arrays and must
     return a dict of numeric scores; the dicts come back in trial order.
     """
+    import numpy as np
+
     results = []
     for recipe, index, test_ids in trials:
-        held_out = set(test_ids)
-        train_ids = [i for i in range(len(items)) if i not in held_out]
-        results.append(
-            recipe(
-                [items[i] for i in train_ids],
-                [labels[i] for i in train_ids],
-                [items[i] for i in test_ids],
-                [labels[i] for i in test_ids],
-                index,
-            )
-        )
+        test_ids = np.asarray(test_ids, dtype=np.int64)
+        train = np.ones(n_items, dtype=bool)
+        train[test_ids] = False
+        results.append(recipe(np.flatnonzero(train), test_ids, index))
     return results
 
 
@@ -205,9 +201,10 @@ def _mean_of(dicts: list[dict]) -> dict:
     return {k: sum(d[k] for d in dicts) / len(dicts) for k in keys}
 
 
-def run_cv(items, labels, recipe, plan: FoldPlan) -> CvResult:
+def run_cv(recipe, plan: FoldPlan) -> CvResult:
     """Train on k-1 folds and score the held-out fold, for every fold."""
-    scores = run_trials(items, labels, [(recipe, j, fold) for j, fold in enumerate(plan.folds)])
+    n_items = sum(len(fold) for fold in plan.folds)
+    scores = run_trials(n_items, [(recipe, j, fold) for j, fold in enumerate(plan.folds)])
     per_fold = [
         {"fold": j, "test_size": len(fold), **row}
         for j, (fold, row) in enumerate(zip(plan.folds, scores))
@@ -220,15 +217,15 @@ def sort_result_rows(rows: list[dict], primary: str = "f1", tiebreak: str = "pre
     return sorted(rows, key=lambda r: (-r.get(primary, 0.0), -r.get(tiebreak, 0.0)))
 
 
-def cross_project_rounds(items, labels, projects, recipe) -> tuple[list[dict], dict]:
-    """Leave-one-project-out: each round tests on one project, in sorted
-    project order, and trains on the rest. Returns (per-project rows,
-    average)."""
+def cross_project_rounds(projects, recipe) -> tuple[list[dict], dict]:
+    """Leave-one-project-out over items whose projects are `projects`: each
+    round tests on one project, in sorted project order, and trains on the
+    rest. Returns (per-project rows, average)."""
     tags = sorted(set(projects))
     if len(tags) < 2:
         raise DataError("cross-project validation needs at least two projects")
     rounds = [[i for i, p in enumerate(projects) if p == tag] for tag in tags]  # test ids per project
-    scores = run_trials(items, labels, [(recipe, index, test_ids) for index, test_ids in enumerate(rounds)])
+    scores = run_trials(len(projects), [(recipe, index, test_ids) for index, test_ids in enumerate(rounds)])
     rows = [
         {"project": tag, "test_size": len(test_ids), **row}
         for tag, test_ids, row in zip(tags, rounds, scores)

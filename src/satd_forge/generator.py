@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor_core as tc
 from .checkpoint import check_network, header_object, header_vocabulary, load_blocks, load_checkpoint, save_network
 from .errors import DataError, HyperParameters, check_training_hp
-from .textpipe import EOS, SOS, Vocabulary, build_vocabulary, length_sorted_chunks, pad_batch
+from .textpipe import EOS, SOS, TokenStore, Vocabulary, as_column, build_vocabulary, length_sorted_chunks, pad_batch
 
 
 @dataclass
@@ -182,12 +182,10 @@ class Seq2SeqNetwork(tc.Network):
         self.backward(caches)
         return loss
 
-    def decode_greedy_many(
-        self, enc_lists: list[list[int]], sos: int, eos: int, max_words: int
-    ) -> list[list[int]]:
-        """Argmax decoding of a batch of inputs, one decoder step for all
-        rows at a time. Each row emits until `eos` or the word cap, and
-        leaves the batch at its `eos`."""
+    def decode_greedy_many(self, enc_lists, sos: int, eos: int, max_words: int) -> list[list[int]]:
+        """Argmax decoding of a batch of inputs (index lists or arrays), one
+        decoder step for all rows at a time. Each row emits until `eos` or
+        the word cap, and leaves the batch at its `eos`."""
         enc_idx, enc_mask = pad_batch(enc_lists, max(map(len, enc_lists)))
         enc = tc.Packing(enc_mask)
         Henc, enc_finals = self.encoder.forward(enc_idx, enc)[:2]  # the cache is not kept
@@ -227,34 +225,28 @@ class GeneratorModel:
 
 def train_generator(pairs, hp: GeneratorHp, seed: int) -> GeneratorModel:
     """Train on (sbt_tokens, framed_comment) pairs with RMSprop, over code
-    and comment vocabularies built from the pairs.
+    and comment vocabularies built from the pairs. `pairs` is a TokenStore
+    whose `code` and `comment` columns hold them, or a list of them.
 
     Framed comments must carry <sos>/<eos>; the decoder trains on the
     sequence offset by one position.
     """
     check_training_hp(hp)
-    pairs = list(pairs)
-    if not pairs:
+    if not isinstance(pairs, TokenStore):
+        pairs = TokenStore.from_pairs(pairs)
+    if not len(pairs):
         raise DataError("empty training set")
-    for code, framed in pairs:
-        if len(code) > hp.code_cap:
-            raise DataError(f"code sequence of length {len(code)} exceeds cap {hp.code_cap}")
-        if len(framed) > hp.comment_cap + 2:
-            raise DataError(f"comment of length {len(framed)} exceeds cap {hp.comment_cap}")
-        if not code:
-            raise DataError("empty code sequence in training pair")
-        if len(framed) < 2 or framed[0] != SOS or framed[-1] != EOS:
-            raise DataError("comment is not framed with sentence markers")
-    code_vocab = build_vocabulary([c for c, _ in pairs], "code")
-    comment_vocab = build_vocabulary([f for _, f in pairs], "comment")
+    code, framed = pairs.code, pairs.comment
+    _check_pairs(code, framed, hp)
+    code_vocab = build_vocabulary(code, "code")
+    comment_vocab = build_vocabulary(framed, "comment")
     network = Seq2SeqNetwork(code_vocab.size, comment_vocab.size, hp.latent, hp.layers, seed)
-    enc_seqs = [code_vocab.encode(c) for c, _ in pairs]
-    framed_seqs = [comment_vocab.encode(f) for _, f in pairs]
+    code_lut, comment_lut = code.lookup(code_vocab), framed.lookup(comment_vocab)
 
     def make_batch(chunk):
-        enc_idx, enc_mask = pad_batch([enc_seqs[j] for j in chunk], hp.code_cap)
-        dec_idx, dec_mask = pad_batch([framed_seqs[j][:-1] for j in chunk], hp.comment_cap + 2)
-        tgt_idx, _ = pad_batch([framed_seqs[j][1:] for j in chunk], hp.comment_cap + 2)
+        enc_idx, enc_mask = pad_batch(code.encode_rows(code_lut, chunk), hp.code_cap)
+        dec_idx, dec_mask = pad_batch(framed.encode_rows(comment_lut, chunk, tail=1), hp.comment_cap + 2)
+        tgt_idx, _ = pad_batch(framed.encode_rows(comment_lut, chunk, head=1), hp.comment_cap + 2)
         return enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx
 
     final_loss = tc.fit(network, tc.RmsProp(lr=hp.learning_rate), make_batch, len(pairs), hp, seed)
@@ -268,29 +260,50 @@ def train_generator(pairs, hp: GeneratorHp, seed: int) -> GeneratorModel:
     )
 
 
-def check_generator_input(model: GeneratorModel, seq) -> None:
-    """Raise DataError unless `generate_comments` can decode `seq`."""
-    if not seq:
+def _check_pairs(code, framed, hp: GeneratorHp) -> None:
+    """DataError for the first pair, in order, whose code is empty or
+    longer than `code_cap`, or whose framed comment is longer than
+    `comment_cap` words or lacks its markers."""
+    code_len, framed_len = code.lengths(), framed.lengths()
+    sos, eos = (framed.words.index(w) if w in framed.words else -1 for w in (SOS, EOS))
+    framed_ok = framed_len >= 2
+    firsts, lasts = framed.ids[framed.starts[framed_ok]], framed.ids[framed.ends[framed_ok] - 1]
+    framed_ok[framed_ok] = (firsts == sos) & (lasts == eos)
+    bad = (code_len > hp.code_cap) | (framed_len > hp.comment_cap + 2) | (code_len == 0) | ~framed_ok
+    for j in np.flatnonzero(bad)[:1].tolist():
+        if code_len[j] > hp.code_cap:
+            raise DataError(f"code sequence of length {code_len[j]} exceeds cap {hp.code_cap}")
+        if framed_len[j] > hp.comment_cap + 2:
+            raise DataError(f"comment of length {framed_len[j]} exceeds cap {hp.comment_cap}")
+        if not code_len[j]:
+            raise DataError("empty code sequence in training pair")
+        raise DataError("comment is not framed with sentence markers")
+
+
+def check_generator_input(model: GeneratorModel, length: int) -> None:
+    """Raise DataError unless `generate_comments` can decode a sequence of
+    `length` tokens."""
+    if not length:
         raise DataError("cannot generate a comment for an empty input")
-    if len(seq) > model.hp.code_cap:
-        raise DataError(f"input of length {len(seq)} exceeds cap {model.hp.code_cap}")
+    if length > model.hp.code_cap:
+        raise DataError(f"input of length {length} exceeds cap {model.hp.code_cap}")
 
 
 def generate_comments(model: GeneratorModel, sequences) -> list[list[str]]:
-    """Greedy decode code sequences into comment words (markers
-    excluded), in input order. The inputs are sorted by length, longest
-    first, and decoded in chunks of `hp.batch_size`."""
-    sequences = list(sequences)
-    for seq in sequences:
-        check_generator_input(model, seq)
-    encoded = [model.code_vocab.encode(s) for s in sequences]
+    """Greedy decode code sequences (a TokenColumn's rows, or token lists)
+    into comment words (markers excluded), in input order. The inputs are
+    sorted by length, longest first, and decoded in chunks of
+    `hp.batch_size`."""
+    column = as_column(sequences)
+    lengths = column.lengths().tolist()
+    for length in lengths:
+        check_generator_input(model, length)
+    lut = column.lookup(model.code_vocab)
     sos = model.comment_vocab.index_of[SOS]
     eos = model.comment_vocab.index_of[EOS]
-    comments: list[list[str]] = [[] for _ in encoded]
-    for chunk in length_sorted_chunks(encoded, model.hp.batch_size):
-        decoded = model.network.decode_greedy_many(
-            [encoded[j] for j in chunk], sos, eos, model.hp.comment_cap
-        )
+    comments: list[list[str]] = [[] for _ in lengths]
+    for chunk in length_sorted_chunks(lengths, model.hp.batch_size):
+        decoded = model.network.decode_greedy_many(column.encode_rows(lut, chunk), sos, eos, model.hp.comment_cap)
         for j, indices in zip(chunk, decoded):
             comments[j] = model.comment_vocab.decode(indices)
     return comments

@@ -699,14 +699,16 @@ class JsonlRows:
 
     Iterating yields (record, line) for each row, where `line` is the row's
     bytes as read, line break included (one is added to a last line that
-    lacks it). `meta` holds the object of the last `_meta` line read so far;
-    that line may sit anywhere in the file. Blank lines are skipped. A row
-    that is not UTF-8, not JSON, or lacks a field or has one of the wrong
-    type raises DataError naming `path:line`."""
+    lacks it), and `lineno` is its line number, from 1. `meta` holds the
+    object of the last `_meta` line read so far; that line may sit anywhere
+    in the file. Blank lines are skipped. A row that is not UTF-8, not JSON,
+    or lacks a field or has one of the wrong type raises DataError naming
+    `path:line`."""
 
     def __init__(self, path):
         self.path = path
         self.meta: dict = {}
+        self.lineno = 0
 
     def __iter__(self):
         path = self.path
@@ -732,9 +734,15 @@ class JsonlRows:
                     raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
                 if not line.endswith(b"\n"):
                     line += b"\n"
+                self.lineno = lineno
                 yield record, line
 
 
-def read_jsonl(path) -> list[PairRecord]:
-    """The records of the corpus file at `path`: `JsonlRows` as a list."""
-    return [record for record, _ in JsonlRows(path)]
+def lines_at(path, linenos):
+    """The lines of the file at `path` whose numbers (from 1) are in
+    `linenos`, in file order and as `JsonlRows` yields them, without
+    decoding them again."""
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            if lineno in linenos:
+                yield line if line.endswith(b"\n") else line + b"\n"

@@ -11,7 +11,7 @@ from . import tensor_core as tc
 from .checkpoint import check_network, header_object, header_vocabulary, load_blocks, load_checkpoint, save_network
 from .detector import DetectorHp
 from .errors import DataError, check_training_hp
-from .textpipe import Vocabulary, build_vocabulary, pad_batch
+from .textpipe import Vocabulary, as_column, build_vocabulary, pad_batch
 
 
 class LmNetwork(tc.Network):
@@ -59,27 +59,27 @@ class LmModel:
 
 def train_next_token_lm(sequences, hp: DetectorHp, seed: int) -> LmModel:
     """Teacher-forced next-token prediction over the full sequence, Adam,
-    with a code vocabulary built from the usable sequences."""
+    with a code vocabulary built from the usable sequences (a TokenColumn's
+    rows, or token lists)."""
     check_training_hp(hp)
+    column = as_column(sequences)
     # sequences shorter than 2 tokens have no next token to predict
-    usable = [s for s in sequences if len(s) >= 2]
+    usable = column.select(np.flatnonzero(column.lengths() >= 2))
     if len(usable) < hp.batch_size:
         raise DataError(
             f"corpus of {len(usable)} usable sequences is smaller than one batch ({hp.batch_size})"
         )
-    for s in usable:
-        if len(s) > hp.seq_cap:
-            raise DataError(f"sequence of length {len(s)} exceeds cap {hp.seq_cap}")
+    usable.check_cap(hp.seq_cap)
     vocab = build_vocabulary(usable, "code")
-    encoded = [vocab.encode(s) for s in usable]
+    lut = usable.lookup(vocab)
     network = LmNetwork(vocab.size, hp.latent, hp.layers, seed)
 
     def make_batch(chunk):
-        idx, mask = pad_batch([encoded[j][:-1] for j in chunk], hp.seq_cap)
-        tgt, _ = pad_batch([encoded[j][1:] for j in chunk], hp.seq_cap)
+        idx, mask = pad_batch(usable.encode_rows(lut, chunk, tail=1), hp.seq_cap)
+        tgt, _ = pad_batch(usable.encode_rows(lut, chunk, head=1), hp.seq_cap)
         return idx, mask, tgt
 
-    final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(encoded), hp, seed)
+    final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(usable), hp, seed)
     return LmModel(vocab=vocab, hp=hp, network=network, final_loss=final_loss, seed=seed)
 
 

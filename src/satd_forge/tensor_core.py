@@ -560,9 +560,23 @@ RMSPROP_RHO = 0.9
 EPS = 1e-8
 
 
+def _scratch(named_params) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat buffers as large as the largest block: an optimizer step's
+    scratch, reused block after block."""
+    size = max((param.size for param, _ in named_params.values()), default=0)
+    return np.empty(size), np.empty(size)
+
+
+def _view(buffer: np.ndarray, like: np.ndarray) -> np.ndarray:
+    return buffer[: like.size].reshape(like.shape)
+
+
 class Adam:
     """Bias-corrected adaptive-moment optimizer (ADAM_BETA1, ADAM_BETA2,
-    EPS); one shared step counter."""
+    EPS); one shared step counter. A block's moments are made on its first
+    step; each step runs through two scratch buffers, in the order of
+    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g**2,
+    param -= lr m_hat / (sqrt(v_hat) + EPS)."""
 
     def __init__(self, lr: float = 1e-3):
         self.lr = lr
@@ -576,20 +590,31 @@ class Adam:
                 raise TrainingError(f"non-finite gradient in {name}")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
+        scratch = _scratch(named_params)
         for name, (param, grad) in named_params.items():
-            m = self.m.setdefault(name, np.zeros_like(param))
-            v = self.v.setdefault(name, np.zeros_like(param))
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(param), np.zeros_like(param)
+            m, v = self.m[name], self.v[name]
+            a, b = (_view(buffer, param) for buffer in scratch)
             m *= b1
-            m += (1.0 - b1) * grad
+            m += np.multiply(1.0 - b1, grad, out=a)
             v *= b2
-            v += (1.0 - b2) * grad**2
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+            np.square(grad, out=b)
+            v += np.multiply(1.0 - b2, b, out=b)
+            np.divide(m, 1.0 - b1**self.t, out=a)  # m_hat
+            np.divide(v, 1.0 - b2**self.t, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += EPS
+            np.multiply(self.lr, a, out=a)
+            a /= b
+            param -= a
 
 
 class RmsProp:
-    """Squared-gradient moving-average optimizer (RMSPROP_RHO, EPS)."""
+    """Squared-gradient moving-average optimizer (RMSPROP_RHO, EPS). A
+    block's average is made on its first step; each step runs through two
+    scratch buffers, in the order of cache = rho cache + (1-rho) g**2,
+    param -= lr g / (sqrt(cache) + EPS)."""
 
     def __init__(self, lr: float = 1e-3):
         self.lr = lr
@@ -599,11 +624,20 @@ class RmsProp:
         for name, (_, grad) in named_params.items():
             if not np.isfinite(grad).all():
                 raise TrainingError(f"non-finite gradient in {name}")
+        scratch = _scratch(named_params)
         for name, (param, grad) in named_params.items():
-            cache = self.cache.setdefault(name, np.zeros_like(param))
+            if name not in self.cache:
+                self.cache[name] = np.zeros_like(param)
+            cache = self.cache[name]
+            a, b = (_view(buffer, param) for buffer in scratch)
             cache *= RMSPROP_RHO
-            cache += (1.0 - RMSPROP_RHO) * grad**2
-            param -= self.lr * grad / (np.sqrt(cache) + EPS)
+            np.square(grad, out=b)
+            cache += np.multiply(1.0 - RMSPROP_RHO, b, out=b)
+            np.multiply(self.lr, grad, out=a)
+            np.sqrt(cache, out=b)
+            b += EPS
+            a /= b
+            param -= a
 
 
 def fit(network: Network, optimizer, make_batch, n_items: int, hp, seed: int) -> float:

@@ -5,13 +5,12 @@ document and a column per vocabulary term.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .textpipe import Vocabulary
+from .textpipe import Vocabulary, as_column
 
 
 @dataclass
@@ -58,18 +57,17 @@ class Csr:
 
 
 def bow_counts(documents, vocab: Vocabulary) -> Csr:
-    """Occurrence counts per vocabulary term, one row per document;
-    out-of-vocabulary tokens ignored. A row lists its terms in order of
-    first occurrence."""
-    documents = list(documents)
-    tokens = itertools.chain.from_iterable(documents)
-    cols = np.fromiter(map(vocab.index_of.get, tokens, itertools.repeat(-1)), dtype=np.int64)
-    rows = np.repeat(np.arange(len(documents)), [len(doc) for doc in documents])
+    """Occurrence counts per vocabulary term, one row per document of
+    `documents` (a TokenColumn, or token lists); out-of-vocabulary tokens
+    ignored. A row lists its terms in order of first occurrence."""
+    column = as_column(documents)
+    cols = column.lookup(vocab, missing=-1)[column.flat()]
+    rows = np.repeat(np.arange(len(column)), column.lengths())
     known = cols >= 0
     keys, first, counts = np.unique(rows[known] * vocab.size + cols[known], return_index=True, return_counts=True)
     order = np.argsort(first)
     keys, counts = keys[order], counts[order]
-    return Csr.from_entries(keys // vocab.size, keys % vocab.size, counts, len(documents), vocab.size)
+    return Csr.from_entries(keys // vocab.size, keys % vocab.size, counts, len(column), vocab.size)
 
 
 @dataclass

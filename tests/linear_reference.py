@@ -7,11 +7,20 @@ step. Their outputs are the contract the array versions keep.
 """
 
 import math
+import warnings
 
 import numpy as np
 
 from satd_forge import tensor_core as tc
-from satd_forge.detector import embed_average
+
+
+def embed_average(sequence, vocab, embedding) -> np.ndarray:
+    """Mean embedding of the in-vocabulary tokens of a sequence."""
+    indices = [i for i in vocab.encode(sequence) if i != 0]
+    if not indices:
+        warnings.warn("sequence has no in-vocabulary tokens; using a zero vector", stacklevel=2)
+        return np.zeros(embedding.shape[1])
+    return embedding[indices].mean(axis=0)
 
 
 def bow_counts(document, vocab) -> dict[int, float]:

@@ -245,28 +245,29 @@ def test_criterion_04_detector_capability_cv():
             learning_rate=2e-3,
         )
 
-        def dl_recipe(train_x, train_y, test_x, test_y, fold):
-            model = train_dl(train_x, train_y, hp, fold)
-            preds = [predict_many(model, [s])[0][1] for s in test_x]
-            return prf1(preds, test_y).as_dict()
+        def dl_recipe(train_ids, test_ids, fold):
+            model = train_dl([seqs[i] for i in train_ids], [labels[i] for i in train_ids], hp, fold)
+            preds = [predict_many(model, [seqs[i]])[0][1] for i in test_ids]
+            return prf1(preds, [labels[i] for i in test_ids]).as_dict()
 
-        result = run_cv(seqs, labels, dl_recipe, plan)
+        result = run_cv(dl_recipe, plan)
         scores[f"lstm/{pooling}"] = result.mean["f1"]
 
-    def mnb_recipe(train_x, train_y, test_x, test_y, fold):
-        model = fit_detector(check_detector_setting({"model": "mnb"}), train_x, train_y, fold, "code")
-        preds = [predict_many(model, [s])[0][1] for s in test_x]
-        return prf1(preds, test_y).as_dict()
+    def mnb_recipe(train_ids, test_ids, fold):
+        model = fit_detector(check_detector_setting({"model": "mnb"}), [seqs[i] for i in train_ids],
+                             [labels[i] for i in train_ids], fold, "code")
+        preds = [predict_many(model, [seqs[i]])[0][1] for i in test_ids]
+        return prf1(preds, [labels[i] for i in test_ids]).as_dict()
 
-    scores["mnb"] = run_cv(seqs, labels, mnb_recipe, plan).mean["f1"]
+    scores["mnb"] = run_cv(mnb_recipe, plan).mean["f1"]
 
-    def svm_recipe(train_x, train_y, test_x, test_y, fold):
+    def svm_recipe(train_ids, test_ids, fold):
         setting = check_detector_setting({"model": "svm", "features": "bow", "epochs": 20})
-        model = fit_detector(setting, train_x, train_y, fold, "code")
-        preds = [predict_many(model, [s])[0][1] for s in test_x]
-        return prf1(preds, test_y).as_dict()
+        model = fit_detector(setting, [seqs[i] for i in train_ids], [labels[i] for i in train_ids], fold, "code")
+        preds = [predict_many(model, [seqs[i]])[0][1] for i in test_ids]
+        return prf1(preds, [labels[i] for i in test_ids]).as_dict()
 
-    scores["svm"] = run_cv(seqs, labels, svm_recipe, plan).mean["f1"]
+    scores["svm"] = run_cv(svm_recipe, plan).mean["f1"]
 
     assert all(f1 >= 0.95 for f1 in scores.values()), scores
     summary = ", ".join(f"{k}={v:.3f}" for k, v in scores.items())
@@ -423,13 +424,13 @@ def test_criterion_10_protocol_invariants():
             projects[0] = "proj_a"
             projects[1] = "proj_b"
 
-        def recipe(train_items, train_labels, test_items, test_labels, round_index):
-            train_tags = {projects[i] for i in train_items}
-            test_tags = {projects[i] for i in test_items}
+        def recipe(train_ids, test_ids, round_index):
+            train_tags = {projects[i] for i in train_ids}
+            test_tags = {projects[i] for i in test_ids}
             assert not (train_tags & test_tags), "project leaked across the split"
             return {"f1": 0.0}
 
-        cross_project_rounds(list(range(n)), labels, projects, recipe)
+        cross_project_rounds(projects, recipe)
     report(10, "tuning split, fold plans, and cross-project rounds hold on 30 random datasets")
 
 

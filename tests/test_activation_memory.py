@@ -75,7 +75,7 @@ def test_predict_many_peaks_at_one_chunk_forward():
     hp = DetectorHp(latent=16, layers=3, batch_size=8)
     model = DetectorModel(kind="dl", vocab=vocab, hp=hp, network=DetectorNetwork(vocab.size, 16, 3, "mean", 3))
     encoded = [vocab.encode(s) for s in sequences]
-    first = next(iter(length_sorted_chunks(encoded, hp.batch_size)))
+    first = next(iter(length_sorted_chunks([len(s) for s in encoded], hp.batch_size)))
     matrix, mask = pad_batch([encoded[j] for j in first], hp.seq_cap)
     _, _, one = traced(lambda: model.network.forward(matrix, mask))
     _, _, many = traced(lambda: predict_many(model, sequences))

@@ -183,5 +183,5 @@ class TestDecodeGreedyMany:
 
 def test_length_sorted_chunks():
     seqs = [[1], [1, 2, 3], [], [4, 5, 6], [7, 8]]
-    assert length_sorted_chunks(seqs, 2) == [[1, 3], [4, 0], [2]]
+    assert length_sorted_chunks([len(s) for s in seqs], 2) == [[1, 3], [4, 0], [2]]
     assert length_sorted_chunks([], 3) == []

@@ -74,9 +74,9 @@ def tune_with_remainder(tmp_path, monkeypatch, data, task, grid):
     scored = []
     real_run_trials = evalkit.run_trials
 
-    def spy(items, labels, trials):
+    def spy(n_items, trials):
         scored.extend(test_ids for _, _, test_ids in trials)
-        return real_run_trials(items, labels, trials)
+        return real_run_trials(n_items, trials)
 
     monkeypatch.setattr(evalkit, "run_trials", spy)
     (tmp_path / "grid.json").write_text(json.dumps(grid))
@@ -238,6 +238,14 @@ class TestMineAndLabel:
         src = str(Path(__file__).parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = "import sys, satd_forge.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        # the CLI loads textpipe, the token store's module, which imports numpy only in the bodies that need it
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, satd_forge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "[]\n"
 
@@ -725,6 +733,23 @@ class TestBadInputs:
         assert f"{corpus}:2: malformed row: {field} " in err
         assert not (tmp_path / "d.jsonl").exists()
 
+    # the training commands keep only the fields they read, after every field passed its check
+    @pytest.mark.parametrize("argv,field,value", [
+        (["train", "--task", "detect-comment", "--out", "m.ckpt"], "sbt_tokens", [1, 2]),
+        (["pretrain", "--out", "m.ckpt"], "comment_words", [["todo"]]),
+        (["xproject", "--task", "detect-code", "--report", "rep"], "project", 5),
+        (["tune", "--task", "generate", "--grid", "g.json", "--out", "t.json"], "span", ["0"]),
+    ])
+    def test_training_commands_check_every_field(self, tmp_path, capsys, monkeypatch, argv, field, value):
+        monkeypatch.chdir(tmp_path)
+        corpus = tmp_path / "c.jsonl"
+        rows = [{"_meta": {}}, self.GOOD_ROW, {**self.GOOD_ROW, field: value}]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        (tmp_path / "g.json").write_text("{}")
+        assert run(argv[0], str(corpus), *argv[1:]) == 2
+        assert f"{corpus}:3: malformed row: {field} " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "g.json"]
+
     def test_row_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         row = json.dumps({**self.GOOD_ROW, "code_text": "caf\u00e9"}, ensure_ascii=False)
@@ -913,6 +938,9 @@ class TestBadHyperParameters:
         ("cv", ["--task", "detect-code", "--report", "rep"], {"model": "mnb", "features": "tfidff"}, "features"),
         ("xproject", ["--task", "detect-code", "--report", "rep"], {"model": "svm", "features": "tfidff"},
          "features"),
+        # naive Bayes and the SVM apply no threshold, so a setting that names one is refused
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "mnb", "threshold": 0.99}, "threshold"),
+        ("cv", ["--task", "detect-comment", "--report", "rep"], {"model": "svm", "threshold": 0.5}, "threshold"),
     ])
     def test_exit_2_and_nothing_written(self, tmp_path, capsys, monkeypatch, command, extra, hp, name):
         monkeypatch.chdir(tmp_path)
@@ -955,6 +983,11 @@ class TestBadHyperParameters:
          "hyper-parameter alpha must be a finite number > 0, got 0"),
         ("detect-comment", {"model": "mnb", "features": ["bow", "tfidff"]}, [(detector, "train_mnb")],
          "hyper-parameter features must be one of 'bow', 'tfidf', got 'tfidff'"),
+        ("detect-comment", {"model": ["dl", "mnb"], "threshold": 0.9, "latent": 4, "batch_size": 2, "epochs": 1},
+         [(detector, "train_dl_detector"), (detector, "train_mnb")],
+         "hyper-parameter threshold must be left out for model 'mnb', which calls a positive score SATD, got 0.9"),
+        ("detect-code", {"model": "svm", "threshold": [0.3, 0.7]}, [(detector, "train_linear_svm")],
+         "hyper-parameter threshold must be left out for model 'svm', which calls a positive score SATD, got 0.3"),
     ])
     def test_tune_checks_every_setting_before_the_first_trial(self, tmp_path, capsys, monkeypatch,
                                                               task, grid, trainer, error):

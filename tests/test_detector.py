@@ -283,25 +283,25 @@ class TestEmbedAverage:
     def test_single_token(self):
         vocab = build_vocabulary([["a", "b"]], "code")
         M = np.arange(6, dtype=float).reshape(3, 2)
-        np.testing.assert_array_equal(embed_average(["a"], vocab, M), M[1])
+        np.testing.assert_array_equal(embed_average(vocab.encode(["a"]), M), M[1])
 
     def test_opposite_embeddings_cancel(self):
         vocab = build_vocabulary([["a", "b"]], "code")
         M = np.array([[0.0, 0.0], [1.0, -2.0], [-1.0, 2.0]])
-        np.testing.assert_allclose(embed_average(["a", "b"], vocab, M), 0.0)
+        np.testing.assert_allclose(embed_average(vocab.encode(["a", "b"]), M), 0.0)
 
     def test_permutation_invariant(self):
         vocab = build_vocabulary([["a", "b", "c"]], "code")
         M = np.random.default_rng(0).normal(size=(4, 3))
-        x = embed_average(["a", "b", "c", "a"], vocab, M)
-        y = embed_average(["a", "a", "c", "b"], vocab, M)
+        x = embed_average(vocab.encode(["a", "b", "c", "a"]), M)
+        y = embed_average(vocab.encode(["a", "a", "c", "b"]), M)
         np.testing.assert_allclose(x, y)
 
     def test_all_oov_warns_and_zeroes(self):
         vocab = build_vocabulary([["a"]], "code")
         M = np.ones((2, 3))
         with pytest.warns(UserWarning):
-            out = embed_average(["zzz"], vocab, M)
+            out = embed_average(vocab.encode(["zzz"]), M)
         np.testing.assert_array_equal(out, 0.0)
 
 

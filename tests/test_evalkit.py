@@ -189,27 +189,25 @@ class TestRunCv:
     def test_constant_positive_classifier_closed_form(self):
         # on a balanced fold: R = 1, P = 0.5, F1 = 2/3
         labels = [1, 0] * 20
-        items = list(range(40))
         plan = stratified_folds(labels, k=10, stratified=True, seed=0)
 
-        def recipe(train_items, train_labels, test_items, test_labels, fold):
-            preds = [True] * len(test_items)
-            return prf1(preds, test_labels).as_dict()
+        def recipe(train_ids, test_ids, fold):
+            preds = [True] * len(test_ids)
+            return prf1(preds, [labels[i] for i in test_ids]).as_dict()
 
-        result = run_cv(items, labels, recipe, plan)
+        result = run_cv(recipe, plan)
         assert result.mean["recall"] == pytest.approx(1.0)
         assert result.mean["precision"] == pytest.approx(0.5)
         assert result.mean["f1"] == pytest.approx(2.0 / 3.0)
 
     def test_mean_matches_manual_average(self):
         labels = [1, 0] * 10
-        items = list(range(20))
         plan = stratified_folds(labels, k=4, seed=2)
 
-        def recipe(train_items, train_labels, test_items, test_labels, fold):
+        def recipe(train_ids, test_ids, fold):
             return {"f1": float(fold)}
 
-        result = run_cv(items, labels, recipe, plan)
+        result = run_cv(recipe, plan)
         manual = sum(r["f1"] for r in result.per_fold) / len(result.per_fold)
         assert result.mean["f1"] == pytest.approx(manual)
 
@@ -219,12 +217,13 @@ class TestRunCv:
         plan = stratified_folds(labels, k=5, seed=3)
         seen = []
 
-        def recipe(train_items, train_labels, test_items, test_labels, fold):
-            assert not (set(train_items) & set(test_items))
-            seen.extend(test_items)
+        def recipe(train_ids, test_ids, fold):
+            assert not (set(train_ids.tolist()) & set(test_ids.tolist()))
+            assert sorted(train_ids.tolist() + test_ids.tolist()) == items
+            seen.extend(test_ids.tolist())
             return {"f1": 0.0}
 
-        run_cv(items, labels, recipe, plan)
+        run_cv(recipe, plan)
         assert sorted(seen) == items
 
 
@@ -242,15 +241,14 @@ class TestSorting:
 class TestCrossProject:
     def test_two_projects_two_rounds(self):
         items = ["a", "b", "c", "d"]
-        labels = [1, 0, 1, 0]
         projects = ["p1", "p1", "p2", "p2"]
         calls = []
 
-        def recipe(train_items, train_labels, test_items, test_labels, fold):
-            calls.append((tuple(train_items), tuple(test_items)))
+        def recipe(train_ids, test_ids, fold):
+            calls.append((tuple(items[i] for i in train_ids), tuple(items[i] for i in test_ids)))
             return {"f1": 1.0}
 
-        rows, mean = cross_project_rounds(items, labels, projects, recipe)
+        rows, mean = cross_project_rounds(projects, recipe)
         assert len(rows) == 2
         assert mean["f1"] == 1.0
         for train, test in calls:
@@ -258,13 +256,11 @@ class TestCrossProject:
 
     def test_eight_projects_eight_rounds(self):
         projects = [f"proj{i}" for i in range(8) for _ in range(3)]
-        items = list(range(len(projects)))
-        labels = [i % 2 for i in items]
 
-        def recipe(train_items, train_labels, test_items, test_labels, fold):
+        def recipe(train_ids, test_ids, fold):
             return {"f1": 0.5}
 
-        rows, _ = cross_project_rounds(items, labels, projects, recipe)
+        rows, _ = cross_project_rounds(projects, recipe)
         assert len(rows) == 8
 
     @given(st.lists(st.sampled_from(["p1", "p2", "p3", "p4"]), min_size=4, max_size=40))
@@ -272,20 +268,17 @@ class TestCrossProject:
     def test_no_leakage_property(self, projects):
         if len(set(projects)) < 2:
             return
-        items = list(range(len(projects)))
-        labels = [i % 2 for i in items]
-
-        def recipe(train_items, train_labels, test_items, test_labels, fold):
-            train_projects = {projects[i] for i in train_items}
-            test_projects = {projects[i] for i in test_items}
+        def recipe(train_ids, test_ids, fold):
+            train_projects = {projects[i] for i in train_ids}
+            test_projects = {projects[i] for i in test_ids}
             assert not (train_projects & test_projects)
             return {"f1": 0.0}
 
-        cross_project_rounds(items, labels, projects, recipe)
+        cross_project_rounds(projects, recipe)
 
     def test_single_project_rejected(self):
         with pytest.raises(DataError):
-            cross_project_rounds([1], [1], ["only"], lambda *a: {})
+            cross_project_rounds(["only"], lambda *a: {})
 
 
 

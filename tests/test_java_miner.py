@@ -20,8 +20,8 @@ from satd_forge.java_miner import (
     lex_java,
     link_comments,
     mine_file,
+    JsonlRows,
     PairRecord,
-    read_jsonl,
     write_jsonl,
     write_rows,
 )
@@ -341,7 +341,7 @@ class TestWriteJsonl:
             write_jsonl(path, fail_on_third_row(), {"n": 3})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
-        assert [r.path for r in read_jsonl(path)] == ["F0.java", "F1.java", "F2.java"]
+        assert [r.path for r, _ in JsonlRows(path)] == ["F0.java", "F1.java", "F2.java"]
 
     def test_joined_parts_match_one_write_and_are_deleted(self, tmp_path):
         rows = [PairRecord("p", f"F{k}.java", (0, 1), 1, "if(a){}", ["if"], None, [], "Unlabeled") for k in range(5)]

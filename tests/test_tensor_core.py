@@ -272,6 +272,51 @@ class TestOptimizers:
             opt.step({"p": (np.zeros(1), np.zeros(1))})
         assert opt.t == 3
 
+    @pytest.mark.parametrize("make_opt", [tc.Adam, tc.RmsProp])
+    def test_state_is_made_on_a_blocks_first_step_only(self, monkeypatch, make_opt):
+        calls = []
+        zeros_like = np.zeros_like
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return zeros_like(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros_like", counted)
+        rng = np.random.default_rng(0)
+        named = {"W": (rng.normal(size=(4, 3)), rng.normal(size=(4, 3))), "b": (np.zeros(3), rng.normal(size=3))}
+        opt = make_opt()
+        opt.step(named)
+        assert calls
+        calls.clear()
+        opt.step(named)
+        assert calls == []
+
+    def test_updates_are_the_textbook_expressions_bit_for_bit(self):
+        # the pre-scratch steps, written as expressions; three steps over two blocks
+        rng = np.random.default_rng(5)
+        shapes = [(6, 5), (5,)]
+        params = [rng.normal(size=s) for s in shapes]
+        grads = [[rng.normal(size=s) for s in shapes] for _ in range(3)]
+        adam_p, rms_p = [p.copy() for p in params], [p.copy() for p in params]
+        adam, rms = tc.Adam(lr=0.01), tc.RmsProp(lr=0.01)
+        want_adam, want_rms = [p.copy() for p in params], [p.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        cache = [np.zeros(s) for s in shapes]
+        b1, b2 = tc.ADAM_BETA1, tc.ADAM_BETA2
+        for t, step_grads in enumerate(grads, start=1):
+            adam.step({str(i): (adam_p[i], g.copy()) for i, g in enumerate(step_grads)})
+            rms.step({str(i): (rms_p[i], g.copy()) for i, g in enumerate(step_grads)})
+            for i, g in enumerate(step_grads):
+                m[i] = m[i] * b1 + (1.0 - b1) * g
+                v[i] = v[i] * b2 + (1.0 - b2) * g**2
+                m_hat, v_hat = m[i] / (1.0 - b1**t), v[i] / (1.0 - b2**t)
+                want_adam[i] -= 0.01 * m_hat / (np.sqrt(v_hat) + tc.EPS)
+                cache[i] = cache[i] * tc.RMSPROP_RHO + (1.0 - tc.RMSPROP_RHO) * g**2
+                want_rms[i] -= 0.01 * g / (np.sqrt(cache[i]) + tc.EPS)
+        for got, want in zip(adam_p + rms_p, want_adam + want_rms):
+            np.testing.assert_array_equal(got, want)
+
 
 def lstm_padded(lstm, X, mask):
     """`LstmLayer.forward` of a padded (B, T, D) batch, with the states
