@@ -98,9 +98,11 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         blocks: dict[str, np.ndarray] = {}
         for name, shape in specs:
             raw = _read_exactly(f, 4 * math.prod(shape), path, f"block {name!r}")
-            blocks[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-            if not np.isfinite(blocks[name]).all():
+            block = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            # checked before the cast, which warns of a signaling NaN
+            if not np.isfinite(block).all():
                 raise CheckpointError(f"{path}: block {name!r} holds a NaN or infinite value")
+            blocks[name] = block.astype(np.float64)
     return _Section(header, f"{path}: header field"), _Section(blocks, f"{path}: block")
 
 

@@ -28,14 +28,14 @@ from pathlib import Path
 
 from . import __version__
 from .atomic import atomic_write
-from .errors import DataError, JavaLexError, SatdForgeError, TrainingError, check_training_hp
+from .errors import DataError, JavaLexError, SatdForgeError, TrainingError
 from .java_miner import (
     JsonlRows,
     build_dataset,
     join_jsonl,
     label_comment,
-    lines_at,
     mine_file,
+    rows_at,
     write_jsonl,
     write_rows,
 )
@@ -102,14 +102,13 @@ def _predict_all(model, column) -> list[tuple[float, bool]]:
 
 def _check_setting(task: str, hp_dict: dict):
     """The checked setting of a task's `--hp` dict, which its recipes and
-    trainers read: a GeneratorHp for generation, a DetectorSetting for a
-    detector task. DataError for any value training would reject."""
+    trainers read: a GeneratorHp for generation, the type the `model` names
+    for a detector task. DataError for a key outside that kind, or for any
+    value training would reject."""
     if task == "generate":
         from .generator import GeneratorHp
 
-        hp = GeneratorHp.from_dict(hp_dict)
-        check_training_hp(hp)
-        return hp
+        return GeneratorHp.parse(hp_dict)
     from .detector import check_detector_setting
 
     return check_detector_setting(hp_dict)
@@ -117,7 +116,7 @@ def _check_setting(task: str, hp_dict: dict):
 
 def make_detector_recipe(task: str, setting, seed: int, store: TokenStore):
     """An evalkit.run_trials recipe over the store's task items: fit a
-    checked DetectorSetting on the training rows, score precision/recall/F1
+    checked detector setting on the training rows, score precision/recall/F1
     on the held-out rows."""
     from . import evalkit
     from .detector import fit_detector
@@ -333,19 +332,25 @@ def cmd_label(args) -> int:
 
 
 def cmd_dataset(args) -> int:
-    dataset = build_dataset(JsonlRows(args.corpus), seed=args.seed, balance=args.balance)
-    meta = {
-        "command": "dataset",
-        "seed": args.seed,
-        "balance": args.balance,
-        "provenance": dataset.provenance,
-    }
-    write_jsonl(args.out, dataset.pairs, meta)
-    print(f"dataset: {dataset.provenance} -> {args.out}")
-    if args.pool_out:
-        pool_meta = {"command": "dataset", "role": "pretraining-pool", "seed": args.seed}
-        write_jsonl(args.pool_out, dataset.leftover_pool, pool_meta)
-        print(f"pool: {len(dataset.leftover_pool)} leftover NonSATD -> {args.pool_out}")
+    # the kept rows are copied after the shuffle from the file the pass read, through its
+    # handle, so an output or another command that replaces the input changes nothing
+    with open(args.corpus, "rb") as corpus:
+        if not corpus.seekable():
+            raise DataError(f"{args.corpus}: dataset copies its rows back from its input, "
+                            "which must be a regular file, not a pipe")
+        dataset = build_dataset(JsonlRows(args.corpus, corpus), seed=args.seed, balance=args.balance)
+        meta = {
+            "command": "dataset",
+            "seed": args.seed,
+            "balance": args.balance,
+            "provenance": dataset.provenance,
+        }
+        write_jsonl(args.out, rows_at(corpus, dataset.pairs), meta)
+        print(f"dataset: {dataset.provenance} -> {args.out}")
+        if args.pool_out:
+            pool_meta = {"command": "dataset", "role": "pretraining-pool", "seed": args.seed}
+            write_jsonl(args.pool_out, rows_at(corpus, dataset.leftover_pool), pool_meta)
+            print(f"pool: {len(dataset.leftover_pool)} leftover NonSATD -> {args.pool_out}")
     return 0
 
 
@@ -386,11 +391,12 @@ def cmd_tune(args) -> int:
     print(f"tuned {len(settings)} settings -> {args.out}")
     if args.remainder_out:
         # the rows behind the remainder's items, copied as read in file order
-        keep = set(store.linenos[remainder_ids].tolist())
+        spans = sorted(map(tuple, store.spans[remainder_ids].tolist()))
         meta = {"command": "tune", "role": "remainder", "task": args.task, "seed": args.seed,
                 "fraction": args.fraction}
-        write_jsonl(args.remainder_out, lines_at(args.data, keep), meta)
-        print(f"remainder: {len(keep)} rows -> {args.remainder_out}")
+        with open(args.data, "rb") as data:
+            write_jsonl(args.remainder_out, rows_at(data, spans), meta)
+        print(f"remainder: {len(spans)} rows -> {args.remainder_out}")
     return 0
 
 
@@ -422,11 +428,11 @@ def cmd_cv(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    from .detector import DetectorHp
+    from .detector import DlHp
     from .pretrainer import save_lm, train_next_token_lm
 
     sequences = TokenStore.read(args.pool, code=True).code
-    hp = DetectorHp.from_dict(_read_json(args.hp) if args.hp else {})
+    hp = DlHp.parse(_read_json(args.hp) if args.hp else {})
     model = train_next_token_lm(sequences, hp, args.seed)
     save_lm(model, args.out)
     print(f"pretrained LM on {len(sequences)} sequences, loss {model.final_loss:.4f} -> {args.out}")

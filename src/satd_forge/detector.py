@@ -6,7 +6,7 @@ averaged-embedding feature path.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,8 +36,14 @@ from .textpipe import Vocabulary, as_column, build_vocabulary, length_sorted_chu
 from .vsm import Csr, TfIdfModel, as_csr, bow_counts, fit_tfidf, transform
 
 
-@dataclass
-class DetectorHp(HyperParameters):
+@dataclass(frozen=True)
+class DlHp(HyperParameters):
+    """The LSTM classifier's setting; `pretrain` reads it too, so one dict
+    serves `pretrain` and `train --init`."""
+
+    model = "dl"
+    SIZES = ("latent", "layers", "batch_size", "seq_cap")
+
     latent: int = 32
     layers: int = 1
     batch_size: int = 32
@@ -46,26 +52,51 @@ class DetectorHp(HyperParameters):
     learning_rate: float = 1e-3
     dropout: float = 0.2
     seq_cap: int = 1500
-    threshold: float = 0.5
+    threshold: float = 0.5  # a probability at or above it is SATD
+
+    def check(self) -> None:
+        check_training_hp(self)
+        tc.detector_layer_sizes(self.latent, self.layers)  # 1 to 3 layers, and latent >= 2 with 3
+        check_choice("pooling", self.pooling, tc.POOLING_MODES)
+        check_number("threshold", self.threshold, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
-MODELS = ("dl", "mnb", "svm")
 FEATURES = ("bow", "tfidf")
-# the values of the setting keys beyond DetectorHp's that a detector `--hp` dict leaves out
-SETTING_DEFAULTS = {"model": "dl", "features": "bow", "alpha": 1.0, "lam": 1e-2}
-# the SVM's epochs when its setting names none; DetectorHp's default is the LSTM's
-SVM_EPOCHS = 20
 
 
 @dataclass(frozen=True)
-class DetectorSetting:
-    """A checked detector `--hp` dict (`check_detector_setting`)."""
+class MnbHp(HyperParameters):
+    """Multinomial naive Bayes: its features and Laplace smoothing. It
+    calls a positive log-odds SATD."""
 
-    model: str  # dl | mnb | svm
-    hp: DetectorHp  # the LSTM's hyper-parameters; the SVM trains `hp.epochs` epochs
-    features: str  # bow | tfidf: what naive Bayes and the SVM count
-    alpha: float  # naive Bayes' Laplace smoothing
-    lam: float  # the SVM's L2 weight
+    model = "mnb"
+
+    features: str = "bow"  # bow | tfidf
+    alpha: float = 1.0
+
+    def check(self) -> None:
+        check_choice("features", self.features, FEATURES)
+        check_positive("alpha", self.alpha)
+
+
+@dataclass(frozen=True)
+class SvmHp(HyperParameters):
+    """The Pegasos SVM: its features, L2 weight and passes over the rows.
+    It calls a positive margin SATD."""
+
+    model = "svm"
+
+    features: str = "bow"  # bow | tfidf; a pretrained_embed_svm's reads embed_average
+    lam: float = 1e-2
+    epochs: int = 20
+
+    def check(self) -> None:
+        check_choice("features", self.features, FEATURES)
+        check_positive("lam", self.lam)
+        check_count("epochs", self.epochs, 0)
+
+
+SETTINGS = {hp.model: hp for hp in (DlHp, MnbHp, SvmHp)}
 
 
 class DetectorNetwork(tc.Network):
@@ -114,8 +145,7 @@ class DetectorNetwork(tc.Network):
 class DetectorModel:
     kind: str  # dl | mnb | svm | pretrained_embed_svm
     vocab: Vocabulary
-    hp: DetectorHp
-    threshold: float = 0.5
+    hp: DlHp | MnbHp | SvmHp  # the setting it was trained with, or the one its header records
     network: DetectorNetwork | None = None
     class_log_prior: np.ndarray | None = None
     feature_log_prob: np.ndarray | None = None
@@ -123,9 +153,6 @@ class DetectorModel:
     bias: float = 0.0
     embedding: np.ndarray | None = None
     tfidf: TfIdfModel | None = None
-    # bow | tfidf | embed_average; a dl model records the setting defaults
-    features: str = SETTING_DEFAULTS["features"]
-    alpha: float = SETTING_DEFAULTS["alpha"]
     final_loss: float | None = None
     objective_history: list[float] = field(default_factory=list)
     seed: int = 0
@@ -134,7 +161,7 @@ class DetectorModel:
 def train_dl_detector(
     column,
     labels,
-    hp: DetectorHp,
+    hp: DlHp,
     seed: int,
     vocab: Vocabulary,
     init_blocks: dict[str, np.ndarray] | None,
@@ -168,15 +195,7 @@ def train_dl_detector(
         return matrix, mask, y_all[chunk]
 
     final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(column), hp, seed)
-    return DetectorModel(
-        kind="dl",
-        vocab=vocab,
-        hp=hp,
-        threshold=hp.threshold,
-        network=network,
-        final_loss=final_loss,
-        seed=seed,
-    )
+    return DetectorModel(kind="dl", vocab=vocab, hp=hp, network=network, final_loss=final_loss, seed=seed)
 
 
 def _featurize(model: DetectorModel, column):
@@ -188,7 +207,7 @@ def _featurize(model: DetectorModel, column):
         averages = [embed_average(row, model.embedding) for row in rows]
         return np.array(averages).reshape(-1, model.embedding.shape[1])
     counts = bow_counts(column, model.vocab)
-    return transform(counts, model.tfidf) if model.features == "tfidf" else counts
+    return counts if model.tfidf is None else transform(counts, model.tfidf)
 
 
 def check_detector_input(model: DetectorModel, length: int) -> None:
@@ -225,7 +244,7 @@ def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
         matrix, mask = pad_batch(column.encode_rows(lut, chunk), cap)
         # the forward cache goes at once, so no two chunks' caches are alive together
         probs[chunk] = model.network.forward(matrix, mask)[0]
-    return [(float(p), bool(p >= model.threshold)) for p in probs]
+    return [(float(p), bool(p >= model.hp.threshold)) for p in probs]
 
 
 def _predict_linear(model: DetectorModel, column) -> list[tuple[float, bool]]:
@@ -243,7 +262,7 @@ def _predict_linear(model: DetectorModel, column) -> list[tuple[float, bool]]:
 
 def train_mnb(vectors, labels, alpha: float, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Laplace-smoothed multinomial naive Bayes over count rows: a Csr, or
-    {term_index: count} maps. `check_detector_setting` checks `alpha`.
+    {term_index: count} maps. `MnbHp.check` checks `alpha`.
 
     Returns (class_log_prior, feature_log_prob) for classes (0, 1).
     """
@@ -276,7 +295,7 @@ def train_linear_svm(
 
     Labels are -1/+1; the unregularized bias moves only on margin
     violations. The weights are kept as w = s * v, so the decay at each
-    step scales s alone. `check_detector_setting` checks `lam` and `epochs`.
+    step scales s alone. `SvmHp.check` checks `lam` and `epochs`.
     Returns (weights, bias, per-epoch objective values).
     """
     labels = [int(v) for v in labels]
@@ -324,38 +343,22 @@ def embed_average(indices, embedding: np.ndarray) -> np.ndarray:
     return embedding[indices].mean(axis=0)
 
 
-def check_detector_setting(hp_dict: dict) -> DetectorSetting:
-    """A detector `--hp` dict as a DetectorSetting; DataError for any value
-    training would reject. `model` is dl, mnb or svm; the DetectorHp keys
-    pass `check_training_hp` and dl's `pooling` names a pooling mode;
-    `features` is bow or tfidf, and `alpha` and `lam` are finite numbers > 0,
-    whatever the model. Only dl takes a `threshold`: naive Bayes and the
-    SVM call a positive score SATD. A key the dict leaves out takes its
-    default from SETTING_DEFAULTS or DetectorHp, but the SVM's `epochs`
-    from SVM_EPOCHS."""
-    values = {**SETTING_DEFAULTS, **hp_dict}
-    model = values["model"]
-    if model not in MODELS:
+def check_detector_setting(hp_dict: dict) -> DlHp | MnbHp | SvmHp:
+    """A detector `--hp` dict as the setting type its `model` names (dl when
+    it names none); DataError for a key outside that kind, or for any value
+    training would reject."""
+    model = hp_dict.get("model", "dl")
+    if not isinstance(model, str) or model not in SETTINGS:
         raise DataError(f"unknown model type: {model!r}")
-    if model != "dl" and "threshold" in hp_dict:
-        raise DataError(f"hyper-parameter threshold must be left out for model {model!r}, which calls a "
-                        f"positive score SATD, got {hp_dict['threshold']!r}")
-    hp = DetectorHp.from_dict({"epochs": SVM_EPOCHS, **hp_dict} if model == "svm" else hp_dict)
-    check_training_hp(hp)
-    if model == "dl":
-        check_choice("pooling", hp.pooling, tc.POOLING_MODES)
-    check_choice("features", values["features"], FEATURES)
-    check_positive("alpha", values["alpha"])
-    check_positive("lam", values["lam"])
-    return DetectorSetting(model, hp, values["features"], values["alpha"], values["lam"])
+    return SETTINGS[model].parse(hp_dict)
 
 
-def fit_detector(setting: DetectorSetting, items, labels, seed: int, vocab_kind: str,
+def fit_detector(setting: DlHp | MnbHp | SvmHp, items, labels, seed: int, vocab_kind: str,
                  vocab: Vocabulary | None = None, init_blocks: dict[str, np.ndarray] | None = None) -> DetectorModel:
-    """Train the detector a checked setting names: the LSTM classifier
-    (dl), naive Bayes (mnb) or the SVM (svm), on the items (a TokenColumn,
-    or token lists), over `vocab`, or over a `vocab_kind` vocabulary built
-    from the items.
+    """Train the detector a checked setting's type names: the LSTM
+    classifier (DlHp), naive Bayes (MnbHp) or the SVM (SvmHp), on the items
+    (a TokenColumn, or token lists), over `vocab`, or over a `vocab_kind`
+    vocabulary built from the items.
 
     Pre-trained `LstmStack` blocks (`pretrainer.detector_start`) start the
     dl detector from a language model's whole stack, or from its embedding
@@ -366,10 +369,10 @@ def fit_detector(setting: DetectorSetting, items, labels, seed: int, vocab_kind:
     column = as_column(items)
     if vocab is None:
         vocab = build_vocabulary(column, vocab_kind)
-    if setting.model == "dl":
+    if isinstance(setting, DlHp):
         kept = np.flatnonzero(column.lengths())
         kept_labels = [labels[j] for j in kept]
-        return train_dl_detector(column.select(kept), kept_labels, setting.hp, seed, vocab, init_blocks)
+        return train_dl_detector(column.select(kept), kept_labels, setting, seed, vocab, init_blocks)
     kind = setting.model
     if init_blocks is not None:
         mode = "embedding_only" if list(init_blocks) == ["embedding.M"] else "end2end"
@@ -380,11 +383,9 @@ def fit_detector(setting: DetectorSetting, items, labels, seed: int, vocab_kind:
             )
         kind = "pretrained_embed_svm"
     labels = [int(v) for v in labels]
-    model = DetectorModel(
-        kind=kind, vocab=vocab, hp=setting.hp, features=setting.features, alpha=setting.alpha, seed=seed
-    )
+    model = DetectorModel(kind=kind, vocab=vocab, hp=setting, seed=seed)
     if kind == "pretrained_embed_svm":
-        model.embedding, model.features = init_blocks["embedding.M"], "embed_average"
+        model.hp, model.embedding = replace(setting, features="embed_average"), init_blocks["embedding.M"]
         vectors = Csr.from_dense(_featurize(model, column))
     else:
         vectors = bow_counts(column, vocab)
@@ -398,7 +399,7 @@ def fit_detector(setting: DetectorSetting, items, labels, seed: int, vocab_kind:
     else:
         svm_labels = [1 if y == 1 else -1 for y in labels]
         model.weights, model.bias, model.objective_history = train_linear_svm(
-            vectors, svm_labels, lam=setting.lam, epochs=setting.hp.epochs, seed=seed
+            vectors, svm_labels, lam=setting.lam, epochs=setting.epochs, seed=seed
         )
     return model
 
@@ -416,13 +417,17 @@ LINEAR_BLOCKS = {
 
 
 def save_detector(model: DetectorModel, path):
+    # a format 1 header records every detector field for every kind: the dl fields as
+    # `hp`, a linear model's with the dl defaults, and `threshold`, `features` and `alpha`
+    setting = model.hp.to_dict()
+    hp = {key: setting.get(key, default) for key, default in DlHp().to_dict().items()}
     header = {
-        "hp": model.hp.to_dict(),
+        "hp": hp,
         "vocab_words": model.vocab.words,
         "vocab_kind": model.vocab.kind,
-        "threshold": model.threshold,
-        "features": model.features,
-        "alpha": model.alpha,
+        "threshold": hp["threshold"],
+        "features": setting.get("features", MnbHp.features),
+        "alpha": setting.get("alpha", MnbHp.alpha),
         "seed": model.seed,
     }
     if model.kind == "dl":
@@ -437,38 +442,42 @@ def save_detector(model: DetectorModel, path):
     save_checkpoint(path, model.kind, header, blocks)
 
 
+# the setting type each kind's header records
+HEADER_SETTINGS = {**SETTINGS, "pretrained_embed_svm": SvmHp}
+
+
 def load_detector(path) -> DetectorModel:
     header, blocks = load_checkpoint(path)
     kind = header["kind"]
     vocab = header_vocabulary(header, "vocab_words")
-    hp = DetectorHp.from_dict(header_object(header, "hp"))
-    # a field an older header lacks keeps DetectorModel's default
-    recorded = {key: header[key] for key in ("threshold", "features", "alpha", "seed") if key in header}
-    model = DetectorModel(kind=kind, vocab=vocab, hp=hp, **recorded)
+    if not isinstance(kind, str) or kind not in HEADER_SETTINGS:
+        raise CheckpointError(f"unknown detector kind in checkpoint: {kind!r}")
+    # the setting's fields wherever `save_detector` put them; a field the header lacks
+    # keeps its default, and only what inference reads is checked
+    hp = HEADER_SETTINGS[kind].from_dict({**header_object(header, "hp"), **header})
+    model = DetectorModel(kind=kind, vocab=vocab, hp=hp, seed=header.get("seed", 0))
     if kind == "dl":
         with header_checks(path):
-            check_number("threshold", model.threshold, lambda v: 0 <= v <= 1, "a number in [0, 1]", "header field")
+            check_number("threshold", hp.threshold, lambda v: 0 <= v <= 1, "a number in [0, 1]", "header field")
             check_choice("pooling", hp.pooling, tc.POOLING_MODES, "header hyper-parameter")
         check_network(path, header, hp, DetectorNetwork.block_shapes(vocab.size, hp.latent, hp.layers), blocks)
         model.network = DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, model.seed)
         load_blocks(model.network.named_params(), blocks, path)
         return model
-    if not isinstance(kind, str) or kind not in LINEAR_BLOCKS:
-        raise CheckpointError(f"unknown detector kind in checkpoint: {kind!r}")
     # the blocks at the shapes the vocabulary implies; a pre-trained
     # embedding is as wide as its language model's latent size
     dims = {"V": vocab.size}
     if kind == "pretrained_embed_svm":
         dims["W"] = np.atleast_1d(blocks["embedding.M"]).shape[-1]
     layout = [(name, field, tuple(dims.get(d, d) for d in shape)) for name, field, shape in LINEAR_BLOCKS[kind]]
-    if model.features == "tfidf":
+    if hp.features == "tfidf":
         layout.append(("tfidf.df", None, (vocab.size,)))
     arrays = {name: np.zeros(shape) for name, _, shape in layout}
     load_blocks({name: (a, None) for name, a in arrays.items()}, blocks, path)
     for name, field, _ in layout:
         if field is not None:
             setattr(model, field, float(arrays[name][0]) if field == "bias" else arrays[name])
-    if model.features == "tfidf":
+    if hp.features == "tfidf":
         with header_checks(path):
             check_count("tfidf_n_documents", header["tfidf_n_documents"], 1, "header field")
         model.tfidf = TfIdfModel(n_documents=header["tfidf_n_documents"], df=arrays["tfidf.df"])

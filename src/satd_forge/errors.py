@@ -6,6 +6,7 @@ The CLI maps these onto exit codes: DataError -> 2, TrainingError -> 3.
 
 import math
 from dataclasses import asdict
+from typing import ClassVar
 
 
 class SatdForgeError(Exception):
@@ -32,7 +33,16 @@ class TrainingError(SatdForgeError):
 
 
 class HyperParameters:
-    """Base of the hyper-parameter dataclasses: to and from a dict, ignoring unknown keys."""
+    """Base of the frozen setting types, one per trainer. A subclass declares
+    its keys as fields with their defaults, the sizes among them in SIZES,
+    its rules in `check`, and, for a detector, the `model` value its dicts
+    may name. `parse` reads a `--hp` dict strictly; `from_dict` reads the
+    setting a checkpoint header records, the program's own format, keeping
+    the fields it knows and checking nothing."""
+
+    model: ClassVar[str | None] = None
+    described: ClassVar[str | None] = None  # the kind, as messages name it, where no model does
+    SIZES: ClassVar[tuple[str, ...]] = ()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -40,6 +50,24 @@ class HyperParameters:
     @classmethod
     def from_dict(cls, obj: dict):
         return cls(**{k: v for k, v in obj.items() if k in cls.__dataclass_fields__})
+
+    @classmethod
+    def keys(cls) -> list[str]:
+        return ["model"] * (cls.model is not None) + list(cls.__dataclass_fields__)
+
+    @classmethod
+    def parse(cls, obj: dict):
+        keys = cls.keys()
+        outside = [key for key in obj if key not in keys]
+        if outside:
+            kind = cls.described or f"model {cls.model!r}"
+            raise DataError(f"hyper-parameter{'s' * (len(outside) > 1)} {', '.join(outside)} must be left out "
+                            f"for {kind}, which takes {', '.join(keys)}")
+        if obj.get("model", cls.model) != cls.model:
+            raise DataError(f"hyper-parameter model must be {cls.model!r}, got {obj['model']!r}")
+        setting = cls.from_dict(obj)
+        setting.check()  # DataError for the first value training would reject
+        return setting
 
 
 def check_count(name: str, value, minimum: int, what: str = "hyper-parameter") -> None:
@@ -74,29 +102,25 @@ MAX_SIZE = 2**24
 
 
 def check_sizes(hp, what: str = "hyper-parameter") -> None:
-    """`latent`, `layers`, `batch_size` and whichever of the caps `seq_cap`,
-    `code_cap` and `comment_cap` hp has are ints in [1, MAX_SIZE]: the
-    settings that shape a network and its batches, in training and in
-    inference."""
-    for name in ("latent", "layers", "batch_size", "seq_cap", "code_cap", "comment_cap"):
-        if hasattr(hp, name):
-            value = getattr(hp, name)
-            check_count(name, value, 1, what)
-            if value > MAX_SIZE:
-                raise DataError(f"{what} {name} must be at most {MAX_SIZE}, got {value!r}")
+    """The sizes hp's type lists in SIZES (`latent`, `layers`, `batch_size`
+    and its sequence caps) are ints in [1, MAX_SIZE]: the settings that
+    shape a network and its batches, in training and in inference."""
+    for name in hp.SIZES:
+        value = getattr(hp, name)
+        check_count(name, value, 1, what)
+        if value > MAX_SIZE:
+            raise DataError(f"{what} {name} must be at most {MAX_SIZE}, got {value!r}")
 
 
 def check_training_hp(hp) -> None:
-    """The rules every network's hyper-parameters share: `check_sizes`,
-    `epochs` an int >= 0, `learning_rate` a finite number > 0, `dropout` a
-    number in [0, 1) and a detector's `threshold` a number in [0, 1].
+    """The rules every network's setting shares: `check_sizes`, `epochs` an
+    int >= 0, `learning_rate` a finite number > 0 and `dropout` a number in
+    [0, 1).
 
-    The training entry points call it. Loading a checkpoint checks only
-    what inference reads (`check_sizes`), so a header whose `epochs` no
-    longer passes still loads for inference."""
+    The settings' `check` calls it. Loading a checkpoint checks only what
+    inference reads (`check_sizes`), so a header whose `epochs` no longer
+    passes still loads for inference."""
     check_sizes(hp)
     check_count("epochs", hp.epochs, 0)
     check_positive("learning_rate", hp.learning_rate)
     check_number("dropout", hp.dropout, lambda v: 0 <= v < 1, "a number in [0, 1)")
-    if hasattr(hp, "threshold"):
-        check_number("threshold", hp.threshold, lambda v: 0 <= v <= 1, "a number in [0, 1]")

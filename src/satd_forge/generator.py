@@ -18,8 +18,11 @@ from .errors import DataError, HyperParameters, check_training_hp
 from .textpipe import EOS, SOS, TokenStore, Vocabulary, as_column, build_vocabulary, length_sorted_chunks, pad_batch
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorHp(HyperParameters):
+    described = "the generator"
+    SIZES = ("latent", "layers", "batch_size", "code_cap", "comment_cap")
+
     latent: int = 64
     layers: int = 1
     batch_size: int = 32
@@ -28,6 +31,9 @@ class GeneratorHp(HyperParameters):
     dropout: float = 0.2
     code_cap: int = 1500
     comment_cap: int = 150  # emitted words; framed sequences may be cap+2
+
+    def check(self) -> None:
+        check_training_hp(self)
 
 
 class Attention:
@@ -231,7 +237,7 @@ def train_generator(pairs, hp: GeneratorHp, seed: int) -> GeneratorModel:
     Framed comments must carry <sos>/<eos>; the decoder trains on the
     sequence offset by one position.
     """
-    check_training_hp(hp)
+    hp.check()
     if not isinstance(pairs, TokenStore):
         pairs = TokenStore.from_pairs(pairs)
     if not len(pairs):

@@ -21,6 +21,7 @@ import random
 import re
 import shutil
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
@@ -579,11 +580,11 @@ COMMENT_CAP = 150
 
 @dataclass
 class Dataset:
-    # the kept rows' lines as read, in shuffled order
-    pairs: list[bytes]
+    # the (byte offset, length) of each kept row in the input, in shuffled order
+    pairs: list[tuple[int, int]]
     provenance: dict
-    # the lines of the NonSATD rows dropped by balancing; reusable for pre-training
-    leftover_pool: list[bytes]
+    # those of the NonSATD rows dropped by balancing; reusable for pre-training
+    leftover_pool: list[tuple[int, int]]
 
 
 def _dedup_key(tokens: list[str]):
@@ -595,18 +596,18 @@ def _dedup_key(tokens: list[str]):
     return joined if joined.count("\0") == len(tokens) - 1 else tuple(tokens)
 
 
-def build_dataset(rows, seed: int, balance: bool = False) -> Dataset:
+def build_dataset(rows: JsonlRows, seed: int, balance: bool = False) -> Dataset:
     """Deduplicate, drop observations longer than CODE_CAP SBT tokens or
     COMMENT_CAP comment words, shuffle (Mersenne Twister), and optionally
     downsample NonSATD to the SATD count.
 
-    `rows` yields (record, line) pairs, as `JsonlRows` reads them, and is
-    read once, in order. A SATD/NonSATD row leaves its dedup key behind
-    if it is the first with that key, and its label and line if it is also
-    kept; the records are not held."""
+    `rows` is read once, in order. A SATD/NonSATD row leaves its dedup key
+    behind if it is the first with that key, and its label and place in the
+    file if it is also kept; neither the records nor the lines are held.
+    `rows_at` copies the kept rows from the file afterwards."""
     n_input = 0
     seen = set()
-    kept: list[tuple[bool, bytes]] = []  # (SATD?, line) of each kept row
+    kept: list[tuple[bool, int, int]] = []  # (SATD?, offset, length) of each kept row
     for r, line in rows:
         if r.label != SATD and r.label != NON_SATD:
             continue
@@ -616,30 +617,30 @@ def build_dataset(rows, seed: int, balance: bool = False) -> Dataset:
             continue
         seen.add(key)
         if len(r.sbt_tokens) <= CODE_CAP and len(r.comment_words) <= COMMENT_CAP:
-            kept.append((r.label == SATD, line))
+            kept.append((r.label == SATD, rows.offset, len(line)))
     n_dedup = len(seen)
     n_length = len(kept)
 
-    n_satd = sum(satd for satd, _ in kept)
+    n_satd = sum(satd for satd, _, _ in kept)
     if n_satd == 0:
         raise DataError("empty positive class")
 
     rng = random.Random(seed)
     rng.shuffle(kept)
 
-    leftover: list[bytes] = []
+    leftover: list[tuple[int, int]] = []
     if balance:
         result = []
         non_satd_kept = 0
-        for satd, line in kept:
+        for satd, offset, length in kept:
             if not satd:
                 if non_satd_kept >= n_satd:
-                    leftover.append(line)
+                    leftover.append((offset, length))
                     continue
                 non_satd_kept += 1
-            result.append(line)
+            result.append((offset, length))
     else:
-        result = [line for _, line in kept]
+        result = [(offset, length) for _, offset, length in kept]
 
     provenance = {
         "input_labeled": n_input,
@@ -695,25 +696,30 @@ def join_jsonl(path, meta: dict, parts) -> None:
 
 
 class JsonlRows:
-    """The rows of the corpus file at `path`, read one at a time.
+    """The rows of the corpus file at `path`, read one at a time; from
+    `file`, when given, which is `path` just opened for binary reading and
+    which iterating leaves open.
 
     Iterating yields (record, line) for each row, where `line` is the row's
     bytes as read, line break included (one is added to a last line that
-    lacks it), and `lineno` is its line number, from 1. `meta` holds the
-    object of the last `_meta` line read so far; that line may sit anywhere
-    in the file. Blank lines are skipped. A row that is not UTF-8, not JSON,
-    or lacks a field or has one of the wrong type raises DataError naming
-    `path:line`."""
+    lacks it), and `offset` is the byte offset of its start. `meta` holds
+    the object of the last `_meta` line read so far; that line may sit
+    anywhere in the file. Blank lines are skipped. A row that is not UTF-8,
+    not JSON, or lacks a field or has one of the wrong type raises
+    DataError naming `path:line`."""
 
-    def __init__(self, path):
+    def __init__(self, path, file=None):
         self.path = path
+        self.file = file
         self.meta: dict = {}
-        self.lineno = 0
+        self.offset = 0
 
     def __iter__(self):
         path = self.path
-        with open(path, "rb") as f:
+        end = 0
+        with open(path, "rb") if self.file is None else nullcontext(self.file) as f:
             for lineno, line in enumerate(f, start=1):
+                start, end = end, end + len(line)
                 if line.isspace():
                     continue
                 try:
@@ -734,15 +740,20 @@ class JsonlRows:
                     raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
                 if not line.endswith(b"\n"):
                     line += b"\n"
-                self.lineno = lineno
+                self.offset = start
                 yield record, line
 
 
-def lines_at(path, linenos):
-    """The lines of the file at `path` whose numbers (from 1) are in
-    `linenos`, in file order and as `JsonlRows` yields them, without
-    decoding them again."""
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            if lineno in linenos:
-                yield line if line.endswith(b"\n") else line + b"\n"
+def rows_at(f, spans):
+    """The rows of `f`, a file open for binary reading, at each (offset,
+    length) of `spans`, in that order and as `JsonlRows` yields them: the
+    length counts the line break it adds to a last line that lacks one.
+    DataError if the file no longer holds a row that long there."""
+    fd = f.fileno()
+    for offset, length in spans:
+        line = os.pread(fd, length, offset)
+        if not line.endswith(b"\n"):
+            line += b"\n"
+        if len(line) != length:
+            raise DataError(f"{f.name}: changed while it was read")
+        yield line

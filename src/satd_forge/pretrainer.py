@@ -9,8 +9,8 @@ import numpy as np
 
 from . import tensor_core as tc
 from .checkpoint import check_network, header_object, header_vocabulary, load_blocks, load_checkpoint, save_network
-from .detector import DetectorHp
-from .errors import DataError, check_training_hp
+from .detector import DlHp
+from .errors import DataError
 from .textpipe import Vocabulary, as_column, build_vocabulary, pad_batch
 
 
@@ -51,17 +51,18 @@ class LmNetwork(tc.Network):
 @dataclass
 class LmModel:
     vocab: Vocabulary
-    hp: DetectorHp
+    hp: DlHp
     network: LmNetwork
     final_loss: float | None = None
     seed: int = 0
 
 
-def train_next_token_lm(sequences, hp: DetectorHp, seed: int) -> LmModel:
+def train_next_token_lm(sequences, hp: DlHp, seed: int) -> LmModel:
     """Teacher-forced next-token prediction over the full sequence, Adam,
     with a code vocabulary built from the usable sequences (a TokenColumn's
-    rows, or token lists)."""
-    check_training_hp(hp)
+    rows, or token lists). It reads the dl detector's setting, whose stack
+    it shapes for `train --init`; `pooling` and `threshold` go unused."""
+    hp.check()
     column = as_column(sequences)
     # sequences shorter than 2 tokens have no next token to predict
     usable = column.select(np.flatnonzero(column.lengths() >= 2))
@@ -107,7 +108,7 @@ def save_lm(model: LmModel, path):
 
 def load_lm(path) -> LmModel:
     header, blocks = load_checkpoint(path)
-    hp = DetectorHp.from_dict(header_object(header, "hp"))
+    hp = DlHp.from_dict(header_object(header, "hp"))
     vocab = header_vocabulary(header, "vocab_words", header.get("vocab_kind", "code"))
     check_network(path, header, hp, LmNetwork.block_shapes(vocab.size, hp.latent, hp.layers), blocks)
     network = LmNetwork(vocab.size, hp.latent, hp.layers, header.get("seed", 0))

@@ -48,7 +48,7 @@ def detector_layer_sizes(latent: int, n_layers: int) -> list[int]:
         if latent < 2:
             raise DataError(f"hyper-parameter latent must be at least 2 with 3 layers, got {latent!r}")
         return [2 * latent, latent, latent // 2]
-    raise DataError(f"unsupported layer count: {n_layers}")
+    raise DataError(f"hyper-parameter layers must be 1, 2 or 3, got {n_layers!r}")
 
 
 def generator_layer_sizes(latent: int, n_layers: int) -> list[int]:

@@ -263,20 +263,21 @@ class TokenStore:
     """The rows of a corpus file that a training command reads: their SBT
     tokens (`code`) and comment words (`comment`) as TokenColumns, where
     the command reads them, whether each row is SATD, each row's project
-    where asked for, and each row's line number in the file."""
+    where asked for, and each row's (byte offset, length) in the file, as
+    `java_miner.rows_at` reads them back."""
 
     code: TokenColumn | None
     comment: TokenColumn | None
     satd: object  # bool array
     projects: list[str] | None
-    linenos: object  # int64 array
+    spans: object  # (rows, 2) int64 array
 
     @classmethod
     def read(cls, path, code: bool = False, comment: bool = False, pairs: bool = False,
              projects: bool = False) -> "TokenStore":
         """One pass of `JsonlRows` over the corpus file at `path`. Every row
         passes the record checks and is dropped once its fields are taken,
-        so the store holds 4 bytes per token, about 25 per row and one copy
+        so the store holds 4 bytes per token, about 33 per row and one copy
         of each distinct word. With `pairs`, only the commented SATD rows are
         kept, each with its SBT and its framed comment, as generation
         trains on them."""
@@ -286,11 +287,11 @@ class TokenStore:
 
         code_rows = _ColumnBuilder() if code or pairs else None
         comment_rows = _ColumnBuilder() if comment or pairs else None
-        satd, linenos = bytearray(), array("q")
+        satd, spans = bytearray(), array("q")
         names: dict[str, str] = {}  # one string per project
         project_of: list[str] | None = [] if projects else None
         rows = JsonlRows(path)
-        for record, _ in rows:
+        for record, line in rows:
             is_satd = record.label == SATD
             if pairs and not (is_satd and record.comment_words):
                 continue
@@ -299,7 +300,7 @@ class TokenStore:
             if comment_rows is not None:
                 comment_rows.append(frame_comment(record.comment_words) if pairs else record.comment_words)
             satd.append(is_satd)
-            linenos.append(rows.lineno)
+            spans.extend((rows.offset, len(line)))
             if project_of is not None:
                 project_of.append(names.setdefault(record.project, record.project))
         return cls(
@@ -307,7 +308,7 @@ class TokenStore:
             comment=comment_rows.column() if comment_rows is not None else None,
             satd=np.frombuffer(satd, dtype=bool),
             projects=project_of,
-            linenos=np.frombuffer(linenos, dtype=np.int64),
+            spans=np.frombuffer(spans, dtype=np.int64).reshape(-1, 2),
         )
 
     @classmethod
@@ -320,7 +321,8 @@ class TokenStore:
             code_rows.append(code)
             comment_rows.append(framed)
         n = len(code_rows.ends)
-        return cls(code_rows.column(), comment_rows.column(), np.ones(n, dtype=bool), None, np.arange(1, n + 1))
+        return cls(code_rows.column(), comment_rows.column(), np.ones(n, dtype=bool), None,
+                   np.zeros((n, 2), dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.satd)
@@ -332,5 +334,5 @@ class TokenStore:
             comment=self.comment.select(rows) if self.comment is not None else None,
             satd=self.satd[rows],
             projects=[self.projects[i] for i in rows] if self.projects is not None else None,
-            linenos=self.linenos[rows],
+            spans=self.spans[rows],
         )

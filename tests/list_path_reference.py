@@ -90,8 +90,8 @@ def bow_counts(documents, vocab):
 
 def fit_detector(setting, items, labels, seed, kind):
     vocab = build_vocabulary(items, kind)
-    hp = setting.hp
     if setting.model == "dl":
+        hp = setting
         kept = [j for j, s in enumerate(items) if s]
         encoded = [vocab.encode(items[j]) for j in kept]
         y_all = np.asarray([int(labels[j]) for j in kept], dtype=np.float64)
@@ -102,11 +102,9 @@ def fit_detector(setting, items, labels, seed, kind):
             return matrix, mask, y_all[chunk]
 
         final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(encoded), hp, seed)
-        return DetectorModel(kind="dl", vocab=vocab, hp=hp, threshold=hp.threshold, network=network,
-                             final_loss=final_loss, seed=seed)
+        return DetectorModel(kind="dl", vocab=vocab, hp=hp, network=network, final_loss=final_loss, seed=seed)
     labels = [int(v) for v in labels]
-    model = DetectorModel(kind=setting.model, vocab=vocab, hp=hp, features=setting.features, alpha=setting.alpha,
-                          seed=seed)
+    model = DetectorModel(kind=setting.model, vocab=vocab, hp=setting, seed=seed)
     vectors = bow_counts(items, vocab)
     if setting.features == "tfidf":
         model.tfidf = fit_tfidf(vectors)
@@ -116,7 +114,7 @@ def fit_detector(setting, items, labels, seed, kind):
                                                                   vocab_size=vocab.size)
     else:
         model.weights, model.bias, model.objective_history = train_linear_svm(
-            vectors, [1 if y == 1 else -1 for y in labels], lam=setting.lam, epochs=hp.epochs, seed=seed)
+            vectors, [1 if y == 1 else -1 for y in labels], lam=setting.lam, epochs=setting.epochs, seed=seed)
     return model
 
 

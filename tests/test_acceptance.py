@@ -11,7 +11,7 @@ import numpy as np
 
 from gradcheck import check_gradients
 from satd_forge import tensor_core as tc
-from satd_forge.detector import DetectorHp, check_detector_setting, fit_detector, predict_many
+from satd_forge.detector import DlHp, check_detector_setting, fit_detector, predict_many
 from satd_forge.evalkit import (
     bleu_n,
     cross_project_rounds,
@@ -240,7 +240,7 @@ def test_criterion_04_detector_capability_cv():
     scores = {}
 
     for pooling in ("last", "mean", "max"):
-        hp = DetectorHp(
+        hp = DlHp(
             latent=16, layers=1, batch_size=32, pooling=pooling, epochs=30,
             learning_rate=2e-3,
         )
@@ -276,7 +276,7 @@ def test_criterion_04_detector_capability_cv():
 
 def test_criterion_05_overfit_sanity():
     seqs, labels = _planted_corpus(40, seed=3)
-    hp = DetectorHp(
+    hp = DlHp(
         latent=16, layers=1, batch_size=20, pooling="max", epochs=200,
         learning_rate=2e-3,
     )

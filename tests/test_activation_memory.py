@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from lstm_packed_reference import FloatMaskReferenceStack
 from satd_forge import tensor_core as tc
-from satd_forge.detector import DetectorHp, DetectorModel, DetectorNetwork, predict_many
+from satd_forge.detector import DetectorModel, DetectorNetwork, DlHp, predict_many
 from satd_forge.pretrainer import LmNetwork
 from satd_forge.textpipe import build_vocabulary, length_sorted_chunks, pad_batch
 from test_lstm_packing import right_padded
@@ -72,7 +72,7 @@ def test_predict_many_peaks_at_one_chunk_forward():
     words = [f"w{i}" for i in range(40)]
     sequences = [[words[j] for j in rng.integers(0, 40, size=60)] for _ in range(32)]
     vocab = build_vocabulary(sequences, "code")
-    hp = DetectorHp(latent=16, layers=3, batch_size=8)
+    hp = DlHp(latent=16, layers=3, batch_size=8)
     model = DetectorModel(kind="dl", vocab=vocab, hp=hp, network=DetectorNetwork(vocab.size, 16, 3, "mean", 3))
     encoded = [vocab.encode(s) for s in sequences]
     first = next(iter(length_sorted_chunks([len(s) for s in encoded], hp.batch_size)))

@@ -58,7 +58,7 @@ class TestPredictMany:
             matrix, mask = pad_batch([model.vocab.encode(query)], model.hp.seq_cap)
             alone, _ = model.network.forward(matrix, mask)
             assert prob == pytest.approx(float(alone[0]), rel=0, abs=1e-12)
-            assert positive == (prob >= model.threshold)
+            assert positive == (prob >= model.hp.threshold)
             assert (prob, positive) == pytest.approx(predict_many(model, [query])[0], rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("hp", [

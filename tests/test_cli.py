@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from satd_forge import cli, detector, generator
+from satd_forge import cli, detector, generator, pretrainer
 from satd_forge.ast_sbt import _MAX_NESTING
 from satd_forge.cli import main
 from satd_forge.errors import DataError
@@ -483,7 +483,7 @@ class TestPretrainFlow:
                    "--seed", "2", "--out", str(model), "--init", str(lm),
                    "--mode", "end2end") == 0
         svm_hp = tmp_path / "svm.json"
-        svm_hp.write_text(json.dumps({"model": "svm", "latent": 8, "layers": 1}))
+        svm_hp.write_text(json.dumps({"model": "svm"}))
         emb_model = tmp_path / "emb.ckpt"
         assert run("train", str(data), "--task", "detect-code", "--hp", str(svm_hp),
                    "--seed", "2", "--out", str(emb_model), "--init", str(lm),
@@ -909,9 +909,15 @@ class TestNonUtf8Files:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]
 
 
+DL_KEYS = "model, latent, layers, batch_size, pooling, epochs, learning_rate, dropout, seq_cap, threshold"
+GENERATOR_KEYS = "latent, layers, batch_size, epochs, learning_rate, dropout, code_cap, comment_cap"
+NO_KIND = [[], {}, None, 3, "knn", {"model": "dl"}]  # `model` values that name no kind
+
+
 class TestBadHyperParameters:
-    """A malformed network or SVM hyper-parameter is a data error (exit 2)
-    naming it, raised before any training, so nothing is written."""
+    """A malformed network or SVM hyper-parameter, or one outside its
+    model's kind, is a data error (exit 2) naming it, raised before any
+    training, so nothing is written."""
 
     @pytest.mark.parametrize("command,extra,hp,name", [
         ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "batch_size": 0}, "batch_size"),
@@ -985,9 +991,17 @@ class TestBadHyperParameters:
          "hyper-parameter features must be one of 'bow', 'tfidf', got 'tfidff'"),
         ("detect-comment", {"model": ["dl", "mnb"], "threshold": 0.9, "latent": 4, "batch_size": 2, "epochs": 1},
          [(detector, "train_dl_detector"), (detector, "train_mnb")],
-         "hyper-parameter threshold must be left out for model 'mnb', which calls a positive score SATD, got 0.9"),
+         "hyper-parameters threshold, latent, batch_size, epochs must be left out for model 'mnb', "
+         "which takes model, features, alpha"),
         ("detect-code", {"model": "svm", "threshold": [0.3, 0.7]}, [(detector, "train_linear_svm")],
-         "hyper-parameter threshold must be left out for model 'svm', which calls a positive score SATD, got 0.3"),
+         "hyper-parameter threshold must be left out for model 'svm', which takes model, features, lam, epochs"),
+        # every setting of a sweep over a key naive Bayes does not read would train the same model
+        ("detect-code", {"model": "mnb", "latent": [4, 8]}, [(detector, "train_mnb")],
+         "hyper-parameter latent must be left out for model 'mnb', which takes model, features, alpha"),
+        ("generate", {"latent": 4, "epochs": 1, "pooling": ["max", "mean"]}, [(generator, "train_generator")],
+         f"hyper-parameter pooling must be left out for the generator, which takes {GENERATOR_KEYS}"),
+        ("detect-code", {"model": "dl", "latent": 4, "batch_size": 2, "epochs": 1, "layers": [1, 4]},
+         [(detector, "train_dl_detector")], "hyper-parameter layers must be 1, 2 or 3, got 4"),
     ])
     def test_tune_checks_every_setting_before_the_first_trial(self, tmp_path, capsys, monkeypatch,
                                                               task, grid, trainer, error):
@@ -1002,3 +1016,47 @@ class TestBadHyperParameters:
         assert run("tune", str(data), "--task", task, "--grid", "grid.json", "--out", "t.json") == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "grid.json"]
+
+    # each of these trained with the defaults and exited 0: the misspelled or foreign keys were
+    # dropped, or recorded in the report's config and the checkpoint's header
+    @pytest.mark.parametrize("command,extra,hp,error", [
+        ("cv", ["--task", "detect-code", "--report", "rep"],
+         {"model": "dl", "latent": 4, "batch_size": 4, "epochs": 1, "learnig_rate": 0.5},
+         f"hyper-parameter learnig_rate must be left out for model 'dl', which takes {DL_KEYS}"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": "dl", "latnet": 8, "epochs": 1},
+         f"hyper-parameter latnet must be left out for model 'dl', which takes {DL_KEYS}"),
+        ("pretrain", ["--out", "lm.ckpt"], {"model": "mnb", "latnet": 8, "lam": -3, "epochs": 1},
+         f"hyper-parameters latnet, lam must be left out for model 'dl', which takes {DL_KEYS}"),
+        ("pretrain", ["--out", "lm.ckpt"], {"model": "mnb", "latent": 4, "epochs": 1},
+         "hyper-parameter model must be 'dl', got 'mnb'"),
+        ("train", ["--task", "detect-code", "--out", "m.ckpt"],
+         {"model": "mnb", "latent": 64, "pooling": "avg", "epochs": 7},
+         "hyper-parameters latent, pooling, epochs must be left out for model 'mnb', which takes model, features, "
+         "alpha"),
+        ("xproject", ["--task", "detect-code", "--report", "rep"], {"model": "svm", "alpha": 0.5},
+         "hyper-parameter alpha must be left out for model 'svm', which takes model, features, lam, epochs"),
+        ("train", ["--task", "generate", "--out", "m.ckpt"], {"model": "dl", "alpha": 1.0, "pooling": "max"},
+         f"hyper-parameters model, alpha, pooling must be left out for the generator, which takes {GENERATOR_KEYS}"),
+        # a `model` of any JSON type that names no kind: a detector command looks it up among the kinds
+        *[("train", ["--task", "detect-code", "--out", "m.ckpt"], {"model": model}, f"unknown model type: {model!r}")
+          for model in NO_KIND],
+        *[("cv", ["--task", "detect-comment", "--report", "rep"], {"model": model}, f"unknown model type: {model!r}")
+          for model in NO_KIND],
+        *[("pretrain", ["--out", "lm.ckpt"], {"model": model, "latent": 4, "epochs": 1},
+           f"hyper-parameter model must be 'dl', got {model!r}") for model in NO_KIND],
+    ])
+    def test_key_outside_its_kind_exits_2_before_training(self, tmp_path, capsys, monkeypatch, command, extra, hp,
+                                                          error):
+        def trained(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        for name in ("train_dl_detector", "train_mnb", "train_linear_svm"):
+            monkeypatch.setattr(detector, name, trained)
+        monkeypatch.setattr(generator, "train_generator", trained)
+        monkeypatch.setattr(pretrainer, "train_next_token_lm", trained)
+        monkeypatch.chdir(tmp_path)
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
+        (tmp_path / "hp.json").write_text(json.dumps(hp))
+        assert run(command, str(data), "--hp", "hp.json", *extra) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]

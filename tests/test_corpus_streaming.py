@@ -4,9 +4,12 @@ those of the frozen list-based commands in `corpus_reference`; a row
 written by something else is copied verbatim unless its label changes;
 and `label` holds one row at a time."""
 
+import contextlib
 import json
+import os
 import shutil
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -161,6 +164,75 @@ class TestForeignRows:
         corpus.write_bytes(line)  # no line break at the end
         assert run("dataset", corpus, "--seed", 1, "--out", tmp_path / "d.jsonl") == 0
         assert rows_of(tmp_path / "d.jsonl") == [line + b"\n"]
+
+    def test_dataset_finds_its_rows_past_blank_lines_and_over_its_own_input(self, tmp_path):
+        rows = [json.dumps({**FOREIGN, "sbt_tokens": [f"t{i}"], "label": SATD if i % 3 == 0 else NON_SATD}).encode()
+                for i in range(9)]
+        data = b"\n  \n".join(rows)  # a blank line between rows, no line break after the last
+        corpus, apart = tmp_path / "c.jsonl", tmp_path / "apart.jsonl"
+        corpus.write_bytes(data)
+        apart.write_bytes(data)
+        assert run("dataset", apart, "--seed", 2, "--balance", "--out", tmp_path / "d.jsonl",
+                   "--pool-out", tmp_path / "p.jsonl") == 0
+        assert sorted(rows_of(tmp_path / "d.jsonl") + rows_of(tmp_path / "p.jsonl")) == sorted(r + b"\n" for r in rows)
+        # the pool is copied from the input as read, after the dataset has replaced it
+        assert run("dataset", corpus, "--seed", 2, "--balance", "--out", corpus,
+                   "--pool-out", tmp_path / "p2.jsonl") == 0
+        assert corpus.read_bytes() == (tmp_path / "d.jsonl").read_bytes()
+        assert (tmp_path / "p2.jsonl").read_bytes() == (tmp_path / "p.jsonl").read_bytes()
+
+
+class TestDatasetInput:
+    """`dataset` copies its kept rows after the shuffle from the file it
+    read, through the same handle."""
+
+    @staticmethod
+    def corpus(path: Path) -> Path:
+        rows = [json.dumps({**FOREIGN, "sbt_tokens": [f"t{i}"], "label": SATD if i % 2 else NON_SATD})
+                for i in range(8)]
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    def test_a_path_replaced_after_the_pass_changes_nothing(self, tmp_path, monkeypatch):
+        import satd_forge.cli as cli
+
+        corpus, apart = self.corpus(tmp_path / "c.jsonl"), self.corpus(tmp_path / "apart.jsonl")
+        assert run("dataset", apart, "--seed", 3, "--balance", "--out", tmp_path / "d.jsonl",
+                   "--pool-out", tmp_path / "p.jsonl") == 0
+        build = cli.build_dataset
+
+        def replaced_after_the_pass(*args, **kwargs):
+            dataset = build(*args, **kwargs)
+            # as `label` in place replaces the file, with rows of other lengths
+            (tmp_path / "new.jsonl").write_text(json.dumps({**FOREIGN, "label": EXCLUDED}) + "\n")
+            (tmp_path / "new.jsonl").replace(corpus)
+            return dataset
+
+        monkeypatch.setattr(cli, "build_dataset", replaced_after_the_pass)
+        assert run("dataset", corpus, "--seed", 3, "--balance", "--out", tmp_path / "d2.jsonl",
+                   "--pool-out", tmp_path / "p2.jsonl") == 0
+        assert (tmp_path / "d2.jsonl").read_bytes() == (tmp_path / "d.jsonl").read_bytes()
+        assert (tmp_path / "p2.jsonl").read_bytes() == (tmp_path / "p.jsonl").read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_exits_2_before_the_pass(self, tmp_path, capsys):
+        rows = self.corpus(tmp_path / "c.jsonl").read_bytes()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as f:
+                f.write(rows)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            assert run("dataset", fifo, "--seed", 3, "--out", tmp_path / "d.jsonl") == 2
+        finally:
+            writer.join()
+        assert capsys.readouterr().err == (
+            f"error: {fifo}: dataset copies its rows back from its input, which must be a regular file, not a pipe\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "fifo"]
 
 
 def test_a_label_that_fails_leaves_the_corpus_and_no_spool(tmp_path):

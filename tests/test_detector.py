@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from gradcheck import check_gradients
 from satd_forge.checkpoint import load_checkpoint
 from satd_forge.detector import (
-    DetectorHp,
     DetectorModel,
+    DlHp,
+    SvmHp,
     check_detector_setting,
     embed_average,
     fit_detector,
@@ -17,7 +19,7 @@ from satd_forge.detector import (
     train_linear_svm,
     train_mnb,
 )
-from satd_forge.errors import DataError, TrainingError, check_training_hp
+from satd_forge.errors import DataError, TrainingError
 from satd_forge.generator import GeneratorHp
 from satd_forge.textpipe import build_vocabulary, pad_batch
 from satd_forge.vsm import bow_counts
@@ -49,22 +51,22 @@ def synthetic_corpus(n, seed, markers=("hackmark", "fixmark")):
 class TestDlDetector:
     def test_overfits_small_separable_set(self):
         seqs, labels = synthetic_corpus(20, seed=0)
-        hp = DetectorHp(latent=8, layers=1, batch_size=10, pooling="max", epochs=60,
-                        learning_rate=2e-3)
+        hp = DlHp(latent=8, layers=1, batch_size=10, pooling="max", epochs=60,
+                  learning_rate=2e-3)
         model = train_dl(seqs, labels, hp, 1)
         preds = [predict_many(model, [s])[0][1] for s in seqs]
         assert all(p == bool(y) for p, y in zip(preds, labels))
 
     def test_zero_epochs_predicts_near_half(self):
         seqs, labels = synthetic_corpus(10, seed=1)
-        hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="mean", epochs=0)
+        hp = DlHp(latent=8, layers=1, batch_size=4, pooling="mean", epochs=0)
         model = train_dl(seqs, labels, hp, 2)
         probs = [predict_many(model, [s])[0][0] for s in seqs]
         assert all(abs(p - 0.5) < 0.2 for p in probs)
 
     def test_same_seed_identical_checkpoint_bytes(self, tmp_path):
         seqs, labels = synthetic_corpus(12, seed=2)
-        hp = DetectorHp(latent=8, layers=1, batch_size=6, pooling="last", epochs=5)
+        hp = DlHp(latent=8, layers=1, batch_size=6, pooling="last", epochs=5)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_detector(train_dl(seqs, labels, hp, 7), p1)
         save_detector(train_dl(seqs, labels, hp, 7), p2)
@@ -72,22 +74,22 @@ class TestDlDetector:
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
-            train_dl([["a"], ["b"]], [1, 1], DetectorHp(epochs=1), 0)
+            train_dl([["a"], ["b"]], [1, 1], DlHp(epochs=1), 0)
 
     def test_threshold_rule(self):
         seqs, labels = synthetic_corpus(10, seed=3)
-        hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="max", epochs=0)
+        hp = DlHp(latent=8, layers=1, batch_size=4, pooling="max", epochs=0)
         model = train_dl(seqs, labels, hp, 3)
         prob, label = predict_many(model, [seqs[0]])[0]
-        assert label == (prob >= model.threshold)
-        model.threshold = 0.0
+        assert label == (prob >= model.hp.threshold)
+        model.hp = replace(model.hp, threshold=0.0)
         prob2, label2 = predict_many(model, [seqs[0]])[0]
         assert prob2 == prob  # threshold never changes the probability
         assert label2
 
     def test_prediction_invariant_to_trailing_padding(self):
         seqs, labels = synthetic_corpus(10, seed=4)
-        hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="mean", epochs=3)
+        hp = DlHp(latent=8, layers=1, batch_size=4, pooling="mean", epochs=3)
         model = train_dl(seqs, labels, hp, 4)
         seq = model.vocab.encode(seqs[0])
         lone, lone_mask = pad_batch([seq], 1500)
@@ -99,7 +101,7 @@ class TestDlDetector:
 
     def test_empty_sequence_rejected(self):
         seqs, labels = synthetic_corpus(10, seed=5)
-        model = train_dl(seqs, labels, DetectorHp(latent=8, epochs=0), 5)
+        model = train_dl(seqs, labels, DlHp(latent=8, epochs=0), 5)
         with pytest.raises(DataError):
             predict_many(model, [[]])
 
@@ -152,7 +154,7 @@ class TestDlDetector:
 
     def test_last_pool_single_layer_equals_final_state(self):
         seqs, labels = synthetic_corpus(8, seed=6)
-        hp = DetectorHp(latent=8, layers=1, batch_size=4, pooling="last", epochs=2)
+        hp = DlHp(latent=8, layers=1, batch_size=4, pooling="last", epochs=2)
         model = train_dl(seqs, labels, hp, 6)
         net = model.network
         idx, mask = pad_batch([model.vocab.encode(seqs[0])], 1500)
@@ -271,7 +273,7 @@ class TestSvm:
         model = DetectorModel(
             kind="svm",
             vocab=build_vocabulary([["a"]], "code"),
-            hp=DetectorHp(),
+            hp=SvmHp(),
             weights=np.zeros(2),
             bias=0.0,
         )
@@ -328,7 +330,7 @@ class TestPersistence:
 
     def test_dl_round_trip_predictions_match(self, tmp_path):
         seqs, labels = synthetic_corpus(10, seed=9)
-        hp = DetectorHp(latent=8, layers=2, batch_size=4, pooling="max", epochs=3)
+        hp = DlHp(latent=8, layers=2, batch_size=4, pooling="max", epochs=3)
         model = train_dl(seqs, labels, hp, 10)
         path = tmp_path / "dl.ckpt"
         save_detector(model, path)
@@ -351,22 +353,21 @@ class TestHyperParameterRules:
     ])
     def test_rejected(self, bad):
         with pytest.raises(DataError, match=f"hyper-parameter {next(iter(bad))} must be"):
-            check_training_hp(DetectorHp.from_dict(bad))
+            DlHp.parse(bad)
 
     def test_boundaries_accepted(self):
-        check_training_hp(DetectorHp.from_dict({"latent": 1, "layers": 1, "batch_size": 1, "epochs": 0,
-                                                "learning_rate": 1, "dropout": 0, "seq_cap": 1,
-                                                "threshold": 0}))
-        check_training_hp(DetectorHp.from_dict({"dropout": 0.999, "threshold": 1}))
+        DlHp.parse({"latent": 1, "layers": 1, "batch_size": 1, "epochs": 0, "learning_rate": 1, "dropout": 0,
+                    "seq_cap": 1, "threshold": 0})
+        DlHp.parse({"dropout": 0.999, "threshold": 1})
 
     @pytest.mark.parametrize("bad", [{"code_cap": "10"}, {"code_cap": 0}, {"comment_cap": 2.5},
                                      {"comment_cap": 0}, {"dropout": 1.5}])
     def test_generator_rejected(self, bad):
         with pytest.raises(DataError, match=f"hyper-parameter {next(iter(bad))} must be"):
-            check_training_hp(GeneratorHp.from_dict(bad))
+            GeneratorHp.parse(bad)
 
     def test_generator_boundaries_accepted(self):
-        check_training_hp(GeneratorHp.from_dict({"code_cap": 1, "comment_cap": 1, "dropout": 0}))
+        GeneratorHp.parse({"code_cap": 1, "comment_cap": 1, "dropout": 0})
 
     @pytest.mark.parametrize("lam", [0, -1.0, math.nan, math.inf, "0.1", None])
     def test_svm_lam(self, lam):

@@ -22,6 +22,7 @@ from satd_forge.java_miner import (
     mine_file,
     JsonlRows,
     PairRecord,
+    rows_at,
     write_jsonl,
     write_rows,
 )
@@ -250,61 +251,78 @@ def labels_of(lines):
     return [json.loads(line)["label"] for line in lines]
 
 
+def corpus_rows(tmp_path, records):
+    """The records written to a corpus file, read back as `JsonlRows`."""
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [line for _, line in as_rows(records)], {})
+    return JsonlRows(path)
+
+
+def lines_of(rows, spans):
+    """The rows a dataset's spans pick from the file `rows` read."""
+    with open(rows.path, "rb") as f:
+        return list(rows_at(f, spans))
+
+
 class TestBuildDataset:
-    def test_balancing(self):
+    def test_balancing(self, tmp_path):
         records = [make_record([f"s{i}"], ["w"], SATD) for i in range(10)]
         records += [make_record([f"n{i}"], ["w"], NON_SATD) for i in range(100)]
-        dataset = build_dataset(as_rows(records), seed=3, balance=True)
-        labels = labels_of(dataset.pairs)
+        rows = corpus_rows(tmp_path, records)
+        dataset = build_dataset(rows, seed=3, balance=True)
+        labels = labels_of(lines_of(rows, dataset.pairs))
         assert labels.count(SATD) == 10
         assert labels.count(NON_SATD) == 10
-        assert len(dataset.leftover_pool) == 90
+        assert labels_of(lines_of(rows, dataset.leftover_pool)) == [NON_SATD] * 90
 
-    def test_dedup(self):
+    def test_dedup(self, tmp_path):
         records = [make_record(["x"], ["w"], SATD), make_record(["x"], ["w"], SATD)]
         records.append(make_record(["y"], ["w"], NON_SATD))
-        dataset = build_dataset(as_rows(records), seed=0)
+        dataset = build_dataset(corpus_rows(tmp_path, records), seed=0)
         assert len(dataset.pairs) == 2
 
-    def test_dedup_tells_apart_lists_that_join_alike(self):
+    def test_dedup_tells_apart_lists_that_join_alike(self, tmp_path):
         # joined by NUL, each pair below gives one string; the dedup key must still differ
         pairs = [(["a\0", "b"], ["a", "\0b"]), ([], [""]), (["a", "b"], ["a\0b"])]
         records = [make_record(code, ["w"], SATD) for pair in pairs for code in pair]
         records += [make_record(["c"], words, SATD) for pair in pairs for words in pair]
-        dataset = build_dataset(as_rows(records), seed=0)
+        dataset = build_dataset(corpus_rows(tmp_path, records), seed=0)
         assert dataset.provenance["after_dedup"] == len(records) == 12
 
-    def test_determinism(self):
+    def test_determinism(self, tmp_path):
         records = [make_record([f"s{i}"], ["w"], SATD) for i in range(5)]
         records += [make_record([f"n{i}"], ["w"], NON_SATD) for i in range(5)]
-        a = build_dataset(as_rows(records), seed=11)
-        b = build_dataset(as_rows(records), seed=11)
+        rows = corpus_rows(tmp_path, records)
+        a = build_dataset(rows, seed=11)
+        b = build_dataset(rows, seed=11)
         assert a.pairs == b.pairs
 
-    def test_length_filter(self):
+    def test_length_filter(self, tmp_path):
         long_code = make_record(["t"] * 1501, ["w"], NON_SATD)
         long_comment = make_record(["u"], ["w"] * 151, NON_SATD)
         keeper = make_record(["v"], ["w"], SATD)
-        dataset = build_dataset(as_rows([long_code, long_comment, keeper]), seed=0)
+        dataset = build_dataset(corpus_rows(tmp_path, [long_code, long_comment, keeper]), seed=0)
         assert len(dataset.pairs) == 1
 
-    def test_empty_positive_class(self):
+    def test_empty_positive_class(self, tmp_path):
         records = [make_record([f"n{i}"], ["w"], NON_SATD) for i in range(4)]
         with pytest.raises(DataError, match="empty positive class"):
-            build_dataset(as_rows(records), seed=0)
+            build_dataset(corpus_rows(tmp_path, records), seed=0)
 
-    def test_rows_are_read_once_in_order(self):
+    def test_rows_are_read_once_in_order(self, tmp_path):
         records = [make_record([f"s{i}"], ["w"], SATD) for i in range(3)]
         seen = []
 
-        def rows():
-            for r, line in as_rows(records):
-                seen.append(r.sbt_tokens[0])
-                yield r, line
+        class Recorded(JsonlRows):
+            def __iter__(self):
+                for r, line in super().__iter__():
+                    seen.append(r.sbt_tokens[0])
+                    yield r, line
 
-        dataset = build_dataset(rows(), seed=0)
+        rows = Recorded(corpus_rows(tmp_path, records).path)
+        dataset = build_dataset(rows, seed=0)
         assert seen == ["s0", "s1", "s2"]
-        assert sorted(dataset.pairs) == sorted(line for _, line in as_rows(records))
+        assert sorted(lines_of(rows, dataset.pairs)) == sorted(line for _, line in as_rows(records))
 
 
 class TestGoldenFixtures:

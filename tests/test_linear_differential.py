@@ -96,10 +96,9 @@ def compare_all(train, labels, test, lam, epochs, seed, skip_unless=require):
         assert_svm_equal(train_linear_svm(vectors, svm_labels, lam=lam, epochs=epochs, seed=seed), want)
         scored = [d for d in test if d]
         scored_vectors = [v for d, v in zip(test, test_vectors) if d]
-        for kind in ("mnb", "svm"):
-            setting = check_detector_setting(
-                {"model": kind, "features": features, "alpha": 0.5, "lam": lam, "epochs": epochs})
-            model = fit_detector(setting, train, labels, seed, "code", vocab=vocab)
+        for hp in ({"model": "mnb", "features": features, "alpha": 0.5},
+                   {"model": "svm", "features": features, "lam": lam, "epochs": epochs}):
+            model = fit_detector(check_detector_setting(hp), train, labels, seed, "code", vocab=vocab)
             assert_predictions_equal(
                 predict_many(model, scored), reference_predictions(model, scored_vectors, scored)
             )

@@ -5,7 +5,7 @@ import pytest
 
 from gradcheck import check_gradients
 from satd_forge import tensor_core as tc
-from satd_forge.detector import DetectorHp, DetectorNetwork, check_detector_setting, fit_detector
+from satd_forge.detector import DetectorNetwork, DlHp, check_detector_setting, fit_detector
 from satd_forge.errors import DataError
 from satd_forge.pretrainer import detector_start, load_lm, save_lm, train_next_token_lm
 from satd_forge.textpipe import pad_batch
@@ -18,7 +18,7 @@ def alternating_corpus(n=12, length=10):
 class TestLm:
     def test_memorizes_deterministic_pattern(self):
         seqs = alternating_corpus()
-        hp = DetectorHp(latent=8, layers=1, batch_size=4, epochs=40, learning_rate=3e-3)
+        hp = DlHp(latent=8, layers=1, batch_size=4, epochs=40, learning_rate=3e-3)
         model = train_next_token_lm(seqs, hp, seed=0)
         encoded = [model.vocab.encode(s) for s in seqs[:4]]
         idx, mask = pad_batch([s[:-1] for s in encoded], 100)
@@ -31,7 +31,7 @@ class TestLm:
 
     def test_initial_loss_log_vocab(self):
         seqs = alternating_corpus()
-        hp = DetectorHp(latent=8, layers=1, batch_size=4, epochs=0)
+        hp = DlHp(latent=8, layers=1, batch_size=4, epochs=0)
         model = train_next_token_lm(seqs, hp, seed=1)
         model.network.out.p["W"][...] = 0.0
         model.network.out.p["b"][...] = 0.0
@@ -42,13 +42,13 @@ class TestLm:
         assert loss == pytest.approx(math.log(model.vocab.size), abs=1e-9)
 
     def test_corpus_smaller_than_batch_rejected(self):
-        hp = DetectorHp(batch_size=8, epochs=1)
+        hp = DlHp(batch_size=8, epochs=1)
         with pytest.raises(DataError):
             train_next_token_lm([["a", "b"]] * 4, hp, seed=0)
 
     def test_same_seed_identical_weights(self):
         seqs = alternating_corpus()
-        hp = DetectorHp(latent=8, layers=1, batch_size=4, epochs=3)
+        hp = DlHp(latent=8, layers=1, batch_size=4, epochs=3)
         a = train_next_token_lm(seqs, hp, seed=5)
         b = train_next_token_lm(seqs, hp, seed=5)
         for name, (pa, _) in a.network.named_params().items():
@@ -82,7 +82,7 @@ def lm_and_detector(tmp_seed=0, latent=8, layers=2, mode="end2end", lm=None):
     """An LM and a detector initialized from it; zero epochs leave the
     detector's weights as initialized."""
     if lm is None:
-        hp = DetectorHp(latent=latent, layers=layers, batch_size=4, epochs=3)
+        hp = DlHp(latent=latent, layers=layers, batch_size=4, epochs=3)
         lm = train_next_token_lm(alternating_corpus(), hp, seed=tmp_seed)
     hp_dict = {"model": "dl", "latent": latent, "layers": layers, "batch_size": 2, "epochs": 0}
     detector = fit_detector(check_detector_setting(hp_dict), DETECTOR_ITEMS, DETECTOR_LABELS, tmp_seed + 1, "code",

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from satd_forge.detector import DetectorHp, check_detector_setting, fit_detector, save_detector
+from satd_forge.detector import DlHp, check_detector_setting, fit_detector, save_detector
 from satd_forge.generator import GeneratorHp, save_generator, train_generator
 from satd_forge.pretrainer import detector_start, save_lm, train_next_token_lm
 from satd_forge.textpipe import frame_comment
@@ -58,14 +58,14 @@ def generator_pairs():
     return pairs
 
 
-LM_HP = DetectorHp(latent=6, layers=2, batch_size=4, epochs=2, learning_rate=0.01, dropout=0.2)
+LM_HP = DlHp(latent=6, layers=2, batch_size=4, epochs=2, learning_rate=0.01, dropout=0.2)
 
 
 @pytest.mark.parametrize("pooling", ["last", "mean", "max"])
 def test_dl_detector_three_layers_with_dropout(pooling):
     seqs, labels = detector_corpus()
-    hp = DetectorHp(latent=6, layers=3, batch_size=4, pooling=pooling, epochs=2,
-                    learning_rate=0.01, dropout=0.3)
+    hp = DlHp(latent=6, layers=3, batch_size=4, pooling=pooling, epochs=2,
+              learning_rate=0.01, dropout=0.3)
     model = train_dl(seqs, labels, hp, 11)
     assert model.final_loss == pytest.approx(DL_LOSS[pooling], rel=REL)
 
@@ -109,8 +109,8 @@ def sha256(path) -> str:
 @pytest.mark.parametrize("pooling", ["last", "mean", "max"])
 def test_dl_detector_checkpoint_bytes(tmp_path, pooling):
     seqs, labels = detector_corpus()
-    hp = DetectorHp(latent=6, layers=3, batch_size=4, pooling=pooling, epochs=2,
-                    learning_rate=0.01, dropout=0.3)
+    hp = DlHp(latent=6, layers=3, batch_size=4, pooling=pooling, epochs=2,
+              learning_rate=0.01, dropout=0.3)
     save_detector(train_dl(seqs, labels, hp, 11), tmp_path / "dl.ckpt")
     assert sha256(tmp_path / "dl.ckpt") == CHECKPOINT_SHA256[f"dl-{pooling}"]
 

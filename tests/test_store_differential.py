@@ -15,7 +15,7 @@ from satd_forge import evalkit
 from satd_forge.cli import main
 from satd_forge.detector import check_detector_setting, save_detector
 from satd_forge.generator import GeneratorHp, save_generator
-from satd_forge.pretrainer import DetectorHp, save_lm
+from satd_forge.pretrainer import DlHp, save_lm
 from satd_forge.textpipe import EOS, SOS, UNKN_PAD, TokenStore, build_vocabulary, pad_batch
 from satd_forge.vsm import bow_counts
 
@@ -163,7 +163,7 @@ def test_language_model_checkpoint_bytes(corpus, tmp_path):
     assert main(["pretrain", str(corpus), "--hp", str(tmp_path / "hp.json"), "--seed", "5",
                  "--out", str(tmp_path / "lm.ckpt")]) == 0
     sequences = [r.sbt_tokens for r in ref.read_jsonl(corpus)]
-    save_lm(ref.train_next_token_lm(sequences, DetectorHp.from_dict(TINY), 5), tmp_path / "ref.ckpt")
+    save_lm(ref.train_next_token_lm(sequences, DlHp.from_dict(TINY), 5), tmp_path / "ref.ckpt")
     assert (tmp_path / "lm.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
 
 

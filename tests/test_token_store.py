@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from satd_forge.errors import DataError
-from satd_forge.java_miner import JsonlRows
+from satd_forge.java_miner import JsonlRows, rows_at
 from satd_forge.textpipe import EOS, SOS, TokenStore, as_column
 
 
@@ -26,6 +26,13 @@ def write(path, rows, meta_after=None):
             lines += ["", json.dumps({"_meta": {}})]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def lines_at(path, spans):
+    """The lines a store's spans pick from the file at `path`, as 1-based line numbers."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    with open(path, "rb") as f:
+        return [lines.index(line) + 1 for line in rows_at(f, spans.tolist())]
 
 
 @pytest.fixture()
@@ -46,7 +53,7 @@ def test_detector_store_keeps_every_row(small):
     assert store.comment is None
     assert store.satd.tolist() == [True, True, False, True, False]
     assert store.projects == ["p1", "p2", "p1", "p3", "p2"]
-    assert store.linenos.tolist() == [2, 3, 6, 7, 8]  # past the blank and the second _meta line
+    assert lines_at(small, store.spans) == [2, 3, 6, 7, 8]  # past the blank and the second _meta line
     assert store.code.ids.dtype == np.intc
 
 
@@ -54,10 +61,10 @@ def test_pairs_keep_the_commented_satd_rows_framed(small):
     store = TokenStore.read(small, pairs=True)
     assert list(store.code) == [["a", "b"], ["c", "a"]]
     assert list(store.comment) == [[SOS, "todo", EOS], [SOS, "hack", EOS]]
-    assert store.linenos.tolist() == [2, 7]
+    assert lines_at(small, store.spans) == [2, 7]
     chosen = store.select(np.array([1]))
     assert list(chosen.code) == [["c", "a"]] and list(chosen.comment) == [[SOS, "hack", EOS]]
-    assert chosen.linenos.tolist() == [7]
+    assert lines_at(small, chosen.spans) == [7]
 
 
 def test_store_shares_one_string_per_project(small):
