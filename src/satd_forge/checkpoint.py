@@ -6,9 +6,10 @@ then the parameter blocks as little-endian float32 in that order.
 
 Networks are written and read through their `named_params()`: the block
 names, their order and their shapes are the network's own. A loader checks
-the header fields that inference reads, and compares the blocks with the
-shapes the header implies, before it builds a network; each fault is a
-CheckpointError naming the file and the field or block.
+the header's kind first (`load_checkpoint`'s `kinds`), then the fields
+that inference reads, and compares the blocks with the shapes the header
+implies, before it builds a network; each fault is a CheckpointError
+naming the file and the field or block.
 """
 
 from __future__ import annotations
@@ -68,12 +69,15 @@ def _read_exactly(f, count: int, path, what: str) -> bytes:
     return raw
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+def load_checkpoint(path, kinds=None) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (header, blocks); block arrays come back as float64.
 
-    Looking up a header field or a block the file lacks raises
-    CheckpointError naming the path. So does a block holding a NaN or an
-    infinity, and a header declaring more bytes than the file holds.
+    With `kinds`, a header whose `kind` is not one of them raises
+    CheckpointError naming the path and the kind the file holds, before
+    any block is read. Looking up a header field or a block the file
+    lacks raises CheckpointError naming the path. So does a block holding
+    a NaN or an infinity, and a header declaring more bytes than the file
+    holds.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -88,6 +92,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             specs = [(str(spec["name"]), spec["shape"]) for spec in header.get("blocks", [])]
         except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
+        header = _Section(header, f"{path}: header field")
+        kind = header["kind"] if kinds else None
+        if kinds and (not isinstance(kind, str) or kind not in kinds):
+            raise CheckpointError(f"{path}: checkpoint of kind {kind!r}, expected {' or '.join(map(repr, kinds))}")
         end = f.tell()
         for name, shape in specs:
             if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
@@ -103,7 +111,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             if not np.isfinite(block).all():
                 raise CheckpointError(f"{path}: block {name!r} holds a NaN or infinite value")
             blocks[name] = block.astype(np.float64)
-    return _Section(header, f"{path}: header field"), _Section(blocks, f"{path}: block")
+    return header, _Section(blocks, f"{path}: block")
 
 
 def check_shapes(shapes, blocks: dict[str, np.ndarray], source) -> None:

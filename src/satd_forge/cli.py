@@ -72,8 +72,8 @@ def _read_task(path, task: str, projects: bool = False) -> TokenStore:
 
 def _task_labels(store: TokenStore, task: str) -> tuple[list, bool]:
     """(labels, stratified) of a task's items: a detector task labels each
-    item SATD (True) or not and splits them stratified; generation labels
-    every pair 0 and splits them unstratified."""
+    item SATD (True) or not and deals its folds stratified; generation
+    labels every pair 0 and deals them unstratified."""
     if task == "generate":
         return [0] * len(store), False
     return store.satd.tolist(), True
@@ -369,10 +369,8 @@ def cmd_tune(args) -> int:
         "fraction": args.fraction,
         "grid": grid,
     }
-    labels, stratified = _task_labels(store, args.task)
-    tuning_ids, remainder_ids = evalkit.tuning_split(
-        labels, fraction=args.fraction, stratified=stratified, seed=args.seed
-    )
+    labels, _ = _task_labels(store, args.task)
+    tuning_ids, remainder_ids = evalkit.tuning_split(labels, fraction=args.fraction, seed=args.seed)
     trials = [(_make_recipe(args.task, setting, args.seed, store), 0, tuning_ids) for setting in checked]
     scores = evalkit.run_trials(len(store), trials)
     rows = [{**setting, **row} for setting, row in zip(settings, scores)]
@@ -493,8 +491,7 @@ def cmd_detect(args) -> int:
     from .detector import check_detector_input, load_detector
 
     model = load_detector(args.model)
-    kind = args.kind or model.vocab.kind
-    lines, sequences = _input_sequences(args.input, kind, partial(check_detector_input, model))
+    lines, sequences = _input_sequences(args.input, model.vocab.kind, partial(check_detector_input, model))
     results = _predict_all(model, as_column(sequences))
     for line, (prob, positive) in zip(lines, results):
         verdict = "SATD" if positive else "NonSATD"
@@ -599,7 +596,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", help="classify code or comments from a file")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--kind", choices=["code", "comment"], default=None)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("generate", help="generate comments for code lines")

@@ -22,7 +22,6 @@ from .checkpoint import (
     save_network,
 )
 from .errors import (
-    CheckpointError,
     DataError,
     HyperParameters,
     TrainingError,
@@ -381,6 +380,9 @@ def fit_detector(setting: DlHp | MnbHp | SvmHp, items, labels, seed: int, vocab_
                 f"a pre-trained language model cannot initialize model {kind!r} in mode {mode!r}: "
                 "it serves dl in either mode and svm in embedding_only"
             )
+        if setting.features == "tfidf":
+            raise DataError("hyper-parameter features 'tfidf' does not apply to an svm that starts from "
+                            "a language model's embedding: its features are the averaged embeddings")
         kind = "pretrained_embed_svm"
     labels = [int(v) for v in labels]
     model = DetectorModel(kind=kind, vocab=vocab, hp=setting, seed=seed)
@@ -447,11 +449,9 @@ HEADER_SETTINGS = {**SETTINGS, "pretrained_embed_svm": SvmHp}
 
 
 def load_detector(path) -> DetectorModel:
-    header, blocks = load_checkpoint(path)
+    header, blocks = load_checkpoint(path, tuple(HEADER_SETTINGS))
     kind = header["kind"]
     vocab = header_vocabulary(header, "vocab_words")
-    if not isinstance(kind, str) or kind not in HEADER_SETTINGS:
-        raise CheckpointError(f"unknown detector kind in checkpoint: {kind!r}")
     # the setting's fields wherever `save_detector` put them; a field the header lacks
     # keeps its default, and only what inference reads is checked
     hp = HEADER_SETTINGS[kind].from_dict({**header_object(header, "hp"), **header})

@@ -104,25 +104,22 @@ def mean_bleu(pairs) -> dict[str, float]:
     return {key: value / len(pairs) for key, value in totals.items()}
 
 
-def tuning_split(labels, fraction: float = 0.10, stratified: bool = True, seed: int = 0):
-    """Index split into (tuning, remainder); stratified within rounding."""
+def tuning_split(labels, fraction: float = 0.10, seed: int = 0):
+    """Index split into (tuning, remainder); stratified within rounding.
+    Over one class, as generation's all-0 labels, that is a plain seeded
+    shuffle."""
     if not 0.0 < fraction < 1.0:
         raise DataError(f"split fraction must be in (0, 1), got {fraction}")
     n = len(labels)
     if n == 0:
         raise DataError("cannot split an empty dataset")
     rng = random.Random(seed)
-    if stratified:
-        tuning: list[int] = []
-        for value in sorted({bool(v) for v in labels}, reverse=True):
-            ids = [i for i, v in enumerate(labels) if bool(v) == value]
-            rng.shuffle(ids)
-            take = int(len(ids) * fraction + 0.5)
-            tuning.extend(ids[:take])
-    else:
-        ids = list(range(n))
+    tuning: list[int] = []
+    for value in sorted({bool(v) for v in labels}, reverse=True):
+        ids = [i for i, v in enumerate(labels) if bool(v) == value]
         rng.shuffle(ids)
-        tuning = ids[: int(n * fraction + 0.5)]
+        take = int(len(ids) * fraction + 0.5)
+        tuning.extend(ids[:take])
     tuning_set = sorted(tuning)
     chosen = set(tuning_set)
     remainder = [i for i in range(n) if i not in chosen]

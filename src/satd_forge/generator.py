@@ -146,10 +146,10 @@ class Seq2SeqNetwork(tc.Network):
         """Teacher-forced loss: decoder inputs are the target sequence
         shifted right by one position.
 
-        Everything runs on real cells only. The output layer runs once on
-        the attended cells as one (1, N_real, d) run in row-major order (at
-        batch 1, the row's (1, K, V) logits), and the loss and its gradient
-        keep that order.
+        Everything runs on real cells only. The softmax head runs here, on
+        the attended cells in row-major order: it adds its weight and bias
+        gradients to `out`, and the caches hold its gradient on the attended
+        cells, (N_real, d), for `backward`.
         """
         enc, dec = tc.Packing(enc_mask), tc.Packing(dec_mask)
         Henc, enc_finals, enc_cache = self.encoder.forward(enc_idx, enc, drop_rng, drop_rate)
@@ -159,22 +159,14 @@ class Seq2SeqNetwork(tc.Network):
         attended, att_cache = self.attention.forward(
             states[dec.row_major], Henc[enc.row_major], dec.spans, enc.spans
         )
-        logits, dense_cache = self.out.forward(attended[None])
-        loss, dlogits = tc.masked_cross_entropy(logits[0], targets, dec, row_major=True)
-        caches = {
-            "encoder": enc_cache,
-            "decoder": dec_cache,
-            "attention": att_cache,
-            "out": dense_cache,
-            "dlogits": dlogits,
-        }
+        loss, dattended = tc.softmax_head(self.out, attended, targets, np.nonzero(dec.mask))
+        caches = {"encoder": enc_cache, "decoder": dec_cache, "attention": att_cache, "dattended": dattended}
         return loss, caches
 
     def backward(self, caches):
         """Consumes `caches`: each part is let go once its gradients are done."""
         enc, dec = caches["encoder"]["packing"], caches["decoder"]["packing"]
-        dattended = self.out.backward(caches.pop("dlogits"), caches.pop("out"))
-        dstates, dHenc = self.attention.backward(dattended, caches.pop("attention"))
+        dstates, dHenc = self.attention.backward(caches.pop("dattended"), caches.pop("attention"))
         dstates, dHenc = dec.from_row_major(dstates), enc.from_row_major(dHenc)
         handoff = self.decoder.backward(dstates, caches.pop("decoder"))
         # encoder: attention gradient on every state, handoff on the final one
@@ -326,7 +318,7 @@ def save_generator(model: GeneratorModel, path):
 
 
 def load_generator(path) -> GeneratorModel:
-    header, blocks = load_checkpoint(path)
+    header, blocks = load_checkpoint(path, ("generator",))
     hp = GeneratorHp.from_dict(header_object(header, "hp"))
     code_vocab = header_vocabulary(header, "code_vocab_words", "code")
     comment_vocab = header_vocabulary(header, "comment_vocab_words", "comment")

@@ -37,13 +37,7 @@ class LmNetwork(tc.Network):
         self.zero_grads()
         packing = tc.Packing(mask)
         states, _, stack_cache = self.stack.forward(idx, packing, drop_rng, drop_rate)
-        # the softmax head sees real positions only, and sums its gradients over them; it
-        # holds two (N_real, V) arrays at most, and none through the stack's backward pass
-        logits, dense_cache = self.out.forward(states)
-        loss, dlogits = tc.masked_cross_entropy(logits, targets, packing)
-        del logits
-        dstates = self.out.backward(dlogits, dense_cache)
-        del dlogits
+        loss, dstates = tc.softmax_head(self.out, states, targets, (packing.rows, packing.times))
         self.stack.backward(dstates, stack_cache)
         return loss
 
@@ -107,7 +101,7 @@ def save_lm(model: LmModel, path):
 
 
 def load_lm(path) -> LmModel:
-    header, blocks = load_checkpoint(path)
+    header, blocks = load_checkpoint(path, ("lm",))
     hp = DlHp.from_dict(header_object(header, "hp"))
     vocab = header_vocabulary(header, "vocab_words", header.get("vocab_kind", "code"))
     check_network(path, header, hp, LmNetwork.block_shapes(vocab.size, hp.latent, hp.layers), blocks)

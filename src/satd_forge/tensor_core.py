@@ -5,20 +5,20 @@ and multi-class log-losses, inverted dropout, Adam/RMSprop and the one
 training loop.
 
 A right-padded batch enters as token ids and a 0/1 mask (B, T), and the
-padded layout ends there: the stack, pooling, both softmax heads and the
-multi-class loss work on its real cells only, packed (`Packing`); callers
-that read a row's cells together, such as attention, gather them in
-row-major order (`Packing.row_major`). Only the multi-class loss total and
-the embedding gradient still add up in the padded batch's row-major order.
+padded layout ends there: the stack, pooling and the softmax head work on
+its real cells only, packed (`Packing`); callers that read a row's cells
+together, such as attention, gather them in row-major order
+(`Packing.row_major`). Only the multi-class loss total and the embedding
+gradient still add up in the padded batch's row-major order.
 
 Each per-cell array is held once. Dropout keeps a boolean keep-mask, and
 a stack's backward pass rebuilds the dropped input of each layer from
 what it keeps anyway (the token ids, or the states of the layer below)
 instead of storing it; a layer recomputes tanh(c) from its cells. Each
 rebuilt value repeats the forward's float64 operations on the same
-operands, so it has the same bits. The softmax heads hold at most two
-(N_real, V) arrays: the logits, and the probabilities that become their
-gradient in place.
+operands, so it has the same bits. The one softmax head (`softmax_head`)
+holds at most two (N_real, V) arrays: the logits, and the probabilities
+that become their gradient in place.
 
 Everything runs in float64 on numpy; checkpoints store float32.
 """
@@ -505,7 +505,7 @@ def pool_backward(dpooled: np.ndarray, cache) -> np.ndarray:
 
 
 class Dense:
-    """Affine layer x @ W + b. Both softmax heads run it on real cells only,
+    """Affine layer x @ W + b. The softmax head runs it on real cells only,
     so its weight and bias gradients are sums over those cells."""
 
     def __init__(self, input_size: int, output_size: int, rng: np.random.Generator):
@@ -521,37 +521,48 @@ class Dense:
         return out, x
 
     def backward(self, dout: np.ndarray, x: np.ndarray):
-        """Returns the gradient on `x`, with the leading axes of `dout`."""
+        """`dout` (N, out) and `x` (N, in). Returns the gradient on `x`."""
         dx = dout @ self.p["W"].T
-        flat_x = x.reshape(-1, x.shape[-1])
-        flat_d = dout.reshape(-1, dout.shape[-1])
-        self.g["W"] += flat_x.T @ flat_d
-        self.g["b"] += flat_d.sum(axis=0)
+        self.g["W"] += x.T @ dout
+        self.g["b"] += dout.sum(axis=0)
         return dx
 
 
-def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray, packing: Packing, row_major: bool = False):
+def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray, cells):
     """Mean per-position multi-class log-loss over the real positions.
 
-    logits (N_real, V) hold `packing`'s real cells in packing order, or
-    with `row_major` in the padded batch's row-major order; targets
-    (B, T) int, right-padded as the packing's mask. Returns (loss,
-    dlogits), dlogits in the order of the logits. The softmax makes one
-    new array, which becomes dlogits in place once the per-position
-    losses are read; the logits are not written. The per-position losses
-    are summed in the padded batch's row-major order.
+    logits (N_real, V); targets (B, T) int, right-padded; `cells`, a
+    (rows, times) tuple, gives the place of each logit row in `targets`.
+    Returns (loss, dlogits), dlogits in the order of the logits. The
+    softmax makes one new array, which becomes dlogits in place once the
+    per-position losses are read; the logits are not written. The
+    per-position losses are summed in the padded batch's row-major order.
     """
-    if packing.n == 0:
+    n = len(cells[0])
+    if n == 0:
         raise DataError("cross entropy over an all-masked batch")
-    rows, times = np.nonzero(packing.mask) if row_major else (packing.rows, packing.times)
     probs = softmax(logits, axis=-1)
-    cells, picked = np.arange(packing.n), np.asarray(targets)[rows, times]
-    losses = np.zeros(packing.mask.shape)
-    losses[rows, times] = -np.log(np.clip(probs[cells, picked], 1e-300, None))
-    loss = losses.sum() / packing.n
-    probs[cells, picked] -= 1.0
-    probs *= 1.0 / packing.n
+    picks, picked = np.arange(n), np.asarray(targets)[cells]
+    losses = np.zeros(np.shape(targets))
+    losses[cells] = -np.log(np.clip(probs[picks, picked], 1e-300, None))
+    loss = losses.sum() / n
+    probs[picks, picked] -= 1.0
+    probs *= 1.0 / n
     return loss, probs
+
+
+def softmax_head(dense: Dense, x: np.ndarray, targets: np.ndarray, cells):
+    """The language model's and the generator's head on the real cells x
+    (N_real, d): `dense`, `masked_cross_entropy` at `cells` and `dense`'s
+    backward pass, which adds the weight and bias gradients. Returns (loss,
+    dx), and holds at most two (N_real, V) arrays. `dense.forward` sees one
+    (1, N_real, d) run: `perfbench/workloads.py`'s `generate` check wraps
+    the generator's `out.forward`, runs `forward_train` on one row and
+    reads `logits[0]` as its (T, V) logits."""
+    logits, _ = dense.forward(x[None])
+    loss, dlogits = masked_cross_entropy(logits[0], targets, cells)
+    del logits
+    return loss, dense.backward(dlogits, x)
 
 
 # the optimizers' decay rates, and the term that keeps their step finite

@@ -140,7 +140,7 @@ def test_criterion_02_gradient_fidelity():
 
     # softmax + multi-class log-loss at the single-prediction level: one real position
     def single_ce(logits, target):
-        loss, dlogits = tc.masked_cross_entropy(logits[None, :], np.array([[target]]), tc.Packing(np.ones((1, 1))))
+        loss, dlogits = tc.masked_cross_entropy(logits[None, :], np.array([[target]]), ([0], [0]))
         return loss, dlogits[0]
 
     rng = np.random.default_rng(300)
@@ -169,9 +169,10 @@ def test_criterion_02_gradient_fidelity():
         return float(loss)
 
     net.loss_and_grads(enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx, None, 0.0)
+    # forward_train adds the softmax head's weight gradients, so the analytic ones are copied
     named = net.named_params()
     rep = check_gradients(
-        gen_loss, {k: v[0] for k, v in named.items()}, {k: v[1] for k, v in named.items()}
+        gen_loss, {k: v[0] for k, v in named.items()}, {k: v[1].copy() for k, v in named.items()}
     )
     worst_overall = max(worst_overall, max(rep.values()))
     assert max(rep.values()) < 1e-4, rep
@@ -406,7 +407,7 @@ def test_criterion_10_protocol_invariants():
             labels[0] = True
             labels[-1] = False
 
-        tuning, rest = tuning_split(labels, fraction=0.10, stratified=True, seed=trial)
+        tuning, rest = tuning_split(labels, fraction=0.10, seed=trial)
         assert sorted(tuning + rest) == list(range(n))
         n_pos = sum(labels)
         want_pos = int(n_pos * 0.10 + 0.5)

@@ -263,7 +263,7 @@ def test_cli_detect_cut_mnb_block_exits_2(tmp_path, capsys):
     rewrite(model, lambda blocks: [(n, a[:, :3] if n == "feature_log_prob" else a) for n, a in blocks])
     lines = tmp_path / "lines.txt"
     lines.write_text("// c b c\n")
-    assert main(["detect", "--model", str(model), "--input", str(lines), "--kind", "comment"]) == 2
+    assert main(["detect", "--model", str(model), "--input", str(lines)]) == 2
     assert "'feature_log_prob'" in capsys.readouterr().err
 
 

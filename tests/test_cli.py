@@ -14,6 +14,13 @@ from satd_forge.cli import main
 from satd_forge.errors import DataError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "java"
+# a checkpoint of each kind, by the kind its header records
+CHECKPOINTS = {
+    "dl": FIXTURES.parent / "networks" / "dl.ckpt",
+    "lm": FIXTURES.parent / "networks" / "lm.ckpt",
+    "generator": FIXTURES.parent / "networks" / "generator.ckpt",
+    "svm": FIXTURES.parent / "linear" / "svm_tfidf.ckpt",
+}
 
 
 def run(*argv):
@@ -596,6 +603,12 @@ class TestExitCodes:
     def test_usage_error(self):
         assert run("mine") == 1
 
+    def test_detect_takes_no_kind(self, tmp_path):
+        # the model's header records its vocabulary's kind, which is the input's
+        model, lines = CHECKPOINTS["dl"], tmp_path / "in.txt"
+        lines.write_text("// TODO: fix\n")
+        assert run("detect", "--model", str(model), "--input", str(lines), "--kind", "comment") == 1
+
     def test_unknown_command(self):
         assert run("frobnicate") == 1
 
@@ -797,6 +810,40 @@ class TestBadInputs:
                    "--init", str(lm)) == 2
         assert not out.exists()
         assert "generator" in capsys.readouterr().err
+
+    def test_init_tfidf_svm_from_the_embedding(self, tmp_path, capsys, monkeypatch, lm_and_data):
+        # an svm that starts from the embedding reads averaged embeddings, never TF-IDF weights
+        lm, data = lm_and_data
+        hp = tmp_path / "hp.json"
+        hp.write_text(json.dumps({"model": "svm", "features": "tfidf"}))
+        monkeypatch.setattr(detector, "train_linear_svm", lambda *a, **k: pytest.fail("the svm trained"))
+        out = tmp_path / "m.ckpt"
+        assert run("train", str(data), "--task", "detect-code", "--hp", str(hp), "--out", str(out),
+                   "--init", str(lm), "--mode", "embedding-only") == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: hyper-parameter features 'tfidf' does not apply")
+
+    @pytest.mark.parametrize("command,kind", [
+        ("generate", "dl"), ("generate", "lm"), ("detect", "generator"), ("detect", "lm"),
+        ("train", "dl"), ("train", "svm"), ("train", "generator"),
+    ])
+    def test_checkpoint_of_another_kind(self, tmp_path, capsys, monkeypatch, command, kind):
+        # each loader reads the header's kind first, and the message names the file and that kind
+        monkeypatch.chdir(tmp_path)
+        model = CHECKPOINTS[kind]
+        if command == "train":
+            synthetic_corpus_file(tmp_path / "data.jsonl", n=16)
+            argv = ["train", "data.jsonl", "--task", "detect-code", "--out", "m.ckpt", "--init", str(model)]
+        else:
+            (tmp_path / "data.jsonl").write_text("if (a) { f(); }\n")
+            argv = [command, "--model", str(model), "--input", "data.jsonl"]
+        before = (tmp_path / "data.jsonl").read_bytes()
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {model}: checkpoint of kind {kind!r}, expected ")
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+        assert (tmp_path / "data.jsonl").read_bytes() == before
 
 
 class TestMalformedInputLines:

@@ -118,7 +118,7 @@ class TestBleu:
 class TestTuningSplit:
     def test_stratified_ten_percent(self):
         labels = [1] * 50 + [0] * 50
-        tuning, rest = tuning_split(labels, fraction=0.10, stratified=True, seed=0)
+        tuning, rest = tuning_split(labels, fraction=0.10, seed=0)
         assert len(tuning) == 10
         assert sum(labels[i] for i in tuning) == 5
         assert sorted(tuning + rest) == list(range(100))

@@ -97,7 +97,7 @@ def test_masked_cross_entropy_through_the_output_layer():
     packing = tc.Packing(mask)
     logits = rng.normal(size=(B, K, V))
     targets = rng.integers(0, V, size=(B, K))  # padding holds words too
-    loss, dlogits = tc.masked_cross_entropy(packing.pack(logits), targets, packing)
+    loss, dlogits = tc.masked_cross_entropy(packing.pack(logits), targets, (packing.rows, packing.times))
     # the padded formula: a softmax at every position, masked afterwards
     probs = tc.softmax(logits, axis=-1)
     picked = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
@@ -111,10 +111,9 @@ def test_masked_cross_entropy_through_the_output_layer():
     dense = tc.Dense(d, V, rng)
     states = packing.pack(rng.normal(size=(B, K, d)))
     ref_loss, ref_dstates, gW, gb = lm_head(dense, states, targets, packing)
-    head_logits, cache = dense.forward(states)
-    head_loss, head_dlogits = tc.masked_cross_entropy(head_logits, targets, packing)
+    head_loss, head_dstates = tc.softmax_head(dense, states, targets, (packing.rows, packing.times))
     assert head_loss == ref_loss
-    np.testing.assert_array_equal(dense.backward(head_dlogits, cache), ref_dstates)
+    np.testing.assert_array_equal(head_dstates, ref_dstates)
     np.testing.assert_allclose(dense.g["W"], gW, rtol=1e-12, atol=1e-12 * np.abs(gW).max())
     np.testing.assert_allclose(dense.g["b"], gb, rtol=1e-12, atol=1e-12 * np.abs(gb).max())
 
@@ -128,10 +127,10 @@ def test_generator_passes_no_gradient_to_padding():
     # the padded head on the same attended cells passes zero at decoder padding,
     # which is what the head on real cells and the per-row attention leave out
     dec = caches["decoder"]["packing"]
-    ref_loss, dpadded, _, _ = generator_head(net.out, caches["out"][0], tgt_idx, dec)
+    ref_loss, dpadded, _, _ = generator_head(net.out, caches["attention"]["attended"], tgt_idx, dec)
     assert ref_loss == loss
     assert not dpadded[dec_mask == 0].any()
-    dattended = net.out.backward(caches["dlogits"], caches["out"])
+    dattended = caches["dattended"]
     np.testing.assert_array_equal(dattended, dpadded[dec_mask > 0])
     dstates, dHenc = net.attention.backward(dattended, caches["attention"])
     # the padded formula on the same states, with garbage at padding

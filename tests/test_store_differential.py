@@ -186,8 +186,8 @@ def test_tune_remainder_rows(corpus, tmp_path, task, grid):
     remainder = tmp_path / "remainder.jsonl"
     assert main(["tune", str(corpus), "--task", task, "--grid", str(tmp_path / "grid.json"), "--seed", "2",
                  "--out", str(tmp_path / "t.json"), "--remainder-out", str(remainder)]) == 0
-    _, labels, stratified = ref.task_data(ref.read_jsonl(corpus), task)
-    _, remainder_ids = evalkit.tuning_split(labels, fraction=0.1, stratified=stratified, seed=2)
+    _, labels, _ = ref.task_data(ref.read_jsonl(corpus), task)
+    _, remainder_ids = evalkit.tuning_split(labels, fraction=0.1, seed=2)
     rows = remainder.read_bytes().splitlines(keepends=True)[1:]
     assert rows == ref.remainder_lines(corpus, task, remainder_ids)
     assert rows[-1].endswith(b"\n")

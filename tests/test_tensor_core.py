@@ -124,7 +124,7 @@ class TestSigmoidAndBce:
 def single_ce(logits, target):
     """`masked_cross_entropy` of one prediction, and its softmax: (probs, loss, dlogits)."""
     logits = np.asarray(logits)[None, :]
-    loss, dlogits = tc.masked_cross_entropy(logits, np.array([[target]]), tc.Packing(np.ones((1, 1))))
+    loss, dlogits = tc.masked_cross_entropy(logits, np.array([[target]]), ([0], [0]))
     return tc.softmax(logits)[0], loss, dlogits[0]
 
 
