@@ -11,6 +11,9 @@ one language-model step at the paper's shape for three vocabularies.
 - lm: one `LmNetwork.loss_and_grads` over the paper shape's batch at
   latent 32 (3 layers: widths 64, 32, 16) with a V-word softmax head, for
   V = 2,000, 4,000 and 8,000. The head dominates its memory.
+- infer: one `predict_many` chunk of the paper's detector (latent 256,
+  3 layers, batch 128) over 128 rows of 300 tokens each, as a `tune`,
+  `cv` or `xproject` trial scores its longest held-out rows.
 
 All draw 20% dropout. The upstream gradient covers the real cells only,
 as every consumer of the stack passes; each pass gets a fresh copy of
@@ -20,15 +23,20 @@ pass, the median µs per step of the layers' forward and backward calls
 `tracemalloc`, the memory held after the forward pass and the pass's
 peak. For each vocabulary it prints the step's `tracemalloc` peak, the
 wall time of an untraced step and the loss, whose bits should not
-change with a rewrite that keeps the arithmetic:
+change with a rewrite that keeps the arithmetic. For the inference chunk
+it prints the `tracemalloc` peak of one call, the wall time of an
+untraced one and the SHA-256 of the probabilities' float64 bytes, which
+should not change either:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/time_lstm_stack.py
 
-The V=8,000 step peaks at about 1.5 GB. Commits before the stack handed
+The V=8,000 step peaks at about 1.5 GB and the inference chunk at about
+0.9 GB. Commits before the stack handed
 packed arrays between its layers took the mask instead of a `Packing`
 and a padded (B, T, H) gradient.
 """
 
+import hashlib
 import statistics
 import time
 import tracemalloc
@@ -36,13 +44,17 @@ import tracemalloc
 import numpy as np
 
 from satd_forge import tensor_core as tc
+from satd_forge.detector import DetectorModel, DetectorNetwork, DlHp, predict_many
 from satd_forge.pretrainer import LmNetwork
+from satd_forge.textpipe import build_vocabulary
 
 VOCAB = 2000
 # name, batch, latent, layers, median length, passes
 SHAPES = [("paper", 128, 256, 3, 65, 3), ("detect", 8, 16, 1, 55, 200)]
 # the language model step at the paper shape: latent, layers, vocabularies
 LM_SHAPE = (32, 3, (2000, 4000, 8000))
+# the inference chunk: rows, tokens per row, latent, layers
+INFER_SHAPE = (128, 300, 256, 3)
 MB = 1e6
 
 
@@ -124,12 +136,35 @@ def lm_step(latent, layers, vocab):
           f"peak={peak:.0f}MB step={seconds:.2f}s loss={float(loss)!r}")
 
 
+def infer_chunk(rows, length, latent, layers):
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(VOCAB)]
+    sequences = [[words[j] for j in rng.integers(0, VOCAB, size=length)] for _ in range(rows)]
+    vocab = build_vocabulary(sequences, "code")
+    hp = DlHp(latent=latent, layers=layers, batch_size=rows)
+    network = DetectorNetwork(vocab.size, latent, layers, hp.pooling, seed=0)
+    model = DetectorModel(kind="dl", vocab=vocab, hp=hp, network=network)
+    tracemalloc.start()
+    try:
+        probs = predict_many(model, sequences)
+        peak = tracemalloc.get_traced_memory()[1] / MB
+    finally:
+        tracemalloc.stop()
+    start = time.perf_counter()
+    predict_many(model, sequences)
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256(np.array([p for p, _ in probs]).tobytes()).hexdigest()[:16]
+    print(f"infer: B={rows} T={length} latent={latent} layers={layers} peak={peak:.0f}MB "
+          f"seconds={seconds:.2f}s probs_sha256={digest}")
+
+
 def main():
     for shape in SHAPES:
         time_shape(*shape)
     latent, layers, vocabularies = LM_SHAPE
     for vocab in vocabularies:
         lm_step(latent, layers, vocab)
+    infer_chunk(*INFER_SHAPE)
 
 
 if __name__ == "__main__":

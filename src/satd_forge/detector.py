@@ -118,13 +118,15 @@ class DetectorNetwork(tc.Network):
         yield "dense.W", (sizes[-1], 1)
         yield "dense.b", (1,)
 
-    def forward(self, idx: np.ndarray, mask: np.ndarray, drop_rng=None, drop_rate: float = 0.0):
+    def forward(self, idx: np.ndarray, mask: np.ndarray, drop_rng=None, drop_rate: float = 0.0, cache: bool = True):
+        """(probabilities (B,), caches); with `cache=False` (inference) the
+        caches are None and the stack keeps none (`LstmStack.forward`)."""
         packing = tc.Packing(mask)
-        states, _, stack_cache = self.stack.forward(idx, packing, drop_rng, drop_rate)
+        states, _, stack_cache = self.stack.forward(idx, packing, drop_rng, drop_rate, cache=cache)
         pooled, pool_cache = tc.pool_forward(states, packing, self.pooling)
         logits, dense_cache = self.dense.forward(pooled)
         probs = tc.sigmoid(logits[:, 0])
-        return probs, {"stack": stack_cache, "pool": pool_cache, "dense": dense_cache}
+        return probs, {"stack": stack_cache, "pool": pool_cache, "dense": dense_cache} if cache else None
 
     def backward(self, dlogits: np.ndarray, caches: dict):
         dpooled = self.dense.backward(dlogits[:, None], caches["dense"])
@@ -241,8 +243,8 @@ def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
     probs = np.empty(len(column))
     for chunk in length_sorted_chunks(lengths, model.hp.batch_size):
         matrix, mask = pad_batch(column.encode_rows(lut, chunk), cap)
-        # the forward cache goes at once, so no two chunks' caches are alive together
-        probs[chunk] = model.network.forward(matrix, mask)[0]
+        # an inference forward keeps no cache, so a chunk holds one layer's arrays at a time
+        probs[chunk] = model.network.forward(matrix, mask, cache=False)[0]
     return [(float(p), bool(p >= model.hp.threshold)) for p in probs]
 
 

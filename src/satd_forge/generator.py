@@ -186,7 +186,7 @@ class Seq2SeqNetwork(tc.Network):
         the word cap, and leaves the batch at its `eos`."""
         enc_idx, enc_mask = pad_batch(enc_lists, max(map(len, enc_lists)))
         enc = tc.Packing(enc_mask)
-        Henc, enc_finals = self.encoder.forward(enc_idx, enc)[:2]  # the cache is not kept
+        Henc, enc_finals, _ = self.encoder.forward(enc_idx, enc, cache=False)
         Henc, enc_spans = Henc[enc.row_major], enc.spans
         states = enc_finals[-1:]
         rows = np.arange(len(enc_lists))  # input index of each live row
@@ -194,7 +194,7 @@ class Seq2SeqNetwork(tc.Network):
         out: list[list[int]] = [[] for _ in enc_lists]
         step = tc.Packing(np.ones((len(rows), 1)))  # one step of the live rows
         for _ in range(max_words):
-            X, states, _ = self.decoder.forward(words[:, None], step, initial=states)
+            X, states, _ = self.decoder.forward(words[:, None], step, initial=states, cache=False)
             attended, _ = self.attention.forward(X, Henc, step.spans, enc_spans)
             logits, _ = self.out.forward(attended[:, None])
             words = np.argmax(logits[:, 0], axis=1)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -117,11 +118,12 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator, packing: Packing)
     return packing.from_row_major(draw >= rate)
 
 
-def apply_dropout(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
-    """A new array: `x` zeroed where `keep` is False and scaled by
-    1/(1-rate) elsewhere. x·1·s is x·s and x·0·s is the signed zero x·0
-    gives, so these are the bits of x times the float mask keep/(1-rate)."""
-    out = x * keep
+def apply_dropout(x: np.ndarray, keep: np.ndarray, rate: float, out=None) -> np.ndarray:
+    """`x` zeroed where `keep` is False and scaled by 1/(1-rate)
+    elsewhere, in a new array or in `out` (which may be `x`). x·1·s is x·s
+    and x·0·s is the signed zero x·0 gives, so these are the bits of x
+    times the float mask keep/(1-rate)."""
+    out = np.multiply(x, keep, out=out)
     out *= 1.0 / (1.0 - rate)
     return out
 
@@ -226,7 +228,8 @@ class LstmLayer:
 
     The cache holds the input X, the gates and the states and cells, one
     copy each; a step's tanh(c) goes to a (B, H) scratch buffer and the
-    backward pass recomputes it over all cells at once.
+    backward pass recomputes it over all cells at once, in place of the
+    cells. An inference forward (`cache=False`) keeps no cache.
     """
 
     def __init__(self, input_size: int, state_size: int, rng: np.random.Generator):
@@ -241,11 +244,17 @@ class LstmLayer:
         self.g = {k: np.zeros_like(v) for k, v in self.p.items()}
         self.gate_scale = np.where(np.arange(4 * h) < 3 * h, 0.5, 1.0)
 
-    def forward(self, X: np.ndarray, mask: np.ndarray, h0=None, c0=None, packing=None):
+    def forward(self, X: np.ndarray, mask: np.ndarray, h0=None, c0=None, packing=None, cache: bool = True):
         """X (N_real, D) holds the real cells of the right-padded (B, T)
         `mask` in the order of `packing`, which is built from the mask when
         not given. Returns (states (N_real, H) in that order, final (h, c)
-        of every row, cache)."""
+        of every row, cache).
+
+        With `cache=False` (inference) the cache is None and the gates go
+        when the call returns: each row's cell is carried in one (B, H)
+        buffer, whose first n rows a step reads and overwrites, instead of
+        a (B + N_real, H) array. Only where a step reads and writes its
+        cells differs, so the states and finals have the same bits."""
         pk = Packing(mask) if packing is None else packing
         B, N, H = len(pk.lengths), pk.n, self.state_size
         off, order = pk.off, pk.order
@@ -255,10 +264,14 @@ class LstmLayer:
         gates = X @ (self.p["Wx"] * scale)  # pre-activations, then gate values
         gates += self.p["b"] * scale
         Wh = self.p["Wh"] * scale
-        hs, cs = np.empty((B + N, H)), np.empty((B + N, H))
+        hs, cs = np.empty((B + N, H)), np.empty((B + N if cache else B, H))
         hs[:B] = 0.0 if h0 is None else np.asarray(h0)[order]
         cs[:B] = 0.0 if c0 is None else np.asarray(c0)[order]
-        h_new, c_new = hs[B:], cs[B:]
+        h_new = hs[B:]
+        # the row of cs where each step's previous cells start, and where its new ones go: in
+        # the per-cell array, or the one buffer's first rows, overwritten in place
+        prevs = start.tolist()
+        c_reads, c_writes = (prevs, prevs[1:]) if cache else (repeat(0), repeat(0))
         rec, ig, tanh_c = np.empty((B, 4 * H)), np.empty((B, H)), np.empty((B, H))
         # x*half + shift is (1 + tanh)/2 on the sigmoid gates and leaves the candidate's tanh
         half, shift = np.tile(scale, (B, 1)), np.tile(1.0 - scale, (B, 1))
@@ -267,15 +280,17 @@ class LstmLayer:
         gi, gf, go, gg = (gates[:, k * H : (k + 1) * H] for k in range(4))
         heads = {n: (rec[:n], ig[:n], tanh_c[:n], half[:n], shift[:n]) for n in set(np.diff(off).tolist())}
         matmul, tanh, multiply, add = np.matmul, np.tanh, np.multiply, np.add  # each writes to its last argument
-        for lo, hi, prev in zip(off[:-1].tolist(), off[1:].tolist(), start.tolist()):
-            rec_n, ig_n, tanh_c_t, half_n, shift_n = heads[hi - lo]
-            z, c = gates[lo:hi], c_new[lo:hi]
-            matmul(hs[prev : prev + hi - lo], Wh, rec_n)
+        steps = zip(off[:-1].tolist(), off[1:].tolist(), prevs, c_reads, c_writes)
+        for lo, hi, prev, c_read, c_write in steps:
+            n = hi - lo
+            rec_n, ig_n, tanh_c_t, half_n, shift_n = heads[n]
+            z, c = gates[lo:hi], cs[c_write : c_write + n]
+            matmul(hs[prev : prev + n], Wh, rec_n)
             add(z, rec_n, z)
             tanh(z, z)
             multiply(z, half_n, z)
             add(z, shift_n, z)
-            multiply(gf[lo:hi], cs[prev : prev + hi - lo], c)
+            multiply(gf[lo:hi], cs[c_read : c_read + n], c)
             multiply(gi[lo:hi], gg[lo:hi], ig_n)
             add(c, ig_n, c)
             tanh(c, tanh_c_t)
@@ -285,37 +300,43 @@ class LstmLayer:
             first = np.argmin(np.isfinite(h_new).all(axis=1))
             raise TrainingError(f"non-finite LSTM state at timestep {int(pk.times[first])}")
         last = start[pk.lengths] + pk.pos
-        cache = {"X": X, "gates": gates, "h": hs, "c": cs, "packing": pk}
-        return h_new, (hs[last], cs[last]), cache
+        if not cache:
+            return h_new, (hs[last], cs[pk.pos]), None
+        return h_new, (hs[last], cs[last]), {"X": X, "gates": gates, "h": hs, "c": cs, "packing": pk}
 
     def backward(self, dstates, dh_final, dc_final, cache):
         """`dstates` (N_real, H) is the gradient on the states, or None.
-        Returns (dX (N_real, D), dh0, dc0). The gate-derivative factors, then
-        the gradients of the gate pre-activations, overwrite the gate values,
-        so a cache serves one backward pass; nothing else passed in is
-        written."""
+        Returns (dX (N_real, D), dh0, dc0). The pass consumes `cache`: the
+        gate-derivative factors, then the gradients of the gate
+        pre-activations, overwrite the gate values, and tanh(c), then the
+        forget-gate values, then the previous states, overwrite the cells.
+        Nothing else passed in is written."""
         X, gates, hs, cs, pk = cache["X"], cache["gates"], cache["h"], cache["c"], cache["packing"]
         B, N, H = len(pk.lengths), pk.n, self.state_size
         prev = np.concatenate(([0], B + pk.off[:-1]))[pk.times] + pk.slots  # each cell's previous state
         i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
-        # tanh(c) is recomputed here, and the factors share one scratch buffer, which take's
-        # "clip" mode (prev is in range) writes to unbuffered
-        tanh_c, buf = np.tanh(cs[B:]), np.empty((N, H))
-        forget = f.copy()
-        f *= np.subtract(1.0, f, out=buf)
-        f *= np.take(cs, prev, axis=0, out=buf, mode="clip")  # c_prev f(1-f)
-        dc_dh = np.multiply(tanh_c, tanh_c)
+        # one scratch block of three (N, H) arrays, which goes with the step loop: the previous
+        # cells, gathered before the cells become tanh(c) in place (take's "clip" mode, prev
+        # being in range, writes to its output unbuffered), a buffer, and d(c)/d(h)
+        c_prev, buf, dc_dh = np.empty((3, N, H))
+        np.take(cs, prev, axis=0, out=c_prev, mode="clip")
+        tanh_c = np.tanh(cs[B:], out=cs[B:])
+        np.multiply(tanh_c, tanh_c, out=dc_dh)
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o  # o(1 - tanh^2 c)
         o *= np.subtract(1.0, o, out=buf)
         o *= tanh_c  # tanh(c) o(1-o)
-        dg = np.multiply(g, g, out=tanh_c)
+        dg = np.multiply(g, g, out=buf)
         np.subtract(1.0, dg, out=dg)
         dg *= i
-        i *= np.subtract(1.0, i, out=buf)
+        i *= np.subtract(1.0, i, out=tanh_c)
         i *= g  # g i(1-i)
         g[...] = dg  # i(1-g^2)
-        del tanh_c, dg  # each factor array lives only as long as it is read
+        forget = cs[B:]  # the loop reads the forget-gate values
+        forget[...] = f
+        f *= np.subtract(1.0, f, out=buf)
+        f *= c_prev  # c_prev f(1-f)
+        del tanh_c, dg, c_prev
         dh = np.zeros((B, H)) if dh_final is None else np.asarray(dh_final, dtype=np.float64)[pk.order]
         dc = np.zeros((B, H)) if dc_final is None else np.asarray(dc_final, dtype=np.float64)[pk.order]
         dZ, WhT = gates.reshape(N, 4, H), np.ascontiguousarray(self.p["Wh"].T)
@@ -338,9 +359,9 @@ class LstmLayer:
             multiply(z, dc_t, z)
             multiply(dc_t, forget[lo:hi], dc_t)
             matmul(gates[lo:hi], WhT, dh_t)
-        del forget, dc_dh
+        del buf, dc_dh  # the scratch block goes; the previous states are gathered into the cells
         self.g["Wx"] += X.T @ gates
-        self.g["Wh"] += np.take(hs, prev, axis=0, out=buf, mode="clip").T @ gates
+        self.g["Wh"] += np.take(hs, prev, axis=0, out=forget, mode="clip").T @ gates
         self.g["b"] += gates.sum(axis=0)
         return gates @ self.p["Wx"].T, dh[pk.pos], dc[pk.pos]
 
@@ -399,12 +420,14 @@ class LstmStack:
             named.update(block_params(f"{prefix}lstm{k}", layer))
         return named
 
-    def forward(self, idx, packing: Packing, drop_rng=None, drop_rate: float = 0.0, initial=()):
+    def forward(self, idx, packing: Packing, drop_rng=None, drop_rate: float = 0.0, initial=(), cache: bool = True):
         """`idx` (B, T) holds token ids, right-padded as `packing`'s mask.
         `initial` holds (h, c) for the bottom layers; the rest start at zero.
 
         Returns (top-layer states (N_real, H) in packing order, final (h, c)
-        of every layer, cache).
+        of every layer, cache). With `cache=False` (inference) the cache is
+        None, and each layer's gates go when it returns, so the arrays of
+        one layer and its input are alive at a time.
         """
         dropping = drop_rng is not None and drop_rate > 0.0
         keeps, caches, finals = [], [], []
@@ -419,13 +442,15 @@ class LstmStack:
         X = drop(self.embedding.forward(tokens))
         for k, layer in enumerate(self.layers):
             h0, c0 = initial[k] if k < len(initial) else (None, None)
-            X, final, cache = layer.forward(X, packing.mask, h0=h0, c0=c0, packing=packing)
-            del cache["X"]  # rebuilt by the backward pass
-            caches.append(cache)
+            X, final, layer_cache = layer.forward(X, packing.mask, h0=h0, c0=c0, packing=packing, cache=cache)
+            if cache:
+                del layer_cache["X"]  # rebuilt by the backward pass
+                caches.append(layer_cache)
             finals.append(final)
             X = drop(X)
-        cache = {"tokens": tokens, "packing": packing, "keeps": keeps, "rate": drop_rate, "layers": caches}
-        return X, finals, cache
+        if not cache:
+            return X, finals, None
+        return X, finals, {"tokens": tokens, "packing": packing, "keeps": keeps, "rate": drop_rate, "layers": caches}
 
     def backward(self, dstates, cache, dfinal=(None, None)):
         """`dstates` (N_real, H) is the gradient on the top states and
@@ -438,14 +463,15 @@ class LstmStack:
         keeps, rate, layer_caches = cache["keeps"], cache["rate"], cache["layers"]
         B = len(cache["packing"].lengths)
 
-        def drop(X, k):
-            return apply_dropout(X, keeps[k], rate) if keeps else X
+        def drop(X, k, in_place=False):
+            return apply_dropout(X, keeps[k], rate, X if in_place else None) if keeps else X
 
         dh_final, dc_final = dfinal
         for k in range(len(self.layers) - 1, -1, -1):
             dstates = drop(dstates, k + 1)
             below = layer_caches[k - 1]["h"][B:] if k else self.embedding.forward(cache["tokens"])
-            layer_cache = {**layer_caches.pop(), "X": drop(below, k)}
+            # the embedding rows are a new gather, dropped in place; the states below are cached
+            layer_cache = {**layer_caches.pop(), "X": drop(below, k, in_place=not k)}
             dstates, dh0, dc0 = self.layers[k].backward(dstates, dh_final, dc_final, layer_cache)
             del below, layer_cache
             dh_final = dc_final = None  # lower layers' final states feed nothing else

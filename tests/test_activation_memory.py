@@ -2,8 +2,9 @@
 
 The stack keeps a boolean keep-mask per dropout and rebuilds the dropped
 arrays it hands its layers in the backward pass; a layer recomputes
-tanh(c) there. The softmax heads hold at most two (N_real, V) arrays, and
-`predict_many` lets each chunk's forward cache go before the next chunk.
+tanh(c) there, in place of the cells it consumes. The softmax heads hold
+at most two (N_real, V) arrays, and `predict_many` runs an inference
+forward, which keeps no cache.
 Memory is what `tracemalloc` sees (numpy reports its arrays to it).
 
 The bit-for-bit oracle is `lstm_packed_reference.FloatMaskReferenceStack`,
@@ -50,6 +51,41 @@ def test_stack_forward_holds_each_cell_array_once():
     # the B initial and B final states and cells, and the dicts' and arrays' headers
     overhead = 8 * (8 * B * H) + 16_384
     assert held <= packing.n * (8 + D + 57 * H) + overhead, (held, packing.n)
+
+
+def test_inference_stack_forward_peaks_below_six_tenths_of_the_cached_one():
+    # a cached forward holds every layer's gates, states and cells until the caller lets the
+    # cache go; an inference forward holds one layer's arrays and its input at a time
+    B, T, D = 8, 120, 16
+    rng = np.random.default_rng(4)
+    packing = tc.Packing(right_padded(rng.integers(T // 2, T + 1, size=B), T))
+    idx = rng.integers(0, 50, size=(B, T))
+    stack = tc.LstmStack(50, D, tc.detector_layer_sizes(D, 3), rng)
+    _ = packing.spans, packing.row_major  # built before tracing, as a caller's packing is
+    cached, _, cached_peak = traced(lambda: stack.forward(idx, packing))
+    inferred, _, peak = traced(lambda: stack.forward(idx, packing, cache=False))
+    assert np.array_equal(inferred[0], cached[0])
+    assert peak < 0.6 * cached_peak, (peak / cached_peak)
+
+
+def test_layer_backward_peaks_at_three_cell_arrays_above_its_inputs():
+    # the gate factors need the previous cells, d(c)/d(h) and one scratch buffer: tanh(c), then
+    # the forget-gate values the step loop reads, overwrite the cache's own cells. The rest grows
+    # with the cells by the input gradient (N_real, D) and index arrays only, and with H^2 by the
+    # transposed recurrent weights and their gradient's product
+    B, T, D, H = 16, 200, 4, 64
+    rng = np.random.default_rng(6)
+    packing = tc.Packing(right_padded(rng.integers(T // 2, T + 1, size=B), T))
+    layer = tc.LstmLayer(D, H, rng)
+    X, dstates = rng.normal(size=(packing.n, D)), rng.normal(size=(packing.n, H))
+    dh, dc = rng.normal(size=(B, H)), rng.normal(size=(B, H))
+    _, _, cache = layer.forward(X, packing.mask, packing=packing)
+    d_before = dstates.copy()
+    _, _, peak = traced(lambda: layer.backward(dstates, dh, dc, cache))
+    assert np.array_equal(dstates, d_before)  # the caller's gradient is not written
+    one = packing.n * H * 8
+    overhead = packing.n * (8 * D + 64) + 2 * (4 * H * H * 8) + 8 * (B * H * 8) + 16_384
+    assert peak <= 3 * one + overhead, (peak / one)
 
 
 def test_lm_step_peaks_below_two_and_a_half_vocabulary_arrays():
