@@ -37,6 +37,7 @@ SATD = "SATD"
 NON_SATD = "NonSATD"
 EXCLUDED = "Excluded"
 UNLABELED = "Unlabeled"
+LABELS = (SATD, NON_SATD, EXCLUDED, UNLABELED)
 
 SATD_KEYWORDS = (
     "todo", "fixme", "hack", "workaround", "yuck", "ugly", "stupid",
@@ -484,9 +485,11 @@ class PairRecord:
     @classmethod
     def from_dict(cls, obj: dict) -> "PairRecord":
         """The record a parsed row holds. A missing field raises KeyError; a
-        field of the wrong type raises ValueError naming it. The lists are
-        checked in C (str.join, operator.index), not by a Python loop per
-        item."""
+        field of the wrong type or out of range (a label outside `LABELS`, a
+        span that is not two non-negative integers, a column below 1) raises
+        ValueError naming it. A span whose end comes before its start passes.
+        The lists are checked in C (str.join, operator.index), not by a
+        Python loop per item."""
         if type(obj) is not dict:
             raise ValueError("a row is a JSON object")
         r = cls(
@@ -510,8 +513,12 @@ class PairRecord:
             r.span = tuple(map(index, r.span))
         except TypeError:
             raise ValueError("span is not a list of integers") from None
+        if len(r.span) != 2 or min(r.span) < 0:
+            raise ValueError("span is not two non-negative integers")
         if type(r.column) is not int:
             raise ValueError("column is not an integer")
+        if r.column < 1:
+            raise ValueError("column is below 1")
         if type(r.code_text) is not str:
             raise ValueError("code_text is not a string")
         if not _is_string_list(r.sbt_tokens):
@@ -522,6 +529,8 @@ class PairRecord:
             raise ValueError("comment_words is not a list of strings")
         if type(r.label) is not str:
             raise ValueError("label is not a string")
+        if r.label not in LABELS:
+            raise ValueError(f"label {r.label!r} is not one of {', '.join(LABELS)}")
         return r
 
 

@@ -206,6 +206,9 @@ class Packing:
         return packed
 
 
+BLOCK_CELLS = 256  # the fewest cells whose gate factors `LstmLayer.backward` makes at once
+
+
 class LstmLayer:
     """Single LSTM layer over packed sequences (see `Packing`).
 
@@ -214,22 +217,23 @@ class LstmLayer:
     or its initial state when it has none; states at padding are not
     defined.
 
-    The input projection, the gate-derivative factors and the weight and
-    input gradients are one vectorized operation each over the real
-    cells. A step applies one tanh to all four gates: the sigmoid columns
-    of the weights are halved once per call (exact, a power of two), and
-    sigmoid(x) = (1 + tanh(x/2))/2.
+    The input projection and the weight and input gradients are one
+    vectorized operation each over the real cells; the gate-derivative
+    factors are one per block of steps (`BLOCK_CELLS`), made just before
+    the block's steps run backward. A step applies one tanh to all four
+    gates: the sigmoid columns of the weights are halved once per call
+    (exact, a power of two), and sigmoid(x) = (1 + tanh(x/2))/2.
 
     The step loops are the cost at small batches, where a step's numpy
     calls cost more than their arithmetic. Every view a step reads that
     does not depend on the step is built once per call, so a step slices
-    only the per-cell arrays around its ufunc calls (ten forward, eight
+    only the per-cell arrays around its ufunc calls (ten forward, seven
     backward with a state gradient).
 
     The cache holds the input X, the gates and the states and cells, one
     copy each; a step's tanh(c) goes to a (B, H) scratch buffer and the
-    backward pass recomputes it over all cells at once, in place of the
-    cells. An inference forward (`cache=False`) keeps no cache.
+    backward pass recomputes it a block at a time, in place of the cells.
+    An inference forward (`cache=False`) keeps no cache.
     """
 
     def __init__(self, input_size: int, state_size: int, rng: np.random.Generator):
@@ -279,13 +283,13 @@ class LstmLayer:
         # count n of the packing
         gi, gf, go, gg = (gates[:, k * H : (k + 1) * H] for k in range(4))
         heads = {n: (rec[:n], ig[:n], tanh_c[:n], half[:n], shift[:n]) for n in set(np.diff(off).tolist())}
-        matmul, tanh, multiply, add = np.matmul, np.tanh, np.multiply, np.add  # each writes to its last argument
+        dot, tanh, multiply, add = np.dot, np.tanh, np.multiply, np.add  # each writes to its last argument
         steps = zip(off[:-1].tolist(), off[1:].tolist(), prevs, c_reads, c_writes)
         for lo, hi, prev, c_read, c_write in steps:
             n = hi - lo
             rec_n, ig_n, tanh_c_t, half_n, shift_n = heads[n]
             z, c = gates[lo:hi], cs[c_write : c_write + n]
-            matmul(hs[prev : prev + n], Wh, rec_n)
+            dot(hs[prev : prev + n], Wh, rec_n)
             add(z, rec_n, z)
             tanh(z, z)
             multiply(z, half_n, z)
@@ -310,58 +314,72 @@ class LstmLayer:
         gate-derivative factors, then the gradients of the gate
         pre-activations, overwrite the gate values, and tanh(c), then the
         forget-gate values, then the previous states, overwrite the cells.
-        Nothing else passed in is written."""
+        Nothing else passed in is written.
+
+        The steps run latest first in blocks of whole steps of at least
+        BLOCK_CELLS cells (the earliest block takes what is left), and a
+        block's factors are made just before its steps run, into one
+        scratch block sized by the largest block."""
         X, gates, hs, cs, pk = cache["X"], cache["gates"], cache["h"], cache["c"], cache["packing"]
         B, N, H = len(pk.lengths), pk.n, self.state_size
         prev = np.concatenate(([0], B + pk.off[:-1]))[pk.times] + pk.slots  # each cell's previous state
         i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
-        # one scratch block of three (N, H) arrays, which goes with the step loop: the previous
-        # cells, gathered before the cells become tanh(c) in place (take's "clip" mode, prev
-        # being in range, writes to its output unbuffered), a buffer, and d(c)/d(h)
-        c_prev, buf, dc_dh = np.empty((3, N, H))
-        np.take(cs, prev, axis=0, out=c_prev, mode="clip")
-        tanh_c = np.tanh(cs[B:], out=cs[B:])
-        np.multiply(tanh_c, tanh_c, out=dc_dh)
-        np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= o  # o(1 - tanh^2 c)
-        o *= np.subtract(1.0, o, out=buf)
-        o *= tanh_c  # tanh(c) o(1-o)
-        dg = np.multiply(g, g, out=buf)
-        np.subtract(1.0, dg, out=dg)
-        dg *= i
-        i *= np.subtract(1.0, i, out=tanh_c)
-        i *= g  # g i(1-i)
-        g[...] = dg  # i(1-g^2)
-        forget = cs[B:]  # the loop reads the forget-gate values
-        forget[...] = f
-        f *= np.subtract(1.0, f, out=buf)
-        f *= c_prev  # c_prev f(1-f)
-        del tanh_c, dg, c_prev
+        cells, off = cs[B:], pk.off  # tanh(c), then the forget-gate values the step loop reads
+        blocks, block = [], []
+        for lo, hi in zip(off[-2::-1].tolist(), off[:0:-1].tolist()):
+            block.append((lo, hi))
+            if block[0][1] - lo >= BLOCK_CELLS:
+                blocks.append(block)
+                block = []
+        if block:
+            blocks.append(block)
+        # a block's previous cells, d(c)/d(h) and (1-o) o tanh(c), at the block's offsets
+        c_prev, dc_dh, a_o = np.empty((3, max((b[0][1] - b[-1][0] for b in blocks), default=0), H))
         dh = np.zeros((B, H)) if dh_final is None else np.asarray(dh_final, dtype=np.float64)[pk.order]
         dc = np.zeros((B, H)) if dc_final is None else np.asarray(dc_final, dtype=np.float64)[pk.order]
         dZ, WhT = gates.reshape(N, 4, H), np.ascontiguousarray(self.p["Wh"].T)
-        dZ_if, dZ_o, dZ_g = dZ[:, :2], dZ[:, 2], dZ[:, 3]  # the input and forget gates share a factor
+        dZ_o = dZ[:, 2]
         # the carried gradients' first n rows for each row count n, and a scratch buffer
-        scratch, off = np.empty((B, H)), pk.off
+        scratch = np.empty((B, H))
         heads = {n: (dh[:n], dc[:n], dc[:n, None], scratch[:n]) for n in set(np.diff(off).tolist())}
-        matmul, multiply, add = np.matmul, np.multiply, np.add  # each writes to its last argument
-        for lo, hi in zip(off[-2::-1].tolist(), off[:0:-1].tolist()):
-            dh_t, dc_t, dc_t3, tmp = heads[hi - lo]
-            if dstates is not None:
-                add(dh_t, dstates[lo:hi], dh_t)
-            multiply(dh_t, dc_dh[lo:hi], tmp)
-            add(dc_t, tmp, dc_t)
-            z = dZ_if[lo:hi]
-            multiply(z, dc_t3, z)
-            z = dZ_o[lo:hi]
-            multiply(z, dh_t, z)
-            z = dZ_g[lo:hi]
-            multiply(z, dc_t, z)
-            multiply(dc_t, forget[lo:hi], dc_t)
-            matmul(gates[lo:hi], WhT, dh_t)
-        del buf, dc_dh  # the scratch block goes; the previous states are gathered into the cells
+        dot, multiply, add = np.dot, np.multiply, np.add  # each writes to its last argument
+        for block in blocks:
+            start, end = block[-1][0], block[0][1]
+            # the previous cells first: the first step's lie in the next (earlier) block, which
+            # is untouched until then, and take's "clip" mode, prev being in range, writes to
+            # its output unbuffered
+            c_prev_b = np.take(cs, prev[start:end], axis=0, out=c_prev[: end - start], mode="clip")
+            tanh_c = np.tanh(cells[start:end], out=cells[start:end])
+            i_b, f_b, o_b, g_b = i[start:end], f[start:end], o[start:end], g[start:end]
+            dc_dh_b = np.multiply(tanh_c, tanh_c, out=dc_dh[: end - start])
+            np.subtract(1.0, dc_dh_b, out=dc_dh_b)
+            dc_dh_b *= o_b  # o(1 - tanh^2 c)
+            a_o_b = np.subtract(1.0, o_b, out=a_o[: end - start])
+            a_o_b *= o_b
+            a_o_b *= tanh_c  # (1-o) o tanh(c), the bits of o(1-o) tanh(c)
+            dg = np.multiply(g_b, g_b, out=tanh_c)
+            np.subtract(1.0, dg, out=dg)
+            dg *= i_b  # i(1-g^2)
+            i_b *= np.subtract(1.0, i_b, out=o_b)  # the o columns are scratch until the loop
+            i_b *= g_b  # g i(1-i)
+            g_b[...] = dg
+            cells[start:end] = f_b
+            f_b *= np.subtract(1.0, f_b, out=o_b)
+            f_b *= c_prev_b  # c_prev f(1-f)
+            for lo, hi in block:
+                dh_t, dc_t, dc_t3, tmp = heads[hi - lo]
+                if dstates is not None:
+                    add(dh_t, dstates[lo:hi], dh_t)
+                multiply(dh_t, dc_dh[lo - start : hi - start], tmp)
+                add(dc_t, tmp, dc_t)
+                z = dZ[lo:hi]
+                multiply(z, dc_t3, z)  # all four gates; the output gate's is written next
+                multiply(a_o[lo - start : hi - start], dh_t, dZ_o[lo:hi])
+                multiply(dc_t, cells[lo:hi], dc_t)
+                dot(gates[lo:hi], WhT, dh_t)
         self.g["Wx"] += X.T @ gates
-        self.g["Wh"] += np.take(hs, prev, axis=0, out=forget, mode="clip").T @ gates
+        # the previous states, gathered into the cells
+        self.g["Wh"] += np.take(hs, prev, axis=0, out=cells, mode="clip").T @ gates
         self.g["b"] += gates.sum(axis=0)
         return gates @ self.p["Wx"].T, dh[pk.pos], dc[pk.pos]
 

@@ -69,10 +69,11 @@ def test_inference_stack_forward_peaks_below_six_tenths_of_the_cached_one():
 
 
 def test_layer_backward_peaks_at_three_cell_arrays_above_its_inputs():
-    # the gate factors need the previous cells, d(c)/d(h) and one scratch buffer: tanh(c), then
-    # the forget-gate values the step loop reads, overwrite the cache's own cells. The rest grows
-    # with the cells by the input gradient (N_real, D) and index arrays only, and with H^2 by the
-    # transposed recurrent weights and their gradient's product
+    # tanh(c), then the forget-gate values the step loop reads, overwrite the cache's own cells,
+    # and the gate factors need three scratch arrays of one block of steps (at most
+    # BLOCK_CELLS + B - 1 cells), not of every cell. The rest grows with the cells by the input
+    # gradient (N_real, D) and index arrays only, and with H^2 by the transposed recurrent
+    # weights and their gradient's product
     B, T, D, H = 16, 200, 4, 64
     rng = np.random.default_rng(6)
     packing = tc.Packing(right_padded(rng.integers(T // 2, T + 1, size=B), T))
@@ -86,6 +87,25 @@ def test_layer_backward_peaks_at_three_cell_arrays_above_its_inputs():
     one = packing.n * H * 8
     overhead = packing.n * (8 * D + 64) + 2 * (4 * H * H * 8) + 8 * (B * H * 8) + 16_384
     assert peak <= 3 * one + overhead, (peak / one)
+
+
+def test_layer_backward_scratch_does_not_grow_with_the_cells():
+    # the same B and H at two lengths: the peak above the inputs grows by the input gradient
+    # (N_real, D) and the index arrays only; the gate factors' scratch is one block of steps
+    B, D, H = 16, 4, 64
+    peaks, cells = [], []
+    for T in (200, 800):
+        rng = np.random.default_rng(7)
+        packing = tc.Packing(right_padded(rng.integers(T // 2, T + 1, size=B), T))
+        layer = tc.LstmLayer(D, H, rng)
+        X, dstates = rng.normal(size=(packing.n, D)), rng.normal(size=(packing.n, H))
+        _, _, cache = layer.forward(X, packing.mask, packing=packing)
+        _, _, peak = traced(lambda: layer.backward(dstates, None, None, cache))
+        peaks.append(peak)
+        cells.append(packing.n)
+    slack = 3 * (tc.BLOCK_CELLS + B) * H * 8 + 16_384
+    grown = peaks[1] - peaks[0]
+    assert grown <= (cells[1] - cells[0]) * (8 * D + 64) + slack, (grown / (cells[1] - cells[0]))
 
 
 def test_lm_step_peaks_below_two_and_a_half_vocabulary_arrays():

@@ -736,6 +736,11 @@ class TestBadInputs:
         ("label", "comment_raw", 5),
         ("dataset", "comment_words", [["todo"]]),
         ("dataset", "sbt_tokens", [1, 2]),
+        # or of the right type, out of range
+        ("dataset", "label", "Maybe"),
+        ("label", "span", [0, 1, 2]),
+        ("dataset", "span", [-1, 3]),
+        ("label", "column", 0),
     ])
     def test_field_of_the_wrong_type_is_a_malformed_row(self, tmp_path, capsys, command, field, value):
         corpus = tmp_path / "c.jsonl"
@@ -752,6 +757,7 @@ class TestBadInputs:
         (["pretrain", "--out", "m.ckpt"], "comment_words", [["todo"]]),
         (["xproject", "--task", "detect-code", "--report", "rep"], "project", 5),
         (["tune", "--task", "generate", "--grid", "g.json", "--out", "t.json"], "span", ["0"]),
+        (["train", "--task", "detect-code", "--out", "m.ckpt"], "label", "Maybe"),
     ])
     def test_training_commands_check_every_field(self, tmp_path, capsys, monkeypatch, argv, field, value):
         monkeypatch.chdir(tmp_path)

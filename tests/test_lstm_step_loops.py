@@ -5,13 +5,18 @@ The step loops may be rewritten for speed only if every value keeps its
 bits: states, finals, the gate cache before and after the backward pass,
 the input gradient, the initial-state gradients and the weight gradients
 must be equal under `np.array_equal`, not merely close. So must the
-tanh(c) the live backward pass recomputes over all cells at once and the
-one the frozen loops store step by step.
+tanh(c) recomputed over all cells at once and the one the frozen loops
+store step by step.
+
+The backward pass makes its gate factors a block of steps at a time
+(`tensor_core.BLOCK_CELLS`); the blocks must not change a bit either, so
+the small Hypothesis packings also run with blocks of 1, 2 and 7 cells,
+where they cross many block boundaries.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lstm_packed_reference import PackedReferenceLstmLayer
@@ -70,3 +75,26 @@ class TestStepLoopsBitForBit:
         rng = np.random.default_rng(seed)
         lengths = np.clip(rng.lognormal(np.log(median), 0.8, B).astype(int), 1, 1500)
         check(right_padded(lengths, int(lengths.max())), H, H, seed, True, True, True)
+
+
+class TestBlockedBackward:
+    @pytest.mark.parametrize("block_cells", [1, 2, 7])
+    @settings(max_examples=100, deadline=None)
+    @given(masks(), st.integers(1, 6), st.integers(1, 17), st.integers(0, 2**32 - 1),
+           st.booleans(), st.booleans(), st.booleans())
+    @example(right_padded([3, 0, 5, 0], 6), 2, 3, 0, False, False, True)  # zero-length rows, no dstates
+    def test_small_blocks_keep_the_bits(self, block_cells, mask, D, H, seed, given_initial, dense_states,
+                                        given_final):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tc, "BLOCK_CELLS", block_cells)
+            check(mask, D, H, seed, given_initial, dense_states, given_final)
+
+    @pytest.mark.parametrize("dense_states,given_final", [(True, False), (False, True)])
+    def test_default_blocks_at_the_generators_shape(self, dense_states, given_final):
+        # B=32, latent 32, lengths around 65 with some rows empty: many blocks of the default size
+        rng = np.random.default_rng(5)
+        lengths = np.clip(rng.lognormal(np.log(65), 0.8, 32).astype(int), 1, 1500)
+        lengths[::7] = 0
+        mask = right_padded(lengths, int(lengths.max()))
+        assert mask.sum() > 4 * tc.BLOCK_CELLS
+        check(mask, 32, 32, 5, True, dense_states, given_final)
