@@ -11,12 +11,17 @@ changes speed during the record weighs on both sides alike.
     python3 scripts/bench_record.py --workloads generate --seeds 1-10 --seconds 16 \\
         --against ../parent --out BENCH_perfbench.json
 
+Each run gets PYTHONHASHSEED set to its seed, so a run's string hashes,
+and the memory levels that hash order picks (such as `generate`'s
+`peak_rss_mb`), repeat with the seed on either tree.
+
 The record holds each tree's git revision and whether its tree is dirty;
-the machine (CPU count and affinity, Python and numpy versions, and the
-BLAS thread settings the runs get); every run's seed, tree, `correct`,
-`attempted` and `failed`; and, per workload, metric and tree, the raw
-values in seed order, their median and their quartiles. It asserts no
-times: comparing two records, or two trees in one, is the reader's.
+the machine (CPU count, affinity and cgroup CPU quota, Python and numpy
+versions, and the BLAS thread settings the runs get); every run's seed,
+hash seed, tree, `correct`, `attempted` and `failed`; and, per workload,
+metric and tree, the raw values in seed order, their median and their
+quartiles. It asserts no times: comparing two records, or two trees in
+one, is the reader's.
 """
 
 import argparse
@@ -29,6 +34,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+from satd_forge.cli import _quota_cpus  # noqa: E402 (loads no numpy)
+
 WORKLOADS = ("mine", "detect", "generate")
 # run.py pins these to 1 itself before numpy loads; the runs get them set anyway
 BLAS_THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -63,6 +71,7 @@ def machine() -> dict:
     return {
         "cpu_count": os.cpu_count(),
         "affinity": sorted(affinity) if affinity is not None else None,
+        "cpu_quota": _quota_cpus("/"),  # CPUs the cgroup's quota allows, None without one
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "blas_threads": BLAS_THREADS,
@@ -70,10 +79,12 @@ def machine() -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON object one untraced `run.py` run prints last."""
+    """The JSON object one untraced `run.py` run prints last; the run's
+    PYTHONHASHSEED is its seed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, env={**os.environ, **BLAS_THREADS})
+    env = {**os.environ, **BLAS_THREADS, "PYTHONHASHSEED": str(seed)}
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, env=env)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(argv[1:])} in {tree} exited {done.returncode}:\n{done.stderr[-2000:]}")
@@ -98,7 +109,7 @@ def record(trees: dict[str, Path], workloads, seeds, seconds: float, log=print) 
         for k, seed in enumerate(seeds):
             for name in names if k % 2 == 0 else names[::-1]:
                 out = run_once(trees[name], workload, seed, seconds)
-                runs.append({"tree": name, "seed": seed,
+                runs.append({"tree": name, "seed": seed, "hash_seed": str(seed),
                              **{key: out[key] for key in ("correct", "attempted", "failed")}})
                 for metric, value in out["metrics"].items():
                     entry = metrics.setdefault(metric, {"unit": value["unit"], "by_seed": {n: {} for n in names}})

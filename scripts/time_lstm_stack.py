@@ -97,7 +97,6 @@ def time_shape(name, batch, latent, layers, median, passes):
     stack = tc.LstmStack(VOCAB, latent, tc.detector_layer_sizes(latent, layers), rng)
     packing = tc.Packing(mask)
     dtop = packing.pack(rng.normal(size=mask.shape + (stack.layers[-1].state_size,)))
-    _ = packing.spans, packing.row_major  # built once, outside the measured passes
     held, peak = stack_memory(stack, idx, packing, dtop)
     forward, backward, times = [], [], []
     for layer in stack.layers:

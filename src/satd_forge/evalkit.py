@@ -139,7 +139,8 @@ class FoldPlan:
 
 def stratified_folds(labels, k: int = 10, stratified: bool = True, seed: int = 0) -> FoldPlan:
     """Partition indices into k folds; stratified mode deals each class
-    round-robin so per-fold positive counts differ by at most one."""
+    round-robin from fold 0 so per-fold positive counts differ by at most
+    one, and needs k no larger than the larger class, or a fold is empty."""
     n = len(labels)
     if k > n:
         raise DataError(f"cannot make {k} folds from {n} observations")
@@ -148,8 +149,11 @@ def stratified_folds(labels, k: int = 10, stratified: bool = True, seed: int = 0
     rng = random.Random(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     if stratified:
-        for value in sorted({bool(v) for v in labels}, reverse=True):
-            ids = [i for i, v in enumerate(labels) if bool(v) == value]
+        classes = [[i for i, v in enumerate(labels) if bool(v) == value] for value in (True, False)]
+        larger = max(map(len, classes))
+        if k > larger:
+            raise DataError(f"cannot deal {k} stratified folds: the larger class has {larger} observations")
+        for ids in classes:
             rng.shuffle(ids)
             for j, idx in enumerate(ids):
                 folds[j % k].append(idx)

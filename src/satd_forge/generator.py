@@ -159,7 +159,7 @@ class Seq2SeqNetwork(tc.Network):
         attended, att_cache = self.attention.forward(
             states[dec.row_major], Henc[enc.row_major], dec.spans, enc.spans
         )
-        loss, dattended = tc.softmax_head(self.out, attended, targets, np.nonzero(dec.mask))
+        loss, dattended = tc.softmax_head(self.out, attended, targets[dec.mask > 0])
         caches = {"encoder": enc_cache, "decoder": dec_cache, "attention": att_cache, "dattended": dattended}
         return loss, caches
 

@@ -37,7 +37,7 @@ class LmNetwork(tc.Network):
         self.zero_grads()
         packing = tc.Packing(mask)
         states, _, stack_cache = self.stack.forward(idx, packing, drop_rng, drop_rate)
-        loss, dstates = tc.softmax_head(self.out, states, targets, (packing.rows, packing.times))
+        loss, dstates = tc.softmax_head(self.out, states, packing.pack(targets))
         self.stack.backward(dstates, stack_cache)
         return loss
 

@@ -6,10 +6,11 @@ training loop.
 
 A right-padded batch enters as token ids and a 0/1 mask (B, T), and the
 padded layout ends there: the stack, pooling and the softmax head work on
-its real cells only, packed (`Packing`); callers that read a row's cells
+its real cells only, packed (`Packing`). Dropout draws over the packed
+cells, and the embedding gradient and the multi-class loss add up in the
+order of the cells they are given; callers that read a row's cells
 together, such as attention, gather them in row-major order
-(`Packing.row_major`). Only the multi-class loss total and the embedding
-gradient still add up in the padded batch's row-major order.
+(`Packing.row_major`).
 
 Each per-cell array is held once. Dropout keeps a boolean keep-mask, and
 a stack's backward pass rebuilds the dropped input of each layer from
@@ -90,32 +91,16 @@ def bce_loss(y, p):
     return loss, dp
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator, packing: Packing) -> np.ndarray:
-    """Inverted dropout's keep-mask: False with probability `rate`; a kept
-    number is scaled by 1/(1-rate) (`apply_dropout`).
-
-    `shape` is a padded (B, T, width) shape and the mask comes back as
-    bool for `packing`'s real cells only, (N_real, width) in packing
-    order. Each cell still gets the number that a row-major draw over all
-    of `shape` gives it, and the generator ends where that draw leaves it:
-    each row's real prefix is drawn in place and its padding skipped with
-    `advance`, which needs a PCG64 generator (one 64-bit step per number).
-    Rate 0 draws nothing and keeps every number.
-    """
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted dropout's keep-mask over `shape`, bool: False with
+    probability `rate`, one number of `rng` per entry; a kept number is
+    scaled by 1/(1-rate) (`apply_dropout`). Rate 0 draws nothing and keeps
+    every number."""
     if not 0.0 <= rate < 1.0:
         raise DataError(f"dropout rate {rate} outside [0, 1)")
     if rate == 0.0:
-        return np.ones((packing.n,) + tuple(shape[2:]), dtype=bool)
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64):
-        raise DataError(f"dropout over a packing needs a PCG64 generator, got {type(bits).__name__}")
-    T, width = int(shape[1]), int(math.prod(shape[2:]))  # advance takes Python ints
-    draw = np.empty((packing.n,) + tuple(shape[2:]))  # the real cells in row-major order
-    for lo, hi in packing.spans:
-        rng.random(out=draw[lo:hi])
-        if hi - lo < T:
-            bits.advance((T - (hi - lo)) * width)
-    return packing.from_row_major(draw >= rate)
+        return np.ones(shape, dtype=bool)
+    return rng.random(shape) >= rate
 
 
 def apply_dropout(x: np.ndarray, keep: np.ndarray, rate: float, out=None) -> np.ndarray:
@@ -418,9 +403,8 @@ class LstmStack:
 
     Dropout applies only when a generator and a positive rate are given;
     the masks are drawn after the embedding and after each layer, in
-    that order, each as a row-major draw over the padded (B, T, width)
-    shape whose padding is skipped (`dropout_mask`), so the random
-    numbers a real cell gets do not depend on the packing.
+    that order, each over the (N_real, width) cells in packing order
+    (`dropout_mask`).
 
     The cache keeps the boolean keep-masks but not the dropped arrays it
     hands each layer: the backward pass rebuilds a layer's input from the
@@ -453,7 +437,7 @@ class LstmStack:
         def drop(X):
             if not dropping:
                 return X
-            keeps.append(dropout_mask(packing.mask.shape + X.shape[1:], drop_rate, drop_rng, packing))
+            keeps.append(dropout_mask(X.shape, drop_rate, drop_rng))
             return apply_dropout(X, keeps[-1], drop_rate)
 
         tokens = packing.pack(idx)
@@ -493,11 +477,7 @@ class LstmStack:
             dstates, dh0, dc0 = self.layers[k].backward(dstates, dh_final, dc_final, layer_cache)
             del below, layer_cache
             dh_final = dc_final = None  # lower layers' final states feed nothing else
-        dstates = drop(dstates, 0)
-        # in the padded batch's row-major order, so a repeated token's rows add up in the
-        # same order whatever the packing
-        cells = cache["packing"].row_major
-        self.embedding.backward(dstates[cells], cache["tokens"][cells])
+        self.embedding.backward(drop(dstates, 0), cache["tokens"])
         return dh0, dc0
 
 
@@ -572,39 +552,36 @@ class Dense:
         return dx
 
 
-def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray, cells):
+def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """Mean per-position multi-class log-loss over the real positions.
 
-    logits (N_real, V); targets (B, T) int, right-padded; `cells`, a
-    (rows, times) tuple, gives the place of each logit row in `targets`.
-    Returns (loss, dlogits), dlogits in the order of the logits. The
+    logits (N_real, V); targets (N_real,) int, the target of each logit
+    row. Returns (loss, dlogits), dlogits in the order of the logits. The
     softmax makes one new array, which becomes dlogits in place once the
-    per-position losses are read; the logits are not written. The
-    per-position losses are summed in the padded batch's row-major order.
+    per-position losses are read; the logits are not written.
     """
-    n = len(cells[0])
+    n = len(targets)
     if n == 0:
         raise DataError("cross entropy over an all-masked batch")
     probs = softmax(logits, axis=-1)
-    picks, picked = np.arange(n), np.asarray(targets)[cells]
-    losses = np.zeros(np.shape(targets))
-    losses[cells] = -np.log(np.clip(probs[picks, picked], 1e-300, None))
-    loss = losses.sum() / n
-    probs[picks, picked] -= 1.0
+    picks = np.arange(n)
+    loss = -np.log(np.clip(probs[picks, targets], 1e-300, None)).sum() / n
+    probs[picks, targets] -= 1.0
     probs *= 1.0 / n
     return loss, probs
 
 
-def softmax_head(dense: Dense, x: np.ndarray, targets: np.ndarray, cells):
+def softmax_head(dense: Dense, x: np.ndarray, targets: np.ndarray):
     """The language model's and the generator's head on the real cells x
-    (N_real, d): `dense`, `masked_cross_entropy` at `cells` and `dense`'s
-    backward pass, which adds the weight and bias gradients. Returns (loss,
-    dx), and holds at most two (N_real, V) arrays. `dense.forward` sees one
-    (1, N_real, d) run: `perfbench/workloads.py`'s `generate` check wraps
-    the generator's `out.forward`, runs `forward_train` on one row and
-    reads `logits[0]` as its (T, V) logits."""
+    (N_real, d), whose targets are `targets` (N_real,): `dense`,
+    `masked_cross_entropy` and `dense`'s backward pass, which adds the
+    weight and bias gradients. Returns (loss, dx), and holds at most two
+    (N_real, V) arrays. `dense.forward` sees one (1, N_real, d) run:
+    `perfbench/workloads.py`'s `generate` check wraps the generator's
+    `out.forward`, runs `forward_train` on one row and reads `logits[0]`
+    as its (T, V) logits."""
     logits, _ = dense.forward(x[None])
-    loss, dlogits = masked_cross_entropy(logits[0], targets, cells)
+    loss, dlogits = masked_cross_entropy(logits[0], targets)
     del logits
     return loss, dense.backward(dlogits, x)
 

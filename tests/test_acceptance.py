@@ -140,7 +140,7 @@ def test_criterion_02_gradient_fidelity():
 
     # softmax + multi-class log-loss at the single-prediction level: one real position
     def single_ce(logits, target):
-        loss, dlogits = tc.masked_cross_entropy(logits[None, :], np.array([[target]]), ([0], [0]))
+        loss, dlogits = tc.masked_cross_entropy(logits[None, :], np.array([target]))
         return loss, dlogits[0]
 
     rng = np.random.default_rng(300)

@@ -8,8 +8,9 @@ forward, which keeps no cache.
 Memory is what `tracemalloc` sees (numpy reports its arrays to it).
 
 The bit-for-bit oracle is `lstm_packed_reference.FloatMaskReferenceStack`,
-a frozen copy of the stack from before: it stores a float mask and each
-dropped array, over the frozen packed layers that store tanh(c).
+a frozen copy of the stack from before: fed the keep-masks the live stack
+drew, it stores a float mask and each dropped array, over the frozen
+packed layers that store tanh(c).
 """
 
 import tracemalloc
@@ -46,7 +47,6 @@ def test_stack_forward_holds_each_cell_array_once():
     packing = tc.Packing(right_padded(rng.integers(T // 2, T + 1, size=B), T))
     idx = rng.integers(0, 50, size=(B, T))
     stack = tc.LstmStack(50, D, [H], rng)
-    _ = packing.spans, packing.row_major  # built before tracing, as a caller's packing is
     _, held, _ = traced(lambda: stack.forward(idx, packing, np.random.default_rng(1), 0.2))
     # the B initial and B final states and cells, and the dicts' and arrays' headers
     overhead = 8 * (8 * B * H) + 16_384
@@ -61,7 +61,6 @@ def test_inference_stack_forward_peaks_below_six_tenths_of_the_cached_one():
     packing = tc.Packing(right_padded(rng.integers(T // 2, T + 1, size=B), T))
     idx = rng.integers(0, 50, size=(B, T))
     stack = tc.LstmStack(50, D, tc.detector_layer_sizes(D, 3), rng)
-    _ = packing.spans, packing.row_major  # built before tracing, as a caller's packing is
     cached, _, cached_peak = traced(lambda: stack.forward(idx, packing))
     inferred, _, peak = traced(lambda: stack.forward(idx, packing, cache=False))
     assert np.array_equal(inferred[0], cached[0])
@@ -139,20 +138,20 @@ def test_predict_many_peaks_at_one_chunk_forward():
     assert many < 1.25 * one, (many / one)
 
 
-def run_stack(stack, idx, packing, drop_seed, drop_rate, initial, dstates, dfinal):
-    """Forward and backward; returns (states, finals, gradients, initial-state
-    gradients, the drop generator's next number, the forward cache)."""
+def run_stack(stack, idx, packing, drop, drop_rate, initial, dstates, dfinal):
+    """Forward and backward, dropping with `drop` (the live stack's drop
+    generator, or the keep-masks it drew for the frozen one); returns
+    (states, finals, gradients, initial-state gradients, the forward cache)."""
     named = stack.named_params()
     for _, grad in named.values():
         grad[...] = 0.0
-    drop_rng = np.random.default_rng(drop_seed)
-    states, finals, cache = stack.forward(idx, packing, drop_rng, drop_rate, initial=initial)
+    states, finals, cache = stack.forward(idx, packing, drop, drop_rate, initial=initial)
     states, finals = states.copy(), [(h.copy(), c.copy()) for h, c in finals]
     d_before = dstates.copy()
     dh0, dc0 = stack.backward(dstates, cache, dfinal=dfinal)
     assert np.array_equal(dstates, d_before)  # the caller's gradient is not written
     grads = {name: grad.copy() for name, (_, grad) in named.items()}
-    return states, finals, grads, (dh0, dc0), drop_rng.random(), cache
+    return states, finals, grads, (dh0, dc0), cache
 
 
 def record_inputs(layer, forward_inputs, backward_inputs):
@@ -197,8 +196,10 @@ class TestStackAgainstFloatMasks:
         forward_inputs, backward_inputs = [], []
         for layer in stack.layers:
             record_inputs(layer, forward_inputs, backward_inputs)
-        got = run_stack(stack, idx, packing, seed + 1, drop_rate, initial, dstates, dfinal)
-        want = run_stack(ref, idx, packing, seed + 1, drop_rate, initial, dstates, dfinal)
+        drop_rng, same = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = run_stack(stack, idx, packing, drop_rng, drop_rate, initial, dstates, dfinal)
+        keeps = got[4]["keeps"]
+        want = run_stack(ref, idx, packing, keeps, drop_rate, initial, dstates, dfinal)
         assert np.array_equal(got[0], want[0])
         for (h, c), (wh, wc) in zip(got[1], want[1], strict=True):
             assert np.array_equal(h, wh) and np.array_equal(c, wc)
@@ -207,9 +208,14 @@ class TestStackAgainstFloatMasks:
             assert np.array_equal(got[2][name], want[2][name]), name
         for a, b in zip(got[3], want[3]):
             assert np.array_equal(a, b)
-        assert got[4] == want[4]  # the drop generator ends in the same state
+        # the masks are plain draws of the generator, after the embedding and then after each
+        # layer, and nothing else draws from it
+        assert len(keeps) == (len(sizes) + 1 if drop_rate else 0)
+        for keep in keeps:
+            assert np.array_equal(keep, same.random(keep.shape) >= drop_rate)
+        assert drop_rng.random() == same.random()
         # the dropped products each layer got, and the ones the backward pass rebuilt
-        frozen_inputs = [cache["X"] for cache in want[5]["layers"]]
+        frozen_inputs = [cache["X"] for cache in want[4]["layers"]]
         assert len(forward_inputs) == len(frozen_inputs) == len(backward_inputs) == len(sizes)
         for fwd, frozen, rebuilt in zip(forward_inputs, frozen_inputs, backward_inputs[::-1]):
             assert np.array_equal(fwd, frozen) and np.array_equal(rebuilt, frozen)

@@ -46,14 +46,15 @@ def test_one_run_writes_the_schema(tmp_path):
     assert tree["revision"] is None or len(tree["revision"]) == 40
     assert tree["dirty"] in (None, True, False)
     machine = record["machine"]
-    assert set(machine) == {"cpu_count", "affinity", "python", "numpy", "blas_threads"}
+    assert set(machine) == {"cpu_count", "affinity", "cpu_quota", "python", "numpy", "blas_threads"}
+    assert machine["cpu_quota"] is None or machine["cpu_quota"] >= 1
     assert machine["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
     assert record["settings"] == {"seeds": [1], "seconds": 0.5}
     assert list(record["workloads"]) == ["mine"]
     mine = record["workloads"]["mine"]
     assert len(mine["runs"]) == 1
     run = mine["runs"][0]
-    assert (run["tree"], run["seed"], run["correct"], run["failed"]) == ("this", 1, True, 0)
+    assert (run["tree"], run["seed"], run["hash_seed"], run["correct"], run["failed"]) == ("this", 1, "1", True, 0)
     assert run["attempted"] > 0
     assert {"setup_s", "pipeline_s", "peak_rss_mb"} <= set(mine["metrics"])
     for metric in mine["metrics"].values():
@@ -61,3 +62,19 @@ def test_one_run_writes_the_schema(tmp_path):
         values = metric["this"]["values"]
         assert len(values) == 1 and math.isfinite(values[0])
         assert metric["this"]["median"] == metric["this"]["q1"] == metric["this"]["q3"] == values[0]
+
+
+def test_a_run_hashes_with_its_seed(monkeypatch):
+    seen = {}
+
+    class Done:
+        returncode, stdout, stderr = 0, '{"correct": true}\n', ""
+
+    def fake_run(argv, cwd, capture_output, text, env):
+        seen.update(env)
+        return Done()
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    assert bench_record.run_once(Path("."), "mine", 7, 0.5) == {"correct": True}
+    assert seen["PYTHONHASHSEED"] == "7"
+    assert seen["OPENBLAS_NUM_THREADS"] == "1"

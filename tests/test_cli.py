@@ -852,6 +852,20 @@ class TestBadInputs:
         assert (tmp_path / "data.jsonl").read_bytes() == before
 
 
+    def test_more_stratified_folds_than_the_larger_class(self, tmp_path, capsys, monkeypatch):
+        # 10 + 10 rows: dealt from fold 0, each class fills folds 0-9 only, so folds 10-14 would be
+        # empty; the plan is refused before any fold trains, and no report is written
+        monkeypatch.setattr(detector, "train_mnb", lambda *a, **k: pytest.fail("a model was trained"))
+        monkeypatch.chdir(tmp_path)
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=20)
+        (tmp_path / "hp.json").write_text(json.dumps({"model": "mnb"}))
+        assert run("cv", str(data), "--task", "detect-comment", "--hp", "hp.json", "--k", "15",
+                   "--report", "rep") == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot deal 15 stratified folds: the larger class has 10 observations\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hp.json"]
+
+
 class TestMalformedInputLines:
     """A line that is not a whole if-statement is a data error (exit 2), and
     no verdict or comment is printed for the lines before it."""

@@ -85,19 +85,19 @@ EXPECTED = {
     },
     "cv-dl-comment": {
         "folds.json": "89bf34426554253dbe18b7e780ad2b2e92abca5d18ba03e1ea0230d5539bcc41",
-        "metrics.json": "d2a72527b08806ed63ce35b9ffffce866018ca76c8cdf00e9b569ad98e01a85f",
-        "table.txt": "448610cf467f42ca5222ca33318f26616019fb6ff3bf6910c15f69abf1ba2760",
+        "metrics.json": "3e865b11a049602f62e7fc7481a1c0fd51aaeb975eb784d72a690090cbde011b",
+        "table.txt": "8933e95d3c4111c6e116501ce80a467c2bd5e354153b87762145327b24e8cd1c",
     },
     "cv-generate": {
         "folds.json": "64eb3a86c4e1d8560f76bdd5cf6a620ffd307b940a84fad31c1279ba2da642fd",
-        "metrics.json": "c146d990cffc63b1790ebf071c3f9b08d2c3988523f7f76c8ba18d9de3ef3a13",
-        "table.txt": "d92844ddec85c640897a97489bda8d17706238043256d5d3cac28bf2863ef8e1",
+        "metrics.json": "070e5e7da19b42eb0e5b7796831483027532c94f523e1406f344fa9ff31bdd25",
+        "table.txt": "38287f4dc452321d06804ebcddbdcd23078f4d2b690725f5e8652c087c06025e",
     },
     "tune-dl-code": {
-        "tuning.json": "ac99831093e1733a43f6e6b152ce44dcd371f889b580056c0ff4c3130cf58184",
+        "tuning.json": "c15fcdcba984a70ab2b3b85ae4674fcbc88e9f513448482965c1b92f5de236c7",
     },
     "tune-generate": {
-        "tuning.json": "c3123963a0a0f2fe15c2d80dc604da4ed998ce525cb88052dcc5bc5b2f4d4179",
+        "tuning.json": "7980e45092a34074af3c3ea4e0d7fea0adfe7689bd5d94d8cc1cec6b7bee23a5",
     },
     "xproject-mnb": {
         "metrics.json": "d2b2b36251d5627f25f23a0ba83857f4fd7a0af0bf8c0be6a9017cd11ce2687b",

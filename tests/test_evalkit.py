@@ -164,9 +164,15 @@ class TestFolds:
     def test_stratification_bound_any_ratio(self, labels, k, seed):
         if k > len(labels):
             return
+        larger = max(sum(labels), len(labels) - sum(labels))
+        if k > larger:  # the classes would fill folds 0..larger-1 only
+            with pytest.raises(DataError, match=f"cannot deal {k} stratified folds: the larger class has {larger} "):
+                stratified_folds(labels, k=k, stratified=True, seed=seed)
+            return
         plan = stratified_folds(labels, k=k, stratified=True, seed=seed)
         everything = sorted(i for fold in plan.folds for i in fold)
         assert everything == list(range(len(labels)))
+        assert all(plan.folds)
         positives = [sum(labels[i] for i in fold) for fold in plan.folds]
         assert max(positives) - min(positives) <= 1
 

@@ -105,43 +105,33 @@ class TestLayerAgainstReference:
             close(c[r], c_r[0])
 
 
-def padded_dropout_mask(shape, rate, rng):
-    """Inverted dropout drawn row-major over the whole padded `shape`:
-    the numbers `tc.dropout_mask` gives the real cells."""
-    if rate == 0.0:
-        return np.ones(shape)
-    return (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
-
-
-def reference_stack(stack, idx, mask, drop_seed, drop_rate, initial, dstates, dfinal):
+def reference_stack(stack, idx, packing, keeps, drop_rate, initial, dstates, dfinal):
     """`LstmStack` forward and backward composed from reference layers, on
-    the padded batch."""
+    the padded batch. `keeps` are the boolean keep-masks the packed stack
+    drew (its cache's "keeps", none without dropout): each is scattered
+    to the padded layout as the float mask it stands for, zero at padding."""
     M = stack.embedding.p["M"]
     refs = [ReferenceLstmLayer(layer) for layer in stack.layers]
-    drop_rng = np.random.default_rng(drop_seed) if drop_seed is not None else None
-    masks, caches, finals = [], [], []
-    X = M[idx]
-    if drop_rng is not None:
-        masks.append(padded_dropout_mask(X.shape, drop_rate, drop_rng))
-        X = X * masks[-1]
+    masks = [unpack(packing, keep * (1.0 / (1.0 - drop_rate))) for keep in keeps]
+    caches, finals = [], []
+
+    def drop(X, k):
+        return X * masks[k] if masks else X
+
+    X = drop(M[idx], 0)
     for k, ref in enumerate(refs):
         h0, c0 = initial[k] if k < len(initial) else (None, None)
-        X, final, cache = ref.forward(X, mask, h0=h0, c0=c0)
+        X, final, cache = ref.forward(X, packing.mask, h0=h0, c0=c0)
         caches.append(cache)
         finals.append(final)
-        if drop_rng is not None:
-            masks.append(padded_dropout_mask(X.shape, drop_rate, drop_rng))
-            X = X * masks[-1]
+        X = drop(X, k + 1)
     states = X
     dh_final, dc_final = dfinal
     d = dstates
     for k in range(len(refs) - 1, -1, -1):
-        if masks:
-            d = d * masks.pop()
-        d, dh, dc = refs[k].backward(d, dh_final, dc_final, caches[k])
+        d, dh, dc = refs[k].backward(drop(d, k + 1), dh_final, dc_final, caches[k])
         dh_final = dc_final = None
-    if masks:
-        d = d * masks.pop()
+    d = drop(d, 0)
     gM = np.zeros_like(M)
     np.add.at(gM, idx, d)
     grads = {"embedding.M": gM}
@@ -166,18 +156,17 @@ class TestStackAgainstReference:
         packing = tc.Packing(mask)
         dstates = unpack(packing, packing.pack(rng.normal(size=(B, T, Htop))))  # zero at padding
         dfinal = (rng.normal(size=(B, Htop)), rng.normal(size=(B, Htop)))
-        drop_seed = 3 if drop_rate else None
 
         named = stack.named_params()
         for _, grad in named.values():
             grad[...] = 0.0
-        drop_rng = np.random.default_rng(drop_seed) if drop_seed is not None else None
+        drop_rng = np.random.default_rng(3) if drop_rate else None
         states, finals, cache = stack.forward(idx, packing, drop_rng, drop_rate, initial=initial)
-        states = states.copy()
+        states, keeps = states.copy(), cache["keeps"]
         finals = [(h.copy(), c.copy()) for h, c in finals]
         dh0, dc0 = stack.backward(packing.pack(dstates), cache, dfinal=dfinal)
 
-        want = reference_stack(stack, idx, mask, drop_seed, drop_rate, initial, dstates, dfinal)
+        want = reference_stack(stack, idx, packing, keeps, drop_rate, initial, dstates, dfinal)
         close(states, packing.pack(want[0]))
         for (h, c), (wh, wc) in zip(finals, want[1]):
             close(h, wh)

@@ -97,22 +97,23 @@ def test_masked_cross_entropy_through_the_output_layer():
     packing = tc.Packing(mask)
     logits = rng.normal(size=(B, K, V))
     targets = rng.integers(0, V, size=(B, K))  # padding holds words too
-    loss, dlogits = tc.masked_cross_entropy(packing.pack(logits), targets, (packing.rows, packing.times))
+    loss, dlogits = tc.masked_cross_entropy(packing.pack(logits), packing.pack(targets))
     # the padded formula: a softmax at every position, masked afterwards
     probs = tc.softmax(logits, axis=-1)
     picked = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
     want = probs.copy()
     want[np.arange(B)[:, None], np.arange(K), targets] -= 1.0
     want *= mask[:, :, None] / mask.sum()
-    assert loss == (-np.log(picked) * mask).sum() / mask.sum()
+    # the padded sum runs in row-major order, the packed one in packing order
+    assert loss == pytest.approx((-np.log(picked) * mask).sum() / mask.sum(), rel=1e-12, abs=0.0)
     np.testing.assert_array_equal(unpack(packing, dlogits), want)
     # so the output layer's padded sums add zeros at padding, and the head on real cells,
     # which never reads padding, gets the padded head's loss, input gradient and sums
     dense = tc.Dense(d, V, rng)
     states = packing.pack(rng.normal(size=(B, K, d)))
     ref_loss, ref_dstates, gW, gb = lm_head(dense, states, targets, packing)
-    head_loss, head_dstates = tc.softmax_head(dense, states, targets, (packing.rows, packing.times))
-    assert head_loss == ref_loss
+    head_loss, head_dstates = tc.softmax_head(dense, states, packing.pack(targets))
+    assert head_loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
     np.testing.assert_array_equal(head_dstates, ref_dstates)
     np.testing.assert_allclose(dense.g["W"], gW, rtol=1e-12, atol=1e-12 * np.abs(gW).max())
     np.testing.assert_allclose(dense.g["b"], gb, rtol=1e-12, atol=1e-12 * np.abs(gb).max())

@@ -124,7 +124,7 @@ class TestSigmoidAndBce:
 def single_ce(logits, target):
     """`masked_cross_entropy` of one prediction, and its softmax: (probs, loss, dlogits)."""
     logits = np.asarray(logits)[None, :]
-    loss, dlogits = tc.masked_cross_entropy(logits, np.array([[target]]), ([0], [0]))
+    loss, dlogits = tc.masked_cross_entropy(logits, np.array([target]))
     return tc.softmax(logits)[0], loss, dlogits[0]
 
 
@@ -161,55 +161,42 @@ class TestSoftmaxCe:
             assert abs(grad[k] - fd) / max(abs(fd), 1e-8) < 1e-5
 
 
-def all_real(B, T):
-    """The packing of a (B, T) batch without padding."""
-    return tc.Packing(np.ones((B, T)))
-
-
 class TestDropout:
     def test_rate_zero_all_ones(self):
-        mask = tc.dropout_mask((4, 5, 3), 0.0, np.random.default_rng(0), all_real(4, 5))
+        mask = tc.dropout_mask((20, 3), 0.0, np.random.default_rng(0))
         assert mask.shape == (20, 3) and mask.dtype == bool
         assert mask.all()
 
     def test_mean_near_one(self):
-        mask = tc.dropout_mask((100, 100, 100), 0.2, np.random.default_rng(1), all_real(100, 100))
+        mask = tc.dropout_mask((10_000, 100), 0.2, np.random.default_rng(1))
         assert 0.995 <= tc.apply_dropout(np.ones(mask.shape), mask, 0.2).mean() <= 1.005
 
     def test_values_are_zero_or_scaled(self):
-        mask = tc.dropout_mask((50, 50, 1), 0.2, np.random.default_rng(2), all_real(50, 50))
+        mask = tc.dropout_mask((2500, 1), 0.2, np.random.default_rng(2))
         assert mask.dtype == bool
         assert set(np.unique(tc.apply_dropout(np.ones(mask.shape), mask, 0.2))) <= {0.0, 1.0 / 0.8}
 
     def test_same_seed_same_mask(self):
-        a = tc.dropout_mask((6, 6, 1), 0.2, np.random.default_rng(9), all_real(6, 6))
-        b = tc.dropout_mask((6, 6, 1), 0.2, np.random.default_rng(9), all_real(6, 6))
+        a = tc.dropout_mask((36, 1), 0.2, np.random.default_rng(9))
+        b = tc.dropout_mask((36, 1), 0.2, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     def test_bad_rate(self):
         with pytest.raises(DataError):
-            tc.dropout_mask((2, 1, 1), 1.0, np.random.default_rng(0), all_real(2, 1))
+            tc.dropout_mask((2, 1), 1.0, np.random.default_rng(0))
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(st.integers(0, 7), min_size=1, max_size=6),
-        st.integers(0, 3),
-        st.integers(1, 5),
-        st.sampled_from([0.0, 0.1, 0.5, 0.9]),
-        st.integers(0, 2**31 - 1),
-    )
-    def test_packed_mask_skips_padding_in_the_stream(self, lengths, extra, width, rate, seed):
-        # every real cell gets the number a padded row-major draw gives it,
-        # and the generator ends where that draw leaves it
-        T = max(lengths) + extra
-        packing = tc.Packing((np.arange(T) < np.asarray(lengths)[:, None]).astype(np.float64))
-        shape = (len(lengths), T, width)
-        rng, padded_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        mask = tc.dropout_mask(shape, rate, rng, packing)
-        draw = packing.pack(padded_rng.random(shape)) if rate else np.ones((packing.n, width))
+    @given(st.integers(0, 40), st.integers(1, 5), st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+           st.integers(0, 2**31 - 1))
+    def test_mask_is_a_same_seeded_draw(self, cells, width, rate, seed):
+        # one number per entry in the order of `shape`, as a same-seeded draw gives them, and
+        # the generator ends where that draw leaves it; rate 0 draws nothing
+        rng, same = np.random.default_rng(seed), np.random.default_rng(seed)
+        mask = tc.dropout_mask((cells, width), rate, rng)
+        want = same.random((cells, width)) >= rate if rate else np.ones((cells, width), dtype=bool)
         assert mask.dtype == bool
-        np.testing.assert_array_equal(mask, draw >= rate)
-        assert rng.random() == padded_rng.random()
+        np.testing.assert_array_equal(mask, want)
+        assert rng.random() == same.random()
 
     @pytest.mark.parametrize("rate", [0.1, 0.2, 0.3, 0.5, 0.9])
     def test_apply_dropout_gives_the_float_mask_product(self, rate):
@@ -224,11 +211,6 @@ class TestDropout:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.array_equal(x, before)
-
-    def test_packed_mask_needs_pcg64(self):
-        packing = tc.Packing(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(DataError):
-            tc.dropout_mask((2, 2, 3), 0.2, np.random.Generator(np.random.MT19937(0)), packing)
 
 
 class TestOptimizers:
