@@ -154,16 +154,8 @@ def _make_recipe(task: str, setting, seed: int, store: TokenStore):
 
 def _expand_grid(grid: dict) -> list[dict]:
     fixed = {k: v for k, v in grid.items() if not isinstance(v, list)}
-    swept = {k: v for k, v in grid.items() if isinstance(v, list)}
-    if not swept:
-        return [dict(fixed)]
-    keys = sorted(swept)
-    combos = []
-    for values in itertools.product(*(swept[k] for k in keys)):
-        combo = dict(fixed)
-        combo.update(dict(zip(keys, values)))
-        combos.append(combo)
-    return combos
+    swept = sorted(k for k, v in grid.items() if isinstance(v, list))
+    return [{**fixed, **dict(zip(swept, values))} for values in itertools.product(*(grid[k] for k in swept))]
 
 
 def _read_utf8(path) -> str:
@@ -371,8 +363,10 @@ def cmd_tune(args) -> int:
     }
     labels, _ = _task_labels(store, args.task)
     tuning_ids, remainder_ids = evalkit.tuning_split(labels, fraction=args.fraction, seed=args.seed)
-    trials = [(_make_recipe(args.task, setting, args.seed, store), 0, tuning_ids) for setting in checked]
-    scores = evalkit.run_trials(len(store), trials)
+    trials = [(_make_recipe(args.task, setting, args.seed, store), 0, tuning_ids, "every setting")
+              for setting in checked]
+    # a detector's every trial trains on both classes; generation has none
+    scores = evalkit.run_trials(len(store), trials, None if args.task == "generate" else labels)
     rows = [{**setting, **row} for setting, row in zip(settings, scores)]
     if args.task == "generate":
         rows = evalkit.sort_result_rows(rows, primary="bleu_4", tiebreak="bleu_1")
@@ -413,7 +407,9 @@ def cmd_cv(args) -> int:
     }
     labels, stratified = _task_labels(store, args.task)
     plan = evalkit.stratified_folds(labels, k=args.k, stratified=stratified, seed=args.seed)
-    result = evalkit.run_cv(_make_recipe(args.task, setting, args.seed, store), plan)
+    recipe = _make_recipe(args.task, setting, args.seed, store)
+    # a detector's every fold trains on both classes; generation has none
+    result = evalkit.run_cv(recipe, plan, None if args.task == "generate" else labels)
     if args.task == "generate":
         scores = ["bleu_1", "bleu_2", "bleu_3", "bleu_4"]
     else:
@@ -442,6 +438,8 @@ def cmd_train(args) -> int:
     from .generator import save_generator, train_generator
     from .pretrainer import detector_start, load_lm
 
+    if args.mode and not args.init:
+        raise UsageError("--mode picks what --init transplants, and needs --init")
     store = _read_task(args.data, args.task)
     setting = _check_setting(args.task, _read_json(args.hp) if args.hp else {})
     if args.task == "generate" and args.init:
@@ -451,7 +449,7 @@ def cmd_train(args) -> int:
         save_generator(model, args.out)
         print(f"generator trained on {len(store)} pairs, loss {model.final_loss:.4f} -> {args.out}")
         return 0
-    start = detector_start(load_lm(args.init), args.mode.replace("-", "_")) if args.init else {}
+    start = detector_start(load_lm(args.init), (args.mode or "end2end").replace("-", "_")) if args.init else {}
     items = _task_items(store, args.task)
     model = fit_detector(setting, items, store.satd, args.seed, _vocab_kind(args.task), **start)
     save_detector(model, args.out)
@@ -516,7 +514,7 @@ def cmd_xproject(args) -> int:
     hp_dict = _read_json(args.hp) if args.hp else {}
     setting = _check_setting(args.task, hp_dict)
     recipe = make_detector_recipe(args.task, setting, args.seed, store)
-    rows, mean = evalkit.cross_project_rounds(store.projects, recipe)
+    rows, mean = evalkit.cross_project_rounds(store.projects, recipe, store.satd)
     config = {"command": "xproject", "task": args.task, "seed": args.seed, "hp": hp_dict}
     table_rows = rows + [{"project": "average", **mean}]
     evalkit.write_report(
@@ -590,7 +588,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--init", default=None, help="pre-trained LM checkpoint")
-    p.add_argument("--mode", choices=["end2end", "embedding-only"], default="end2end")
+    p.add_argument("--mode", choices=["end2end", "embedding-only"], default=None,
+                   help="what --init transplants (default end2end)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="classify code or comments from a file")
@@ -618,14 +617,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not getattr(args, "func", None):
+            parser.print_help()
+            return 1
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    if not getattr(args, "func", None):
-        parser.print_help()
-        return 1
-    try:
-        return args.func(args)
     except TrainingError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return 3

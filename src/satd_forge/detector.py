@@ -98,7 +98,7 @@ class SvmHp(HyperParameters):
 SETTINGS = {hp.model: hp for hp in (DlHp, MnbHp, SvmHp)}
 
 
-class DetectorNetwork(tc.Network):
+class DetectorNetwork:
     """Embedding -> stacked LSTM -> pooling -> dense + sigmoid."""
 
     def __init__(self, vocab_size: int, latent: int, n_layers: int, pooling: str, seed: int):
@@ -133,8 +133,7 @@ class DetectorNetwork(tc.Network):
         self.stack.backward(tc.pool_backward(dpooled, caches["pool"]), caches["stack"])
 
     def loss_and_grads(self, idx, mask, labels, drop_rng, drop_rate: float) -> float:
-        """Mean binary log-loss over the batch; fills parameter gradients."""
-        self.zero_grads()
+        """Mean binary log-loss over the batch; writes parameter gradients."""
         probs, caches = self.forward(idx, mask, drop_rng, drop_rate)
         losses, _ = tc.bce_loss(labels, probs)
         dlogits = (probs - labels) / len(labels)

@@ -41,10 +41,8 @@ def prf1(predicted, actual) -> Metrics:
         raise DataError("prediction and label vectors differ in length")
     if not predicted:
         raise DataError("cannot score an empty prediction vector")
-    tp = sum(1 for p, a in zip(predicted, actual) if p and a)
-    fp = sum(1 for p, a in zip(predicted, actual) if p and not a)
-    fn = sum(1 for p, a in zip(predicted, actual) if not p and a)
-    tn = len(predicted) - tp - fp - fn
+    counts = Counter(zip(predicted, actual))
+    tp, fp, fn, tn = counts[True, True], counts[True, False], counts[False, True], counts[False, False]
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -161,32 +159,37 @@ def stratified_folds(labels, k: int = 10, stratified: bool = True, seed: int = 0
         ids = list(range(n))
         rng.shuffle(ids)
         base, extra = divmod(n, k)
-        start = 0
-        for j in range(k):
-            size = base + (1 if j < extra else 0)
-            folds[j] = ids[start : start + size]
-            start += size
+        bounds = [j * base + min(j, extra) for j in range(k + 1)]  # the first `extra` folds take one more
+        folds = [ids[a:b] for a, b in zip(bounds, bounds[1:])]
     return FoldPlan(folds=[sorted(f) for f in folds], stratified=stratified, seed=seed)
 
 
-def run_trials(n_items: int, trials) -> list[dict]:
+def run_trials(n_items: int, trials, labels=None) -> list[dict]:
     """The evaluation loop behind cross validation, cross-project rounds and
-    tuning, over items 0..n_items-1. Each trial `(recipe, index, test_ids)`
-    trains on the complement of `test_ids`, in increasing index order, and
-    scores `test_ids`.
+    tuning, over items 0..n_items-1. Each trial `(recipe, index, test_ids,
+    name)` trains on the complement of `test_ids`, in increasing index
+    order, and scores `test_ids`.
 
     `recipe(train_ids, test_ids, index)` gets both as index arrays and must
     return a dict of numeric scores; the dicts come back in trial order.
+    Given a detector's `labels` (SATD truthy), a trial whose training rows
+    are not of both classes raises DataError naming it, before any trains.
     """
     import numpy as np
 
-    results = []
-    for recipe, index, test_ids in trials:
-        test_ids = np.asarray(test_ids, dtype=np.int64)
+    def train_ids(test_ids):
         train = np.ones(n_items, dtype=bool)
         train[test_ids] = False
-        results.append(recipe(np.flatnonzero(train), test_ids, index))
-    return results
+        return np.flatnonzero(train)
+
+    if labels is not None:
+        for _, _, test_ids, name in trials:
+            satd = np.asarray(labels, dtype=bool)[train_ids(test_ids)]
+            if satd.all() or not satd.any():
+                raise DataError(f"{name} trains on {np.count_nonzero(satd)} SATD and {np.count_nonzero(~satd)} "
+                                "NonSATD rows; a detector needs both classes")
+    return [recipe(train_ids(test_ids), np.asarray(test_ids, dtype=np.int64), index)
+            for recipe, index, test_ids, _ in trials]
 
 
 @dataclass
@@ -202,10 +205,11 @@ def _mean_of(dicts: list[dict]) -> dict:
     return {k: sum(d[k] for d in dicts) / len(dicts) for k in keys}
 
 
-def run_cv(recipe, plan: FoldPlan) -> CvResult:
-    """Train on k-1 folds and score the held-out fold, for every fold."""
+def run_cv(recipe, plan: FoldPlan, labels=None) -> CvResult:
+    """Train on k-1 folds and score the held-out fold, for every fold;
+    `labels` as `run_trials` reads them."""
     n_items = sum(len(fold) for fold in plan.folds)
-    scores = run_trials(n_items, [(recipe, j, fold) for j, fold in enumerate(plan.folds)])
+    scores = run_trials(n_items, [(recipe, j, fold, f"fold {j}") for j, fold in enumerate(plan.folds)], labels)
     per_fold = [
         {"fold": j, "test_size": len(fold), **row}
         for j, (fold, row) in enumerate(zip(plan.folds, scores))
@@ -218,15 +222,18 @@ def sort_result_rows(rows: list[dict], primary: str = "f1", tiebreak: str = "pre
     return sorted(rows, key=lambda r: (-r.get(primary, 0.0), -r.get(tiebreak, 0.0)))
 
 
-def cross_project_rounds(projects, recipe) -> tuple[list[dict], dict]:
+def cross_project_rounds(projects, recipe, labels=None) -> tuple[list[dict], dict]:
     """Leave-one-project-out over items whose projects are `projects`: each
     round tests on one project, in sorted project order, and trains on the
-    rest. Returns (per-project rows, average)."""
+    rest; `labels` as `run_trials` reads them. Returns (per-project rows,
+    average)."""
     tags = sorted(set(projects))
     if len(tags) < 2:
         raise DataError("cross-project validation needs at least two projects")
     rounds = [[i for i, p in enumerate(projects) if p == tag] for tag in tags]  # test ids per project
-    scores = run_trials(len(projects), [(recipe, index, test_ids) for index, test_ids in enumerate(rounds)])
+    trials = [(recipe, index, test_ids, f"the round that holds out project {tag!r}")
+              for index, (tag, test_ids) in enumerate(zip(tags, rounds))]
+    scores = run_trials(len(projects), trials, labels)
     rows = [
         {"project": tag, "test_size": len(test_ids), **row}
         for tag, test_ids, row in zip(tags, rounds, scores)

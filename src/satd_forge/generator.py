@@ -88,8 +88,8 @@ class Attention:
         S, H, weights, attended = cache["S"], cache["H"], cache["weights"], cache["attended"]
         d = self.dim
         dpre = dattended * (1.0 - attended**2)
-        self.g["Wc"] += cache["concat"].T @ dpre
-        self.g["bc"] += dpre.sum(axis=0)
+        np.matmul(cache["concat"].T, dpre, out=self.g["Wc"])
+        dpre.sum(axis=0, out=self.g["bc"])
         dconcat = dpre @ self.p["Wc"].T
         dcontext, dS = dconcat[:, :d], dconcat[:, d:]
         dH = np.zeros_like(H)
@@ -106,7 +106,7 @@ class Attention:
         return dS, dH
 
 
-class Seq2SeqNetwork(tc.Network):
+class Seq2SeqNetwork:
     def __init__(self, code_vocab_size: int, comment_vocab_size: int, latent: int, n_layers: int, seed: int):
         rng = np.random.default_rng(seed)
         sizes = tc.generator_layer_sizes(latent, n_layers)
@@ -147,7 +147,7 @@ class Seq2SeqNetwork(tc.Network):
         shifted right by one position.
 
         Everything runs on real cells only. The softmax head runs here, on
-        the attended cells in row-major order: it adds its weight and bias
+        the attended cells in row-major order: it writes its weight and bias
         gradients to `out`, and the caches hold its gradient on the attended
         cells, (N_real, d), for `backward`.
         """
@@ -173,7 +173,6 @@ class Seq2SeqNetwork(tc.Network):
         self.encoder.backward(dHenc, caches.pop("encoder"), dfinal=handoff)
 
     def loss_and_grads(self, enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng, drop_rate: float):
-        self.zero_grads()
         loss, caches = self.forward_train(
             enc_idx, enc_mask, dec_idx, dec_mask, targets, drop_rng, drop_rate
         )
@@ -243,9 +242,9 @@ def train_generator(pairs, hp: GeneratorHp, seed: int) -> GeneratorModel:
 
     def make_batch(chunk):
         enc_idx, enc_mask = pad_batch(code.encode_rows(code_lut, chunk), hp.code_cap)
-        dec_idx, dec_mask = pad_batch(framed.encode_rows(comment_lut, chunk, tail=1), hp.comment_cap + 2)
-        tgt_idx, _ = pad_batch(framed.encode_rows(comment_lut, chunk, head=1), hp.comment_cap + 2)
-        return enc_idx, enc_mask, dec_idx, dec_mask, tgt_idx
+        # the decoder reads each framed comment but its last word, and predicts each but its first
+        rows, mask = pad_batch(framed.encode_rows(comment_lut, chunk), hp.comment_cap + 2)
+        return enc_idx, enc_mask, rows[:, :-1], mask[:, 1:], rows[:, 1:]
 
     final_loss = tc.fit(network, tc.RmsProp(lr=hp.learning_rate), make_batch, len(pairs), hp, seed)
     return GeneratorModel(

@@ -14,7 +14,7 @@ from .errors import DataError
 from .textpipe import Vocabulary, as_column, build_vocabulary, pad_batch
 
 
-class LmNetwork(tc.Network):
+class LmNetwork:
     """Embedding -> stacked LSTM (classifier layer plan) -> dense softmax."""
 
     def __init__(self, vocab_size: int, latent: int, n_layers: int, seed: int):
@@ -34,7 +34,6 @@ class LmNetwork(tc.Network):
         yield "out.b", (vocab_size,)
 
     def loss_and_grads(self, idx, mask, targets, drop_rng, drop_rate: float):
-        self.zero_grads()
         packing = tc.Packing(mask)
         states, _, stack_cache = self.stack.forward(idx, packing, drop_rng, drop_rate)
         loss, dstates = tc.softmax_head(self.out, states, packing.pack(targets))
@@ -70,9 +69,9 @@ def train_next_token_lm(sequences, hp: DlHp, seed: int) -> LmModel:
     network = LmNetwork(vocab.size, hp.latent, hp.layers, seed)
 
     def make_batch(chunk):
-        idx, mask = pad_batch(usable.encode_rows(lut, chunk, tail=1), hp.seq_cap)
-        tgt, _ = pad_batch(usable.encode_rows(lut, chunk, head=1), hp.seq_cap)
-        return idx, mask, tgt
+        # each row's tokens but its last are the inputs, and each but its first their targets
+        rows, mask = pad_batch(usable.encode_rows(lut, chunk), hp.seq_cap)
+        return rows[:, :-1], mask[:, 1:], rows[:, 1:]
 
     final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(usable), hp, seed)
     return LmModel(vocab=vocab, hp=hp, network=network, final_loss=final_loss, seed=seed)

@@ -21,6 +21,10 @@ operands, so it has the same bits. The one softmax head (`softmax_head`)
 holds at most two (N_real, V) arrays: the logits, and the probabilities
 that become their gradient in place.
 
+A backward pass writes its gradients, as no block is used twice in a
+step, so nothing zeroes them first; the embedding's scatter zeroes its
+table itself.
+
 Everything runs in float64 on numpy; checkpoints store float32.
 """
 
@@ -128,6 +132,7 @@ class Embedding:
         return self.p["M"][indices]
 
     def backward(self, dout: np.ndarray, indices: np.ndarray):
+        self.g["M"][...] = 0.0  # the one gradient that is a scatter
         np.add.at(self.g["M"], np.asarray(indices), dout)
 
 
@@ -362,25 +367,16 @@ class LstmLayer:
                 multiply(a_o[lo - start : hi - start], dh_t, dZ_o[lo:hi])
                 multiply(dc_t, cells[lo:hi], dc_t)
                 dot(gates[lo:hi], WhT, dh_t)
-        self.g["Wx"] += X.T @ gates
+        np.matmul(X.T, gates, out=self.g["Wx"])
         # the previous states, gathered into the cells
-        self.g["Wh"] += np.take(hs, prev, axis=0, out=cells, mode="clip").T @ gates
-        self.g["b"] += gates.sum(axis=0)
+        np.matmul(np.take(hs, prev, axis=0, out=cells, mode="clip").T, gates, out=self.g["Wh"])
+        gates.sum(axis=0, out=self.g["b"])
         return gates @ self.p["Wx"].T, dh[pk.pos], dc[pk.pos]
 
 
 def block_params(name: str, layer) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(param, grad) of each of a layer's blocks, keyed `name.key`."""
     return {f"{name}.{key}": (layer.p[key], layer.g[key]) for key in layer.p}
-
-
-class Network:
-    """Base of the trainable networks. `named_params()` maps every block
-    name to (param, grad) in checkpoint order."""
-
-    def zero_grads(self):
-        for _, grad in self.named_params().values():
-            grad[...] = 0.0
 
 
 def stack_shapes(vocab_size: int, dim: int, sizes, prefix: str = ""):
@@ -547,8 +543,8 @@ class Dense:
     def backward(self, dout: np.ndarray, x: np.ndarray):
         """`dout` (N, out) and `x` (N, in). Returns the gradient on `x`."""
         dx = dout @ self.p["W"].T
-        self.g["W"] += x.T @ dout
-        self.g["b"] += dout.sum(axis=0)
+        np.matmul(x.T, dout, out=self.g["W"])
+        dout.sum(axis=0, out=self.g["b"])
         return dx
 
 
@@ -574,7 +570,7 @@ def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray):
 def softmax_head(dense: Dense, x: np.ndarray, targets: np.ndarray):
     """The language model's and the generator's head on the real cells x
     (N_real, d), whose targets are `targets` (N_real,): `dense`,
-    `masked_cross_entropy` and `dense`'s backward pass, which adds the
+    `masked_cross_entropy` and `dense`'s backward pass, which writes the
     weight and bias gradients. Returns (loss, dx), and holds at most two
     (N_real, V) arrays. `dense.forward` sees one (1, N_real, d) run:
     `perfbench/workloads.py`'s `generate` check wraps the generator's
@@ -672,14 +668,15 @@ class RmsProp:
             param -= a
 
 
-def fit(network: Network, optimizer, make_batch, n_items: int, hp, seed: int) -> float:
+def fit(network, optimizer, make_batch, n_items: int, hp, seed: int) -> float:
     """The epoch/batch/step loop shared by every trainer.
 
     Each epoch shuffles the item order with a generator seeded `seed+1`,
     cuts it into `hp.batch_size` chunks, and `make_batch(chunk)` turns a
     chunk into the arguments of `network.loss_and_grads` ahead of the
-    dropout generator (seeded `seed+2`) and `hp.dropout`. Returns the
-    mean batch loss of the last epoch (0.0 without epochs).
+    dropout generator (seeded `seed+2`) and `hp.dropout`, which writes
+    the gradients the optimizer reads. Returns the mean batch loss of the
+    last epoch (0.0 without epochs).
     """
     rng = np.random.default_rng(seed + 1)
     drop_rng = np.random.default_rng(seed + 2)

@@ -209,12 +209,12 @@ class TokenColumn:
         for n in lengths[lengths > cap][:1].tolist():
             raise DataError(f"sequence of length {n} exceeds cap {cap}")
 
-    def encode_rows(self, lut, chunk, head: int = 0, tail: int = 0) -> list:
+    def encode_rows(self, lut, chunk) -> list:
         """The vocabulary indices (`lut`, a `lookup`) of the rows at
-        `chunk`, each without its first `head` and last `tail` tokens: what
-        `pad_batch` pads. Only the rows of one batch are encoded at a time."""
+        `chunk`: what `pad_batch` pads. Only the rows of one batch are
+        encoded at a time."""
         ids = self.ids
-        return [lut[ids[s + head : e - tail]] for s, e in zip(self.starts[chunk].tolist(), self.ends[chunk].tolist())]
+        return [lut[ids[s:e]] for s, e in zip(self.starts[chunk].tolist(), self.ends[chunk].tolist())]
 
 
 class _WordIds(dict):

@@ -81,9 +81,9 @@ def tune_with_remainder(tmp_path, monkeypatch, data, task, grid):
     scored = []
     real_run_trials = evalkit.run_trials
 
-    def spy(n_items, trials):
-        scored.extend(test_ids for _, _, test_ids in trials)
-        return real_run_trials(n_items, trials)
+    def spy(n_items, trials, labels=None):
+        scored.extend(test_ids for _, _, test_ids, _ in trials)
+        return real_run_trials(n_items, trials, labels)
 
     monkeypatch.setattr(evalkit, "run_trials", spy)
     (tmp_path / "grid.json").write_text(json.dumps(grid))
@@ -476,7 +476,78 @@ class TestTrainDetectPipeline:
         assert len(project_rows) == 3
 
 
+class TestOneClassTrials:
+    """A detector evaluation whose trial would train on one class exits 2
+    before any trial trains, naming the trial, and writes no report."""
+
+    @pytest.fixture()
+    def one_nonsatd(self, tmp_path, corpus):
+        # the fixtures' dataset: 5 SATD rows and 1 NonSATD row
+        data = tmp_path / "data.jsonl"
+        assert run("dataset", str(corpus), "--seed", "1", "--out", str(data)) == 0
+        assert sorted(r["label"] for r in read_rows(data)) == ["NonSATD"] + ["SATD"] * 5
+        return data
+
+    @pytest.fixture()
+    def fits(self, monkeypatch):
+        calls = []
+        real = detector.fit_detector
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(detector, "fit_detector", spy)
+        return calls
+
+    @staticmethod
+    def assert_refused(code, capsys, fits, message):
+        assert code == 2
+        assert f"error: {message}; a detector needs both classes" in capsys.readouterr().err
+        assert fits == []
+
+    @pytest.mark.parametrize("model", ["mnb", "svm", "dl"])
+    def test_cv_fold_of_one_class(self, tmp_path, capsys, one_nonsatd, fits, model):
+        hp = tmp_path / "hp.json"
+        hp.write_text(json.dumps({"model": model, "latent": 4, "epochs": 1} if model == "dl" else {"model": model}))
+        report = tmp_path / "rep"
+        code = run("cv", str(one_nonsatd), "--task", "detect-comment", "--hp", str(hp), "--k", "2",
+                   "--report", str(report))
+        self.assert_refused(code, capsys, fits, "fold 0 trains on 2 SATD and 0 NonSATD rows")
+        assert not report.exists()
+
+    def test_tune_remainder_of_one_class(self, tmp_path, capsys, one_nonsatd, fits):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"model": "mnb", "alpha": [0.5, 1.0]}))
+        out = tmp_path / "tuning.json"
+        code = run("tune", str(one_nonsatd), "--task", "detect-comment", "--grid", str(grid), "--fraction", "0.5",
+                   "--out", str(out))
+        self.assert_refused(code, capsys, fits, "every setting trains on 2 SATD and 0 NonSATD rows")
+        assert not out.exists()
+
+    def test_xproject_round_of_one_class(self, tmp_path, capsys, fits):
+        # rows alternate SATD and NonSATD, so with two projects each holds one class
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=12, n_projects=2)
+        hp = tmp_path / "hp.json"
+        hp.write_text(json.dumps({"model": "mnb"}))
+        report = tmp_path / "xp"
+        code = run("xproject", str(data), "--task", "detect-comment", "--hp", str(hp), "--report", str(report))
+        self.assert_refused(code, capsys, fits,
+                            "the round that holds out project 'proj0' trains on 0 SATD and 6 NonSATD rows")
+        assert not report.exists()
+
+
 class TestPretrainFlow:
+    def test_mode_without_init_is_a_usage_error(self, tmp_path, capsys):
+        data = synthetic_corpus_file(tmp_path / "data.jsonl", n=20)
+        hp = tmp_path / "svm.json"
+        hp.write_text(json.dumps({"model": "svm"}))
+        model = tmp_path / "m.ckpt"
+        assert run("train", str(data), "--task", "detect-code", "--hp", str(hp), "--out", str(model),
+                   "--mode", "embedding-only") == 1
+        assert "--mode" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_pretrain_then_init(self, tmp_path):
         data = synthetic_corpus_file(tmp_path / "data.jsonl", n=40)
         hp = tmp_path / "hp.json"

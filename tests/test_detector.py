@@ -120,7 +120,6 @@ class TestDlDetector:
             losses, _ = tc.bce_loss(y, probs)
             return float(losses.mean())
 
-        net.zero_grads()
         probs, caches = net.forward(idx, mask, np.random.default_rng(77), 0.25)
         net.backward((probs - y) / len(y), caches)
         named = net.named_params()

@@ -93,6 +93,21 @@ def assert_same_batch(got, want):
         np.testing.assert_array_equal(g, w)
 
 
+def assert_same_shifted_batches(got, inputs, targets):
+    """A row set padded once (`got`), read as the views the language model
+    and the decoder train on (input `rows[:, :-1]`, mask `mask[:, 1:]`,
+    target `rows[:, 1:]`), against the inputs (each row but its last token)
+    and the targets (each but its first) padded separately: the same masks,
+    and the same ids at every real cell."""
+    rows, mask = got
+    (want_in, want_mask), (want_tgt, _) = inputs, targets
+    assert_same_batch((mask[:, 1:],), (want_mask,))
+    real = want_mask > 0
+    for view, want in ((rows[:, :-1], want_in), (rows[:, 1:], want_tgt)):
+        assert view.dtype == want.dtype and view.shape == want.shape
+        np.testing.assert_array_equal(view[real], want[real])
+
+
 @pytest.mark.parametrize("task", ["detect-code", "detect-comment"])
 def test_batches_and_shifted_batches(corpus, task):
     column, items = store_and_items(corpus, task)
@@ -105,10 +120,9 @@ def test_batches_and_shifted_batches(corpus, task):
         assert_same_batch(pad_batch(column.encode_rows(lut, chunk), 50), ref.pad_batch([lists[j] for j in chunk], 50))
         usable = [j for j in chunk if len(items[j]) >= 2]
         if usable:
-            assert_same_batch(pad_batch(column.encode_rows(lut, usable, tail=1), 50),
-                              ref.pad_batch([lists[j][:-1] for j in usable], 50))
-            assert_same_batch(pad_batch(column.encode_rows(lut, usable, head=1), 50),
-                              ref.pad_batch([lists[j][1:] for j in usable], 50))
+            assert_same_shifted_batches(pad_batch(column.encode_rows(lut, usable), 50),
+                                        ref.pad_batch([lists[j][:-1] for j in usable], 50),
+                                        ref.pad_batch([lists[j][1:] for j in usable], 50))
 
 
 def test_generation_batches(corpus):
@@ -118,10 +132,9 @@ def test_generation_batches(corpus):
     lut = framed.lookup(vocab)
     lists = [vocab.encode(f) for _, f in pairs]
     chunk = np.random.default_rng(2).permutation(len(pairs))[:7]
-    assert_same_batch(pad_batch(framed.encode_rows(lut, chunk, tail=1), 20),
-                      ref.pad_batch([lists[j][:-1] for j in chunk], 20))
-    assert_same_batch(pad_batch(framed.encode_rows(lut, chunk, head=1), 20),
-                      ref.pad_batch([lists[j][1:] for j in chunk], 20))
+    assert_same_shifted_batches(pad_batch(framed.encode_rows(lut, chunk), 20),
+                                ref.pad_batch([lists[j][:-1] for j in chunk], 20),
+                                ref.pad_batch([lists[j][1:] for j in chunk], 20))
 
 
 @pytest.mark.parametrize("task", ["detect-code", "detect-comment"])

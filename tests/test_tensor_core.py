@@ -509,7 +509,7 @@ class TestLstmStack:
 
 
 class TestFit:
-    class Diverging(tc.Network):
+    class Diverging:
         def __init__(self):
             self.w = np.zeros(1)
 

@@ -86,8 +86,8 @@ def test_column_select_encode_rows_and_flat():
     chosen = column.select([2, 0])
     assert list(chosen) == [["c", "a", "d"], ["a", "b"]]
     assert chosen.flat().tolist() == [2, 0, 3, 0, 1]
-    rows = chosen.encode_rows(np.arange(10, 14), [0, 1], head=1)
-    assert [r.tolist() for r in rows] == [[10, 13], [11]]
+    rows = chosen.encode_rows(np.arange(10, 14), [0, 1])
+    assert [r.tolist() for r in rows] == [[12, 10, 13], [10, 11]]
     assert as_column(column) is column
     assert len(as_column([])) == 0
     with pytest.raises(DataError, match="sequence of length 3 exceeds cap 2"):
