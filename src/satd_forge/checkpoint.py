@@ -4,8 +4,8 @@ Layout: 6-byte magic "SATDF1", a little-endian uint32 header length, a
 JSON header (hyper-parameters, vocabularies, seed, declared block order),
 then the parameter blocks as little-endian float32 in that order.
 
-Networks are written and read through their `named_params()`: the block
-names, their order and their shapes are the network's own. A loader checks
+Every model is written and read through its `named_params()`: the block
+names, their order and their shapes are the model's own. A loader checks
 the header's kind first (`load_checkpoint`'s `kinds`), then the fields
 that inference reads, and compares the blocks with the shapes the header
 implies, before it builds a network; each fault is a CheckpointError
@@ -171,12 +171,14 @@ def header_vocabulary(header: _Section, key: str, kind=None) -> Vocabulary:
 
 
 def check_network(path, header: _Section, hp, shapes, blocks: dict[str, np.ndarray]) -> None:
-    """What a network's loader checks before it builds the network: the
+    """What a model's loader checks before it builds the model: the
     header's `seed` is an int >= 0, hp passes `check_sizes`, and every
     (name, shape) that `shapes` yields, the blocks that hp and the
     vocabularies imply, has a block of that shape. `shapes` is read only
-    after the sizes pass, and only up to the first bad block."""
+    after the sizes pass, and only up to the first bad block; a shape fault
+    names hp's `latent` and `layers` where its type has them."""
     with header_checks(path):
         check_count("seed", header.get("seed", 0), 0, "header field")
         check_sizes(hp, "header hyper-parameter")
-        check_shapes(shapes, blocks, f"{path} (header hyper-parameters latent {hp.latent}, layers {hp.layers})")
+        sizes = ", ".join(f"{name} {getattr(hp, name)}" for name in ("latent", "layers") if hasattr(hp, name))
+        check_shapes(shapes, blocks, f"{path} (header hyper-parameters {sizes})" if sizes else path)

@@ -18,7 +18,6 @@ from .checkpoint import (
     header_vocabulary,
     load_blocks,
     load_checkpoint,
-    save_checkpoint,
     save_network,
 )
 from .errors import (
@@ -135,10 +134,38 @@ class DetectorNetwork:
     def loss_and_grads(self, idx, mask, labels, drop_rng, drop_rate: float) -> float:
         """Mean binary log-loss over the batch; writes parameter gradients."""
         probs, caches = self.forward(idx, mask, drop_rng, drop_rate)
-        losses, _ = tc.bce_loss(labels, probs)
+        losses = tc.bce_loss(labels, probs)
         dlogits = (probs - labels) / len(labels)
         self.backward(dlogits, caches)
         return float(losses.mean())
+
+
+class LinearBlocks:
+    """A linear detector's parameters by checkpoint name, in file order:
+    naive Bayes's `class_log_prior` and `feature_log_prob`, or the SVM's
+    `svm.w` and `svm.b` after a pre-trained `embedding.M`; TF-IDF features
+    add their document frequencies, `tfidf.df`, last."""
+
+    def __init__(self, p: dict[str, np.ndarray]):
+        self.p = p
+
+    def named_params(self) -> dict[str, tuple[np.ndarray, None]]:
+        return {name: (param, None) for name, param in self.p.items()}
+
+    @staticmethod
+    def block_shapes(kind: str, vocab_size: int, width: int, tfidf: bool):
+        """(name, shape) of each block of `named_params`; `width` is the
+        SVM's feature width, the vocabulary's size or the embedding's."""
+        if kind == "mnb":
+            yield "class_log_prior", (2,)
+            yield "feature_log_prob", (2, vocab_size)
+        else:
+            if kind == "pretrained_embed_svm":
+                yield "embedding.M", (vocab_size, width)
+            yield "svm.w", (width,)
+            yield "svm.b", (1,)
+        if tfidf:
+            yield "tfidf.df", (vocab_size,)
 
 
 @dataclass
@@ -146,13 +173,8 @@ class DetectorModel:
     kind: str  # dl | mnb | svm | pretrained_embed_svm
     vocab: Vocabulary
     hp: DlHp | MnbHp | SvmHp  # the setting it was trained with, or the one its header records
-    network: DetectorNetwork | None = None
-    class_log_prior: np.ndarray | None = None
-    feature_log_prob: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    bias: float = 0.0
-    embedding: np.ndarray | None = None
-    tfidf: TfIdfModel | None = None
+    network: DetectorNetwork | LinearBlocks | None = None
+    tfidf: TfIdfModel | None = None  # its df is the network's tfidf.df
     final_loss: float | None = None
     objective_history: list[float] = field(default_factory=list)
     seed: int = 0
@@ -203,9 +225,10 @@ def _featurize(model: DetectorModel, column):
     or TF-IDF weights, or the dense averaged embeddings of
     `pretrained_embed_svm`."""
     if model.kind == "pretrained_embed_svm":
+        embedding = model.network.p["embedding.M"]
         rows = column.encode_rows(column.lookup(model.vocab), slice(None))
-        averages = [embed_average(row, model.embedding) for row in rows]
-        return np.array(averages).reshape(-1, model.embedding.shape[1])
+        averages = [embed_average(row, embedding) for row in rows]
+        return np.array(averages).reshape(-1, embedding.shape[1])
     counts = bow_counts(column, model.vocab)
     return counts if model.tfidf is None else transform(counts, model.tfidf)
 
@@ -248,14 +271,14 @@ def predict_many(model: DetectorModel, sequences) -> list[tuple[float, bool]]:
 
 
 def _predict_linear(model: DetectorModel, column) -> list[tuple[float, bool]]:
-    features = _featurize(model, column)
+    features, blocks = _featurize(model, column), model.network.p
     if model.kind == "mnb":
-        scores = np.stack([features.dot(log_prob) for log_prob in model.feature_log_prob], axis=1)
-        scores += model.class_log_prior
+        scores = np.stack([features.dot(log_prob) for log_prob in blocks["feature_log_prob"]], axis=1)
+        scores += blocks["class_log_prior"]
         shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
         probs, positive = shifted[:, 1] / shifted.sum(axis=1), scores[:, 1] > scores[:, 0]
     else:
-        margins = features.dot(model.weights) + model.bias
+        margins = features.dot(blocks["svm.w"]) + blocks["svm.b"]
         probs, positive = tc.sigmoid(margins), margins > 0
     return [(float(p), bool(y)) for p, y in zip(probs, positive)]
 
@@ -386,9 +409,10 @@ def fit_detector(setting: DlHp | MnbHp | SvmHp, items, labels, seed: int, vocab_
                             "a language model's embedding: its features are the averaged embeddings")
         kind = "pretrained_embed_svm"
     labels = [int(v) for v in labels]
-    model = DetectorModel(kind=kind, vocab=vocab, hp=setting, seed=seed)
+    p = {}
+    model = DetectorModel(kind=kind, vocab=vocab, hp=setting, network=LinearBlocks(p), seed=seed)
     if kind == "pretrained_embed_svm":
-        model.hp, model.embedding = replace(setting, features="embed_average"), init_blocks["embedding.M"]
+        model.hp, p["embedding.M"] = replace(setting, features="embed_average"), init_blocks["embedding.M"]
         vectors = Csr.from_dense(_featurize(model, column))
     else:
         vectors = bow_counts(column, vocab)
@@ -396,27 +420,17 @@ def fit_detector(setting: DlHp | MnbHp | SvmHp, items, labels, seed: int, vocab_
             model.tfidf = fit_tfidf(vectors)
             vectors = transform(vectors, model.tfidf)
     if kind == "mnb":
-        model.class_log_prior, model.feature_log_prob = train_mnb(
-            vectors, labels, alpha=setting.alpha, vocab_size=vocab.size
-        )
+        p["class_log_prior"], p["feature_log_prob"] = train_mnb(vectors, labels, alpha=setting.alpha,
+                                                              vocab_size=vocab.size)
     else:
         svm_labels = [1 if y == 1 else -1 for y in labels]
-        model.weights, model.bias, model.objective_history = train_linear_svm(
+        p["svm.w"], bias, model.objective_history = train_linear_svm(
             vectors, svm_labels, lam=setting.lam, epochs=setting.epochs, seed=seed
         )
+        p["svm.b"] = np.array([bias])
+    if model.tfidf is not None:
+        p["tfidf.df"] = model.tfidf.df
     return model
-
-
-# the blocks of each linear kind's checkpoint in file order: (block, DetectorModel
-# field, shape), where "V" stands for the vocabulary's size and "W" for the width
-# of a pre-trained embedding; a tfidf model adds its document frequencies, "tfidf.df"
-LINEAR_BLOCKS = {
-    "mnb": [("class_log_prior", "class_log_prior", (2,)), ("feature_log_prob", "feature_log_prob", (2, "V"))],
-    "svm": [("svm.w", "weights", ("V",)), ("svm.b", "bias", (1,))],
-    "pretrained_embed_svm": [
-        ("embedding.M", "embedding", ("V", "W")), ("svm.w", "weights", ("W",)), ("svm.b", "bias", (1,))
-    ],
-}
 
 
 def save_detector(model: DetectorModel, path):
@@ -433,16 +447,9 @@ def save_detector(model: DetectorModel, path):
         "alpha": setting.get("alpha", MnbHp.alpha),
         "seed": model.seed,
     }
-    if model.kind == "dl":
-        save_network(path, "dl", header, model.network)
-        return
-    if model.kind not in LINEAR_BLOCKS:
-        raise DataError(f"cannot save detector of kind {model.kind!r}")
-    blocks = [(name, np.atleast_1d(getattr(model, field))) for name, field, _ in LINEAR_BLOCKS[model.kind]]
     if model.tfidf is not None:
         header["tfidf_n_documents"] = model.tfidf.n_documents
-        blocks.append(("tfidf.df", model.tfidf.df))
-    save_checkpoint(path, model.kind, header, blocks)
+    save_network(path, model.kind, header, model.network)
 
 
 # the setting type each kind's header records
@@ -461,25 +468,17 @@ def load_detector(path) -> DetectorModel:
         with header_checks(path):
             check_number("threshold", hp.threshold, lambda v: 0 <= v <= 1, "a number in [0, 1]", "header field")
             check_choice("pooling", hp.pooling, tc.POOLING_MODES, "header hyper-parameter")
-        check_network(path, header, hp, DetectorNetwork.block_shapes(vocab.size, hp.latent, hp.layers), blocks)
-        model.network = DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, model.seed)
-        load_blocks(model.network.named_params(), blocks, path)
-        return model
-    # the blocks at the shapes the vocabulary implies; a pre-trained
-    # embedding is as wide as its language model's latent size
-    dims = {"V": vocab.size}
-    if kind == "pretrained_embed_svm":
-        dims["W"] = np.atleast_1d(blocks["embedding.M"]).shape[-1]
-    layout = [(name, field, tuple(dims.get(d, d) for d in shape)) for name, field, shape in LINEAR_BLOCKS[kind]]
-    if hp.features == "tfidf":
-        layout.append(("tfidf.df", None, (vocab.size,)))
-    arrays = {name: np.zeros(shape) for name, _, shape in layout}
-    load_blocks({name: (a, None) for name, a in arrays.items()}, blocks, path)
-    for name, field, _ in layout:
-        if field is not None:
-            setattr(model, field, float(arrays[name][0]) if field == "bias" else arrays[name])
-    if hp.features == "tfidf":
+        shapes = DetectorNetwork.block_shapes(vocab.size, hp.latent, hp.layers)
+    else:
+        # a pre-trained embedding is as wide as its language model's latent size
+        width = np.atleast_1d(blocks["embedding.M"]).shape[-1] if kind == "pretrained_embed_svm" else vocab.size
+        shapes = list(LinearBlocks.block_shapes(kind, vocab.size, width, hp.features == "tfidf"))
+    check_network(path, header, hp, shapes, blocks)
+    model.network = (DetectorNetwork(vocab.size, hp.latent, hp.layers, hp.pooling, model.seed) if kind == "dl"
+                     else LinearBlocks({name: np.zeros(shape) for name, shape in shapes}))
+    load_blocks(model.network.named_params(), blocks, path)
+    if kind != "dl" and hp.features == "tfidf":
         with header_checks(path):
             check_count("tfidf_n_documents", header["tfidf_n_documents"], 1, "header field")
-        model.tfidf = TfIdfModel(n_documents=header["tfidf_n_documents"], df=arrays["tfidf.df"])
+        model.tfidf = TfIdfModel(n_documents=header["tfidf_n_documents"], df=model.network.p["tfidf.df"])
     return model

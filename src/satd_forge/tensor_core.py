@@ -84,15 +84,12 @@ def softmax(x, axis: int = -1):
 
 
 def bce_loss(y, p):
-    """Binary log-loss -(y log p + (1-y) log(1-p)) with clamped p.
-
-    Returns (loss, dloss/dp).
-    """
+    """Binary log-loss -(y log p + (1-y) log(1-p)) with clamped p, per row.
+    Through a sigmoid its gradient at the logit is p - y, which the
+    detector computes itself."""
     y = np.asarray(y, dtype=np.float64)
     p = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1.0 - 1e-12)
-    loss = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    dp = -(y / p) + (1.0 - y) / (1.0 - p)
-    return loss, dp
+    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -613,9 +610,6 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, named_params: dict[str, tuple[np.ndarray, np.ndarray]]):
-        for name, (_, grad) in named_params.items():
-            if not np.isfinite(grad).all():
-                raise TrainingError(f"non-finite gradient in {name}")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         scratch = _scratch(named_params)
@@ -649,9 +643,6 @@ class RmsProp:
         self.cache: dict[str, np.ndarray] = {}
 
     def step(self, named_params: dict[str, tuple[np.ndarray, np.ndarray]]):
-        for name, (_, grad) in named_params.items():
-            if not np.isfinite(grad).all():
-                raise TrainingError(f"non-finite gradient in {name}")
         scratch = _scratch(named_params)
         for name, (param, grad) in named_params.items():
             if name not in self.cache:
@@ -675,8 +666,10 @@ def fit(network, optimizer, make_batch, n_items: int, hp, seed: int) -> float:
     cuts it into `hp.batch_size` chunks, and `make_batch(chunk)` turns a
     chunk into the arguments of `network.loss_and_grads` ahead of the
     dropout generator (seeded `seed+2`) and `hp.dropout`, which writes
-    the gradients the optimizer reads. Returns the mean batch loss of the
-    last epoch (0.0 without epochs).
+    the gradients the optimizer reads. A non-finite loss, or a gradient
+    block holding a NaN or infinity, raises TrainingError naming the batch
+    or the block before the optimizer steps. Returns the mean batch loss
+    of the last epoch (0.0 without epochs).
     """
     rng = np.random.default_rng(seed + 1)
     drop_rng = np.random.default_rng(seed + 2)
@@ -689,7 +682,11 @@ def fit(network, optimizer, make_batch, n_items: int, hp, seed: int) -> float:
             loss = network.loss_and_grads(*args, drop_rng, hp.dropout)
             if not np.isfinite(loss):
                 raise TrainingError(f"divergent loss in epoch {epoch + 1}, batch {batch + 1}")
-            optimizer.step(network.named_params())
+            named = network.named_params()
+            for name, (_, grad) in named.items():
+                if not np.isfinite(grad).all():
+                    raise TrainingError(f"non-finite gradient in {name}")
+            optimizer.step(named)
             epoch_losses.append(loss)
         final_loss = float(np.mean(epoch_losses))
     return final_loss

@@ -104,16 +104,17 @@ def train_linear_svm(vectors, labels, lam: float, epochs: int, seed: int, dim: i
 def predict_linear(model, vec: dict[int, float] | None, sequence=None) -> tuple[float, bool]:
     """One sequence's (probability, label); `vec` is its featurized dict,
     or None for `pretrained_embed_svm`, which averages `sequence`."""
+    p = model.network.p
     if model.kind == "mnb":
-        scores = model.class_log_prior.copy()
+        scores = p["class_log_prior"].copy()
         for c in range(2):
-            scores[c] += sum(model.feature_log_prob[c, i] * v for i, v in vec.items())
+            scores[c] += sum(p["feature_log_prob"][c, i] * v for i, v in vec.items())
         shifted = scores - scores.max()
         probs = np.exp(shifted) / np.exp(shifted).sum()
         return float(probs[1]), bool(scores[1] > scores[0])
     if model.kind == "pretrained_embed_svm":
-        feats = embed_average(sequence, model.vocab, model.embedding)
-        margin = float(model.weights @ feats + model.bias)
+        feats = embed_average(sequence, model.vocab, p["embedding.M"])
+        margin = float(p["svm.w"] @ feats + float(p["svm.b"][0]))
     else:
-        margin = _sparse_dot(model.weights, vec) + model.bias
+        margin = _sparse_dot(p["svm.w"], vec) + float(p["svm.b"][0])
     return float(tc.sigmoid(margin)), margin > 0

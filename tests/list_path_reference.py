@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from satd_forge import tensor_core as tc
-from satd_forge.detector import DetectorModel, DetectorNetwork, train_linear_svm, train_mnb
+from satd_forge.detector import DetectorModel, DetectorNetwork, LinearBlocks, train_linear_svm, train_mnb
 from satd_forge.generator import GeneratorModel, Seq2SeqNetwork
 from satd_forge.java_miner import SATD, JsonlRows
 from satd_forge.pretrainer import LmModel, LmNetwork
@@ -104,17 +104,21 @@ def fit_detector(setting, items, labels, seed, kind):
         final_loss = tc.fit(network, tc.Adam(lr=hp.learning_rate), make_batch, len(encoded), hp, seed)
         return DetectorModel(kind="dl", vocab=vocab, hp=hp, network=network, final_loss=final_loss, seed=seed)
     labels = [int(v) for v in labels]
-    model = DetectorModel(kind=setting.model, vocab=vocab, hp=setting, seed=seed)
+    p = {}
+    model = DetectorModel(kind=setting.model, vocab=vocab, hp=setting, network=LinearBlocks(p), seed=seed)
     vectors = bow_counts(items, vocab)
     if setting.features == "tfidf":
         model.tfidf = fit_tfidf(vectors)
         vectors = transform(vectors, model.tfidf)
     if setting.model == "mnb":
-        model.class_log_prior, model.feature_log_prob = train_mnb(vectors, labels, alpha=setting.alpha,
-                                                                  vocab_size=vocab.size)
+        p["class_log_prior"], p["feature_log_prob"] = train_mnb(vectors, labels, alpha=setting.alpha,
+                                                              vocab_size=vocab.size)
     else:
-        model.weights, model.bias, model.objective_history = train_linear_svm(
+        p["svm.w"], bias, model.objective_history = train_linear_svm(
             vectors, [1 if y == 1 else -1 for y in labels], lam=setting.lam, epochs=setting.epochs, seed=seed)
+        p["svm.b"] = np.array([bias])
+    if model.tfidf is not None:
+        p["tfidf.df"] = model.tfidf.df
     return model
 
 

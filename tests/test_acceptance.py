@@ -71,7 +71,7 @@ def test_criterion_02_gradient_fidelity():
     def emb_loss():
         X = emb.forward(idx)
         logits, _ = dense.forward(X.mean(axis=1))
-        losses, _ = tc.bce_loss(y, tc.sigmoid(logits[:, 0]))
+        losses = tc.bce_loss(y, tc.sigmoid(logits[:, 0]))
         return float(losses.mean())
 
     for layer in (emb, dense):
@@ -112,7 +112,7 @@ def test_criterion_02_gradient_fidelity():
                 X, _, _ = lstm.forward(X, mask)
             pooled, _ = tc.pool_forward(X, packing, pooling)
             logits, _ = dense.forward(pooled)
-            losses, _ = tc.bce_loss(y, tc.sigmoid(logits[:, 0]))
+            losses = tc.bce_loss(y, tc.sigmoid(logits[:, 0]))
             return float(losses.mean())
 
         layers = {"emb": emb, "dense": dense}

@@ -15,6 +15,7 @@ from satd_forge.cli import main
 from satd_forge.detector import (
     DetectorNetwork,
     DlHp,
+    LinearBlocks,
     check_detector_setting,
     fit_detector,
     load_detector,
@@ -67,7 +68,7 @@ def generator_ckpt(path):
 
 
 def linear_ckpt(path, kind, features):
-    """An mnb, svm or pretrained_embed_svm detector over a 4-word vocabulary."""
+    """An mnb, svm or pretrained_embed_svm detector over a 4-word vocabulary, saved; returns it."""
     seqs = [["a", "b"], ["c"], ["a", "c", "b"], ["b"]]
     vocab = build_vocabulary(seqs, "code")
     setting = check_detector_setting({"model": "mnb", "features": features} if kind == "mnb" else
@@ -77,6 +78,7 @@ def linear_ckpt(path, kind, features):
         init_blocks = {"embedding.M": np.arange(vocab.size * 3.0).reshape(vocab.size, 3)}
     model = fit_detector(setting, seqs, [1, 0, 1, 0], 0, "code", vocab=vocab, init_blocks=init_blocks)
     save_detector(model, path)
+    return model
 
 
 LOADERS = {"detector": detector_ckpt, "lm": lm_ckpt, "generator": generator_ckpt}
@@ -218,6 +220,21 @@ def test_linear_round_trip(tmp_path, model):
     linear_ckpt(path, *LINEAR[model])
     save_detector(load_detector(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+# the header's seed is checked for every kind; a linear checkpoint's was not, and these loaded
+@pytest.mark.parametrize("model", sorted(LINEAR))
+@pytest.mark.parametrize("value", [-1, "x"])
+def test_linear_header_with_bad_seed_exits_2(tmp_path, capsys, model, value):
+    path = tmp_path / "m.ckpt"
+    linear_ckpt(path, *LINEAR[model])
+    set_field(path, "seed", value)
+    lines = tmp_path / "lines.txt"
+    lines.write_text("if (a) { b(c); }\n")
+    assert main(["detect", "--model", str(path), "--input", str(lines)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(re.escape(str(path)) + ".*seed", err)
 
 
 def set_entry(name, value):
@@ -416,3 +433,13 @@ def test_block_shapes_are_the_networks(latent, layers):
         (Seq2SeqNetwork(7, 9, latent, layers, 0), Seq2SeqNetwork.block_shapes(7, 9, latent, layers)),
     ]:
         assert dict(shapes) == {name: param.shape for name, (param, _) in network.named_params().items()}
+
+
+# in file order: the loader builds the blocks from these shapes and reads them in this order
+@pytest.mark.parametrize("model", sorted(LINEAR))
+def test_linear_block_shapes_are_the_models(tmp_path, model):
+    kind, features = LINEAR[model]
+    trained = linear_ckpt(tmp_path / "m.ckpt", kind, features)
+    size = trained.vocab.size
+    shapes = LinearBlocks.block_shapes(kind, size, 3 if kind == "pretrained_embed_svm" else size, features == "tfidf")
+    assert list(shapes) == [(name, param.shape) for name, (param, _) in trained.network.named_params().items()]

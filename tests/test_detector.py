@@ -9,6 +9,7 @@ from satd_forge.checkpoint import load_checkpoint
 from satd_forge.detector import (
     DetectorModel,
     DlHp,
+    LinearBlocks,
     SvmHp,
     check_detector_setting,
     embed_average,
@@ -117,7 +118,7 @@ class TestDlDetector:
 
         def loss_fn():
             probs, _ = net.forward(idx, mask, np.random.default_rng(77), 0.25)
-            losses, _ = tc.bce_loss(y, probs)
+            losses = tc.bce_loss(y, probs)
             return float(losses.mean())
 
         probs, caches = net.forward(idx, mask, np.random.default_rng(77), 0.25)
@@ -142,7 +143,7 @@ class TestDlDetector:
 
         def loss_fn():
             probs, _ = net.forward(idx, mask)
-            return float(tc.bce_loss(y, probs)[0].mean())
+            return float(tc.bce_loss(y, probs).mean())
 
         net.loss_and_grads(idx, mask, y, None, 0.0)
         named = net.named_params()
@@ -273,8 +274,7 @@ class TestSvm:
             kind="svm",
             vocab=build_vocabulary([["a"]], "code"),
             hp=SvmHp(),
-            weights=np.zeros(2),
-            bias=0.0,
+            network=LinearBlocks({"svm.w": np.zeros(2), "svm.b": np.zeros(1)}),
         )
         _, positive = predict_many(model, [["a"]])[0]
         assert not positive

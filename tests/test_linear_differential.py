@@ -148,5 +148,6 @@ def test_pretrained_embed_svm(seed):
         feats = [ref.embed_average(d, vocab, embedding) for d in docs]
         dense = [{i: float(v) for i, v in enumerate(f) if v != 0.0} for f in feats]
         want = ref.train_linear_svm(dense, [1 if y else -1 for y in labels], lam=0.05, epochs=6, seed=seed, dim=6)
-        assert_svm_equal((model.weights, model.bias, model.objective_history), want)
+        p = model.network.p
+        assert_svm_equal((p["svm.w"], float(p["svm.b"][0]), model.objective_history), want)
         assert_predictions_equal(predict_many(model, docs), reference_predictions(model, [None] * len(docs), docs))

@@ -85,23 +85,12 @@ class TestSigmoidAndBce:
         np.testing.assert_allclose(tc.sigmoid(x) + tc.sigmoid(-x), 1.0, atol=1e-12)
 
     def test_bce_perfect_prediction(self):
-        loss, _ = tc.bce_loss(1.0, 1.0)
+        loss = tc.bce_loss(1.0, 1.0)
         assert loss == pytest.approx(0.0, abs=1e-10)
 
     def test_bce_half(self):
-        loss, _ = tc.bce_loss(1.0, 0.5)
+        loss = tc.bce_loss(1.0, 0.5)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_bce_gradient_vs_fd(self):
-        rng = np.random.default_rng(2)
-        for y in (0.0, 1.0):
-            p = rng.uniform(0.05, 0.95)
-            _, dp = tc.bce_loss(y, p)
-            eps = 1e-7
-            lp, _ = tc.bce_loss(y, p + eps)
-            lm, _ = tc.bce_loss(y, p - eps)
-            fd = (lp - lm) / (2 * eps)
-            assert abs(dp - fd) / max(abs(fd), 1e-8) < 1e-6
 
     def test_fused_gradient_is_p_minus_y(self):
         # composing sigmoid with the binary log-loss must give p - y at the
@@ -114,7 +103,7 @@ class TestSigmoidAndBce:
             eps = 1e-6
 
             def loss_at(zv):
-                val, _ = tc.bce_loss(y, float(tc.sigmoid(zv)))
+                val = tc.bce_loss(y, float(tc.sigmoid(zv)))
                 return float(val)
 
             fd = (loss_at(z + eps) - loss_at(z - eps)) / (2 * eps)
@@ -229,12 +218,6 @@ class TestOptimizers:
         param = np.full(3, 7.0)
         tc.RmsProp().step({"p": (param, np.zeros(3))})
         np.testing.assert_array_equal(param, 7.0)
-
-    def test_nonfinite_gradient_rejected(self):
-        with pytest.raises(TrainingError):
-            tc.Adam().step({"p": (np.zeros(2), np.array([1.0, np.nan]))})
-        with pytest.raises(TrainingError):
-            tc.RmsProp().step({"p": (np.zeros(2), np.array([np.inf, 0.0]))})
 
     @pytest.mark.parametrize("make_opt", [tc.Adam, tc.RmsProp])
     def test_quadratic_descent_monotone(self, make_opt):
@@ -356,7 +339,7 @@ class TestGradientChecks:
             X = emb.forward(idx)
             pooled = X.mean(axis=1)
             logits, _ = dense.forward(pooled)
-            losses, _ = tc.bce_loss(y, tc.sigmoid(logits[:, 0]))
+            losses = tc.bce_loss(y, tc.sigmoid(logits[:, 0]))
             return float(losses.mean())
 
         for layer in (emb, dense):
@@ -415,7 +398,7 @@ class TestGradientChecks:
                 X, _, _ = lstm.forward(X, mask)
             pooled, _ = tc.pool_forward(X, packing, pooling)
             logits, _ = dense.forward(pooled)
-            losses, _ = tc.bce_loss(y, tc.sigmoid(logits[:, 0]))
+            losses = tc.bce_loss(y, tc.sigmoid(logits[:, 0]))
             return float(losses.mean())
 
         layers = {"emb": emb, "dense": dense}
@@ -523,6 +506,29 @@ class TestFit:
         hp = SimpleNamespace(epochs=2, batch_size=3, dropout=0.0)
         with pytest.raises(TrainingError, match=r"epoch 1, batch \d"):
             tc.fit(self.Diverging(), tc.Adam(), lambda chunk: (list(chunk),), 9, hp, seed=0)
+
+    class NonFiniteGradient:
+        """Block `w`, whose gradient is finite, then block `v`, whose gradient is `grad`."""
+
+        def __init__(self, grad):
+            self.w, self.v, self.grad = np.zeros(2), np.zeros(2), np.asarray(grad)
+
+        def named_params(self):
+            return {"w": (self.w, np.ones(2)), "v": (self.v, self.grad)}
+
+        def loss_and_grads(self, chunk, drop_rng, drop_rate):
+            return 1.0
+
+    # every optimizer's step reads only finite gradients: a NaN or infinity stops the fit before any
+    # parameter moves, and names the block
+    @pytest.mark.parametrize("make_opt, grad", [(tc.Adam, [1.0, np.nan]), (tc.RmsProp, [np.inf, 0.0])])
+    def test_nonfinite_gradient_rejected(self, make_opt, grad):
+        hp = SimpleNamespace(epochs=1, batch_size=3, dropout=0.0)
+        network = self.NonFiniteGradient(grad)
+        with pytest.raises(TrainingError, match="non-finite gradient in v"):
+            tc.fit(network, make_opt(), lambda chunk: (list(chunk),), 9, hp, seed=0)
+        np.testing.assert_array_equal(network.w, 0.0)
+        np.testing.assert_array_equal(network.v, 0.0)
 
     def test_zero_epochs_reports_zero_loss(self):
         hp = SimpleNamespace(epochs=0, batch_size=3, dropout=0.0)
